@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qtokens.cli import main
-from qtokens.fixtures import fixture_points
+from qtokens.fixtures import QUALITY_TABLE, RESULTS_TABLE, fixture_points
 from qtokens.scaling_law import ScalingConstants
 
 
@@ -124,6 +124,49 @@ def test_fit_five_rows_is_an_error(tmp_path, capsys):
     code, out, err = run_cli(["fit", "--experiments", str(path)], capsys)
     assert code == 1
     assert "at least 8" in err
+
+
+def _write_quality_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["data_label", "fraction_pct", "diversity", "syntheticity"])
+        writer.writerows(rows)
+
+
+def test_fit_experiments_with_quality_csv_matches_fixture(tmp_path, capsys):
+    exp = tmp_path / "exp.csv"
+    with open(exp, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            "model_size_m,data_label,fraction_pct,n_tokens,train_loss,eval_loss,"
+            "accuracy_pct,diversity,syntheticity".split(",")
+        )
+        writer.writerows([*row, "", ""] for row in RESULTS_TABLE)
+    quality = tmp_path / "q.csv"
+    _write_quality_csv(quality, QUALITY_TABLE)
+    code, out, _ = run_cli(
+        ["fit", "--experiments", str(exp), "--quality", str(quality)], capsys
+    )
+    assert code == 0
+    code, fixture_out, _ = run_cli(["fit", "--fixture"], capsys)
+    assert code == 0
+    assert json.loads(out) == json.loads(fixture_out)
+
+
+def test_fit_malformed_quality_row(tmp_path, capsys):
+    exp = tmp_path / "exp.csv"
+    exp.write_text(
+        "model_size_m,data_label,fraction_pct,n_tokens,train_loss,eval_loss,"
+        "accuracy_pct,diversity,syntheticity\n25,Random,10,1083200970,1.36,6.89,37.87,,\n"
+    )
+    quality = tmp_path / "q.csv"
+    _write_quality_csv(quality, [("Random", 10, 0.3775, 0.02699), ("Random", 20, "oops", 0.02)])
+    code, out, err = run_cli(
+        ["fit", "--experiments", str(exp), "--quality", str(quality)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "row 3" in err
 
 
 def test_fit_with_bootstrap(capsys, tmp_path):

@@ -16,7 +16,14 @@ from qtokens.fitting import (
     r_squared,
 )
 from qtokens.fixtures import QUALITY_TABLE, RESULTS_TABLE, fixture_points
-from qtokens.scaling_law import ScalingConstants, default_initial_guess
+from qtokens.scaling_law import (
+    FORMS,
+    PRESETS,
+    QualityInputs,
+    ScalingConstants,
+    default_initial_guess,
+    predict_accuracy_unclamped,
+)
 
 
 def synthetic_points(truth: ScalingConstants, n_points=42, seed=42, noise=0.0):
@@ -115,6 +122,23 @@ def test_exact_model_recovery():
     for name in ("e", "a", "alpha", "b", "beta", "c1", "c2"):
         truth_v = getattr(TRUTH, name)
         assert getattr(got, name) == pytest.approx(truth_v, rel=1e-4)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_model_predictions_match_scalar_law(form):
+    consts = PRESETS["paper-ours"].with_form(form)
+    points = fixture_points()
+    theta = np.array([consts.e, consts.a, consts.alpha, consts.b, consts.beta, consts.c1, consts.c2])
+    n, d, dr, s = (
+        np.array([getattr(p, k) for p in points])
+        for k in ("n_millions", "d_tokens", "dr", "s")
+    )
+    got = model_predictions(theta, n, d, dr, s, form)
+    want = [
+        predict_accuracy_unclamped(QualityInputs(p.d_tokens, p.dr, p.s, p.n_millions), consts)
+        for p in points
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_fit_is_deterministic():
