@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import diversity, fitting, fixtures, refine, report as report_mod
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
@@ -48,12 +47,19 @@ SCORE_COLUMNS = [
 ]
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise QTokensError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def _load_constants(spec: str) -> ScalingConstants:
     if spec in PRESETS:
         return PRESETS[spec]
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return ScalingConstants.from_dict(json.load(fh))
+        return ScalingConstants.from_dict(_read_json(spec))
     raise QTokensError(
         f"unknown constants {spec!r}: not a preset ({', '.join(sorted(PRESETS))}) "
         f"or a JSON file"
@@ -126,11 +132,7 @@ def cmd_score(args) -> int:
         return row
 
     try:
-        if args.threads > 1 and scorer is None:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                rows = list(pool.map(score_one, args.inputs))
-        else:
-            rows = [score_one(path) for path in args.inputs]
+        rows = [score_one(path) for path in args.inputs]
     finally:
         _close_scorer(scorer)
 
@@ -143,30 +145,11 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _quality_rows_from_csv(path: str) -> list[tuple]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    (
-                        row["data_label"],
-                        int(row["fraction_pct"]),
-                        float(row["diversity"]),
-                        float(row["syntheticity"]),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise QTokensError(f"quality CSV row {row_no}: {exc}") from exc
-    return rows
-
-
 def cmd_fit(args) -> int:
     if args.fixture:
         points = fixtures.fixture_points()
     elif args.experiments:
-        quality = _quality_rows_from_csv(args.quality) if args.quality else None
+        quality = fitting.load_quality_csv(args.quality) if args.quality else None
         points = fitting.load_experiments_csv(args.experiments, quality)
     else:
         raise QTokensError("fit needs --experiments CSV or --fixture")
@@ -305,9 +288,7 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.fit_report, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    paths = report_mod.write_report(payload, args.out_dir)
+    paths = report_mod.write_report(_read_json(args.fit_report), args.out_dir)
     for path in paths:
         sys.stdout.write(path + "\n")
     return 0
@@ -319,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corpus quality metrics and the effective-token scaling law.",
     )
     parser.add_argument("--seed", type=int, default=42, help="global random seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
     parser.add_argument(
         "--tokenizer",
         default="whitespace",

@@ -16,15 +16,14 @@ refitting on seeded bootstrap resamples.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import FittingError
-from .scaling_law import FORMS, ScalingConstants
+from .scaling_law import FORMS, ScalingConstants, _dq, _score
 
 N_PARAMS = 7
 DEFAULT_MAX_EVALS = 2000
@@ -96,16 +95,6 @@ def _point_arrays(points: Sequence[ExperimentPoint]):
     return n, d, dr, s, y
 
 
-def _dq_arrays(d, dr, s, c1, c2, form):
-    if form == "F1":
-        return d * np.exp(c1 * dr + c2 * s)
-    if form == "F2":
-        return d * dr**c1 * np.exp(c2 * s)
-    if form == "F3":
-        return d * np.exp(c1 * dr) * s**c2
-    return d * dr**c1 * s**c2
-
-
 def model_predictions(
     theta: np.ndarray, n, d, dr, s, form: str, clamp: bool = False
 ) -> np.ndarray:
@@ -113,8 +102,7 @@ def model_predictions(
     values for wild parameters (callers reject those trial steps)."""
     e, a, alpha, b, beta, c1, c2 = theta
     with np.errstate(all="ignore"):
-        dq = _dq_arrays(d, dr, s, c1, c2, form)
-        pred = e + a / n**alpha + b / dq**beta
+        pred = _score(n, _dq(d, dr, s, c1, c2, form, np.exp), e, a, alpha, b, beta)
     if clamp:
         pred = np.clip(pred, 0.0, 1.0)
     return pred
@@ -355,6 +343,35 @@ def bootstrap_se(
     return {name: float(v) for name, v in zip(PARAM_NAMES, spread)}
 
 
+def _quality_lookup(quality: Sequence[tuple]) -> dict[tuple[str, int], tuple[float, float]]:
+    """Map (label, percent) to (Dr, S) from quality rows (label, pct, dr, s)."""
+    lookup: dict[tuple[str, int], tuple[float, float]] = {}
+    for label, pct, dr, s in quality:
+        key = (label, int(pct))
+        if key in lookup:
+            raise FittingError(f"duplicate quality row for {key}")
+        lookup[key] = (float(dr), float(s))
+    return lookup
+
+
+def _experiment_point(result: tuple, dr: float, s: float) -> ExperimentPoint:
+    """Point for a result row (size_m, label, pct, n_tokens, train_loss,
+    eval_loss, accuracy_pct) with its quality scores; accuracy percent
+    becomes a fraction and a loss of None stays None."""
+    size_m, label, pct, n_tokens, train_loss, eval_loss, acc_pct = result
+    return ExperimentPoint(
+        n_millions=float(size_m),
+        d_tokens=float(n_tokens),
+        dr=dr,
+        s=s,
+        accuracy=float(acc_pct) / 100.0,
+        train_loss=float(train_loss) if train_loss is not None else None,
+        eval_loss=float(eval_loss) if eval_loss is not None else None,
+        label=label,
+        fraction_pct=int(pct),
+    )
+
+
 def join_fixture_tables(
     results: Sequence[tuple],
     quality: Sequence[tuple],
@@ -365,34 +382,34 @@ def join_fixture_tables(
     accuracy_pct); quality rows are (label, pct, dr, s). Accuracy percent
     is converted to a fraction.
     """
-    lookup: dict[tuple[str, int], tuple[float, float]] = {}
-    for label, pct, dr, s in quality:
-        key = (label, int(pct))
-        if key in lookup:
-            raise FittingError(f"duplicate quality row for {key}")
-        lookup[key] = (float(dr), float(s))
+    lookup = _quality_lookup(quality)
     missing = sorted(
         {(row[1], int(row[2])) for row in results if (row[1], int(row[2])) not in lookup}
     )
     if missing:
         raise FittingError(f"result rows with no quality match: {missing}")
-    points = []
-    for size_m, label, pct, n_tokens, train_loss, eval_loss, acc_pct in results:
-        dr, s = lookup[(label, int(pct))]
-        points.append(
-            ExperimentPoint(
-                n_millions=float(size_m),
-                d_tokens=float(n_tokens),
-                dr=dr,
-                s=s,
-                accuracy=float(acc_pct) / 100.0,
-                train_loss=float(train_loss) if train_loss is not None else None,
-                eval_loss=float(eval_loss) if eval_loss is not None else None,
-                label=label,
-                fraction_pct=int(pct),
-            )
-        )
-    return points
+    return [_experiment_point(row, *lookup[(row[1], int(row[2]))]) for row in results]
+
+
+def load_quality_csv(path: str) -> list[tuple]:
+    """Read a quality CSV (data_label, fraction_pct, diversity,
+    syntheticity) as (label, pct, dr, s) rows for ``load_experiments_csv``."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row_no, row in enumerate(reader, start=2):
+            try:
+                rows.append(
+                    (
+                        row["data_label"],
+                        int(row["fraction_pct"]),
+                        float(row["diversity"]),
+                        float(row["syntheticity"]),
+                    )
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FittingError(f"quality CSV row {row_no}: {exc}") from exc
+    return rows
 
 
 def load_experiments_csv(
@@ -404,14 +421,7 @@ def load_experiments_csv(
     quality table is supplied; in that case rows are joined on
     (data_label, fraction_pct).
     """
-    lookup = None
-    if quality is not None:
-        lookup = {}
-        for label, pct, dr, s in quality:
-            key = (label, int(pct))
-            if key in lookup:
-                raise FittingError(f"duplicate quality row for {key}")
-            lookup[key] = (float(dr), float(s))
+    lookup = _quality_lookup(quality) if quality is not None else None
     points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -436,22 +446,11 @@ def load_experiments_csv(
                 else:
                     raise FittingError("diversity/syntheticity columns empty "
                                        "and no quality table supplied")
-                points.append(
-                    ExperimentPoint(
-                        n_millions=float(row["model_size_m"]),
-                        d_tokens=float(row["n_tokens"]),
-                        dr=dr,
-                        s=s,
-                        accuracy=float(row["accuracy_pct"]) / 100.0,
-                        train_loss=float(row["train_loss"]) if row.get("train_loss") else None,
-                        eval_loss=float(row["eval_loss"]) if row.get("eval_loss") else None,
-                        label=label,
-                        fraction_pct=pct,
-                    )
-                )
-            except FittingError as exc:
-                raise FittingError(f"row {row_no}: {exc}") from exc
-            except (KeyError, ValueError) as exc:
+                result = (row["model_size_m"], label, pct, row["n_tokens"],
+                          row.get("train_loss") or None, row.get("eval_loss") or None,
+                          row["accuracy_pct"])
+                points.append(_experiment_point(result, dr, s))
+            except (FittingError, KeyError, TypeError, ValueError) as exc:
                 raise FittingError(f"row {row_no}: {exc}") from exc
     return points
 
@@ -493,18 +492,3 @@ def fit_report_to_dict(
             )
         out["points"] = records
     return out
-
-
-def fit_report_from_dict(data: dict) -> FitReport:
-    return FitReport(
-        constants=ScalingConstants.from_dict(data["constants"]),
-        se=data.get("se"),
-        r2=data["r2"],
-        pearson=data["pearson"],
-        sse=data["sse"],
-        n_points=data["n_points"],
-        n_evals=data["n_evals"],
-        n_iters=data.get("n_iters", 0),
-        converged=data["converged"],
-        residuals=list(data["residuals"]),
-    )

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import QTokensError
 from .fitting import pearson
-from .scaling_law import ScalingConstants, effective_tokens_raw, scaling_factor_q
+from .scaling_law import ScalingConstants, _score, clamp_unit, effective_tokens_raw
 
 WIDTH = 640
 HEIGHT = 480
@@ -154,8 +154,8 @@ def acc_vs_dq_svg(points: Sequence[dict], constants: ScalingConstants) -> str:
         coords = []
         for i in range(steps + 1):
             dq = 10 ** (lg0 + (lg1 - lg0) * i / steps)
-            score = constants.e + constants.a / size**constants.alpha + constants.b / dq**constants.beta
-            score = min(max(score, 0.0), 1.0)
+            score = clamp_unit(_score(size, dq, constants.e, constants.a, constants.alpha,
+                                      constants.b, constants.beta))
             if ylim[0] <= score <= ylim[1]:
                 coords.append(f"{axes.x(dq):.1f},{axes.y(score):.1f}")
         if len(coords) >= 2:
@@ -182,13 +182,14 @@ def q_surface_csv(
     s_range: tuple[float, float],
     steps: int = 21,
 ) -> str:
-    """Grid of the scaling factor over the (diversity, syntheticity) plane."""
+    """Grid of the fitted form's scaling factor Q = Dq / D over the
+    (diversity, syntheticity) plane."""
     lines = ["diversity,syntheticity,q"]
     for i in range(steps):
         dr = dr_range[0] + (dr_range[1] - dr_range[0]) * i / (steps - 1)
         for j in range(steps):
             s = s_range[0] + (s_range[1] - s_range[0]) * j / (steps - 1)
-            q = scaling_factor_q(dr, s, constants.c1, constants.c2)
+            q = effective_tokens_raw(1.0, dr, s, constants)
             lines.append(f"{dr:.6f},{s:.6f},{q:.8e}")
     return "\n".join(lines) + "\n"
 
@@ -199,9 +200,13 @@ def write_report(report_dict: dict, out_dir: str) -> list[str]:
     The dictionary must carry per-point records (the fit command writes
     them); without at least two points the scatter is undefined.
     """
+    if not isinstance(report_dict, dict):
+        raise QTokensError("fit report is not a JSON object")
     points = report_dict.get("points")
     if not points or len(points) < 2:
         raise QTokensError("need >= 2 points to plot correlation")
+    if "constants" not in report_dict:
+        raise QTokensError("fit report has no constants")
     constants = ScalingConstants.from_dict(report_dict["constants"])
     os.makedirs(out_dir, exist_ok=True)
     observed = [p["observed"] for p in points]

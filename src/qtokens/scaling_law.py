@@ -76,6 +76,8 @@ class ScalingConstants:
             )
         except KeyError as exc:
             raise ScalingDomainError(f"constants JSON missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ScalingDomainError(f"constants JSON has a bad value: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -126,12 +128,33 @@ class QualityInputs:
                 raise ScalingDomainError(f"{name} must be finite and > 0, got {value}")
 
 
+def _dq(d, dr, s, c1, c2, form, exp=math.exp):
+    """Effective tokens ``D * Q(Dr, S)`` under ``form``, without domain
+    checks. Takes Python floats with the default ``math.exp`` or numpy
+    arrays with ``exp=np.exp``; the scalar API, the fitter and the report
+    all evaluate F1-F4 here.
+    """
+    if form == "F1":
+        return d * exp(c1 * dr + c2 * s)
+    if form == "F2":
+        return d * dr**c1 * exp(c2 * s)
+    if form == "F3":
+        return d * exp(c1 * dr) * s**c2
+    return d * dr**c1 * s**c2
+
+
+def _score(n, dq, e, a, alpha, b, beta):
+    """Unclamped score ``E + A / N^alpha + B / Dq^beta``, for floats or
+    numpy arrays."""
+    return e + a / n**alpha + b / dq**beta
+
+
 def scaling_factor_q(dr: float, s: float, c1: float, c2: float) -> float:
     """Multiplicative quality adjustment ``exp(c1 * dr + c2 * s)``."""
     for name, value in (("dr", dr), ("s", s), ("c1", c1), ("c2", c2)):
         if not math.isfinite(value):
             raise ScalingDomainError(f"{name} is not finite: {value}")
-    return math.exp(c1 * dr + c2 * s)
+    return _dq(1.0, dr, s, c1, c2, "F1")
 
 
 def effective_tokens_raw(d: float, dr: float, s: float, consts: ScalingConstants) -> float:
@@ -141,19 +164,14 @@ def effective_tokens_raw(d: float, dr: float, s: float, consts: ScalingConstants
     exponentiated; violations raise rather than being regularized away.
     """
     form = consts.form
-    if form == "F1":
-        return d * math.exp(consts.c1 * dr + consts.c2 * s)
-    if form == "F2":
-        if dr <= 0:
+    if form != "F1":
+        if form == "F2" and dr <= 0:
             raise ScalingDomainError(f"form F2 requires dr > 0, got {dr}")
-        return d * dr**consts.c1 * math.exp(consts.c2 * s)
-    if form == "F3":
-        if s <= 0:
+        if form == "F3" and s <= 0:
             raise ScalingDomainError(f"form F3 requires s > 0, got {s}")
-        return d * math.exp(consts.c1 * dr) * s**consts.c2
-    if dr <= 0 or s <= 0:
-        raise ScalingDomainError(f"form F4 requires dr > 0 and s > 0, got dr={dr}, s={s}")
-    return d * dr**consts.c1 * s**consts.c2
+        if form == "F4" and (dr <= 0 or s <= 0):
+            raise ScalingDomainError(f"form F4 requires dr > 0 and s > 0, got dr={dr}, s={s}")
+    return _dq(d, dr, s, consts.c1, consts.c2, form)
 
 
 def effective_tokens(q_in: QualityInputs, consts: ScalingConstants) -> float:
@@ -169,8 +187,8 @@ def clamp_unit(x: float) -> float:
 def predict_accuracy_unclamped(q_in: QualityInputs, consts: ScalingConstants) -> float:
     """Model score before clamping; the quantity the fit and the
     inversion operate on."""
-    dq = effective_tokens(q_in, consts)
-    return consts.e + consts.a / q_in.n_millions**consts.alpha + consts.b / dq**consts.beta
+    dq = effective_tokens_raw(q_in.d, q_in.dr, q_in.s, consts)
+    return _score(q_in.n_millions, dq, consts.e, consts.a, consts.alpha, consts.b, consts.beta)
 
 
 def predict_accuracy(q_in: QualityInputs, consts: ScalingConstants) -> float:

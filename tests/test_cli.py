@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from qtokens.cli import main
-from qtokens.fixtures import QUALITY_TABLE, RESULTS_TABLE, fixture_points
-from qtokens.scaling_law import ScalingConstants
+from qtokens.fixtures import QUALITY_TABLE, RESULTS_TABLE
+from qtokens.scaling_law import ScalingConstants, effective_tokens_raw
 
 
 def run_cli(argv, capsys):
@@ -153,14 +153,15 @@ def test_fit_experiments_with_quality_csv_matches_fixture(tmp_path, capsys):
     assert json.loads(out) == json.loads(fixture_out)
 
 
-def test_fit_malformed_quality_row(tmp_path, capsys):
+@pytest.mark.parametrize("bad_row", [("Random", 20, "oops", 0.02), ("Random", 20)])
+def test_fit_malformed_quality_row(tmp_path, capsys, bad_row):
     exp = tmp_path / "exp.csv"
     exp.write_text(
         "model_size_m,data_label,fraction_pct,n_tokens,train_loss,eval_loss,"
         "accuracy_pct,diversity,syntheticity\n25,Random,10,1083200970,1.36,6.89,37.87,,\n"
     )
     quality = tmp_path / "q.csv"
-    _write_quality_csv(quality, [("Random", 10, 0.3775, 0.02699), ("Random", 20, "oops", 0.02)])
+    _write_quality_csv(quality, [("Random", 10, 0.3775, 0.02699), bad_row])
     code, out, err = run_cli(
         ["fit", "--experiments", str(exp), "--quality", str(quality)], capsys
     )
@@ -266,6 +267,33 @@ def test_invert_simple(capsys, tmp_path):
     assert float(out.split()[1]) == pytest.approx(2.0, rel=1e-9)
 
 
+def test_predict_constants_bad_value(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"E": "abc", "A": 0.0, "alpha": 0.5, "B": 1.0, "beta": 1.0,
+                    "c1": 0.0, "c2": 0.0, "form": "F1"})
+    )
+    code, out, err = run_cli(
+        ["predict", "--constants", str(path), "--n-millions", "10",
+         "--d-tokens", "1e9", "--dr", "0.3", "--s", "0.1"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "abc" in err
+
+
+def test_invert_constants_invalid_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"E": 1.0,')
+    code, out, err = run_cli(
+        ["invert", "--constants", str(path), "--n-millions", "10", "--loss", "1.5"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not valid JSON" in err
+
+
 def test_invert_out_of_domain(capsys, tmp_path):
     path = tmp_path / "c.json"
     path.write_text(
@@ -358,6 +386,25 @@ def test_report_from_fixture_fit(tmp_path, capsys):
     assert lo <= 0.35 and hi >= 0.50
 
 
+def test_report_q_surface_uses_fitted_form(tmp_path, capsys):
+    fit = tmp_path / "fit.json"
+    code, _, _ = run_cli(["fit", "--fixture", "--form", "F2", "--out", str(fit)], capsys)
+    assert code == 0
+    out_dir = tmp_path / "plots"
+    code, _, _ = run_cli(["report", "--fit-report", str(fit), "--out-dir", str(out_dir)], capsys)
+    assert code == 0
+    consts = ScalingConstants.from_dict(json.loads(fit.read_text())["constants"])
+    assert consts.form == "F2"
+    rows = list(csv.DictReader(io.StringIO((out_dir / "q_surface.csv").read_text())))
+    assert len(rows) == 21 * 21
+    for row in rows:
+        dr, s = float(row["diversity"]), float(row["syntheticity"])
+        # q is written with 9 significant digits
+        assert float(row["q"]) == pytest.approx(
+            effective_tokens_raw(1.0, dr, s, consts), rel=1e-8
+        )
+
+
 def test_dedup_sidecar_with_kgram_scorer(write_corpus, tmp_path, capsys):
     rows = [{"id": "a", "text": "alpha beta gamma " * 30},
             {"id": "b", "text": "alpha beta gamma " * 30},
@@ -402,6 +449,21 @@ def test_report_single_point_rejected(tmp_path, capsys):
     assert "2 points" in err
 
 
+def test_report_without_constants_rejected(tmp_path, capsys):
+    fit = tmp_path / "fit.json"
+    code, _, _ = run_cli(["fit", "--fixture", "--out", str(fit)], capsys)
+    assert code == 0
+    payload = json.loads(fit.read_text())
+    del payload["constants"]
+    fit.write_text(json.dumps(payload))
+    code, out, err = run_cli(
+        ["report", "--fit-report", str(fit), "--out-dir", str(tmp_path / "o")], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "constants" in err
+
+
 def _run_subprocess(args):
     return subprocess.run(
         [sys.executable, "-m", "qtokens.cli", *args],
@@ -427,14 +489,3 @@ def test_report_files_byte_identical(tmp_path):
     assert r1.returncode == r2.returncode == 0
     for name in ("pred_vs_true.svg", "acc_vs_dq.svg", "q_surface.csv"):
         assert (tmp_path / "d1" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
-
-
-def test_score_threads_preserve_order(write_corpus, capsys):
-    paths = [
-        write_corpus(f"c{i}.jsonl", [{"text": f"alpha beta gamma delta {i} " * 30}])
-        for i in range(4)
-    ]
-    code, out1, _ = run_cli(["--threads", "4", "score", *paths], capsys)
-    assert code == 0
-    code, out2, _ = run_cli(["score", *paths], capsys)
-    assert out1 == out2
