@@ -75,7 +75,7 @@ def _make_scorer(spec: str | None, tokenizer: Tokenizer, kgram_k: int, smoothing
         return None
     if spec.startswith("kgram:"):
         reference = load_jsonl(spec.split(":", 1)[1], tokenizer)
-        return train_kgram_scorer(reference, k=kgram_k, smoothing=smoothing, tokenizer=tokenizer)
+        return train_kgram_scorer(reference, k=kgram_k, smoothing=smoothing)
     if spec.startswith("external:"):
         return external_scorer_connect(spec.split(":", 1)[1])
     raise QTokensError(f"unknown scorer spec {spec!r}")
@@ -102,10 +102,7 @@ def cmd_score(args) -> int:
     def score_one(path: str) -> dict:
         corpus = load_jsonl(path, tokenizer)
         rep = diversity.score_corpus_diversity(
-            corpus,
-            tokenizer=tokenizer,
-            level=args.level,
-            mattr_window=args.mattr_window,
+            corpus, level=args.level, mattr_window=args.mattr_window
         )
         row = {
             "corpus": os.path.basename(path),
@@ -123,9 +120,7 @@ def cmd_score(args) -> int:
             "syntheticity": None,
         }
         if scorer is not None:
-            result = score_corpus(
-                scorer, corpus, args.sample_fraction, args.seed, tokenizer=tokenizer
-            )
+            result = score_corpus(scorer, corpus, args.sample_fraction, args.seed)
             row["avg_nll"] = result.avg_nll
             row["perplexity"] = result.perplexity
             row["syntheticity"] = result.s
@@ -205,8 +200,7 @@ def cmd_invert(args) -> int:
 
 
 def _refinement_sidecar(
-    before: Corpus, after: Corpus, seed: int, scorer=None, tokenizer=None,
-    sample_frac: float = 0.25,
+    before: Corpus, after: Corpus, seed: int, scorer=None, sample_frac: float = 0.25
 ) -> dict:
     side = {
         "seed": seed,
@@ -220,7 +214,7 @@ def _refinement_sidecar(
             side[key]["dr"] = None
         if scorer is not None:
             try:
-                result = score_corpus(scorer, corpus, sample_frac, seed, tokenizer=tokenizer)
+                result = score_corpus(scorer, corpus, sample_frac, seed)
                 side[key]["syntheticity"] = result.s
             except QTokensError:
                 side[key]["syntheticity"] = None
@@ -240,8 +234,8 @@ def cmd_select(args) -> int:
     tokenizer = Tokenizer.from_spec(args.tokenizer)
     raw = load_jsonl(args.input, tokenizer)
     target = load_jsonl(args.target, tokenizer)
-    raw_agg, raw_docs = refine.corpus_features(raw, tokenizer=tokenizer)
-    target_agg, _ = refine.corpus_features(target, tokenizer=tokenizer)
+    raw_agg, raw_docs = refine.corpus_features(raw)
+    target_agg, _ = refine.corpus_features(target)
     weights = refine.importance_weights(raw_agg, target_agg, raw_docs, args.smoothing)
     selected, warnings = refine.select_by_weight(
         raw, weights, args.budget_tokens, mode=args.mode, seed=args.seed
@@ -252,7 +246,7 @@ def cmd_select(args) -> int:
     if args.report:
         scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k, 1.0)
         try:
-            side = _refinement_sidecar(raw, selected, args.seed, scorer, tokenizer)
+            side = _refinement_sidecar(raw, selected, args.seed, scorer)
         finally:
             _close_scorer(scorer)
         side["budget_tokens"] = args.budget_tokens
@@ -279,7 +273,7 @@ def cmd_dedup(args) -> int:
     if args.report:
         scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k, 1.0)
         try:
-            side = _refinement_sidecar(corpus, deduped, args.seed, scorer, tokenizer)
+            side = _refinement_sidecar(corpus, deduped, args.seed, scorer)
         finally:
             _close_scorer(scorer)
         side["mode"] = args.mode

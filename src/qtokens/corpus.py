@@ -1,8 +1,9 @@
 """JSONL document collections: loading, sampling, sharding, tokenizing.
 
-A corpus is an ordered sequence of documents with per-document byte and
-token counts. Sampling uses a seeded per-document hash ranking so that
-smaller fractions are always subsets of larger ones at the same seed.
+A corpus is an ordered sequence of documents, each tokenized once when it
+is created; every token-based step reads ``Document.tokens``. Sampling
+uses a seeded per-document hash ranking so that smaller fractions are
+always subsets of larger ones at the same seed.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CorpusError
 
@@ -60,23 +62,23 @@ class Tokenizer:
             return [chr(b) for b in text.encode("utf-8")]
         return [t if t in self._vocab else UNKNOWN_TOKEN for t in text.split()]
 
-    def count(self, text: str) -> int:
-        if self.mode == BYTE:
-            return len(text.encode("utf-8"))
-        return len(self.tokenize(text))
-
 
 DEFAULT_TOKENIZER = Tokenizer(WHITESPACE)
 
 
 @dataclass(frozen=True)
 class Document:
-    """One unit of UTF-8 text with its byte and token counts."""
+    """One unit of UTF-8 text with its byte count and its tokens."""
 
     id: str
     text: str
     byte_len: int
-    token_count: int
+    # Interned, so a corpus holds one string per distinct token.
+    tokens: tuple[str, ...] = field(repr=False)
+
+    @property
+    def token_count(self) -> int:
+        return len(self.tokens)
 
     @classmethod
     def create(cls, id: str, text: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "Document":
@@ -84,7 +86,7 @@ class Document:
             id=id,
             text=text,
             byte_len=len(text.encode("utf-8")),
-            token_count=tokenizer.count(text),
+            tokens=tuple(map(sys.intern, tokenizer.tokenize(text))),
         )
 
 
@@ -192,10 +194,3 @@ def shard(corpus: Corpus, n_shards: int) -> list[Corpus]:
     if n_shards < 1:
         raise CorpusError(f"n_shards must be >= 1, got {n_shards}")
     return [Corpus(corpus.documents[i::n_shards]) for i in range(n_shards)]
-
-
-def count_tokens(corpus: Corpus, tokenizer: Tokenizer | None = None) -> int:
-    """Total token count, re-tokenizing if a tokenizer is given."""
-    if tokenizer is None:
-        return corpus.total_tokens
-    return sum(tokenizer.count(doc.text) for doc in corpus)

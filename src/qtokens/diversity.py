@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Tokenizer, DEFAULT_TOKENIZER
+from .corpus import Corpus
 from .errors import DiversityError
 
 DEFAULT_LEVEL = 6
@@ -163,7 +163,6 @@ def self_repetition(documents: Sequence[Sequence[str]], n: int = DEFAULT_SELF_RE
 
 def score_corpus_diversity(
     corpus: Corpus,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     level: int = DEFAULT_LEVEL,
     separator: str = DEFAULT_SEPARATOR,
     mattr_window: int = DEFAULT_MATTR_WINDOW,
@@ -172,8 +171,8 @@ def score_corpus_diversity(
 ) -> DiversityReport:
     """Compute the full diversity report for one corpus.
 
-    Token-based metrics run on the concatenated token stream under the
-    given tokenizer; the compression metric is tokenizer independent.
+    Token-based metrics run on the concatenated stream of the documents'
+    tokens; the compression metric reads the UTF-8 text instead.
     Metrics whose preconditions fail on this corpus (e.g. self-repetition
     with a single document) are reported as None.
     """
@@ -182,14 +181,10 @@ def score_corpus_diversity(
     warnings = ()
     if cr < 1.0:
         warnings = (f"compression ratio {cr:.4f} < 1; input is incompressible",)
-    tokens: list[str] = []
-    per_doc_tokens = []
-    for doc in corpus:
-        toks = tokenizer.tokenize(doc.text)
-        per_doc_tokens.append(toks)
-        tokens.extend(toks)
+    per_doc_tokens = [doc.tokens for doc in corpus]
+    tokens = [t for toks in per_doc_tokens for t in toks]
     if not tokens:
-        raise DiversityError("corpus has no tokens under the active tokenizer")
+        raise DiversityError("corpus has no tokens")
     ngd = {}
     for n in ngram_ns:
         ngd[n] = ngram_diversity(tokens, n) if len(tokens) >= n else None
@@ -226,7 +221,6 @@ class CorrelationMatrix:
 
 def metric_correlation_matrix(
     corpora: Sequence[Corpus],
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     mattr_window: int = DEFAULT_MATTR_WINDOW,
     ngram_n: int = 2,
     self_repetition_n: int = DEFAULT_SELF_REPETITION_N,
@@ -238,7 +232,6 @@ def metric_correlation_matrix(
     for corpus in corpora:
         report = score_corpus_diversity(
             corpus,
-            tokenizer=tokenizer,
             mattr_window=mattr_window,
             ngram_ns=(ngram_n,),
             self_repetition_n=self_repetition_n,

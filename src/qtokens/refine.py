@@ -15,13 +15,12 @@ survives).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, Tokenizer, DEFAULT_TOKENIZER
+from .corpus import Corpus, Document
 from .errors import RefineError
 
 # Fixed, published hash seed: selections must be reproducible across machines.
@@ -67,7 +66,6 @@ def hashed_ngram_features(
     doc: Document,
     n_range: tuple[int, int] = DEFAULT_N_RANGE,
     n_buckets: int = DEFAULT_N_BUCKETS,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     seed: int = FEATURE_HASH_SEED,
 ) -> FeatureVector:
     """Bucketed counts of all token n-grams with n in ``n_range``.
@@ -80,10 +78,10 @@ def hashed_ngram_features(
     if lo < 1 or lo > hi:
         raise RefineError(f"invalid n_range: {n_range}")
     buckets = np.zeros(n_buckets, dtype=np.int64)
-    tokens = tokenizer.tokenize(doc.text)
+    tokens = doc.tokens
     for n in range(lo, hi + 1):
         for i in range(len(tokens) - n + 1):
-            buckets[_bucket_of(tuple(tokens[i : i + n]), n_buckets, seed)] += 1
+            buckets[_bucket_of(tokens[i : i + n], n_buckets, seed)] += 1
     return FeatureVector(buckets=buckets, n_range=n_range, total=int(buckets.sum()))
 
 
@@ -104,11 +102,10 @@ def corpus_features(
     corpus: Corpus,
     n_range: tuple[int, int] = DEFAULT_N_RANGE,
     n_buckets: int = DEFAULT_N_BUCKETS,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     seed: int = FEATURE_HASH_SEED,
 ) -> tuple[FeatureVector, list[FeatureVector]]:
     """Per-document vectors plus their aggregate for a whole corpus."""
-    per_doc = [hashed_ngram_features(d, n_range, n_buckets, tokenizer, seed) for d in corpus]
+    per_doc = [hashed_ngram_features(d, n_range, n_buckets, seed) for d in corpus]
     return aggregate_features(per_doc), per_doc
 
 
@@ -225,15 +222,15 @@ class _UnionFind:
 
 
 def minhash_signature(
-    tokens: Sequence[str], shingle_n: int, n_hashes: int, seed: int
+    tokens: Sequence[str], shingle_n: int, seed: int, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray | None:
-    """MinHash signature over token shingles; None for too-short documents."""
+    """MinHash signature over token shingles; None for too-short documents.
+
+    ``a`` and ``b`` hold one universal-hash permutation per signature row.
+    """
     if len(tokens) < shingle_n:
         return None
     hashes = _shingle_hashes(tokens, shingle_n, seed)
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, int(_MINHASH_PRIME), size=n_hashes, dtype=np.uint64)
-    b = rng.integers(0, int(_MINHASH_PRIME), size=n_hashes, dtype=np.uint64)
     # (a * x + b) mod p per hash function, minimized over shingles; all
     # operands are < 2^32 so the products fit in uint64.
     sig = ((a[None, :] * hashes[:, None] + b[None, :]) % _MINHASH_PRIME).min(axis=0)
@@ -264,10 +261,13 @@ def dedup_near(
     if keep not in ("longest", "first"):
         raise RefineError(f"unknown keep policy {keep!r}")
     rows = n_hashes // bands
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, int(_MINHASH_PRIME), size=n_hashes, dtype=np.uint64)
+    b = rng.integers(0, int(_MINHASH_PRIME), size=n_hashes, dtype=np.uint64)
     uf = _UnionFind(len(corpus))
     index: dict[tuple, int] = {}
     for i, doc in enumerate(corpus):
-        sig = minhash_signature(doc.text.split(), shingle_n, n_hashes, seed)
+        sig = minhash_signature(doc.tokens, shingle_n, seed, a, b)
         if sig is None:
             continue
         for band in range(bands):

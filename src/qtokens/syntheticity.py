@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .corpus import Corpus, Tokenizer, DEFAULT_TOKENIZER, UNKNOWN_TOKEN, sample_fraction
+from .corpus import Corpus, UNKNOWN_TOKEN, sample_fraction
 from .errors import ProtocolError, ScorerError
 
 DEFAULT_CONTEXT_LEN = 1024
@@ -80,7 +80,6 @@ class KgramScorer:
         smoothing: float,
         vocab: set[str],
         context_counts: dict[tuple, Counter],
-        tokenizer: Tokenizer,
         context_len: int = DEFAULT_CONTEXT_LEN,
     ):
         self.kind = "builtin-kgram"
@@ -89,7 +88,6 @@ class KgramScorer:
         self.vocab = vocab
         self._counts = context_counts
         self._context_totals = {ctx: sum(c.values()) for ctx, c in context_counts.items()}
-        self.tokenizer = tokenizer
         self.context_len = context_len
         # Event space: vocabulary plus the unknown symbol.
         self._n_events = len(vocab) + 1
@@ -115,7 +113,6 @@ def train_kgram_scorer(
     reference: Corpus,
     k: int,
     smoothing: float = 1.0,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     context_len: int = DEFAULT_CONTEXT_LEN,
 ) -> KgramScorer:
     """Fit a k-gram scorer on a reference corpus.
@@ -129,18 +126,18 @@ def train_kgram_scorer(
         raise ScorerError(f"smoothing must be > 0, got {smoothing}")
     if len(reference) == 0:
         raise ScorerError("reference corpus is empty")
-    longest = max(tokenizer.count(doc.text) for doc in reference)
+    longest = max(doc.token_count for doc in reference)
     if k > longest:
         raise ScorerError(f"k={k} exceeds longest reference document ({longest} tokens)")
     vocab: set[str] = set()
     context_counts: dict[tuple, Counter] = {}
     for doc in reference:
-        tokens = tokenizer.tokenize(doc.text)
+        tokens = doc.tokens
         vocab.update(tokens)
         for i, token in enumerate(tokens):
-            ctx = tuple(tokens[max(0, i - (k - 1)) : i])
+            ctx = tokens[max(0, i - (k - 1)) : i]
             context_counts.setdefault(ctx, Counter())[token] += 1
-    return KgramScorer(k, smoothing, vocab, context_counts, tokenizer, context_len)
+    return KgramScorer(k, smoothing, vocab, context_counts, context_len)
 
 
 class ExternalScorer:
@@ -165,7 +162,6 @@ class ExternalScorer:
             if not port:
                 raise ScorerError(f"endpoint {target!r} is missing a port")
             conn = socket.create_connection((host, int(port)), timeout=timeout)
-            conn.setblocking(False)
             self._proc = None
             self._conn = conn
         else:
@@ -195,11 +191,16 @@ class ExternalScorer:
         return False
 
     def _send(self, data: bytes) -> None:
-        if self._conn is not None:
-            self._conn.sendall(data)
-        else:
-            self._proc.stdin.write(data)
-            self._proc.stdin.flush()
+        # A blocking socket write gives up after ``timeout``; a dead child
+        # gives a broken pipe. Either way the caller sees a ProtocolError.
+        try:
+            if self._conn is not None:
+                self._conn.sendall(data)
+            else:
+                self._proc.stdin.write(data)
+                self._proc.stdin.flush()
+        except OSError as exc:
+            raise ProtocolError(f"cannot send to scorer: {exc}") from exc
 
     def _fileno(self) -> int:
         return self._conn.fileno() if self._conn is not None else self._proc.stdout.fileno()
@@ -274,16 +275,11 @@ def external_scorer_connect(command_or_endpoint: str, context_len: int = DEFAULT
     return ExternalScorer(command_or_endpoint, context_len=context_len, timeout=timeout)
 
 
-def _windows(tokens: Sequence[str], context_len: int) -> list[Sequence[str]]:
-    return [tokens[i : i + context_len] for i in range(0, len(tokens), context_len)]
-
-
 def score_corpus(
     scorer: LikelihoodScorer,
     corpus: Corpus,
     sample_frac: float = DEFAULT_SAMPLE_FRACTION,
     seed: int = 0,
-    tokenizer: Tokenizer | None = None,
 ) -> SyntheticityResult:
     """Score a deterministic sample of whole documents.
 
@@ -295,14 +291,12 @@ def score_corpus(
     """
     if len(corpus) == 0:
         raise ScorerError("cannot score an empty corpus")
-    if tokenizer is None:
-        tokenizer = getattr(scorer, "tokenizer", None) or DEFAULT_TOKENIZER
     sampled = sorted(sample_fraction(corpus, sample_frac, seed), key=lambda d: d.id)
     window_sums = []
     m_tokens = 0
     for doc in sampled:
-        tokens = tokenizer.tokenize(doc.text)
-        for window in _windows(tokens, scorer.context_len):
+        for start in range(0, doc.token_count, scorer.context_len):
+            window = doc.tokens[start : start + scorer.context_len]
             try:
                 logprobs = scorer.log_probs(window)
             except ProtocolError:

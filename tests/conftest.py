@@ -6,10 +6,21 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import qtokens
 from qtokens.corpus import Corpus, Document, Tokenizer
 
 
 MOCK_SCORER = os.path.join(os.path.dirname(__file__), "mock_scorer.py")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _subprocess_pythonpath():
+    """Let ``python -m qtokens.cli`` subprocesses import the package under test."""
+    src = os.path.dirname(os.path.dirname(qtokens.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qtokens.cli import main
+from qtokens.corpus import Tokenizer
 from qtokens.fixtures import QUALITY_TABLE, RESULTS_TABLE
 from qtokens.scaling_law import ScalingConstants, effective_tokens_raw
 
@@ -47,6 +48,26 @@ def test_score_with_kgram_scorer(write_corpus, capsys):
     assert float(row["perplexity"]) == pytest.approx(
         math.exp(float(row["avg_nll"])), rel=1e-5
     )
+
+
+def test_score_tokenizes_each_document_once(write_corpus, capsys, monkeypatch):
+    ref = write_corpus("ref.jsonl", [{"text": "the cat sat on the mat"}] * 3)
+    a = write_corpus("a.jsonl", [{"text": "the cat sat"}, {"text": "on the mat"}])
+    b = write_corpus("b.jsonl", [{"text": "a dog ran off"}] * 4)
+    calls = []
+    tokenize = Tokenizer.tokenize
+
+    def counting(self, text):
+        calls.append(text)
+        return tokenize(self, text)
+
+    monkeypatch.setattr(Tokenizer, "tokenize", counting)
+    code, out, _ = run_cli(
+        ["score", a, b, "--scorer", f"kgram:{ref}", "--sample-fraction", "1.0"], capsys
+    )
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 2
+    assert len(calls) == 3 + 2 + 4
 
 
 def test_score_env_scorer(write_corpus, capsys, monkeypatch, mock_scorer_cmd):
@@ -358,6 +379,24 @@ def test_dedup_end_to_end(write_corpus, tmp_path, capsys):
     side = json.loads(report_path.read_text())
     assert side["after"]["documents"] == 2
     assert side["after"]["dr"] > side["before"]["dr"]
+
+
+def test_dedup_near_shingles_under_global_tokenizer(write_corpus, tmp_path, capsys):
+    # Single-word texts are too short to shingle under whitespace tokens;
+    # byte tokens make the first two near duplicates.
+    texts = [
+        "the_quick_brown_fox_jumps_over_the_lazy_dog_0123456789",
+        "the_quick_brown_fox_jumps_over_the_lazy_cog_0123456789",
+        "zyxwvutsrqponmlkjihgfedcba_unrelated_entirely",
+    ]
+    src = write_corpus("near.jsonl", [{"id": f"d{i}", "text": t} for i, t in enumerate(texts)])
+    out_path = tmp_path / "near_out.jsonl"
+    code, _, _ = run_cli(
+        ["--tokenizer", "byte", "dedup", src, "--mode", "near", "--out", str(out_path)], capsys
+    )
+    assert code == 0
+    kept = [json.loads(line)["id"] for line in out_path.read_text().splitlines()]
+    assert kept == ["d0", "d2"]
 
 
 def test_report_from_fixture_fit(tmp_path, capsys):

@@ -6,7 +6,6 @@ from qtokens.corpus import (
     Corpus,
     Document,
     Tokenizer,
-    count_tokens,
     load_jsonl,
     sample_fraction,
     shard,
@@ -142,18 +141,18 @@ def test_shard_zero_rejected():
 
 
 def test_count_tokens_empty():
-    assert count_tokens(Corpus([])) == 0
+    assert Corpus([]).total_tokens == 0
 
 
 def test_count_tokens_whitespace():
     corpus = Corpus.from_texts(["a b c"])
-    assert count_tokens(corpus) == 3
+    assert corpus.total_tokens == 3
 
 
 def test_count_tokens_matches_independent_count():
     texts = ["one two three", "four", "five six", ""]
     corpus = Corpus.from_texts(texts)
-    assert count_tokens(corpus) == sum(len(t.split()) for t in texts)
+    assert corpus.total_tokens == sum(len(t.split()) for t in texts)
 
 
 def test_byte_tokenizer():

@@ -2,6 +2,7 @@ import math
 import socket
 import socketserver
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -242,6 +243,54 @@ def test_external_tcp_endpoint():
         with external_scorer_connect(f"tcp://127.0.0.1:{port}") as scorer:
             assert scorer.log_probs(["x", "y"]) == [-2.0, -2.0]
     finally:
+        server.shutdown()
+        server.server_close()
+
+
+class _SlowReaderHandler(_TCPScorerHandler):
+    """Waits before reading, so a large request fills the socket buffers."""
+
+    def handle(self):
+        time.sleep(1.0)
+        super().handle()
+
+
+def _serve(handler):
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server
+
+
+def test_external_tcp_slow_reader():
+    # About 5 MB of request, more than loopback send and receive buffers hold.
+    tokens = ["x"] * 1_000_000
+    server = _serve(_SlowReaderHandler)
+    try:
+        with external_scorer_connect(f"tcp://127.0.0.1:{server.server_address[1]}") as scorer:
+            logprobs = scorer.log_probs(tokens)
+        assert len(logprobs) == len(tokens)
+        assert logprobs[0] == logprobs[-1] == -2.0
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_external_tcp_send_timeout():
+    release = threading.Event()
+
+    class Stalled(socketserver.BaseRequestHandler):
+        def handle(self):
+            release.wait(30.0)
+
+    server = _serve(Stalled)
+    try:
+        target = f"tcp://127.0.0.1:{server.server_address[1]}"
+        with external_scorer_connect(target, timeout=0.3) as scorer:
+            with pytest.raises(ProtocolError, match="cannot send"):
+                scorer.log_probs(["x"] * 1_000_000)
+    finally:
+        release.set()
         server.shutdown()
         server.server_close()
 
