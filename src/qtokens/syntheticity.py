@@ -22,7 +22,7 @@ import socket
 import subprocess
 from collections import Counter
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .corpus import Corpus, UNKNOWN_TOKEN, sample_fraction
 from .errors import ProtocolError, ScorerError
@@ -146,7 +146,8 @@ class ExternalScorer:
     The peer must answer each ``{"id": ..., "tokens": [...]}`` request line
     with a ``{"id": ..., "logprobs": [...]}`` line; responses may arrive in
     any order and are matched back by id. Up to ``max_in_flight`` requests
-    are outstanding at a time.
+    are outstanding at a time. No wait for the peer to accept a request or
+    to send a response lasts longer than ``timeout`` seconds.
     """
 
     def __init__(self, target: str, context_len: int = DEFAULT_CONTEXT_LEN,
@@ -156,14 +157,18 @@ class ExternalScorer:
         self.timeout = timeout
         self.max_in_flight = max_in_flight
         self._next_id = 0
-        self._buffer = b""
+        self._buffer = bytearray()
+        # Both directions are non-blocking: the duplex loop waits in select,
+        # and a write may be partial.
         if target.startswith("tcp://"):
             host, _, port = target[len("tcp://") :].partition(":")
             if not port:
                 raise ScorerError(f"endpoint {target!r} is missing a port")
             conn = socket.create_connection((host, int(port)), timeout=timeout)
+            conn.setblocking(False)
             self._proc = None
             self._conn = conn
+            self._rfd = self._wfd = conn.fileno()
         else:
             self._proc = subprocess.Popen(
                 shlex.split(target),
@@ -171,6 +176,9 @@ class ExternalScorer:
                 stdout=subprocess.PIPE,
             )
             self._conn = None
+            self._rfd = self._proc.stdout.fileno()
+            self._wfd = self._proc.stdin.fileno()
+            os.set_blocking(self._wfd, False)
 
     def close(self):
         if self._proc is not None:
@@ -180,6 +188,7 @@ class ExternalScorer:
                 pass
             self._proc.terminate()
             self._proc.wait(timeout=5)
+            self._proc.stdout.close()
         if self._conn is not None:
             self._conn.close()
 
@@ -190,42 +199,21 @@ class ExternalScorer:
         self.close()
         return False
 
-    def _send(self, data: bytes) -> None:
-        # A blocking socket write gives up after ``timeout``; a dead child
-        # gives a broken pipe. Either way the caller sees a ProtocolError.
+    def _exit_status(self) -> str:
+        """Say how a subprocess scorer ended, for a stream it closed."""
+        if self._proc is None:
+            return "scorer closed the connection"
         try:
-            if self._conn is not None:
-                self._conn.sendall(data)
-            else:
-                self._proc.stdin.write(data)
-                self._proc.stdin.flush()
-        except OSError as exc:
-            raise ProtocolError(f"cannot send to scorer: {exc}") from exc
+            status = self._proc.wait(timeout=self.timeout)
+        except subprocess.TimeoutExpired:
+            return "scorer closed its output but is still running"
+        return f"scorer exited with status {status}"
 
-    def _fileno(self) -> int:
-        return self._conn.fileno() if self._conn is not None else self._proc.stdout.fileno()
-
-    def _read_line(self) -> bytes:
-        while b"\n" not in self._buffer:
-            ready, _, _ = select.select([self._fileno()], [], [], self.timeout)
-            if not ready:
-                raise ProtocolError(f"scorer timed out after {self.timeout}s")
-            if self._conn is not None:
-                chunk = self._conn.recv(65536)
-            else:
-                chunk = os.read(self._proc.stdout.fileno(), 65536)
-            if not chunk:
-                raise ProtocolError("scorer closed the stream before responding")
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
-        return line
-
-    def _read_response(self) -> tuple[str, list[float]]:
-        line = self._read_line()
+    def _parse_response(self, line: bytes) -> tuple[str, list[float]]:
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"invalid JSON from scorer: {exc.msg}", payload=line) from exc
+        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+            raise ProtocolError(f"invalid JSON from scorer: {exc}", payload=line) from exc
         if not isinstance(obj, dict) or "id" not in obj or "logprobs" not in obj:
             raise ProtocolError("response missing id or logprobs", payload=line)
         logprobs = obj["logprobs"]
@@ -235,35 +223,95 @@ class ExternalScorer:
             raise ProtocolError("logprobs is not a list of numbers", payload=line)
         return str(obj["id"]), [float(v) for v in logprobs]
 
+    def _read_lines(self) -> list[bytes]:
+        """Read what the peer has sent; return the complete lines in it."""
+        try:
+            chunk = os.read(self._rfd, 1 << 16)
+        except BlockingIOError:  # select may report a socket ready spuriously
+            return []
+        except OSError as exc:
+            raise ProtocolError(f"cannot read from scorer: {exc}") from exc
+        if not chunk:
+            raise ProtocolError(f"{self._exit_status()} before responding")
+        self._buffer += chunk
+        if b"\n" not in chunk:
+            return []
+        *lines, tail = self._buffer.split(b"\n")
+        self._buffer = tail
+        return [bytes(line) for line in lines]
+
+    def _write(self, data: memoryview) -> memoryview:
+        """Write what the peer will take now; return the unwritten rest."""
+        try:
+            return data[os.write(self._wfd, data) :]
+        except BlockingIOError:
+            return data
+        except BrokenPipeError as exc:
+            raise ProtocolError(f"cannot send to scorer: {self._exit_status()}") from exc
+        except OSError as exc:
+            raise ProtocolError(f"cannot send to scorer: {exc}") from exc
+
+    def score_windows(self, windows: Iterable[Sequence[str]]) -> Iterator[list[float]]:
+        """Score token windows, yielding their log-probabilities in input order.
+
+        Windows are drawn from ``windows`` only as requests are sent, and at
+        most ``max_in_flight`` windows are either awaiting a response or
+        holding one that is not yet due, so neither the input nor the output
+        is held in memory as a whole.
+        """
+        windows = iter(windows)
+        pending: dict[str, tuple[int, int]] = {}  # request id -> (index, tokens)
+        ready: dict[int, list[float]] = {}  # responses that arrived ahead of their turn
+        out = memoryview(b"")
+        sent = 0
+        due = 0
+        exhausted = False
+        while True:
+            if not out and not exhausted and len(pending) + len(ready) < self.max_in_flight:
+                window = next(windows, None)
+                if window is None:
+                    exhausted = True
+                else:
+                    req_id = f"q{self._next_id}"
+                    self._next_id += 1
+                    pending[req_id] = (sent, len(window))
+                    sent += 1
+                    request = json.dumps({"id": req_id, "tokens": list(window)}) + "\n"
+                    out = memoryview(request.encode("utf-8"))
+            if due in ready:
+                yield ready.pop(due)
+                due += 1
+                continue
+            if due == sent and exhausted:
+                return
+            readable, writable, _ = select.select(
+                [self._rfd], [self._wfd] if out else [], [], self.timeout
+            )
+            if not readable and not writable:
+                if out:
+                    raise ProtocolError(f"cannot send to scorer: timed out after {self.timeout}s")
+                raise ProtocolError(f"scorer timed out after {self.timeout}s")
+            if writable:
+                out = self._write(out)
+            if readable:
+                for line in self._read_lines():
+                    resp_id, logprobs = self._parse_response(line)
+                    if resp_id not in pending:
+                        raise ProtocolError(f"unknown response id {resp_id!r}", payload=resp_id)
+                    index, n_tokens = pending.pop(resp_id)
+                    if len(logprobs) != n_tokens:
+                        raise ProtocolError(
+                            f"expected {n_tokens} logprobs, got {len(logprobs)}",
+                            payload=logprobs,
+                        )
+                    bad = [v for v in logprobs if v > 0 or not math.isfinite(v)]
+                    if bad:
+                        raise ProtocolError(f"log-probability > 0: {bad[0]}", payload=logprobs)
+                    ready[index] = logprobs
+
     def score_batches(self, batches: Sequence[Sequence[str]]) -> list[list[float]]:
         """Score several token windows, preserving input order."""
-        pending: dict[str, int] = {}
-        results: list[list[float] | None] = [None] * len(batches)
-        sent = 0
-        received = 0
-        while received < len(batches):
-            while sent < len(batches) and len(pending) < self.max_in_flight:
-                req_id = f"q{self._next_id}"
-                self._next_id += 1
-                pending[req_id] = sent
-                request = {"id": req_id, "tokens": list(batches[sent])}
-                self._send((json.dumps(request) + "\n").encode("utf-8"))
-                sent += 1
-            resp_id, logprobs = self._read_response()
-            if resp_id not in pending:
-                raise ProtocolError(f"unknown response id {resp_id!r}", payload=resp_id)
-            index = pending.pop(resp_id)
-            if len(logprobs) != len(batches[index]):
-                raise ProtocolError(
-                    f"expected {len(batches[index])} logprobs, got {len(logprobs)}",
-                    payload=logprobs,
-                )
-            bad = [v for v in logprobs if v > 0 or not math.isfinite(v)]
-            if bad:
-                raise ProtocolError(f"log-probability > 0: {bad[0]}", payload=logprobs)
-            results[index] = logprobs
-            received += 1
-        return results  # type: ignore[return-value]
+        return list(self.score_windows(batches))
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
         return self.score_batches([tokens])[0]
@@ -292,27 +340,40 @@ def score_corpus(
     if len(corpus) == 0:
         raise ScorerError("cannot score an empty corpus")
     sampled = sorted(sample_fraction(corpus, sample_frac, seed), key=lambda d: d.id)
+    ctx = scorer.context_len
+
+    def spans():
+        for doc in sampled:
+            for start in range(0, doc.token_count, ctx):
+                yield doc, start
+
+    # Windows are sliced only as the scorer asks for them, so an external
+    # scorer can keep several in flight without the corpus being copied.
+    windows = (doc.tokens[start : start + ctx] for doc, start in spans())
+    if isinstance(scorer, ExternalScorer):
+        results = scorer.score_windows(windows)
+    else:
+        results = map(scorer.log_probs, windows)
     window_sums = []
     m_tokens = 0
-    for doc in sampled:
-        for start in range(0, doc.token_count, scorer.context_len):
-            window = doc.tokens[start : start + scorer.context_len]
-            try:
-                logprobs = scorer.log_probs(window)
-            except ProtocolError:
-                raise
-            except Exception as exc:
-                raise ScorerError(f"scorer failed on document {doc.id!r}: {exc}") from exc
-            if len(logprobs) != len(window):
-                raise ScorerError(
-                    f"scorer returned {len(logprobs)} values for {len(window)} tokens "
-                    f"(document {doc.id!r})"
-                )
-            for lp in logprobs:
-                if lp > 0:
-                    raise ScorerError(f"log-probability > 0 on document {doc.id!r}: {lp}")
-            window_sums.append(math.fsum(logprobs))
-            m_tokens += len(window)
+    for doc, start in spans():
+        try:
+            logprobs = next(results)
+        except ProtocolError:
+            raise
+        except Exception as exc:
+            raise ScorerError(f"scorer failed on document {doc.id!r}: {exc}") from exc
+        n_tokens = min(ctx, doc.token_count - start)
+        if len(logprobs) != n_tokens:
+            raise ScorerError(
+                f"scorer returned {len(logprobs)} values for {n_tokens} tokens "
+                f"(document {doc.id!r})"
+            )
+        for lp in logprobs:
+            if lp > 0:
+                raise ScorerError(f"log-probability > 0 on document {doc.id!r}: {lp}")
+        window_sums.append(math.fsum(logprobs))
+        m_tokens += n_tokens
     if m_tokens == 0:
         raise ScorerError("sampled corpus contains no scoreable tokens")
     avg_nll = -math.fsum(window_sums) / m_tokens

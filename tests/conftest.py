@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 import qtokens
-from qtokens.corpus import Corpus, Document, Tokenizer
+from qtokens.corpus import Corpus
 
 
 MOCK_SCORER = os.path.join(os.path.dirname(__file__), "mock_scorer.py")

@@ -6,10 +6,16 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     reorder3   buffer the first 3 requests, answer them in reverse order
     short      reply with one fewer logprob than requested
     badjson    reply with a non-JSON line
+    garbage    reply with a line of bytes that are not UTF-8
     silent     never reply
+    die        exit with status 3 after reading one request
+    batch4     hold requests until 4 are unanswered, or stdin has been idle
+               for 3 s, then answer the held ones in order
 """
 
 import json
+import os
+import select
 import sys
 import time
 
@@ -19,17 +25,52 @@ def reply(obj):
     sys.stdout.flush()
 
 
+def batch4():
+    # Reads raw bytes, so select sees every request that has arrived.
+    fd = sys.stdin.fileno()
+    buffer = b""
+    held = []
+    while True:
+        if held and not select.select([fd], [], [], 3.0)[0]:
+            answer(held)
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            answer(held)
+            return
+        *lines, buffer = (buffer + chunk).split(b"\n")
+        for line in lines:
+            if line.strip():
+                held.append(json.loads(line))
+                if len(held) == 4:
+                    answer(held)
+
+
+def answer(held):
+    for req in held:
+        reply({"id": req["id"], "logprobs": [-1.0] * len(req["tokens"])})
+    held.clear()
+
+
 def main():
     mode = sys.argv[1] if len(sys.argv) > 1 else "const"
+    if mode == "batch4":
+        batch4()
+        return
     buffered = []
     for line in sys.stdin:
         if not line.strip():
             continue
         req = json.loads(line)
+        if mode == "die":
+            sys.exit(3)
         if mode == "silent":
             time.sleep(3600)
         if mode == "badjson":
             sys.stdout.write("not json\n")
+            sys.stdout.flush()
+            continue
+        if mode == "garbage":
+            sys.stdout.buffer.write(b"\xff\xfe\x80\n")
             sys.stdout.flush()
             continue
         if mode == "positive":

@@ -28,7 +28,6 @@ from qtokens.scaling_law import (
     QualityInputs,
     ScalingConstants,
     default_initial_guess,
-    effective_tokens,
     invert_effective_tokens,
     predict_accuracy,
     predict_accuracy_unclamped,

@@ -1,16 +1,16 @@
 import math
 import socket
 import socketserver
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from qtokens.corpus import Corpus, Document, Tokenizer
+from qtokens.corpus import Corpus, Document
 from qtokens.errors import ProtocolError, ScorerError
 from qtokens.syntheticity import (
-    ExternalScorer,
     external_scorer_connect,
     score_corpus,
     train_kgram_scorer,
@@ -217,9 +217,54 @@ def test_external_bad_json_rejected(mock_scorer_cmd):
             scorer.log_probs(["a"])
 
 
+def test_external_non_utf8_rejected(mock_scorer_cmd):
+    with external_scorer_connect(mock_scorer_cmd("garbage")) as scorer:
+        with pytest.raises(ProtocolError, match="invalid JSON"):
+            scorer.log_probs(["a"])
+
+
 def test_external_timeout(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("silent"), timeout=0.3) as scorer:
         with pytest.raises(ProtocolError, match="timed out"):
+            scorer.log_probs(["a"])
+
+
+def test_external_large_windows_do_not_deadlock(mock_scorer_cmd):
+    # Each request and each response is about 1 MB, far more than a pipe
+    # holds, so the client must read responses while it is still writing.
+    scorer = external_scorer_connect(mock_scorer_cmd("const"), timeout=5)
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.extend(scorer.score_batches([["x"] * 200_000] * 3)),
+        daemon=True,
+    )
+    try:
+        worker.start()
+        worker.join(60)
+        hung = worker.is_alive()
+        if hung:
+            scorer._proc.kill()  # ends a blocked write with a broken pipe
+            worker.join(10)
+    finally:
+        scorer.close()
+    assert not hung
+    assert [len(r) for r in results] == [200_000] * 3
+    assert all(v == -1.0 for r in results for v in r)
+
+
+def test_external_requests_are_pipelined(mock_scorer_cmd):
+    # batch4 answers only when it holds 4 requests (or after 3 s idle), so a
+    # client with one request in flight times out.
+    corpus = corpus_of([f"w{i} x{i} y{i}" for i in range(12)])
+    with external_scorer_connect(mock_scorer_cmd("batch4"), timeout=2.0) as scorer:
+        result = score_corpus(scorer, corpus, 1.0, 0)
+    assert result.m_tokens == 36
+    assert result.avg_nll == 1.0
+
+
+def test_external_dead_child_reports_exit_status(mock_scorer_cmd):
+    with external_scorer_connect(mock_scorer_cmd("die")) as scorer:
+        with pytest.raises(ProtocolError, match="exited with status 3"):
             scorer.log_probs(["a"])
 
 
@@ -291,6 +336,24 @@ def test_external_tcp_send_timeout():
                 scorer.log_probs(["x"] * 1_000_000)
     finally:
         release.set()
+        server.shutdown()
+        server.server_close()
+
+
+def test_external_tcp_reset():
+    class Reset(socketserver.BaseRequestHandler):
+        def handle(self):
+            self.request.recv(1)
+            # Linger 0: close sends a reset instead of a normal end of stream.
+            self.request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            self.request.close()
+
+    server = _serve(Reset)
+    try:
+        with external_scorer_connect(f"tcp://127.0.0.1:{server.server_address[1]}") as scorer:
+            with pytest.raises(ProtocolError, match="cannot read"):
+                scorer.log_probs(["x"])
+    finally:
         server.shutdown()
         server.server_close()
 
