@@ -57,8 +57,10 @@ def compression_ratio(
 
     Documents are joined with ``separator`` and measured on UTF-8 bytes.
     Compression is streamed document by document, so the concatenation is
-    never materialized.
+    never materialized. ``level`` is a zlib level: -1 (zlib's default) or 0..9.
     """
+    if not -1 <= level <= 9:
+        raise DiversityError(f"compression level must be in -1..9, got {level}")
     if len(corpus) == 0:
         raise DiversityError("cannot compress empty corpus")
     sep = separator.encode("utf-8")

@@ -38,11 +38,28 @@ _MINHASH_PRIME = np.uint64(4294967291)
 
 @dataclass
 class FeatureVector:
-    """Hashed n-gram counts for one document (or an aggregate)."""
+    """Hashed n-gram counts for one document (or an aggregate), stored sparse.
 
-    buckets: np.ndarray
+    ``ids`` holds the sorted, distinct buckets that occur and ``counts``
+    their counts, so a vector takes memory in proportion to its distinct
+    n-grams, not to ``n_buckets``.
+    """
+
+    ids: np.ndarray
+    counts: np.ndarray
+    n_buckets: int
     n_range: tuple[int, int]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def buckets(self) -> np.ndarray:
+        """The dense count vector, ``n_buckets`` long (allocated per call)."""
+        dense = np.zeros(self.n_buckets, dtype=np.int64)
+        dense[self.ids] = self.counts
+        return dense
 
 
 @dataclass
@@ -62,6 +79,45 @@ def _bucket_of(ngram: tuple[str, ...], n_buckets: int, seed: int) -> int:
     return int.from_bytes(digest, "big") % n_buckets
 
 
+def _check_params(n_range: tuple[int, int], n_buckets: int) -> None:
+    lo, hi = n_range
+    if n_buckets < 1:
+        raise RefineError(f"n_buckets must be >= 1, got {n_buckets}")
+    if lo < 1 or lo > hi:
+        raise RefineError(f"invalid n_range: {n_range}")
+
+
+def _check_compatible(first: FeatureVector, vectors: Sequence[FeatureVector]) -> None:
+    for vec in vectors:
+        if vec.n_buckets != first.n_buckets or vec.n_range != first.n_range:
+            raise RefineError(
+                f"feature vectors disagree on bucket count or n_range: "
+                f"{vec.n_buckets} buckets, n_range {vec.n_range} vs "
+                f"{first.n_buckets} buckets, n_range {first.n_range}"
+            )
+
+
+def _ngram_features(
+    tokens: Sequence[str],
+    n_range: tuple[int, int],
+    n_buckets: int,
+    seed: int,
+    memo: dict[tuple[str, ...], int],
+) -> FeatureVector:
+    # ``memo`` maps each n-gram already hashed to its bucket, so a caller
+    # sharing it across documents hashes each distinct n-gram once.
+    lo, hi = n_range
+    ids = []
+    for n in range(lo, hi + 1):
+        for gram in zip(*(tokens[k:] for k in range(n))):
+            bucket = memo.get(gram)
+            if bucket is None:
+                bucket = memo[gram] = _bucket_of(gram, n_buckets, seed)
+            ids.append(bucket)
+    ids, counts = np.unique(np.array(ids, dtype=np.int64), return_counts=True)
+    return FeatureVector(ids=ids, counts=counts, n_buckets=n_buckets, n_range=n_range)
+
+
 def hashed_ngram_features(
     doc: Document,
     n_range: tuple[int, int] = DEFAULT_N_RANGE,
@@ -70,19 +126,11 @@ def hashed_ngram_features(
 ) -> FeatureVector:
     """Bucketed counts of all token n-grams with n in ``n_range``.
 
-    Documents shorter than the smallest n yield an all-zero vector.
+    Documents shorter than the smallest n yield an empty vector: no ids,
+    total 0.
     """
-    lo, hi = n_range
-    if n_buckets < 1:
-        raise RefineError(f"n_buckets must be >= 1, got {n_buckets}")
-    if lo < 1 or lo > hi:
-        raise RefineError(f"invalid n_range: {n_range}")
-    buckets = np.zeros(n_buckets, dtype=np.int64)
-    tokens = doc.tokens
-    for n in range(lo, hi + 1):
-        for i in range(len(tokens) - n + 1):
-            buckets[_bucket_of(tokens[i : i + n], n_buckets, seed)] += 1
-    return FeatureVector(buckets=buckets, n_range=n_range, total=int(buckets.sum()))
+    _check_params(n_range, n_buckets)
+    return _ngram_features(doc.tokens, n_range, n_buckets, seed, {})
 
 
 def aggregate_features(vectors: Sequence[FeatureVector]) -> FeatureVector:
@@ -90,12 +138,17 @@ def aggregate_features(vectors: Sequence[FeatureVector]) -> FeatureVector:
     if not vectors:
         raise RefineError("cannot aggregate zero feature vectors")
     first = vectors[0]
-    buckets = np.zeros_like(first.buckets)
-    for vec in vectors:
-        if vec.buckets.shape != buckets.shape or vec.n_range != first.n_range:
-            raise RefineError("feature vectors disagree on bucket count or n_range")
-        buckets += vec.buckets
-    return FeatureVector(buckets=buckets, n_range=first.n_range, total=int(buckets.sum()))
+    _check_compatible(first, vectors)
+    # float64 weights count exactly up to 2**53 n-grams
+    dense = np.bincount(
+        np.concatenate([vec.ids for vec in vectors]),
+        weights=np.concatenate([vec.counts for vec in vectors]),
+        minlength=first.n_buckets,
+    ).astype(np.int64)
+    ids = np.flatnonzero(dense)
+    return FeatureVector(
+        ids=ids, counts=dense[ids], n_buckets=first.n_buckets, n_range=first.n_range
+    )
 
 
 def corpus_features(
@@ -104,9 +157,21 @@ def corpus_features(
     n_buckets: int = DEFAULT_N_BUCKETS,
     seed: int = FEATURE_HASH_SEED,
 ) -> tuple[FeatureVector, list[FeatureVector]]:
-    """Per-document vectors plus their aggregate for a whole corpus."""
-    per_doc = [hashed_ngram_features(d, n_range, n_buckets, seed) for d in corpus]
+    """Per-document vectors plus their aggregate for a whole corpus.
+
+    Each distinct n-gram is hashed once per call.
+    """
+    _check_params(n_range, n_buckets)
+    memo: dict[tuple[str, ...], int] = {}
+    per_doc = [_ngram_features(d.tokens, n_range, n_buckets, seed, memo) for d in corpus]
     return aggregate_features(per_doc), per_doc
+
+
+def _smoothed_log_probs(vec: FeatureVector, smoothing: float) -> np.ndarray:
+    total = vec.total
+    return np.log(
+        (vec.buckets + smoothing * total / vec.n_buckets) / (total * (1 + smoothing))
+    )
 
 
 def importance_weights(
@@ -121,19 +186,16 @@ def importance_weights(
     Each distribution gets add-smoothing proportional to its own total
     (``count + smoothing * total / n_buckets`` per bucket), so every
     bucket has positive probability, weights stay finite, and scaling
-    both totals by the same factor leaves the weights unchanged.
+    both totals by the same factor leaves the weights unchanged. Only the
+    raw and target aggregates are made dense.
     """
     if smoothing <= 0:
         raise RefineError(f"smoothing must be > 0, got {smoothing}")
+    _check_compatible(raw, [target, *docs])
     if raw.total <= 0 or target.total <= 0:
         raise RefineError("raw and target feature totals must be positive")
-    n_buckets = raw.buckets.size
-    p_raw = (raw.buckets + smoothing * raw.total / n_buckets) / (raw.total * (1 + smoothing))
-    p_target = (target.buckets + smoothing * target.total / n_buckets) / (
-        target.total * (1 + smoothing)
-    )
-    delta = np.log(p_target) - np.log(p_raw)
-    weights = [float(doc.buckets @ delta) for doc in docs]
+    delta = _smoothed_log_probs(target, smoothing) - _smoothed_log_probs(raw, smoothing)
+    weights = [float(doc.counts @ delta[doc.ids]) for doc in docs]
     return ImportanceWeights(log_weights=weights, temperature=temperature)
 
 
@@ -254,6 +316,8 @@ def dedup_near(
     """
     if shingle_n < 1:
         raise RefineError(f"shingle_n must be >= 1, got {shingle_n}")
+    if n_hashes < 1:
+        raise RefineError(f"n_hashes must be >= 1, got {n_hashes}")
     if bands < 1 or n_hashes % bands != 0:
         raise RefineError(
             f"n_hashes ({n_hashes}) must be divisible by bands ({bands})"

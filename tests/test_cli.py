@@ -86,6 +86,15 @@ def test_score_unreadable_input(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("level", ["12", "-2"])
+def test_score_rejects_out_of_range_level(write_corpus, capsys, level):
+    path = write_corpus("x.jsonl", [{"text": "a b c d"}])
+    code, out, err = run_cli(["score", path, "--level", level], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "level" in err
+    assert out == ""
+
+
 def test_fit_fixture_f1(capsys):
     code, out, _ = run_cli(["fit", "--fixture", "--form", "F1"], capsys)
     assert code == 0

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qtokens import refine
 from qtokens.corpus import Corpus, Document
 from qtokens.diversity import diversity_score
 from qtokens.errors import RefineError
@@ -109,14 +111,17 @@ def test_weights_hand_computed_small_fixture():
     # relative add-smoothing p[b] = (c[b] + g*T/B) / (T*(1+g)).
     from qtokens.refine import FeatureVector
 
-    raw = FeatureVector(buckets=np.array([4, 3, 2, 1]), n_range=(1, 1), total=10)
-    target = FeatureVector(buckets=np.array([1, 2, 3, 4]), n_range=(1, 1), total=10)
+    def fv(ids, counts):
+        return FeatureVector(np.array(ids), np.array(counts), n_buckets=4, n_range=(1, 1))
+
+    raw = fv([0, 1, 2, 3], [4, 3, 2, 1])
+    target = fv([0, 1, 2, 3], [1, 2, 3, 4])
     docs = [
-        FeatureVector(buckets=np.array([2, 0, 0, 0]), n_range=(1, 1), total=2),
-        FeatureVector(buckets=np.array([0, 0, 0, 2]), n_range=(1, 1), total=2),
-        FeatureVector(buckets=np.array([1, 1, 1, 1]), n_range=(1, 1), total=4),
-        FeatureVector(buckets=np.array([0, 2, 2, 0]), n_range=(1, 1), total=4),
-        FeatureVector(buckets=np.array([5, 0, 0, 5]), n_range=(1, 1), total=10),
+        fv([0], [2]),
+        fv([3], [2]),
+        fv([0, 1, 2, 3], [1, 1, 1, 1]),
+        fv([1, 2], [2, 2]),
+        fv([0, 3], [5, 5]),
     ]
     g = 0.1
     p_raw = [(c + g * 10 / 4) / (10 * (1 + g)) for c in (4, 3, 2, 1)]
@@ -133,6 +138,66 @@ def test_weights_hand_computed_small_fixture():
     assert weights.log_weights == pytest.approx(expected, rel=1e-12)
     # symmetric document sees both distributions alike
     assert weights.log_weights[4] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_corpus_features_hash_each_distinct_ngram_once(monkeypatch):
+    corpus = Corpus.from_texts(["a b a b a b", "b a b a c", "a b c a b c"])
+    calls = []
+    real = refine._bucket_of
+
+    def counting(ngram, n_buckets, seed):
+        calls.append(ngram)
+        return real(ngram, n_buckets, seed)
+
+    monkeypatch.setattr(refine, "_bucket_of", counting)
+    agg, per_doc = corpus_features(corpus, (1, 2), 64)
+    distinct = {
+        tuple(doc.tokens[i : i + n])
+        for doc in corpus
+        for n in (1, 2)
+        for i in range(len(doc.tokens) - n + 1)
+    }
+    assert len(calls) == len(distinct) == 3 + 5
+    assert sorted(calls) == sorted(distinct)
+    # sharing the hashes across documents changes no vector
+    for doc, fv in zip(corpus, per_doc):
+        alone = hashed_ngram_features(doc, (1, 2), 64)
+        assert (fv.ids == alone.ids).all() and (fv.counts == alone.counts).all()
+    assert (agg.buckets == sum(fv.buckets for fv in per_doc)).all()
+
+
+def test_corpus_features_memory_is_sparse():
+    rng = np.random.default_rng(19)
+    corpus = Corpus.from_texts(
+        [" ".join(f"w{v}" for v in rng.integers(0, 5000, size=300)) for _ in range(200)]
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        features = corpus_features(corpus)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # dense storage would hold 200 x 65,536 int64 counts (100 MB)
+    assert held < 8 * 2**20
+    assert features[1][0].n_buckets == 1 << 16
+
+
+@pytest.mark.parametrize(
+    "raw_buckets, target_buckets, doc_buckets, raw_range",
+    [
+        (64, 32, 64, (1, 2)),
+        (64, 64, 32, (1, 2)),
+        (64, 64, 64, (1, 1)),
+    ],
+)
+def test_weights_reject_mismatched_vectors(raw_buckets, target_buckets, doc_buckets, raw_range):
+    corpus = Corpus.from_texts(["a b c", "c d e"])
+    raw, _ = corpus_features(corpus, raw_range, raw_buckets)
+    target, _ = corpus_features(corpus, (1, 2), target_buckets)
+    _, docs = corpus_features(corpus, (1, 2), doc_buckets)
+    with pytest.raises(RefineError, match="disagree"):
+        importance_weights(raw, target, docs)
 
 
 def test_weights_invalid_smoothing():
@@ -294,6 +359,13 @@ def test_dedup_near_band_arithmetic_validated():
     corpus = Corpus.from_texts(["a b c d e"])
     with pytest.raises(RefineError, match="divisible"):
         dedup_near(corpus, n_hashes=100, bands=16)
+
+
+@pytest.mark.parametrize("n_hashes, bands", [(0, 1), (-4, 2)])
+def test_dedup_near_rejects_non_positive_hash_count(n_hashes, bands):
+    corpus = Corpus.from_texts(["a b c d e", "a b c d e f"])
+    with pytest.raises(RefineError, match="n_hashes must be >= 1"):
+        dedup_near(corpus, n_hashes=n_hashes, bands=bands)
 
 
 def test_dedup_increases_diversity_score():
