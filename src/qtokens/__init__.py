@@ -9,7 +9,7 @@ provides importance-sampling selection and deduplication for refining
 corpora.
 """
 
-from .corpus import Corpus, Document, Tokenizer, load_jsonl, sample_fraction, shard, write_jsonl
+from .corpus import Corpus, Document, Tokenizer, load_jsonl, sample_fraction, write_jsonl
 from .diversity import (
     DiversityReport,
     compression_ratio,

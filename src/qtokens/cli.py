@@ -101,24 +101,14 @@ def cmd_score(args) -> int:
 
     def score_one(path: str) -> dict:
         corpus = load_jsonl(path, tokenizer)
+        name = os.path.basename(path)
         rep = diversity.score_corpus_diversity(
             corpus, level=args.level, mattr_window=args.mattr_window
         )
-        row = {
-            "corpus": os.path.basename(path),
-            "tokens": corpus.total_tokens,
-            "cr": rep.cr,
-            "dr": rep.dr,
-            "ttr": rep.ttr,
-            "mattr": rep.mattr,
-            "ngram_diversity_2": rep.ngram_diversity.get(2),
-            "ngram_diversity_3": rep.ngram_diversity.get(3),
-            "ngram_diversity_4": rep.ngram_diversity.get(4),
-            "self_repetition": rep.self_repetition,
-            "avg_nll": None,
-            "perplexity": None,
-            "syntheticity": None,
-        }
+        for warning in rep.warnings:
+            print(f"warning: {name}: {warning}", file=sys.stderr)
+        row = {"corpus": name, "tokens": corpus.total_tokens, **rep.to_flat_dict()}
+        row.pop("warnings", None)
         if scorer is not None:
             result = score_corpus(scorer, corpus, args.sample_fraction, args.seed)
             row["avg_nll"] = result.avg_nll

@@ -1,4 +1,4 @@
-"""JSONL document collections: loading, sampling, sharding, tokenizing.
+"""JSONL document collections: loading, sampling, tokenizing.
 
 A corpus is an ordered sequence of documents, each tokenized once when it
 is created; every token-based step reads ``Document.tokens``. Sampling
@@ -188,9 +188,3 @@ def sample_fraction(corpus: Corpus, fraction: float, seed: int = 0) -> Corpus:
     keep = {d.id for d in ranked[:take]}
     return Corpus([d for d in corpus.documents if d.id in keep])
 
-
-def shard(corpus: Corpus, n_shards: int) -> list[Corpus]:
-    """Round-robin partition into ``n_shards`` disjoint corpora."""
-    if n_shards < 1:
-        raise CorpusError(f"n_shards must be >= 1, got {n_shards}")
-    return [Corpus(corpus.documents[i::n_shards]) for i in range(n_shards)]

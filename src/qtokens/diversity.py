@@ -10,9 +10,9 @@ compared against.
 from __future__ import annotations
 
 import zlib
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -89,37 +89,103 @@ def diversity_score(
     return 1.0 / compression_ratio(corpus, level, separator)
 
 
+def _encode(tokens: Iterable[str], count: int) -> tuple[np.ndarray, int]:
+    """Map tokens to int ids in order of first occurrence; return ids and type count."""
+    types: dict[str, int] = {}
+    ids = np.fromiter((types.setdefault(t, len(types)) for t in tokens), dtype=np.int64, count=count)
+    return ids, len(types)
+
+
+def _ngram_ranks(ids: np.ndarray, n_types: int, n_max: int) -> tuple[list[np.ndarray], list[int]]:
+    """Rank every n-gram of ``ids`` for n = 1..n_max; also count the distinct ones.
+
+    ``ranks[n - 1][i]`` names the n-gram starting at position i: equal n-grams
+    get equal ranks, all below the number of distinct n-grams. An n-gram is
+    keyed by its (n-1)-gram prefix rank and its last id, so keys stay below
+    ``len(ids) * n_types`` whatever n and the vocabulary size are. The chain
+    stops at the longest n the sequence has.
+    """
+    ranks, distinct = [ids], [n_types]
+    for n in range(2, n_max + 1):
+        m = len(ids) - n + 1
+        if m < 1:
+            break
+        grams, rank = np.unique(ranks[-1][:m] * n_types + ids[n - 1 :], return_inverse=True)
+        ranks.append(rank)
+        distinct.append(len(grams))
+    return ranks, distinct
+
+
+def _mattr(ids: np.ndarray, window: int) -> float:
+    """MATTR of a sequence at least ``window`` long.
+
+    A window's distinct count changes, as it slides one step, by -1 when the
+    token leaving has no other occurrence before the new right edge and by
+    +1 when the token entering has none after the old left edge; both follow
+    from each position's previous and next occurrence.
+    """
+    n = len(ids)
+    order = np.argsort(ids, kind="stable")
+    same = ids[order[1:]] == ids[order[:-1]]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    nxt = np.full(n, n, dtype=np.int64)
+    nxt[order[:-1][same]] = order[1:][same]
+    starts = np.arange(n - window)
+    delta = (prev[window:] <= starts).astype(np.int64) - (nxt[: n - window] >= starts + window)
+    counts = np.empty(n - window + 1, dtype=np.int64)
+    counts[0] = np.count_nonzero(prev[:window] < 0)
+    counts[1:] = counts[0] + np.cumsum(delta)
+    # cumsum adds left to right, so the ratios are summed in window order.
+    total = np.cumsum(counts / window)[-1]
+    return float(total) / (n - window + 1)
+
+
+def _self_repetition(ranks: list[np.ndarray], lengths: np.ndarray, n: int) -> float:
+    """Self-repetition of documents laid end to end, from their n-gram ranks.
+
+    ``lengths`` holds each document's token count in stream order. N-grams
+    that cross a document boundary are left out.
+    """
+    if n < 1:
+        raise DiversityError(f"n must be >= 1, got {n}")
+    eligible = lengths >= n
+    if np.count_nonzero(eligible) < 2:
+        raise DiversityError("self_repetition needs at least 2 documents with >= n tokens")
+    gram = ranks[n - 1]
+    n_docs = len(lengths)
+    doc = np.repeat(np.arange(n_docs), lengths)[: len(gram)]
+    inside = np.arange(len(gram)) + n <= np.cumsum(lengths)[doc]
+    gram, doc = gram[inside], doc[inside]
+    # Number of documents containing each n-gram, from distinct (n-gram, document) pairs.
+    pairs = np.unique(gram * n_docs + doc)
+    doc_freq = np.bincount(pairs // n_docs)
+    k = np.bincount(doc[doc_freq[gram] > 1], minlength=n_docs)[eligible]
+    return float(np.cumsum(np.log1p(k))[-1] / len(k))
+
+
 def type_token_ratio(tokens: Sequence[str]) -> float:
     """Unique tokens over total tokens."""
     if not tokens:
         raise DiversityError("type_token_ratio of empty sequence")
-    return len(set(tokens)) / len(tokens)
+    _, n_types = _encode(tokens, len(tokens))
+    return n_types / len(tokens)
 
 
 def mattr(tokens: Sequence[str], window: int) -> float:
     """Moving-average type-token ratio over every contiguous window.
 
     Falls back to the plain type-token ratio when the sequence is shorter
-    than the window. The sliding distinct-count is updated incrementally;
-    per-window ratios are averaged in window order.
+    than the window. Per-window ratios are averaged in window order.
     """
     if window < 1:
         raise DiversityError(f"window must be >= 1, got {window}")
     if not tokens:
         raise DiversityError("mattr of empty sequence")
-    n = len(tokens)
-    if n < window:
+    if len(tokens) < window:
         return type_token_ratio(tokens)
-    counts: Counter = Counter(tokens[:window])
-    total = len(counts) / window
-    for i in range(window, n):
-        left = tokens[i - window]
-        counts[left] -= 1
-        if counts[left] == 0:
-            del counts[left]
-        counts[tokens[i]] += 1
-        total += len(counts) / window
-    return total / (n - window + 1)
+    ids, _ = _encode(tokens, len(tokens))
+    return _mattr(ids, window)
 
 
 def ngram_diversity(tokens: Sequence[str], n: int) -> float:
@@ -128,9 +194,9 @@ def ngram_diversity(tokens: Sequence[str], n: int) -> float:
         raise DiversityError(f"n must be >= 1, got {n}")
     if len(tokens) < n:
         raise DiversityError(f"sequence of {len(tokens)} tokens is shorter than n={n}")
-    total = len(tokens) - n + 1
-    grams = {tuple(tokens[i : i + n]) for i in range(total)}
-    return len(grams) / total
+    ids, n_types = _encode(tokens, len(tokens))
+    _, distinct = _ngram_ranks(ids, n_types, n)
+    return distinct[n - 1] / (len(tokens) - n + 1)
 
 
 def self_repetition(documents: Sequence[Sequence[str]], n: int = DEFAULT_SELF_REPETITION_N) -> float:
@@ -140,27 +206,10 @@ def self_repetition(documents: Sequence[Sequence[str]], n: int = DEFAULT_SELF_RE
     appears in at least one other document. Documents shorter than n tokens
     are skipped; at least two must remain.
     """
-    if n < 1:
-        raise DiversityError(f"n must be >= 1, got {n}")
-    eligible = [doc for doc in documents if len(doc) >= n]
-    if len(eligible) < 2:
-        raise DiversityError("self_repetition needs at least 2 documents with >= n tokens")
-    gram_sets = []
-    for doc in eligible:
-        gram_sets.append({tuple(doc[i : i + n]) for i in range(len(doc) - n + 1)})
-    # Number of documents containing each n-gram.
-    doc_freq: Counter = Counter()
-    for grams in gram_sets:
-        doc_freq.update(grams)
-    total = 0.0
-    for doc, grams in zip(eligible, gram_sets):
-        k = 0
-        for i in range(len(doc) - n + 1):
-            g = tuple(doc[i : i + n])
-            if doc_freq[g] > 1:
-                k += 1
-        total += np.log1p(k)
-    return total / len(eligible)
+    lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
+    ids, n_types = _encode(chain.from_iterable(documents), int(lengths.sum()))
+    ranks, _ = _ngram_ranks(ids, n_types, n)
+    return _self_repetition(ranks, lengths, n)
 
 
 def score_corpus_diversity(
@@ -173,32 +222,39 @@ def score_corpus_diversity(
 ) -> DiversityReport:
     """Compute the full diversity report for one corpus.
 
-    Token-based metrics run on the concatenated stream of the documents'
-    tokens; the compression metric reads the UTF-8 text instead.
-    Metrics whose preconditions fail on this corpus (e.g. self-repetition
-    with a single document) are reported as None.
+    TTR, MATTR and n-gram diversity run on the concatenated stream of the
+    documents' tokens, across document boundaries; self-repetition counts
+    within-document n-grams only. The compression metric reads the UTF-8
+    text instead. Metrics whose preconditions fail on this corpus (e.g.
+    self-repetition with a single document) are reported as None.
     """
     cr = compression_ratio(corpus, level, separator)
     dr = 1.0 / cr
     warnings = ()
     if cr < 1.0:
         warnings = (f"compression ratio {cr:.4f} < 1; input is incompressible",)
-    per_doc_tokens = [doc.tokens for doc in corpus]
-    tokens = [t for toks in per_doc_tokens for t in toks]
-    if not tokens:
+    lengths = np.fromiter((doc.token_count for doc in corpus), dtype=np.int64, count=len(corpus))
+    total = int(lengths.sum())
+    if total == 0:
         raise DiversityError("corpus has no tokens")
-    ngd = {}
     for n in ngram_ns:
-        ngd[n] = ngram_diversity(tokens, n) if len(tokens) >= n else None
+        if n < 1:
+            raise DiversityError(f"n must be >= 1, got {n}")
+    if mattr_window < 1:
+        raise DiversityError(f"window must be >= 1, got {mattr_window}")
+    ids, n_types = _encode(chain.from_iterable(doc.tokens for doc in corpus), total)
+    ranks, distinct = _ngram_ranks(ids, n_types, max((*ngram_ns, self_repetition_n)))
+    ngd = {n: distinct[n - 1] / (total - n + 1) if total >= n else None for n in ngram_ns}
     try:
-        sr = self_repetition(per_doc_tokens, self_repetition_n)
+        sr = _self_repetition(ranks, lengths, self_repetition_n)
     except DiversityError:
         sr = None
+    ttr = n_types / total
     return DiversityReport(
         cr=cr,
         dr=dr,
-        ttr=type_token_ratio(tokens),
-        mattr=mattr(tokens, mattr_window),
+        ttr=ttr,
+        mattr=_mattr(ids, mattr_window) if total >= mattr_window else ttr,
         ngram_diversity=ngd,
         self_repetition=sr,
         warnings=warnings,

@@ -86,6 +86,17 @@ def test_score_unreadable_input(capsys):
     assert out == ""
 
 
+def test_score_warns_on_incompressible_input(write_corpus, capsys):
+    # 9 bytes of text compress to 17, so CR < 1.
+    path = write_corpus("tiny.jsonl", [{"text": "a b c d e"}])
+    code, out, err = run_cli(["score", path], capsys)
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["cr"] == "0.529412"
+    assert "warning" not in out
+    assert err == "warning: tiny.jsonl: compression ratio 0.5294 < 1; input is incompressible\n"
+
+
 @pytest.mark.parametrize("level", ["12", "-2"])
 def test_score_rejects_out_of_range_level(write_corpus, capsys, level):
     path = write_corpus("x.jsonl", [{"text": "a b c d"}])

@@ -8,7 +8,6 @@ from qtokens.corpus import (
     Tokenizer,
     load_jsonl,
     sample_fraction,
-    shard,
     write_jsonl,
 )
 from qtokens.errors import CorpusError
@@ -101,43 +100,6 @@ def test_sample_fraction_out_of_range():
     for bad in (0.0, -0.1, 1.2):
         with pytest.raises(CorpusError, match="fraction"):
             sample_fraction(corpus, bad, seed=0)
-
-
-def test_shard_identity():
-    corpus = Corpus.from_texts([f"t {i}" for i in range(5)])
-    shards = shard(corpus, 1)
-    assert len(shards) == 1
-    assert [d.id for d in shards[0]] == [d.id for d in corpus]
-
-
-def test_shard_sizes_round_robin():
-    corpus = Corpus.from_texts([f"t {i}" for i in range(10)])
-    sizes = sorted(len(s) for s in shard(corpus, 3))
-    assert sizes == [3, 3, 4]
-
-
-def test_shard_is_partition():
-    corpus = Corpus.from_texts([f"t {i}" for i in range(16007)])
-    shards = shard(corpus, 16)
-    sizes = [len(s) for s in shards]
-    assert max(sizes) - min(sizes) <= 1
-    seen = []
-    all_ids = set()
-    for piece in shards:
-        ids = {d.id for d in piece}
-        assert not (ids & all_ids)
-        all_ids |= ids
-        seen.extend(piece.documents)
-    assert all_ids == {d.id for d in corpus}
-    # order within each shard follows corpus order
-    for piece in shards:
-        positions = [int(d.id.split(":")[1]) for d in piece]
-        assert positions == sorted(positions)
-
-
-def test_shard_zero_rejected():
-    with pytest.raises(CorpusError):
-        shard(Corpus.from_texts(["a"]), 0)
 
 
 def test_count_tokens_empty():

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qtokens.corpus import Corpus, Document
+from qtokens.corpus import Corpus, Document, Tokenizer
 from qtokens.diversity import (
     compression_ratio,
     diversity_score,
@@ -197,6 +198,105 @@ def test_self_repetition_mixed_fixture_oracle():
         expected += math.log1p(k)
     expected /= len(docs)
     assert self_repetition(docs, n) == pytest.approx(expected, rel=1e-12)
+
+
+def reference_self_repetition(documents, n):
+    """Loop version of self_repetition: n-gram tuple sets and a Counter of document frequency."""
+    eligible = [doc for doc in documents if len(doc) >= n]
+    gram_sets = [{tuple(doc[i : i + n]) for i in range(len(doc) - n + 1)} for doc in eligible]
+    doc_freq = Counter()
+    for grams in gram_sets:
+        doc_freq.update(grams)
+    total = 0.0
+    for doc in eligible:
+        k = sum(1 for i in range(len(doc) - n + 1) if doc_freq[tuple(doc[i : i + n])] > 1)
+        total += np.log1p(k)
+    return total / len(eligible)
+
+
+def test_self_repetition_matches_reference_exactly():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(200):
+        vocab = int(rng.integers(1, 15))
+        docs = [
+            [f"t{v}" for v in rng.integers(0, vocab, size=int(rng.integers(0, 40)))]
+            for _ in range(int(rng.integers(2, 12)))
+        ]
+        n = int(rng.integers(1, 6))
+        if sum(len(d) >= n for d in docs) < 2:
+            continue
+        assert self_repetition(docs, n) == reference_self_repetition(docs, n)
+        checked += 1
+    assert checked > 150
+
+
+def set_of_tuples_ngram_diversity(tokens, n):
+    total = len(tokens) - n + 1
+    return len({tuple(tokens[i : i + n]) for i in range(total)}) / total
+
+
+def test_ngram_diversity_beyond_packed_key_range():
+    # 4-grams packed as sum(id * V**j) overflow int64 once V**4 > 2**63 - 1,
+    # that is for V > 55,109 distinct tokens.
+    rng = np.random.default_rng(8)
+    draws = rng.integers(0, 80_000, size=120_000)
+    tokens = [f"t{v}" for v in np.concatenate([draws, draws[:5_000], draws[50_000:52_000]])]
+    vocab = len(set(tokens))
+    assert vocab > 55_109 and vocab**4 > 2**63 - 1
+    for n in (1, 2, 4):
+        assert ngram_diversity(tokens, n) == set_of_tuples_ngram_diversity(tokens, n)
+    assert ngram_diversity(tokens, 4) < 1.0
+
+
+def test_byte_tokenizer_report_matches_oracles():
+    rng = np.random.default_rng(31)
+    words = ["ab", "ba", "é", "ß", "日本", "a", "b", " "]
+    tok = Tokenizer("byte")
+    texts = ["".join(rng.choice(words, size=int(rng.integers(5, 60)))) for _ in range(25)]
+    corpus = Corpus([Document.create(f"d{i}", t, tok) for i, t in enumerate(texts)])
+    docs = [list(doc.tokens) for doc in corpus]
+    stream = [t for doc in docs for t in doc]
+    assert len(stream) == len("".join(texts).encode("utf-8"))
+    report = score_corpus_diversity(corpus, mattr_window=30)
+    assert report.ttr == len(set(stream)) / len(stream)
+    assert report.mattr == brute_force_mattr(stream, 30)
+    for n in (2, 3, 4):
+        assert report.ngram_diversity[n] == set_of_tuples_ngram_diversity(stream, n)
+    assert report.self_repetition == reference_self_repetition(docs, 4)
+
+
+def test_report_matches_public_functions_across_boundaries():
+    # Short documents over a small vocabulary: many n-grams of the joined
+    # stream cross a document boundary, and self-repetition must skip them.
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        texts = [
+            " ".join(f"w{v}" for v in rng.integers(0, 6, size=int(rng.integers(1, 9))))
+            for _ in range(int(rng.integers(2, 15)))
+        ]
+        corpus = Corpus.from_texts(texts)
+        docs = [list(doc.tokens) for doc in corpus]
+        stream = [t for doc in docs for t in doc]
+        window = int(rng.integers(1, 20))
+        report = score_corpus_diversity(corpus, mattr_window=window, ngram_ns=(1, 2, 3, 4))
+        assert report.ttr == type_token_ratio(stream)
+        assert report.mattr == mattr(stream, window)
+        for n in (1, 2, 3, 4):
+            expected = ngram_diversity(stream, n) if len(stream) >= n else None
+            assert report.ngram_diversity[n] == expected
+        if sum(len(d) >= 4 for d in docs) >= 2:
+            assert report.self_repetition == self_repetition(docs, 4)
+        else:
+            assert report.self_repetition is None
+    # "a b c d" appears inside the first document and again only across the
+    # boundary of the last two: n-gram diversity sees the repeat,
+    # self-repetition does not.
+    corpus = Corpus.from_texts(["a b c d", "e a b c", "d f g h"])
+    report = score_corpus_diversity(corpus)
+    assert report.ngram_diversity[4] == 8 / 9
+    assert report.self_repetition == 0.0
+    assert self_repetition([list(doc.tokens) for doc in corpus], 4) == 0.0
 
 
 def test_self_repetition_needs_two_eligible():
