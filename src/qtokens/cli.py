@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import diversity, fitting, fixtures, refine, report as report_mod
+from . import diversity, fitting, fixtures, refine, report as report_mod, syntheticity
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
 from .errors import QTokensError
 from .scaling_law import (
@@ -108,7 +108,6 @@ def cmd_score(args) -> int:
         for warning in rep.warnings:
             print(f"warning: {name}: {warning}", file=sys.stderr)
         row = {"corpus": name, "tokens": corpus.total_tokens, **rep.to_flat_dict()}
-        row.pop("warnings", None)
         if scorer is not None:
             result = score_corpus(scorer, corpus, args.sample_fraction, args.seed)
             row["avg_nll"] = result.avg_nll
@@ -145,7 +144,6 @@ def cmd_fit(args) -> int:
     report = fitting.fit_constants(
         points,
         init,
-        form=args.form,
         max_evals=args.max_evals,
         max_iters=args.max_iters,
         clamp_during_fit=args.clamp,
@@ -189,35 +187,35 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _refinement_sidecar(
-    before: Corpus, after: Corpus, seed: int, scorer=None, sample_frac: float = 0.25
-) -> dict:
+def _write_sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra) -> None:
+    """Write the ``--report`` sidecar, if one was asked for: seed, document
+    and token counts, Dr and S before and after refinement, then ``extra``."""
+    if not args.report:
+        return
+    scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k, 1.0)
     side = {
-        "seed": seed,
+        "seed": args.seed,
         "before": {"documents": len(before), "tokens": before.total_tokens},
         "after": {"documents": len(after), "tokens": after.total_tokens},
     }
-    for key, corpus in (("before", before), ("after", after)):
-        try:
-            side[key]["dr"] = diversity.diversity_score(corpus)
-        except QTokensError:
-            side[key]["dr"] = None
-        if scorer is not None:
+    try:
+        for key, corpus in (("before", before), ("after", after)):
             try:
-                result = score_corpus(scorer, corpus, sample_frac, seed)
-                side[key]["syntheticity"] = result.s
+                side[key]["dr"] = diversity.diversity_score(corpus)
             except QTokensError:
-                side[key]["syntheticity"] = None
-        else:
+                side[key]["dr"] = None
             side[key]["syntheticity"] = None
-    return side
-
-
-def _write_sidecar(path: str | None, payload: dict) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            if scorer is not None:
+                try:
+                    side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
+                except QTokensError:
+                    pass
+    finally:
+        _close_scorer(scorer)
+    side.update(extra)
+    with open(args.report, "w", encoding="utf-8") as fh:
+        json.dump(side, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_select(args) -> int:
@@ -233,15 +231,7 @@ def cmd_select(args) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     write_jsonl(selected, args.out)
-    if args.report:
-        scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k, 1.0)
-        try:
-            side = _refinement_sidecar(raw, selected, args.seed, scorer)
-        finally:
-            _close_scorer(scorer)
-        side["budget_tokens"] = args.budget_tokens
-        side["mode"] = args.mode
-        _write_sidecar(args.report, side)
+    _write_sidecar(args, tokenizer, raw, selected, budget_tokens=args.budget_tokens, mode=args.mode)
     return 0
 
 
@@ -260,14 +250,7 @@ def cmd_dedup(args) -> int:
             keep=args.keep,
         )
     write_jsonl(deduped, args.out)
-    if args.report:
-        scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k, 1.0)
-        try:
-            side = _refinement_sidecar(corpus, deduped, args.seed, scorer)
-        finally:
-            _close_scorer(scorer)
-        side["mode"] = args.mode
-        _write_sidecar(args.report, side)
+    _write_sidecar(args, tokenizer, corpus, deduped, mode=args.mode)
     return 0
 
 
@@ -296,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", default=None,
                    help=f"none | kgram:<ref.jsonl> | external:<target> "
                         f"(default from ${SCORER_ENV} if set)")
-    p.add_argument("--sample-fraction", type=float, default=0.25)
+    p.add_argument("--sample-fraction", type=float, default=syntheticity.DEFAULT_SAMPLE_FRACTION)
     p.add_argument("--level", type=int, default=diversity.DEFAULT_LEVEL)
     p.add_argument("--mattr-window", type=int, default=diversity.DEFAULT_MATTR_WINDOW)
     p.add_argument("--kgram-k", type=int, default=3)

@@ -46,7 +46,6 @@ class Tokenizer:
         else:
             self._vocab = None
         self.mode = mode
-        self.vocab_path = vocab_path
 
     @classmethod
     def from_spec(cls, spec: str) -> "Tokenizer":

@@ -20,7 +20,7 @@ from .corpus import Corpus
 from .errors import DiversityError
 
 DEFAULT_LEVEL = 6
-DEFAULT_SEPARATOR = "\n"
+SEPARATOR = b"\n"
 DEFAULT_MATTR_WINDOW = 100
 DEFAULT_NGRAM_NS = (2, 3, 4)
 DEFAULT_SELF_REPETITION_N = 4
@@ -43,19 +43,13 @@ class DiversityReport:
         for n in sorted(self.ngram_diversity):
             out[f"ngram_diversity_{n}"] = self.ngram_diversity[n]
         out["self_repetition"] = self.self_repetition
-        if self.warnings:
-            out["warnings"] = "; ".join(self.warnings)
         return out
 
 
-def compression_ratio(
-    corpus: Corpus,
-    level: int = DEFAULT_LEVEL,
-    separator: str = DEFAULT_SEPARATOR,
-) -> float:
+def compression_ratio(corpus: Corpus, level: int = DEFAULT_LEVEL) -> float:
     """Original bytes over DEFLATE-compressed bytes of the joined corpus.
 
-    Documents are joined with ``separator`` and measured on UTF-8 bytes.
+    Documents are joined with newlines and measured on UTF-8 bytes.
     Compression is streamed document by document, so the concatenation is
     never materialized. ``level`` is a zlib level: -1 (zlib's default) or 0..9.
     """
@@ -63,15 +57,14 @@ def compression_ratio(
         raise DiversityError(f"compression level must be in -1..9, got {level}")
     if len(corpus) == 0:
         raise DiversityError("cannot compress empty corpus")
-    sep = separator.encode("utf-8")
     comp = zlib.compressobj(level)
     raw = 0
     compressed = 0
     for i, doc in enumerate(corpus):
         chunk = doc.text.encode("utf-8")
         if i > 0:
-            raw += len(sep)
-            compressed += len(comp.compress(sep))
+            raw += len(SEPARATOR)
+            compressed += len(comp.compress(SEPARATOR))
         raw += len(chunk)
         compressed += len(comp.compress(chunk))
     compressed += len(comp.flush())
@@ -80,13 +73,9 @@ def compression_ratio(
     return raw / compressed
 
 
-def diversity_score(
-    corpus: Corpus,
-    level: int = DEFAULT_LEVEL,
-    separator: str = DEFAULT_SEPARATOR,
-) -> float:
+def diversity_score(corpus: Corpus, level: int = DEFAULT_LEVEL) -> float:
     """Inverse compression ratio; higher means more diverse."""
-    return 1.0 / compression_ratio(corpus, level, separator)
+    return 1.0 / compression_ratio(corpus, level)
 
 
 def _encode(tokens: Iterable[str], count: int) -> tuple[np.ndarray, int]:
@@ -215,7 +204,6 @@ def self_repetition(documents: Sequence[Sequence[str]], n: int = DEFAULT_SELF_RE
 def score_corpus_diversity(
     corpus: Corpus,
     level: int = DEFAULT_LEVEL,
-    separator: str = DEFAULT_SEPARATOR,
     mattr_window: int = DEFAULT_MATTR_WINDOW,
     ngram_ns: Sequence[int] = DEFAULT_NGRAM_NS,
     self_repetition_n: int = DEFAULT_SELF_REPETITION_N,
@@ -228,7 +216,7 @@ def score_corpus_diversity(
     text instead. Metrics whose preconditions fail on this corpus (e.g.
     self-repetition with a single document) are reported as None.
     """
-    cr = compression_ratio(corpus, level, separator)
+    cr = compression_ratio(corpus, level)
     dr = 1.0 / cr
     warnings = ()
     if cr < 1.0:

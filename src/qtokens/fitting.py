@@ -23,13 +23,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FittingError
-from .scaling_law import FORMS, ScalingConstants, _dq, _score
+from .scaling_law import ScalingConstants, _dq, _score
 
 N_PARAMS = 7
 DEFAULT_MAX_EVALS = 2000
 DEFAULT_MAX_ITERS = 200
-DEFAULT_FTOL = 1e-10
-DEFAULT_LAMBDA0 = 1e-3
+FTOL = 1e-10
+LAMBDA0 = 1e-3
 FD_REL_STEP = 1e-6
 LAMBDA_MAX = 1e30
 GRAD_TOL = 1e-12
@@ -124,8 +124,6 @@ def _levenberg_marquardt(
     theta0: np.ndarray,
     max_evals: int,
     max_iters: int,
-    ftol: float,
-    lambda0: float,
 ) -> tuple[np.ndarray, float, int, int, bool]:
     """Minimize ||residual(theta)||^2; returns (theta, sse, evals, iters, converged)."""
     n_evals = 0
@@ -140,7 +138,7 @@ def _levenberg_marquardt(
     sse = float(r @ r)
     if not math.isfinite(sse):
         raise FittingError("model is not finite at the initial guess")
-    lam = lambda0
+    lam = LAMBDA0
     col_scale = np.zeros(theta.size)
     n_iters = 0
     converged = False
@@ -177,7 +175,7 @@ def _levenberg_marquardt(
                 sse = sse_new
                 lam = max(lam / 10, 1e-15)
                 accepted = True
-                if improvement < ftol or sse == 0.0:
+                if improvement < FTOL or sse == 0.0:
                     converged = True
                 break
             lam *= 10
@@ -192,15 +190,14 @@ def _levenberg_marquardt(
 def fit_constants(
     points: Sequence[ExperimentPoint],
     init: ScalingConstants,
-    form: str | None = None,
     max_evals: int = DEFAULT_MAX_EVALS,
     max_iters: int = DEFAULT_MAX_ITERS,
     clamp_during_fit: bool = False,
-    ftol: float = DEFAULT_FTOL,
     n_restarts: int = 0,
     restart_seed: int = 0,
 ) -> FitReport:
-    """Fit the seven constants to observed accuracies.
+    """Fit the seven constants to observed accuracies, in the functional
+    form of ``init``.
 
     The returned SSE is never worse than at the initial guess, and the
     whole procedure is deterministic for identical inputs. Residuals use
@@ -211,10 +208,7 @@ def fit_constants(
     initial guess (each with its own evaluation budget); the best SSE
     wins. Off by default.
     """
-    if form is None:
-        form = init.form
-    if form not in FORMS:
-        raise FittingError(f"unknown functional form {form!r}")
+    form = init.form
     if len(points) < N_PARAMS + 1:
         raise FittingError(
             f"need at least {N_PARAMS + 1} points to fit {N_PARAMS} parameters, "
@@ -227,7 +221,7 @@ def fit_constants(
 
     theta0 = _theta_of(init)
     theta, sse, n_evals, n_iters, converged = _levenberg_marquardt(
-        residual, theta0, max_evals, max_iters, ftol, DEFAULT_LAMBDA0
+        residual, theta0, max_evals, max_iters
     )
     for i in range(n_restarts):
         rng = np.random.default_rng([restart_seed, i])
@@ -236,7 +230,7 @@ def fit_constants(
         )
         try:
             theta_r, sse_r, evals_r, iters_r, conv_r = _levenberg_marquardt(
-                residual, perturbed, max_evals, max_iters, ftol, DEFAULT_LAMBDA0
+                residual, perturbed, max_evals, max_iters
             )
         except FittingError:
             continue
@@ -324,7 +318,6 @@ def bootstrap_se(
             report = fit_constants(
                 resample,
                 base.constants,
-                form=base.constants.form,
                 max_evals=max_evals,
                 max_iters=max_iters,
                 clamp_during_fit=clamp_during_fit,
@@ -455,12 +448,10 @@ def load_experiments_csv(
     return points
 
 
-def fit_report_to_dict(
-    report: FitReport, points: Sequence[ExperimentPoint] | None = None, seed: int | None = None
-) -> dict:
-    """JSON-ready view of a fit report, with per-point records when the
-    fitted points are supplied (the plotting command consumes those)."""
-    out = {
+def fit_report_to_dict(report: FitReport, points: Sequence[ExperimentPoint], seed: int) -> dict:
+    """JSON-ready view of a fit report, with the seed and a record per
+    fitted point (the plotting command consumes those)."""
+    return {
         "constants": report.constants.to_dict(),
         "se": report.se,
         "r2": report.r2,
@@ -471,24 +462,19 @@ def fit_report_to_dict(
         "n_iters": report.n_iters,
         "converged": report.converged,
         "residuals": report.residuals,
+        "seed": seed,
+        "points": [
+            {
+                "n_millions": point.n_millions,
+                "d_tokens": point.d_tokens,
+                "dr": point.dr,
+                "s": point.s,
+                "label": point.label,
+                "fraction_pct": point.fraction_pct,
+                "observed": point.accuracy,
+                "predicted": point.accuracy + residual,
+                "residual": residual,
+            }
+            for point, residual in zip(points, report.residuals)
+        ],
     }
-    if seed is not None:
-        out["seed"] = seed
-    if points is not None:
-        records = []
-        for point, residual in zip(points, report.residuals):
-            records.append(
-                {
-                    "n_millions": point.n_millions,
-                    "d_tokens": point.d_tokens,
-                    "dr": point.dr,
-                    "s": point.s,
-                    "label": point.label,
-                    "fraction_pct": point.fraction_pct,
-                    "observed": point.accuracy,
-                    "predicted": point.accuracy + residual,
-                    "residual": residual,
-                }
-            )
-        out["points"] = records
-    return out

@@ -62,21 +62,14 @@ class FeatureVector:
         return dense
 
 
-@dataclass
-class ImportanceWeights:
-    """Per-document log importance weights, aligned with the corpus order."""
-
-    log_weights: list[float]
-    temperature: float = 1.0
-
-
-def _bucket_of(ngram: tuple[str, ...], n_buckets: int, seed: int) -> int:
+def _ngram_hash(gram: tuple[str, ...], seed: int) -> int:
+    """Keyed 64-bit hash of an n-gram, shared by feature buckets and shingles."""
     digest = hashlib.blake2b(
-        "\x1f".join(ngram).encode("utf-8"),
+        "\x1f".join(gram).encode("utf-8"),
         digest_size=8,
         key=seed.to_bytes(8, "big"),
     ).digest()
-    return int.from_bytes(digest, "big") % n_buckets
+    return int.from_bytes(digest, "big")
 
 
 def _check_params(n_range: tuple[int, int], n_buckets: int) -> None:
@@ -101,7 +94,6 @@ def _ngram_features(
     tokens: Sequence[str],
     n_range: tuple[int, int],
     n_buckets: int,
-    seed: int,
     memo: dict[tuple[str, ...], int],
 ) -> FeatureVector:
     # ``memo`` maps each n-gram already hashed to its bucket, so a caller
@@ -112,7 +104,7 @@ def _ngram_features(
         for gram in zip(*(tokens[k:] for k in range(n))):
             bucket = memo.get(gram)
             if bucket is None:
-                bucket = memo[gram] = _bucket_of(gram, n_buckets, seed)
+                bucket = memo[gram] = _ngram_hash(gram, FEATURE_HASH_SEED) % n_buckets
             ids.append(bucket)
     ids, counts = np.unique(np.array(ids, dtype=np.int64), return_counts=True)
     return FeatureVector(ids=ids, counts=counts, n_buckets=n_buckets, n_range=n_range)
@@ -122,7 +114,6 @@ def hashed_ngram_features(
     doc: Document,
     n_range: tuple[int, int] = DEFAULT_N_RANGE,
     n_buckets: int = DEFAULT_N_BUCKETS,
-    seed: int = FEATURE_HASH_SEED,
 ) -> FeatureVector:
     """Bucketed counts of all token n-grams with n in ``n_range``.
 
@@ -130,7 +121,7 @@ def hashed_ngram_features(
     total 0.
     """
     _check_params(n_range, n_buckets)
-    return _ngram_features(doc.tokens, n_range, n_buckets, seed, {})
+    return _ngram_features(doc.tokens, n_range, n_buckets, {})
 
 
 def aggregate_features(vectors: Sequence[FeatureVector]) -> FeatureVector:
@@ -155,7 +146,6 @@ def corpus_features(
     corpus: Corpus,
     n_range: tuple[int, int] = DEFAULT_N_RANGE,
     n_buckets: int = DEFAULT_N_BUCKETS,
-    seed: int = FEATURE_HASH_SEED,
 ) -> tuple[FeatureVector, list[FeatureVector]]:
     """Per-document vectors plus their aggregate for a whole corpus.
 
@@ -163,7 +153,7 @@ def corpus_features(
     """
     _check_params(n_range, n_buckets)
     memo: dict[tuple[str, ...], int] = {}
-    per_doc = [_ngram_features(d.tokens, n_range, n_buckets, seed, memo) for d in corpus]
+    per_doc = [_ngram_features(d.tokens, n_range, n_buckets, memo) for d in corpus]
     return aggregate_features(per_doc), per_doc
 
 
@@ -179,8 +169,7 @@ def importance_weights(
     target: FeatureVector,
     docs: Sequence[FeatureVector],
     smoothing: float = 1e-4,
-    temperature: float = 1.0,
-) -> ImportanceWeights:
+) -> list[float]:
     """Log-likelihood ratio of each document under target vs raw buckets.
 
     Each distribution gets add-smoothing proportional to its own total
@@ -195,13 +184,12 @@ def importance_weights(
     if raw.total <= 0 or target.total <= 0:
         raise RefineError("raw and target feature totals must be positive")
     delta = _smoothed_log_probs(target, smoothing) - _smoothed_log_probs(raw, smoothing)
-    weights = [float(doc.counts @ delta[doc.ids]) for doc in docs]
-    return ImportanceWeights(log_weights=weights, temperature=temperature)
+    return [float(doc.counts @ delta[doc.ids]) for doc in docs]
 
 
 def select_by_weight(
     corpus: Corpus,
-    weights: ImportanceWeights,
+    log_weights: Sequence[float],
     budget_tokens: int,
     mode: str = "topk",
     seed: int = 0,
@@ -217,17 +205,17 @@ def select_by_weight(
     """
     if budget_tokens < 1:
         raise RefineError(f"budget_tokens must be >= 1, got {budget_tokens}")
-    if len(weights.log_weights) != len(corpus):
+    if len(log_weights) != len(corpus):
         raise RefineError(
-            f"weights cover {len(weights.log_weights)} documents, corpus has {len(corpus)}"
+            f"weights cover {len(log_weights)} documents, corpus has {len(corpus)}"
         )
     if mode not in ("topk", "gumbel-sample"):
         raise RefineError(f"unknown selection mode {mode!r}")
-    keys = list(weights.log_weights)
+    keys = list(log_weights)
     if mode == "gumbel-sample":
         rng = np.random.default_rng(seed)
         noise = rng.gumbel(size=len(keys))
-        keys = [w / weights.temperature + g for w, g in zip(keys, noise)]
+        keys = [w + g for w, g in zip(keys, noise)]
     ranked = sorted(
         zip(keys, corpus.documents), key=lambda pair: (-pair[0], pair[1].id)
     )
@@ -258,12 +246,7 @@ def dedup_exact(corpus: Corpus) -> Corpus:
 
 def _shingle_hashes(tokens: Sequence[str], shingle_n: int, seed: int) -> np.ndarray:
     shingles = {tuple(tokens[i : i + shingle_n]) for i in range(len(tokens) - shingle_n + 1)}
-    values = set()
-    for sh in shingles:
-        digest = hashlib.blake2b(
-            "\x1f".join(sh).encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "big")
-        ).digest()
-        values.add(int.from_bytes(digest, "big") % int(_MINHASH_PRIME))
+    values = {_ngram_hash(sh, seed) % int(_MINHASH_PRIME) for sh in shingles}
     return np.fromiter(values, dtype=np.uint64, count=len(values))
 
 

@@ -24,6 +24,10 @@ PRED_VS_TRUE_SVG = "pred_vs_true.svg"
 ACC_VS_DQ_SVG = "acc_vs_dq.svg"
 Q_SURFACE_CSV = "q_surface.csv"
 
+# Point fields the plots read; the first four must also be positive.
+POSITIVE_POINT_KEYS = ("n_millions", "d_tokens", "dr", "s")
+POINT_KEYS = POSITIVE_POINT_KEYS + ("observed", "predicted")
+
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
@@ -194,17 +198,35 @@ def q_surface_csv(
     return "\n".join(lines) + "\n"
 
 
+def _check_points(points) -> None:
+    """Reject a malformed point list before any file is written."""
+    if not isinstance(points, list) or len(points) < 2:
+        raise QTokensError("need >= 2 points to plot correlation")
+    for i, point in enumerate(points):
+        if not isinstance(point, dict):
+            raise QTokensError(f"point {i} is not a JSON object")
+        for key in POINT_KEYS:
+            if key not in point:
+                raise QTokensError(f"point {i} has no {key!r}")
+            value = point[key]
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise QTokensError(f"point {i}: {key!r} is not a finite number: {value!r}")
+            if key in POSITIVE_POINT_KEYS and value <= 0:
+                raise QTokensError(f"point {i}: {key!r} must be > 0, got {value!r}")
+
+
 def write_report(report_dict: dict, out_dir: str) -> list[str]:
     """Emit the three report files for a fit-report dictionary.
 
     The dictionary must carry per-point records (the fit command writes
-    them); without at least two points the scatter is undefined.
+    them); without at least two points the scatter is undefined. Every
+    point is checked before any file is written.
     """
     if not isinstance(report_dict, dict):
         raise QTokensError("fit report is not a JSON object")
     points = report_dict.get("points")
-    if not points or len(points) < 2:
-        raise QTokensError("need >= 2 points to plot correlation")
+    _check_points(points)
     if "constants" not in report_dict:
         raise QTokensError("fit report has no constants")
     constants = ScalingConstants.from_dict(report_dict["constants"])

@@ -17,7 +17,6 @@ convention reproduces the shipped preset's accuracy predictions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -78,13 +77,6 @@ class ScalingConstants:
             raise ScalingDomainError(f"constants JSON missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ScalingDomainError(f"constants JSON has a bad value: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalingConstants":
-        return cls.from_dict(json.loads(text))
 
     def with_form(self, form: str) -> "ScalingConstants":
         return replace(self, form=form)

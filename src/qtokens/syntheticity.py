@@ -29,6 +29,8 @@ from .errors import ProtocolError, ScorerError
 
 DEFAULT_CONTEXT_LEN = 1024
 DEFAULT_SAMPLE_FRACTION = 0.25
+# Requests an external scorer may have outstanding at a time.
+MAX_IN_FLIGHT = 8
 
 
 class LikelihoodScorer(Protocol):
@@ -55,15 +57,6 @@ class SyntheticityResult:
     m_tokens: int
     sample_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "avg_nll": self.avg_nll,
-            "perplexity": self.perplexity,
-            "syntheticity": self.s,
-            "m_tokens": self.m_tokens,
-            "sample_fraction": self.sample_fraction,
-        }
-
 
 class KgramScorer:
     """Count-based k-gram model with add-alpha smoothing.
@@ -82,6 +75,7 @@ class KgramScorer:
         context_counts: dict[tuple, Counter],
         context_len: int = DEFAULT_CONTEXT_LEN,
     ):
+        # Lets perfbench tell k-gram scoring time apart in its traces.
         self.kind = "builtin-kgram"
         self.k = k
         self.smoothing = smoothing
@@ -145,17 +139,16 @@ class ExternalScorer:
 
     The peer must answer each ``{"id": ..., "tokens": [...]}`` request line
     with a ``{"id": ..., "logprobs": [...]}`` line; responses may arrive in
-    any order and are matched back by id. Up to ``max_in_flight`` requests
+    any order and are matched back by id. Up to ``MAX_IN_FLIGHT`` requests
     are outstanding at a time. No wait for the peer to accept a request or
-    to send a response lasts longer than ``timeout`` seconds.
+    to send a response lasts longer than ``timeout`` seconds. A target that
+    cannot be reached or started raises ``ScorerError``.
     """
 
     def __init__(self, target: str, context_len: int = DEFAULT_CONTEXT_LEN,
-                 timeout: float = 30.0, max_in_flight: int = 8):
-        self.kind = "external"
+                 timeout: float = 30.0):
         self.context_len = context_len
         self.timeout = timeout
-        self.max_in_flight = max_in_flight
         self._next_id = 0
         self._buffer = bytearray()
         # Both directions are non-blocking: the duplex loop waits in select,
@@ -164,17 +157,22 @@ class ExternalScorer:
             host, _, port = target[len("tcp://") :].partition(":")
             if not port:
                 raise ScorerError(f"endpoint {target!r} is missing a port")
-            conn = socket.create_connection((host, int(port)), timeout=timeout)
+            try:
+                conn = socket.create_connection((host, int(port)), timeout=timeout)
+            except (OSError, OverflowError, ValueError) as exc:
+                raise ScorerError(f"cannot connect to scorer {target!r}: {exc}") from exc
             conn.setblocking(False)
             self._proc = None
             self._conn = conn
             self._rfd = self._wfd = conn.fileno()
         else:
-            self._proc = subprocess.Popen(
-                shlex.split(target),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-            )
+            try:
+                argv = shlex.split(target)
+                if not argv:
+                    raise ValueError("empty command")
+                self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            except (OSError, ValueError) as exc:
+                raise ScorerError(f"cannot start scorer {target!r}: {exc}") from exc
             self._conn = None
             self._rfd = self._proc.stdout.fileno()
             self._wfd = self._proc.stdin.fileno()
@@ -255,7 +253,7 @@ class ExternalScorer:
         """Score token windows, yielding their log-probabilities in input order.
 
         Windows are drawn from ``windows`` only as requests are sent, and at
-        most ``max_in_flight`` windows are either awaiting a response or
+        most ``MAX_IN_FLIGHT`` windows are either awaiting a response or
         holding one that is not yet due, so neither the input nor the output
         is held in memory as a whole.
         """
@@ -267,7 +265,7 @@ class ExternalScorer:
         due = 0
         exhausted = False
         while True:
-            if not out and not exhausted and len(pending) + len(ready) < self.max_in_flight:
+            if not out and not exhausted and len(pending) + len(ready) < MAX_IN_FLIGHT:
                 window = next(windows, None)
                 if window is None:
                     exhausted = True
@@ -304,17 +302,23 @@ class ExternalScorer:
                             f"expected {n_tokens} logprobs, got {len(logprobs)}",
                             payload=logprobs,
                         )
-                    bad = [v for v in logprobs if v > 0 or not math.isfinite(v)]
+                    bad = _invalid_log_prob(logprobs)
                     if bad:
-                        raise ProtocolError(f"log-probability > 0: {bad[0]}", payload=logprobs)
+                        raise ProtocolError(f"{bad[0]}: {bad[1]}", payload=logprobs)
                     ready[index] = logprobs
 
-    def score_batches(self, batches: Sequence[Sequence[str]]) -> list[list[float]]:
-        """Score several token windows, preserving input order."""
-        return list(self.score_windows(batches))
-
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
-        return self.score_batches([tokens])[0]
+        (logprobs,) = self.score_windows([tokens])
+        return logprobs
+
+
+def _invalid_log_prob(logprobs: Iterable[float]) -> tuple[str, float] | None:
+    """The first value that is not a log-probability, with what is wrong."""
+    lowest = -math.inf  # a local: this loop runs once per scored token
+    for lp in logprobs:
+        if not lowest < lp <= 0:  # also true for NaN
+            return ("log-probability > 0" if lp > 0 else "non-finite log-probability"), lp
+    return None
 
 
 def external_scorer_connect(command_or_endpoint: str, context_len: int = DEFAULT_CONTEXT_LEN,
@@ -369,9 +373,9 @@ def score_corpus(
                 f"scorer returned {len(logprobs)} values for {n_tokens} tokens "
                 f"(document {doc.id!r})"
             )
-        for lp in logprobs:
-            if lp > 0:
-                raise ScorerError(f"log-probability > 0 on document {doc.id!r}: {lp}")
+        bad = _invalid_log_prob(logprobs)
+        if bad:
+            raise ScorerError(f"{bad[0]} on document {doc.id!r}: {bad[1]}")
         window_sums.append(math.fsum(logprobs))
         m_tokens += n_tokens
     if m_tokens == 0:

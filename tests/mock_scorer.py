@@ -3,6 +3,7 @@
 Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     const      reply -1.0 per token, immediately
     positive   reply +0.1 per token (protocol violation)
+    value V    reply float(V) per token, e.g. ``value nan``
     reorder3   buffer the first 3 requests, answer them in reverse order
     short      reply with one fewer logprob than requested
     badjson    reply with a non-JSON line
@@ -75,6 +76,9 @@ def main():
             continue
         if mode == "positive":
             reply({"id": req["id"], "logprobs": [0.1] * len(req["tokens"])})
+            continue
+        if mode == "value":
+            reply({"id": req["id"], "logprobs": [float(sys.argv[2])] * len(req["tokens"])})
             continue
         if mode == "short":
             reply({"id": req["id"], "logprobs": [-1.0] * (len(req["tokens"]) - 1)})

@@ -22,7 +22,7 @@ from qtokens.diversity import diversity_score, mattr, ngram_diversity, type_toke
 from qtokens.errors import ScalingDomainError
 from qtokens.fitting import ExperimentPoint, fit_constants
 from qtokens.fixtures import fixture_points, verify_fixtures
-from qtokens.refine import ImportanceWeights, dedup_exact, dedup_near, select_by_weight
+from qtokens.refine import dedup_exact, dedup_near, select_by_weight
 from qtokens.scaling_law import (
     PRESETS,
     QualityInputs,
@@ -245,7 +245,7 @@ def test_criterion_7_refinement_properties():
     padded = Corpus.from_texts(base + [base[i] for i in dup_idx], id_prefix="pad")
     dr_up = diversity_score(dedup_exact(padded)) > diversity_score(padded)
 
-    weights = ImportanceWeights(log_weights=list(rng.normal(size=1000)))
+    weights = list(rng.normal(size=1000))
     budgets_ok = True
     for budget in (100, 1777, 25_000):
         selected, _ = select_by_weight(corpus, weights, budget)

@@ -79,6 +79,14 @@ def test_score_env_scorer(write_corpus, capsys, monkeypatch, mock_scorer_cmd):
     assert float(row["avg_nll"]) == pytest.approx(1.0)
 
 
+def test_score_bad_scorer_endpoint(write_corpus, capsys):
+    corpus = write_corpus("c.jsonl", [{"text": "x y z"}])
+    code, out, err = run_cli(["score", corpus, "--scorer", "external:tcp://127.0.0.1:abc"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "tcp://127.0.0.1:abc" in err
+
+
 def test_score_unreadable_input(capsys):
     code, out, err = run_cli(["score", "/nonexistent/input.jsonl"], capsys)
     assert code == 1
@@ -521,6 +529,40 @@ def test_report_without_constants_rejected(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "constants" in err
+
+
+def _drop_dr(points):
+    del points[1]["dr"]
+
+
+def _number_for_point(points):
+    points[0] = 3.0
+
+
+def _string_observed(points):
+    points[2]["observed"] = "x"
+
+
+@pytest.mark.parametrize(
+    "break_points, message",
+    [(_drop_dr, "point 1 has no 'dr'"),
+     (_number_for_point, "point 0 is not a JSON object"),
+     (_string_observed, "point 2: 'observed' is not a finite number: 'x'")],
+    ids=["missing-key", "number", "string-value"],
+)
+def test_report_malformed_point_rejected(tmp_path, capsys, break_points, message):
+    fit = tmp_path / "fit.json"
+    code, _, _ = run_cli(["fit", "--fixture", "--out", str(fit)], capsys)
+    assert code == 0
+    payload = json.loads(fit.read_text())
+    break_points(payload["points"])
+    fit.write_text(json.dumps(payload))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(["report", "--fit-report", str(fit), "--out-dir", str(out_dir)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def _run_subprocess(args):

@@ -77,7 +77,7 @@ def test_weights_zero_when_distributions_match():
     corpus = Corpus.from_texts(["a b c", "d e f", "a b c"])
     agg, per_doc = corpus_features(corpus, (1, 1), 32)
     weights = importance_weights(agg, agg, per_doc)
-    assert weights.log_weights == [0.0, 0.0, 0.0]
+    assert weights == [0.0, 0.0, 0.0]
 
 
 def test_weights_scale_invariant():
@@ -89,7 +89,7 @@ def test_weights_scale_invariant():
     scaled_target = aggregate_features([target, target, target])
     w1 = importance_weights(raw, target, per_doc, smoothing=0.01)
     w2 = importance_weights(scaled_raw, scaled_target, per_doc, smoothing=0.01)
-    assert w1.log_weights == pytest.approx(w2.log_weights, rel=1e-12)
+    assert w1 == pytest.approx(w2, rel=1e-12)
 
 
 def test_weights_positive_when_target_dominates():
@@ -102,7 +102,7 @@ def test_weights_positive_when_target_dominates():
     target, _ = corpus_features(target_corpus, n_range, buckets)
     probe_fv = hashed_ngram_features(doc, n_range, buckets)
     weights = importance_weights(raw, target, [probe_fv], smoothing=0.01)
-    assert weights.log_weights[0] > 0
+    assert weights[0] > 0
 
 
 def test_weights_hand_computed_small_fixture():
@@ -135,21 +135,21 @@ def test_weights_hand_computed_small_fixture():
             )
         )
     weights = importance_weights(raw, target, docs, smoothing=g)
-    assert weights.log_weights == pytest.approx(expected, rel=1e-12)
+    assert weights == pytest.approx(expected, rel=1e-12)
     # symmetric document sees both distributions alike
-    assert weights.log_weights[4] == pytest.approx(0.0, abs=1e-12)
+    assert weights[4] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_corpus_features_hash_each_distinct_ngram_once(monkeypatch):
     corpus = Corpus.from_texts(["a b a b a b", "b a b a c", "a b c a b c"])
     calls = []
-    real = refine._bucket_of
+    real = refine._ngram_hash
 
-    def counting(ngram, n_buckets, seed):
-        calls.append(ngram)
-        return real(ngram, n_buckets, seed)
+    def counting(gram, seed):
+        calls.append(gram)
+        return real(gram, seed)
 
-    monkeypatch.setattr(refine, "_bucket_of", counting)
+    monkeypatch.setattr(refine, "_ngram_hash", counting)
     agg, per_doc = corpus_features(corpus, (1, 2), 64)
     distinct = {
         tuple(doc.tokens[i : i + n])
@@ -218,61 +218,49 @@ def weighted_corpus():
 
 
 def test_select_full_budget_returns_everything():
-    from qtokens.refine import ImportanceWeights
-
     corpus = weighted_corpus()
-    weights = ImportanceWeights(log_weights=[0.5, 1.0, -0.5, 0.0])
+    weights = [0.5, 1.0, -0.5, 0.0]
     selected, warnings = select_by_weight(corpus, weights, budget_tokens=10**9)
     assert {d.id for d in selected} == {d.id for d in corpus}
     assert not warnings
 
 
 def test_select_uniform_weights_tie_break_by_id():
-    from qtokens.refine import ImportanceWeights
-
     corpus = weighted_corpus()
-    weights = ImportanceWeights(log_weights=[0.0, 0.0, 0.0, 0.0])
+    weights = [0.0, 0.0, 0.0, 0.0]
     selected, _ = select_by_weight(corpus, weights, budget_tokens=9)
     assert [d.id for d in selected] == ["doc:0", "doc:1", "doc:2"]
 
 
 def test_select_topk_highest_weights():
-    from qtokens.refine import ImportanceWeights
-
     corpus = weighted_corpus()
-    weights = ImportanceWeights(log_weights=[2.0, 3.0, 1.0, 4.0])
+    weights = [2.0, 3.0, 1.0, 4.0]
     selected, _ = select_by_weight(corpus, weights, budget_tokens=12)
     assert [d.id for d in selected] == ["doc:3", "doc:1", "doc:0"]
 
 
 def test_select_budget_respected_exactly():
-    from qtokens.refine import ImportanceWeights
-
     rng = np.random.default_rng(6)
     corpus = Corpus.from_texts(
         [" ".join(["w"] * int(rng.integers(1, 30))) for _ in range(50)]
     )
-    weights = ImportanceWeights(log_weights=list(rng.normal(size=50)))
+    weights = list(rng.normal(size=50))
     for budget in (10, 57, 200):
         selected, _ = select_by_weight(corpus, weights, budget)
         assert selected.total_tokens <= budget
 
 
 def test_select_budget_smaller_than_smallest_doc():
-    from qtokens.refine import ImportanceWeights
-
     corpus = weighted_corpus()
-    weights = ImportanceWeights(log_weights=[0.0, 0.0, 0.0, 0.0])
+    weights = [0.0, 0.0, 0.0, 0.0]
     selected, warnings = select_by_weight(corpus, weights, budget_tokens=1)
     assert len(selected) == 0
     assert warnings
 
 
 def test_select_gumbel_deterministic_per_seed():
-    from qtokens.refine import ImportanceWeights
-
     corpus = weighted_corpus()
-    weights = ImportanceWeights(log_weights=[0.1, 0.2, 0.3, 0.4])
+    weights = [0.1, 0.2, 0.3, 0.4]
     a, _ = select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=3)
     b, _ = select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=3)
     c, _ = select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=4)

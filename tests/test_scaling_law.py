@@ -36,9 +36,9 @@ def test_constants_validation():
 
 def test_constants_json_roundtrip():
     consts = PRESETS["paper-ours"]
-    back = ScalingConstants.from_json(consts.to_json())
+    back = ScalingConstants.from_dict(json.loads(json.dumps(consts.to_dict())))
     assert back == consts
-    data = json.loads(consts.to_json())
+    data = consts.to_dict()
     assert set(data) == {"E", "A", "alpha", "B", "beta", "c1", "c2", "form"}
 
 

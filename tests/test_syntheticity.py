@@ -1,4 +1,5 @@
 import math
+import re
 import socket
 import socketserver
 import struct
@@ -69,6 +70,30 @@ def test_result_invariants():
 def test_empty_corpus_rejected():
     with pytest.raises(ScorerError):
         score_corpus(UniformScorer(4), Corpus([]), 1.0, 0)
+
+
+class BadTokenScorer:
+    """Scores the token ``bad`` with a fixed value and every other with -1."""
+
+    context_len = 1024
+
+    def __init__(self, value):
+        self.value = value
+
+    def log_probs(self, tokens):
+        return [self.value if t == "bad" else -1.0 for t in tokens]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(math.nan, "non-finite log-probability"), (-math.inf, "non-finite log-probability"),
+     (0.5, "log-probability > 0")],
+    ids=["nan", "-inf", "positive"],
+)
+def test_invalid_log_prob_rejected(value, message):
+    corpus = corpus_of(["a b", "c bad d"])
+    with pytest.raises(ScorerError, match=f"^{message} on document 'doc:1': {value}$"):
+        score_corpus(BadTokenScorer(value), corpus, 1.0, 0)
 
 
 def test_zero_scoreable_tokens():
@@ -197,10 +222,17 @@ def test_external_positive_logprob_rejected(mock_scorer_cmd):
             scorer.log_probs(["a", "b"])
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_external_non_finite_logprob_rejected(mock_scorer_cmd, value):
+    with external_scorer_connect(mock_scorer_cmd(f"value {value}")) as scorer:
+        with pytest.raises(ProtocolError, match=f"non-finite log-probability: {value}"):
+            scorer.log_probs(["a", "b"])
+
+
 def test_external_out_of_order_responses(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("reorder3")) as scorer:
         batches = [["a"], ["b", "b"], ["c", "c", "c"]]
-        results = scorer.score_batches(batches)
+        results = list(scorer.score_windows(batches))
     assert [len(r) for r in results] == [1, 2, 3]
     assert all(v == -1.0 for r in results for v in r)
 
@@ -235,7 +267,7 @@ def test_external_large_windows_do_not_deadlock(mock_scorer_cmd):
     scorer = external_scorer_connect(mock_scorer_cmd("const"), timeout=5)
     results = []
     worker = threading.Thread(
-        target=lambda: results.extend(scorer.score_batches([["x"] * 200_000] * 3)),
+        target=lambda: results.extend(scorer.score_windows([["x"] * 200_000] * 3)),
         daemon=True,
     )
     try:
@@ -361,3 +393,21 @@ def test_external_tcp_reset():
 def test_external_missing_port():
     with pytest.raises(ScorerError, match="missing a port"):
         external_scorer_connect("tcp://localhost")
+
+
+def _closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["tcp://127.0.0.1:abc", "tcp://127.0.0.1:{closed}", "tcp://127.0.0.1:70000",
+     "no-such-scorer-command --flag", "scorer 'unclosed", ""],
+    ids=["bad-port", "refused", "port-out-of-range", "missing-command", "bad-quoting", "empty"],
+)
+def test_external_bad_target_raises_scorer_error(target):
+    target = target.format(closed=_closed_port())
+    with pytest.raises(ScorerError, match=re.escape(repr(target))):
+        external_scorer_connect(target)
