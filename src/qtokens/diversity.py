@@ -78,11 +78,11 @@ def diversity_score(corpus: Corpus, level: int = DEFAULT_LEVEL) -> float:
     return 1.0 / compression_ratio(corpus, level)
 
 
-def _encode(tokens: Iterable[str], count: int) -> tuple[np.ndarray, int]:
-    """Map tokens to int ids in order of first occurrence; return ids and type count."""
+def _encode(tokens: Iterable[str], count: int) -> tuple[np.ndarray, dict[str, int]]:
+    """Map tokens to int ids in order of first occurrence; return ids and the id of each type."""
     types: dict[str, int] = {}
     ids = np.fromiter((types.setdefault(t, len(types)) for t in tokens), dtype=np.int64, count=count)
-    return ids, len(types)
+    return ids, types
 
 
 def _ngram_ranks(ids: np.ndarray, n_types: int, n_max: int) -> tuple[list[np.ndarray], list[int]]:
@@ -157,8 +157,8 @@ def type_token_ratio(tokens: Sequence[str]) -> float:
     """Unique tokens over total tokens."""
     if not tokens:
         raise DiversityError("type_token_ratio of empty sequence")
-    _, n_types = _encode(tokens, len(tokens))
-    return n_types / len(tokens)
+    _, types = _encode(tokens, len(tokens))
+    return len(types) / len(tokens)
 
 
 def mattr(tokens: Sequence[str], window: int) -> float:
@@ -183,8 +183,8 @@ def ngram_diversity(tokens: Sequence[str], n: int) -> float:
         raise DiversityError(f"n must be >= 1, got {n}")
     if len(tokens) < n:
         raise DiversityError(f"sequence of {len(tokens)} tokens is shorter than n={n}")
-    ids, n_types = _encode(tokens, len(tokens))
-    _, distinct = _ngram_ranks(ids, n_types, n)
+    ids, types = _encode(tokens, len(tokens))
+    _, distinct = _ngram_ranks(ids, len(types), n)
     return distinct[n - 1] / (len(tokens) - n + 1)
 
 
@@ -196,8 +196,8 @@ def self_repetition(documents: Sequence[Sequence[str]], n: int = DEFAULT_SELF_RE
     are skipped; at least two must remain.
     """
     lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
-    ids, n_types = _encode(chain.from_iterable(documents), int(lengths.sum()))
-    ranks, _ = _ngram_ranks(ids, n_types, n)
+    ids, types = _encode(chain.from_iterable(documents), int(lengths.sum()))
+    ranks, _ = _ngram_ranks(ids, len(types), n)
     return _self_repetition(ranks, lengths, n)
 
 
@@ -230,7 +230,8 @@ def score_corpus_diversity(
             raise DiversityError(f"n must be >= 1, got {n}")
     if mattr_window < 1:
         raise DiversityError(f"window must be >= 1, got {mattr_window}")
-    ids, n_types = _encode(chain.from_iterable(doc.tokens for doc in corpus), total)
+    ids, types = _encode(chain.from_iterable(doc.tokens for doc in corpus), total)
+    n_types = len(types)
     ranks, distinct = _ngram_ranks(ids, n_types, max((*ngram_ns, self_repetition_n)))
     ngd = {n: distinct[n - 1] / (total - n + 1) if total >= n else None for n in ngram_ns}
     try:

@@ -12,7 +12,7 @@ import math
 import os
 from typing import Sequence
 
-from .errors import QTokensError
+from .errors import QTokensError, ScalingDomainError
 from .fitting import pearson
 from .scaling_law import ScalingConstants, _score, clamp_unit, effective_tokens_raw
 
@@ -144,6 +144,9 @@ def acc_vs_dq_svg(points: Sequence[dict], constants: ScalingConstants) -> str:
     dqs = [
         effective_tokens_raw(p["d_tokens"], p["dr"], p["s"], constants) for p in points
     ]
+    for i, dq in enumerate(dqs):
+        if not 0 < dq < math.inf:  # the effective-token axis is logarithmic
+            raise ScalingDomainError(f"point {i}: effective tokens {dq} cannot be plotted")
     accs = [p["observed"] for p in points]
     xlim = (min(dqs) / 1.5, max(dqs) * 1.5)
     ylim = _pad_limits(accs)
@@ -221,7 +224,7 @@ def write_report(report_dict: dict, out_dir: str) -> list[str]:
 
     The dictionary must carry per-point records (the fit command writes
     them); without at least two points the scatter is undefined. Every
-    point is checked before any file is written.
+    point is checked and every file rendered before any file is written.
     """
     if not isinstance(report_dict, dict):
         raise QTokensError("fit report is not a JSON object")
@@ -230,25 +233,20 @@ def write_report(report_dict: dict, out_dir: str) -> list[str]:
     if "constants" not in report_dict:
         raise QTokensError("fit report has no constants")
     constants = ScalingConstants.from_dict(report_dict["constants"])
-    os.makedirs(out_dir, exist_ok=True)
-    observed = [p["observed"] for p in points]
-    predicted = [p["predicted"] for p in points]
-    outputs = []
-
-    path = os.path.join(out_dir, PRED_VS_TRUE_SVG)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pred_vs_true_svg(observed, predicted))
-    outputs.append(path)
-
-    path = os.path.join(out_dir, ACC_VS_DQ_SVG)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(acc_vs_dq_svg(points, constants))
-    outputs.append(path)
-
     drs = [p["dr"] for p in points]
     ss = [p["s"] for p in points]
-    path = os.path.join(out_dir, Q_SURFACE_CSV)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(q_surface_csv(constants, (min(drs), max(drs)), (min(ss), max(ss))))
-    outputs.append(path)
+    # Every file is rendered before any is written, so a failure leaves none.
+    files = {
+        PRED_VS_TRUE_SVG: pred_vs_true_svg([p["observed"] for p in points],
+                                           [p["predicted"] for p in points]),
+        ACC_VS_DQ_SVG: acc_vs_dq_svg(points, constants),
+        Q_SURFACE_CSV: q_surface_csv(constants, (min(drs), max(drs)), (min(ss), max(ss))),
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = []
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        outputs.append(path)
     return outputs

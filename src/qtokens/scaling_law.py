@@ -124,21 +124,31 @@ def _dq(d, dr, s, c1, c2, form, exp=math.exp):
     """Effective tokens ``D * Q(Dr, S)`` under ``form``, without domain
     checks. Takes Python floats with the default ``math.exp`` or numpy
     arrays with ``exp=np.exp``; the scalar API, the fitter and the report
-    all evaluate F1-F4 here.
+    all evaluate F1-F4 here. Floats that overflow raise
+    ``ScalingDomainError``; arrays overflow to inf.
     """
-    if form == "F1":
-        return d * exp(c1 * dr + c2 * s)
-    if form == "F2":
-        return d * dr**c1 * exp(c2 * s)
-    if form == "F3":
-        return d * exp(c1 * dr) * s**c2
-    return d * dr**c1 * s**c2
+    try:
+        if form == "F1":
+            return d * exp(c1 * dr + c2 * s)
+        if form == "F2":
+            return d * dr**c1 * exp(c2 * s)
+        if form == "F3":
+            return d * exp(c1 * dr) * s**c2
+        return d * dr**c1 * s**c2
+    except OverflowError as exc:
+        raise ScalingDomainError(
+            f"effective tokens overflow under form {form} with c1={c1}, c2={c2}"
+        ) from exc
 
 
 def _score(n, dq, e, a, alpha, b, beta):
     """Unclamped score ``E + A / N^alpha + B / Dq^beta``, for floats or
-    numpy arrays."""
-    return e + a / n**alpha + b / dq**beta
+    numpy arrays. Floats that overflow or divide by zero raise
+    ``ScalingDomainError``."""
+    try:
+        return e + a / n**alpha + b / dq**beta
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ScalingDomainError(f"score is undefined at N={n}, Dq={dq}: {exc}") from exc
 
 
 def scaling_factor_q(dr: float, s: float, c1: float, c2: float) -> float:

@@ -20,11 +20,14 @@ import select
 import shlex
 import socket
 import subprocess
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Protocol, Sequence
 
+import numpy as np
+
 from .corpus import Corpus, UNKNOWN_TOKEN, sample_fraction
+from .diversity import _encode
 from .errors import ProtocolError, ScorerError
 
 DEFAULT_CONTEXT_LEN = 1024
@@ -59,20 +62,31 @@ class SyntheticityResult:
 
 
 class KgramScorer:
-    """Count-based k-gram model with add-alpha smoothing.
+    """Count-based k-gram model with add-alpha smoothing, on integer ids.
 
     Probabilities are normalized over the training vocabulary plus one
     unknown symbol, so they sum to 1 for every context. Tokens outside
     the vocabulary (as targets or context) are mapped to the unknown
     symbol, which keeps every log-probability finite.
+
+    The counts live in four sorted-key arrays over integer token ids. A
+    context of m tokens is keyed by the table index of its first m - 1
+    tokens and its last id, so keys stay below the table size times
+    ``len(vocab) + 1`` whatever k is. The context table holds every
+    context seen in training plus the shorter n-grams that chain to them,
+    with how often each preceded a token; the pair table holds each
+    (context index, token id) with its count.
     """
 
     def __init__(
         self,
         k: int,
         smoothing: float,
-        vocab: set[str],
-        context_counts: dict[tuple, Counter],
+        vocab: dict[str, int],
+        ctx_keys: np.ndarray,
+        ctx_totals: np.ndarray,
+        pair_keys: np.ndarray,
+        pair_counts: np.ndarray,
         context_len: int = DEFAULT_CONTEXT_LEN,
     ):
         # Lets perfbench tell k-gram scoring time apart in its traces.
@@ -80,27 +94,48 @@ class KgramScorer:
         self.k = k
         self.smoothing = smoothing
         self.vocab = vocab
-        self._counts = context_counts
-        self._context_totals = {ctx: sum(c.values()) for ctx, c in context_counts.items()}
         self.context_len = context_len
+        self._ctx_keys = ctx_keys
+        self._ctx_totals = ctx_totals
+        self._pair_keys = pair_keys
+        self._pair_counts = pair_counts
         # Event space: vocabulary plus the unknown symbol.
         self._n_events = len(vocab) + 1
+        self._unk = vocab.get(UNKNOWN_TOKEN, len(vocab))
 
-    def _norm(self, token: str) -> str:
-        return token if token in self.vocab else UNKNOWN_TOKEN
+    def _probs(self, tokens: Sequence[str]) -> np.ndarray:
+        """Probability of each token given the tokens before it in ``tokens``."""
+        ids = np.fromiter(map(self.vocab.get, tokens, repeat(self._unk)), dtype=np.int64,
+                          count=len(tokens))
+        radix = self._n_events
+        ctx = np.zeros(len(ids), dtype=np.int64)  # every position has the empty context
+        for m in range(1, min(self.k, len(ids))):
+            # Extend the (m-1)-token context before position i - 1 by ids[i - 1],
+            # keyed as in training.
+            prefix = ctx[m - 1 : -1]
+            keys = prefix * radix + ids[m - 1 : -1] + 1
+            pos, found = _find(self._ctx_keys, keys)
+            ctx[m:] = np.where((prefix >= 0) & found, pos, -1)  # -1: never seen
+        seen = ctx >= 0
+        totals = np.where(seen, self._ctx_totals[ctx], 0)
+        pos, found = _find(self._pair_keys, ctx * radix + ids)
+        counts = np.where(seen & found, self._pair_counts[pos], 0)
+        return (counts + self.smoothing) / (totals + self.smoothing * self._n_events)
 
     def prob(self, token: str, context: Sequence[str]) -> float:
-        ctx = tuple(self._norm(t) for t in context[max(0, len(context) - (self.k - 1)) :])
-        counter = self._counts.get(ctx)
-        count = counter[self._norm(token)] if counter is not None else 0
-        total = self._context_totals.get(ctx, 0)
-        return (count + self.smoothing) / (total + self.smoothing * self._n_events)
+        window = [*context[max(0, len(context) - (self.k - 1)) :], token]
+        return float(self._probs(window)[-1])
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
-        out = []
-        for i, token in enumerate(tokens):
-            out.append(math.log(self.prob(token, tokens[max(0, i - (self.k - 1)) : i])))
-        return out
+        # math.log, not np.log: numpy's vectorized log differs in the last
+        # bit on some inputs, and the scores must not depend on the build.
+        return list(map(math.log, self._probs(tokens).tolist()))
+
+
+def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each key in the sorted, non-empty ``table``, and whether it is there."""
+    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return pos, table[pos] == keys
 
 
 def train_kgram_scorer(
@@ -120,18 +155,32 @@ def train_kgram_scorer(
         raise ScorerError(f"smoothing must be > 0, got {smoothing}")
     if len(reference) == 0:
         raise ScorerError("reference corpus is empty")
-    longest = max(doc.token_count for doc in reference)
+    lengths = np.fromiter((doc.token_count for doc in reference), dtype=np.int64,
+                          count=len(reference))
+    longest = int(lengths.max())
     if k > longest:
         raise ScorerError(f"k={k} exceeds longest reference document ({longest} tokens)")
-    vocab: set[str] = set()
-    context_counts: dict[tuple, Counter] = {}
-    for doc in reference:
-        tokens = doc.tokens
-        vocab.update(tokens)
-        for i, token in enumerate(tokens):
-            ctx = tokens[max(0, i - (k - 1)) : i]
-            context_counts.setdefault(ctx, Counter())[token] += 1
-    return KgramScorer(k, smoothing, vocab, context_counts, context_len)
+    ids, vocab = _encode(chain.from_iterable(doc.tokens for doc in reference), int(lengths.sum()))
+    radix = len(vocab) + 1
+    # Position of every token within its document.
+    pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # Index of each position's context in the table, grown one token per level
+    # up to min(pos, k - 1) tokens; level 0 is the empty context, key 0.
+    ctx = np.zeros(len(ids), dtype=np.int64)
+    tables = [np.zeros(1, dtype=np.int64)]
+    size = 1
+    for m in range(1, k):
+        at = np.flatnonzero(pos >= m)
+        # Key: prefix index * radix + last id + 1, so no key is the empty
+        # context's 0. Level-m keys all exceed level m - 1's, so the joined
+        # table stays sorted.
+        table, rank = np.unique(ctx[at - 1] * radix + ids[at - 1] + 1, return_inverse=True)
+        ctx[at] = size + rank
+        tables.append(table)
+        size += len(table)
+    pair_keys, pair_counts = np.unique(ctx * radix + ids, return_counts=True)
+    return KgramScorer(k, smoothing, vocab, np.concatenate(tables),
+                       np.bincount(ctx, minlength=size), pair_keys, pair_counts, context_len)
 
 
 class ExternalScorer:

@@ -565,6 +565,50 @@ def test_report_malformed_point_rejected(tmp_path, capsys, break_points, message
     assert not out_dir.exists()
 
 
+BIG_C1 = {"E": 0.8, "A": -0.45, "alpha": 0.05, "B": -24.0, "beta": 0.45,
+          "c1": 1e6, "c2": -4.9, "form": "F1"}
+
+
+@pytest.mark.parametrize(
+    "c1, message",
+    [(1e6, "effective tokens overflow under form F1 with c1=1000000.0, c2=-4.9"),
+     (-1e6, "score is undefined at N=25.0, Dq=0.0: float division by zero")],
+    ids=["overflow", "underflow"],
+)
+def test_predict_extreme_constants_rejected(tmp_path, capsys, c1, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**BIG_C1, "c1": c1}))
+    code, out, err = run_cli(
+        ["predict", "--constants", str(path), "--n-millions", "25",
+         "--d-tokens", "1e9", "--dr", "0.3", "--s", "0.1"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "c1, message",
+    [(1e6, "effective tokens overflow under form F1 with c1=1000000.0"),
+     (-1e6, "point 0: effective tokens 0.0 cannot be plotted")],
+    ids=["overflow", "underflow"],
+)
+def test_report_extreme_constants_write_nothing(tmp_path, capsys, c1, message):
+    fit = tmp_path / "fit.json"
+    code, _, _ = run_cli(["fit", "--fixture", "--out", str(fit)], capsys)
+    assert code == 0
+    payload = json.loads(fit.read_text())
+    payload["constants"]["c1"] = c1
+    fit.write_text(json.dumps(payload))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(["report", "--fit-report", str(fit), "--out-dir", str(out_dir)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert not out_dir.exists()
+
+
 def _run_subprocess(args):
     return subprocess.run(
         [sys.executable, "-m", "qtokens.cli", *args],

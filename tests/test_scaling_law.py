@@ -250,3 +250,10 @@ def test_quality_inputs_validation():
         QualityInputs(d=0, dr=0.1, s=0.1, n_millions=1)
     with pytest.raises(ScalingDomainError):
         QualityInputs(d=1, dr=-0.1, s=0.1, n_millions=1)
+
+
+@pytest.mark.parametrize("form", ["F1", "F2", "F3", "F4"])
+def test_effective_tokens_overflow_is_a_domain_error(form):
+    consts = ScalingConstants(e=1.0, a=0.0, alpha=0.5, b=1.0, beta=0.5, c1=1e6, c2=1e6, form=form)
+    with pytest.raises(ScalingDomainError, match=f"overflow under form {form}"):
+        effective_tokens_raw(1e9, 2.0, 2.0, consts)

@@ -5,11 +5,13 @@ import socketserver
 import struct
 import threading
 import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qtokens.corpus import Corpus, Document
+from qtokens.corpus import Corpus, Document, Tokenizer
 from qtokens.errors import ProtocolError, ScorerError
 from qtokens.syntheticity import (
     external_scorer_connect,
@@ -163,6 +165,122 @@ def test_kgram_matches_count_oracle():
     # oracle maps unknown words the same way the scorer does
     normalized = [w if w in vocab else "<unk>" for w in probe]
     assert got == pytest.approx(oracle_nll(normalized), abs=1e-9)
+
+
+def reference_kgram_log_probs(reference, k, smoothing, windows):
+    """Per-token log-probabilities of each window from string-tuple count
+    tables, one dict lookup per token: the exact oracle for the id tables."""
+    vocab = set()
+    counts = {}
+    for doc in reference:
+        tokens = doc.tokens
+        vocab.update(tokens)
+        for i, token in enumerate(tokens):
+            counts.setdefault(tokens[max(0, i - (k - 1)) : i], Counter())[token] += 1
+    totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
+    n_events = len(vocab) + 1
+
+    def norm(token):
+        return token if token in vocab else "<unk>"
+
+    out = []
+    for window in windows:
+        logprobs = []
+        for i, token in enumerate(window):
+            ctx = tuple(norm(t) for t in window[max(0, i - (k - 1)) : i])
+            counter = counts.get(ctx)
+            count = counter[norm(token)] if counter is not None else 0
+            p = (count + smoothing) / (totals.get(ctx, 0) + smoothing * n_events)
+            logprobs.append(math.log(p))
+        out.append(logprobs)
+    return out
+
+
+def _seeded_texts(seed, n_docs, n_types, max_len, words=None):
+    rng = np.random.default_rng(seed)
+    words = words or [f"w{v}" for v in range(n_types)]
+    return [
+        " ".join(words[v] for v in rng.integers(0, len(words), size=rng.integers(1, max_len)))
+        for _ in range(n_docs)
+    ]
+
+
+def _kgram_case(case, tmp_path):
+    """(reference, probe, k, smoothing, context_len) for one oracle case."""
+    if case == "oov":
+        # The probe draws from 40 types, the reference from 30.
+        return (corpus_of(_seeded_texts(1, 30, 30, 60)), corpus_of(_seeded_texts(2, 20, 40, 60)),
+                3, 0.5, 1024)
+    if case == "unk-in-vocab":
+        # w0..w19 are in the vocabulary file, so the reference holds <unk> and
+        # w15..w19, absent from the reference, map to <unk> in the scorer too.
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_text("".join(f"w{v}\n" for v in range(20)))
+        tokenizer = Tokenizer("vocab", vocab_path=str(vocab_file))
+        reference = Corpus.from_texts(_seeded_texts(3, 30, 15, 60) + ["x y z w0 q"], tokenizer)
+        return reference, Corpus.from_texts(_seeded_texts(4, 20, 30, 60), tokenizer), 3, 1.0, 1024
+    if case == "bytes":
+        tokenizer = Tokenizer("byte")
+        words = ["ab", "é", "中", "c d", "ü", "x"]
+        reference = Corpus.from_texts(_seeded_texts(5, 20, 0, 40, words), tokenizer)
+        probe = Corpus.from_texts(_seeded_texts(6, 20, 0, 40, words + ["ø", "z"]), tokenizer)
+        return reference, probe, 4, 0.25, 1024
+    if case == "k1":
+        return (corpus_of(_seeded_texts(7, 20, 25, 50)), corpus_of(_seeded_texts(8, 20, 30, 50)),
+                1, 1.0, 1024)
+    # k beyond the window: contexts stop at the window start.
+    return (corpus_of(_seeded_texts(9, 20, 8, 80)), corpus_of(_seeded_texts(10, 20, 10, 80)),
+            7, 0.1, 5)
+
+
+@pytest.mark.parametrize("case", ["oov", "unk-in-vocab", "bytes", "k1", "k-beyond-context"])
+def test_kgram_matches_string_tuple_oracle_exactly(case, tmp_path):
+    reference, probe, k, smoothing, context_len = _kgram_case(case, tmp_path)
+    scorer = train_kgram_scorer(reference, k=k, smoothing=smoothing, context_len=context_len)
+    windows = [doc.tokens[start : start + context_len]
+               for doc in probe for start in range(0, doc.token_count, context_len)]
+    assert any(t not in scorer.vocab for w in windows for t in w)
+    if case == "unk-in-vocab":
+        assert "<unk>" in scorer.vocab
+    got = [scorer.log_probs(w) for w in windows]
+    assert got == reference_kgram_log_probs(reference, k, smoothing, windows)
+
+
+def test_kgram_keys_do_not_overflow_with_large_vocab_and_k():
+    # Every one of 60,000 types occurs, so a mixed-radix key over k - 1 = 5
+    # context ids would exceed 2^63; repeated chunks give seen 6-grams.
+    rng = np.random.default_rng(11)
+    k, n_types = 6, 60_000
+    order = rng.permutation(n_types)
+    chunks = [order[i : i + 300] for i in range(0, n_types, 300)]
+    texts = [" ".join(f"w{v}" for v in chunk) for chunk in chunks]
+    texts += texts[:20]
+    reference = corpus_of(texts)
+    scorer = train_kgram_scorer(reference, k=k, smoothing=0.5)
+    assert (len(scorer.vocab) + 1) ** (k - 1) > 2**63
+    windows = [doc.tokens for doc in reference.documents[:25]]
+    windows += [[f"w{v}" for v in rng.integers(0, n_types + 50, size=200)] for _ in range(5)]
+    got = [scorer.log_probs(w) for w in windows]
+    assert got == reference_kgram_log_probs(reference, k, 0.5, windows)
+    # The repeated chunks are scored from real counts, not only the smoothing floor.
+    assert max(got[0]) > math.log(0.5 / (0.5 * (n_types + 1)))
+
+
+def test_kgram_scorer_memory_is_compact():
+    rng = np.random.default_rng(23)
+    reference = corpus_of(
+        [" ".join(f"w{v}" for v in rng.integers(0, 5000, size=300)) for _ in range(200)]
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scorer = train_kgram_scorer(reference, k=3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # string-tuple Counter tables held about 21 MB here
+    assert held <= 4 * 2**20
+    assert scorer.k == 3
 
 
 def test_kgram_k_longer_than_documents():
