@@ -33,7 +33,6 @@ from .fitting import (
 from .refine import (
     dedup_exact,
     dedup_near,
-    hashed_ngram_features,
     importance_weights,
     select_by_weight,
 )

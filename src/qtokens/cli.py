@@ -66,7 +66,7 @@ def _load_constants(spec: str) -> ScalingConstants:
     )
 
 
-def _make_scorer(spec: str | None, tokenizer: Tokenizer, kgram_k: int, smoothing: float):
+def _make_scorer(spec: str | None, tokenizer: Tokenizer, kgram_k: int):
     if spec is None:
         spec = os.environ.get(SCORER_ENV) or "none"
         if spec != "none" and not spec.startswith(("kgram:", "external:")):
@@ -75,7 +75,7 @@ def _make_scorer(spec: str | None, tokenizer: Tokenizer, kgram_k: int, smoothing
         return None
     if spec.startswith("kgram:"):
         reference = load_jsonl(spec.split(":", 1)[1], tokenizer)
-        return train_kgram_scorer(reference, k=kgram_k, smoothing=smoothing)
+        return train_kgram_scorer(reference, k=kgram_k)
     if spec.startswith("external:"):
         return external_scorer_connect(spec.split(":", 1)[1])
     raise QTokensError(f"unknown scorer spec {spec!r}")
@@ -97,7 +97,7 @@ def _close_scorer(scorer) -> None:
 
 def cmd_score(args) -> int:
     tokenizer = Tokenizer.from_spec(args.tokenizer)
-    scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k, args.kgram_smoothing)
+    scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k)
 
     def score_one(path: str) -> dict:
         corpus = load_jsonl(path, tokenizer)
@@ -192,7 +192,7 @@ def _write_sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **
     and token counts, Dr and S before and after refinement, then ``extra``."""
     if not args.report:
         return
-    scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k, 1.0)
+    scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k)
     side = {
         "seed": args.seed,
         "before": {"documents": len(before), "tokens": before.total_tokens},
@@ -222,9 +222,7 @@ def cmd_select(args) -> int:
     tokenizer = Tokenizer.from_spec(args.tokenizer)
     raw = load_jsonl(args.input, tokenizer)
     target = load_jsonl(args.target, tokenizer)
-    raw_agg, raw_docs = refine.corpus_features(raw)
-    target_agg, _ = refine.corpus_features(target)
-    weights = refine.importance_weights(raw_agg, target_agg, raw_docs, args.smoothing)
+    weights = refine.importance_weights(raw, target, args.smoothing)
     selected, warnings = refine.select_by_weight(
         raw, weights, args.budget_tokens, mode=args.mode, seed=args.seed
     )
@@ -274,16 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("score", help="diversity/syntheticity metrics per corpus")
+    # The syntheticity scorer: score's S columns, select's and dedup's sidecar.
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--scorer", default=None,
+                         help=f"none | kgram:<ref.jsonl> | external:<target> "
+                              f"(default from ${SCORER_ENV} if set)")
+    scoring.add_argument("--kgram-k", type=int, default=3)
+
+    p = sub.add_parser("score", parents=[scoring],
+                       help="diversity/syntheticity metrics per corpus")
     p.add_argument("inputs", nargs="+", help="JSONL corpus files")
-    p.add_argument("--scorer", default=None,
-                   help=f"none | kgram:<ref.jsonl> | external:<target> "
-                        f"(default from ${SCORER_ENV} if set)")
     p.add_argument("--sample-fraction", type=float, default=syntheticity.DEFAULT_SAMPLE_FRACTION)
     p.add_argument("--level", type=int, default=diversity.DEFAULT_LEVEL)
     p.add_argument("--mattr-window", type=int, default=diversity.DEFAULT_MATTR_WINDOW)
-    p.add_argument("--kgram-k", type=int, default=3)
-    p.add_argument("--kgram-smoothing", type=float, default=1.0)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("fit", help="estimate scaling-law constants")
@@ -315,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", type=float, required=True, help="unclamped model score")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("select", help="importance-sampling coreset selection")
+    p = sub.add_parser("select", parents=[scoring],
+                       help="importance-sampling coreset selection")
     p.add_argument("input", help="raw corpus JSONL")
     p.add_argument("--target", required=True, help="target corpus JSONL")
     p.add_argument("--budget-tokens", type=int, required=True)
@@ -323,12 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing", type=float, default=1e-4)
     p.add_argument("--out", required=True, help="selected corpus JSONL")
     p.add_argument("--report", help="sidecar JSON with before/after stats")
-    p.add_argument("--scorer", default=None,
-                   help="syntheticity scorer for the sidecar report (as in score)")
-    p.add_argument("--kgram-k", type=int, default=3)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("dedup", help="remove exact or near duplicates")
+    p = sub.add_parser("dedup", parents=[scoring], help="remove exact or near duplicates")
     p.add_argument("input", help="corpus JSONL")
     p.add_argument("--mode", default="exact", choices=["exact", "near"])
     p.add_argument("--shingle-n", type=int, default=refine.DEFAULT_SHINGLE_N)
@@ -337,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep", default="longest", choices=["longest", "first"])
     p.add_argument("--out", required=True, help="deduplicated corpus JSONL")
     p.add_argument("--report", help="sidecar JSON with before/after stats")
-    p.add_argument("--scorer", default=None,
-                   help="syntheticity scorer for the sidecar report (as in score)")
-    p.add_argument("--kgram-k", type=int, default=3)
     p.set_defaults(func=cmd_dedup)
 
     p = sub.add_parser("report", help="render SVG/CSV report files for a fit")
@@ -355,10 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QTokensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QTokensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

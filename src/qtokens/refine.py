@@ -15,18 +15,18 @@ survives).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus
 from .errors import RefineError
 
 # Fixed, published hash seed: selections must be reproducible across machines.
 FEATURE_HASH_SEED = 0x9E3779B1
-DEFAULT_N_BUCKETS = 1 << 16
-DEFAULT_N_RANGE = (1, 2)
+# Selection features: uni- and bigram counts hashed into 65,536 buckets.
+N_RANGE = (1, 2)
+N_BUCKETS = 1 << 16
 
 DEFAULT_SHINGLE_N = 3
 DEFAULT_N_HASHES = 128
@@ -34,32 +34,6 @@ DEFAULT_BANDS = 16
 
 # Largest prime below 2^32: (a*x + b) stays within uint64 for a, x, b < p.
 _MINHASH_PRIME = np.uint64(4294967291)
-
-
-@dataclass
-class FeatureVector:
-    """Hashed n-gram counts for one document (or an aggregate), stored sparse.
-
-    ``ids`` holds the sorted, distinct buckets that occur and ``counts``
-    their counts, so a vector takes memory in proportion to its distinct
-    n-grams, not to ``n_buckets``.
-    """
-
-    ids: np.ndarray
-    counts: np.ndarray
-    n_buckets: int
-    n_range: tuple[int, int]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def buckets(self) -> np.ndarray:
-        """The dense count vector, ``n_buckets`` long (allocated per call)."""
-        dense = np.zeros(self.n_buckets, dtype=np.int64)
-        dense[self.ids] = self.counts
-        return dense
 
 
 def _ngram_hash(gram: tuple[str, ...], seed: int) -> int:
@@ -72,119 +46,62 @@ def _ngram_hash(gram: tuple[str, ...], seed: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _check_params(n_range: tuple[int, int], n_buckets: int) -> None:
-    lo, hi = n_range
-    if n_buckets < 1:
-        raise RefineError(f"n_buckets must be >= 1, got {n_buckets}")
-    if lo < 1 or lo > hi:
-        raise RefineError(f"invalid n_range: {n_range}")
+def corpus_features(corpus: Corpus) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each document's hashed n-gram counts, stored sparse.
 
-
-def _check_compatible(first: FeatureVector, vectors: Sequence[FeatureVector]) -> None:
-    for vec in vectors:
-        if vec.n_buckets != first.n_buckets or vec.n_range != first.n_range:
-            raise RefineError(
-                f"feature vectors disagree on bucket count or n_range: "
-                f"{vec.n_buckets} buckets, n_range {vec.n_range} vs "
-                f"{first.n_buckets} buckets, n_range {first.n_range}"
-            )
-
-
-def _ngram_features(
-    tokens: Sequence[str],
-    n_range: tuple[int, int],
-    n_buckets: int,
-    memo: dict[tuple[str, ...], int],
-) -> FeatureVector:
-    # ``memo`` maps each n-gram already hashed to its bucket, so a caller
-    # sharing it across documents hashes each distinct n-gram once.
-    lo, hi = n_range
-    ids = []
-    for n in range(lo, hi + 1):
-        for gram in zip(*(tokens[k:] for k in range(n))):
-            bucket = memo.get(gram)
-            if bucket is None:
-                bucket = memo[gram] = _ngram_hash(gram, FEATURE_HASH_SEED) % n_buckets
-            ids.append(bucket)
-    ids, counts = np.unique(np.array(ids, dtype=np.int64), return_counts=True)
-    return FeatureVector(ids=ids, counts=counts, n_buckets=n_buckets, n_range=n_range)
-
-
-def hashed_ngram_features(
-    doc: Document,
-    n_range: tuple[int, int] = DEFAULT_N_RANGE,
-    n_buckets: int = DEFAULT_N_BUCKETS,
-) -> FeatureVector:
-    """Bucketed counts of all token n-grams with n in ``n_range``.
-
-    Documents shorter than the smallest n yield an empty vector: no ids,
-    total 0.
+    One ``(ids, counts)`` pair per document: the sorted, distinct buckets
+    its n-grams fall in and how many fall in each, so memory grows with
+    distinct n-grams, not with ``N_BUCKETS``. An empty document has no
+    ids. Each distinct n-gram is hashed once per call.
     """
-    _check_params(n_range, n_buckets)
-    return _ngram_features(doc.tokens, n_range, n_buckets, {})
-
-
-def aggregate_features(vectors: Sequence[FeatureVector]) -> FeatureVector:
-    """Sum per-document feature vectors into one distribution."""
-    if not vectors:
-        raise RefineError("cannot aggregate zero feature vectors")
-    first = vectors[0]
-    _check_compatible(first, vectors)
-    # float64 weights count exactly up to 2**53 n-grams
-    dense = np.bincount(
-        np.concatenate([vec.ids for vec in vectors]),
-        weights=np.concatenate([vec.counts for vec in vectors]),
-        minlength=first.n_buckets,
-    ).astype(np.int64)
-    ids = np.flatnonzero(dense)
-    return FeatureVector(
-        ids=ids, counts=dense[ids], n_buckets=first.n_buckets, n_range=first.n_range
-    )
-
-
-def corpus_features(
-    corpus: Corpus,
-    n_range: tuple[int, int] = DEFAULT_N_RANGE,
-    n_buckets: int = DEFAULT_N_BUCKETS,
-) -> tuple[FeatureVector, list[FeatureVector]]:
-    """Per-document vectors plus their aggregate for a whole corpus.
-
-    Each distinct n-gram is hashed once per call.
-    """
-    _check_params(n_range, n_buckets)
+    lo, hi = N_RANGE
     memo: dict[tuple[str, ...], int] = {}
-    per_doc = [_ngram_features(d.tokens, n_range, n_buckets, memo) for d in corpus]
-    return aggregate_features(per_doc), per_doc
+    features = []
+    for doc in corpus:
+        ids = []
+        for n in range(lo, hi + 1):
+            for gram in zip(*(doc.tokens[k:] for k in range(n))):
+                bucket = memo.get(gram)
+                if bucket is None:
+                    bucket = memo[gram] = _ngram_hash(gram, FEATURE_HASH_SEED) % N_BUCKETS
+                ids.append(bucket)
+        features.append(np.unique(np.array(ids, dtype=np.int64), return_counts=True))
+    return features
 
 
-def _smoothed_log_probs(vec: FeatureVector, smoothing: float) -> np.ndarray:
-    total = vec.total
-    return np.log(
-        (vec.buckets + smoothing * total / vec.n_buckets) / (total * (1 + smoothing))
-    )
+def _smoothed_log_probs(
+    features: list[tuple[np.ndarray, np.ndarray]], name: str, smoothing: float
+) -> np.ndarray:
+    if not features:
+        raise RefineError(f"{name} corpus has no documents")
+    # float64 weights count exactly up to 2**53 n-grams
+    counts = np.bincount(
+        np.concatenate([ids for ids, _ in features]),
+        weights=np.concatenate([doc_counts for _, doc_counts in features]),
+        minlength=N_BUCKETS,
+    ).astype(np.int64)
+    total = int(counts.sum())
+    if total <= 0:
+        raise RefineError(f"{name} corpus has no n-grams")
+    return np.log((counts + smoothing * total / N_BUCKETS) / (total * (1 + smoothing)))
 
 
-def importance_weights(
-    raw: FeatureVector,
-    target: FeatureVector,
-    docs: Sequence[FeatureVector],
-    smoothing: float = 1e-4,
-) -> list[float]:
-    """Log-likelihood ratio of each document under target vs raw buckets.
+def importance_weights(raw: Corpus, target: Corpus, smoothing: float = 1e-4) -> list[float]:
+    """Log-likelihood ratio of each raw document under target vs raw buckets.
 
-    Each distribution gets add-smoothing proportional to its own total
-    (``count + smoothing * total / n_buckets`` per bucket), so every
-    bucket has positive probability, weights stay finite, and scaling
-    both totals by the same factor leaves the weights unchanged. Only the
-    raw and target aggregates are made dense.
+    Each corpus's bucket distribution gets add-smoothing proportional to
+    its own total (``count + smoothing * total / N_BUCKETS`` per bucket),
+    so every bucket has positive probability, weights stay finite, and
+    scaling both totals by the same factor leaves the weights unchanged.
+    Only the two corpus distributions are made dense.
     """
     if smoothing <= 0:
         raise RefineError(f"smoothing must be > 0, got {smoothing}")
-    _check_compatible(raw, [target, *docs])
-    if raw.total <= 0 or target.total <= 0:
-        raise RefineError("raw and target feature totals must be positive")
-    delta = _smoothed_log_probs(target, smoothing) - _smoothed_log_probs(raw, smoothing)
-    return [float(doc.counts @ delta[doc.ids]) for doc in docs]
+    docs = corpus_features(raw)
+    raw_logp = _smoothed_log_probs(docs, "raw", smoothing)
+    target_logp = _smoothed_log_probs(corpus_features(target), "target", smoothing)
+    delta = target_logp - raw_logp
+    return [float(counts @ delta[ids]) for ids, counts in docs]
 
 
 def select_by_weight(

@@ -387,6 +387,61 @@ def test_select_end_to_end(write_corpus, tmp_path, capsys):
     assert "dr" in side["before"]
 
 
+@pytest.mark.parametrize(
+    "raw_rows, target_rows, named",
+    [
+        ([], [{"text": "a b c"}], "raw"),
+        ([{"text": "a b c"}], [], "target"),
+        ([{"text": "a b c"}], [{"text": ""}, {"text": "   "}], "target"),
+    ],
+    ids=["empty-raw", "empty-target", "tokenless-target"],
+)
+def test_select_rejects_corpus_without_ngrams(
+    write_corpus, tmp_path, capsys, raw_rows, target_rows, named
+):
+    raw = write_corpus("raw.jsonl", raw_rows)
+    target = write_corpus("target.jsonl", target_rows)
+    out_path = tmp_path / "selected.jsonl"
+    code, _, err = run_cli(
+        ["select", raw, "--target", target, "--budget-tokens", "10", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error:") and f"{named} corpus" in err
+    assert not out_path.exists()
+
+
+def test_select_sidecar_syntheticity_matches_score(write_corpus, tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    raw = write_corpus("raw.jsonl", [
+        {"id": f"r{i}", "text": " ".join(f"w{v}" for v in rng.integers(0, 40, size=30))}
+        for i in range(24)
+    ])
+    target = write_corpus("target.jsonl", [
+        {"id": f"t{i}", "text": " ".join(f"w{v}" for v in rng.integers(0, 15, size=30))}
+        for i in range(8)
+    ])
+    ref = write_corpus("ref.jsonl", [
+        {"text": " ".join(f"w{v}" for v in rng.integers(0, 20, size=200))} for _ in range(4)
+    ])
+    out_path = tmp_path / "selected.jsonl"
+    report_path = tmp_path / "side.json"
+    code, _, _ = run_cli(
+        ["--seed", "7", "select", raw, "--target", target, "--budget-tokens", "300",
+         "--out", str(out_path), "--report", str(report_path), "--scorer", f"kgram:{ref}"],
+        capsys,
+    )
+    assert code == 0
+    side = json.loads(report_path.read_text())
+    code, out, _ = run_cli(
+        ["--seed", "7", "score", str(out_path), "--scorer", f"kgram:{ref}"], capsys
+    )
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    # score prints six significant digits
+    assert row["syntheticity"] == f"{side['after']['syntheticity']:.6g}"
+
+
 def test_dedup_end_to_end(write_corpus, tmp_path, capsys):
     rows = [{"id": "a", "text": "same text " * 50},
             {"id": "b", "text": "same text " * 50},

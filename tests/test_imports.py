@@ -1,10 +1,15 @@
-"""Every import in the package and the tests is used.
+"""Every import in the package and the tests is used, and every
+module-level definition in the package is referenced somewhere.
 
-``__init__.py`` is left out: its imports are the package's public names.
+``__init__.py`` is left out of both scans: its imports are the package's
+public names. Those exports do count as references, as do the dotted
+names the benchmark in ``perfbench/`` looks functions up by.
 """
 
 import ast
+import functools
 import os
+import re
 
 import pytest
 
@@ -12,6 +17,9 @@ import qtokens
 
 PACKAGE_DIR = os.path.dirname(qtokens.__file__)
 TESTS_DIR = os.path.dirname(__file__)
+REPO_DIR = os.path.dirname(TESTS_DIR)
+# Where a package definition may be referenced from; perfbench/ is only read.
+REFERENCE_DIRS = (os.path.dirname(PACKAGE_DIR), TESTS_DIR, os.path.join(REPO_DIR, "perfbench"))
 
 
 def _modules():
@@ -47,3 +55,101 @@ def test_scan_finds_an_unused_import():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """Module-level functions, classes and constants: (name, first line, last line)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        found += [(name, first, node.end_lineno) for name in names if not name.startswith("__")]
+    return found
+
+
+def _references(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every name read, attribute read, imported name, and each part of a
+    string that is a (dotted) identifier, such as ``"refine.select_by_weight"``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            found += [(part, node.lineno) for part in node.name.split(".")]
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _DOTTED_NAME.match(node.value)
+        ):
+            found += [(part, node.lineno) for part in node.value.split(".")]
+    return found
+
+
+def dead_definitions(sources: dict[str, str], path: str) -> list[str]:
+    """Module-level definitions in ``sources[path]`` that no source in
+    ``sources`` references outside the definition itself."""
+    trees = {p: ast.parse(text) for p, text in sources.items()}
+    elsewhere = {
+        name for p, tree in trees.items() if p != path for name, _ in _references(tree)
+    }
+    here = _references(trees[path])
+    return [
+        f"{name} (line {first})"
+        for name, first, last in _definitions(trees[path])
+        if name not in elsewhere
+        and not any(ref == name and not first <= line <= last for ref, line in here)
+    ]
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_sources() -> dict[str, str]:
+    sources = {}
+    for directory in REFERENCE_DIRS:
+        for root, _, names in os.walk(directory):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as fh:
+                        sources[path] = fh.read()
+    return sources
+
+
+def test_scan_finds_a_dead_definition():
+    module = (
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "def used():\n"
+        "    return LIMIT\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "class Ghost:\n"
+        "    pass\n"
+        "def by_name():\n"
+        "    pass\n"
+    )
+    caller = "from mod import used\nprint(used(), 'Ghost is a word', 'mod.by_name')\n"
+    assert dead_definitions({"mod.py": module, "caller.py": caller}, "mod.py") == [
+        "UNUSED (line 2)", "recursive (line 5)", "Ghost (line 7)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [os.path.join(PACKAGE_DIR, n) for n in sorted(os.listdir(PACKAGE_DIR))
+     if n.endswith(".py") and n != "__init__.py"],
+    ids=lambda p: os.path.relpath(p, REPO_DIR),
+)
+def test_no_dead_definitions(path):
+    assert dead_definitions(_reference_sources(), path) == []

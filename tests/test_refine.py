@@ -11,11 +11,10 @@ from qtokens.diversity import diversity_score
 from qtokens.errors import RefineError
 from qtokens.refine import (
     FEATURE_HASH_SEED,
-    aggregate_features,
+    N_BUCKETS,
     corpus_features,
     dedup_exact,
     dedup_near,
-    hashed_ngram_features,
     importance_weights,
     jaccard,
     lsh_collision_probability,
@@ -23,121 +22,110 @@ from qtokens.refine import (
 )
 
 
+def oracle_bucket(gram: tuple[str, ...]) -> int:
+    """The published bucket convention, computed independently."""
+    digest = hashlib.blake2b(
+        "\x1f".join(gram).encode(), digest_size=8,
+        key=FEATURE_HASH_SEED.to_bytes(8, "big"),
+    ).digest()
+    return int.from_bytes(digest, "big") % N_BUCKETS
+
+
+def oracle_counts(tokens: list[str]) -> dict[int, int]:
+    """Bucket counts of a token list's uni- and bigrams."""
+    counts: dict[int, int] = {}
+    for n in (1, 2):
+        for i in range(len(tokens) - n + 1):
+            bucket = oracle_bucket(tuple(tokens[i : i + n]))
+            counts[bucket] = counts.get(bucket, 0) + 1
+    return counts
+
+
 def test_features_empty_document():
-    fv = hashed_ngram_features(Document.create("e", ""), (1, 2), 64)
-    assert fv.total == 0
-    assert not fv.buckets.any()
+    [(ids, counts)] = corpus_features(Corpus([Document.create("e", "")]))
+    assert len(ids) == 0
+    assert counts.sum() == 0
 
 
 def test_features_single_repeated_token():
-    fv = hashed_ngram_features(Document.create("a", "a a a"), (1, 1), 1 << 20)
-    nonzero = fv.buckets[fv.buckets > 0]
-    assert list(nonzero) == [3]
-    assert fv.total == 3
+    # "a" three times and ("a", "a") twice, in two distinct buckets
+    [(ids, counts)] = corpus_features(Corpus([Document.create("a", "a a a")]))
+    assert list(ids) == sorted([oracle_bucket(("a",)), oracle_bucket(("a", "a"))])
+    assert sorted(counts) == [2, 3]
 
 
 def test_features_match_brute_force_enumeration():
     rng = np.random.default_rng(14)
     text = " ".join(f"w{v}" for v in rng.integers(0, 9, size=20))
-    fv = hashed_ngram_features(Document.create("d", text), (1, 2), 64)
-
-    # independent enumeration with the published bucket convention
-    def bucket(ngram):
-        digest = hashlib.blake2b(
-            "\x1f".join(ngram).encode(), digest_size=8,
-            key=FEATURE_HASH_SEED.to_bytes(8, "big"),
-        ).digest()
-        return int.from_bytes(digest, "big") % 64
-
-    expected = np.zeros(64, dtype=np.int64)
-    tokens = text.split()
-    for n in (1, 2):
-        for i in range(len(tokens) - n + 1):
-            expected[bucket(tuple(tokens[i : i + n]))] += 1
-    assert (fv.buckets == expected).all()
-    assert fv.total == expected.sum() == 20 + 19
-
-
-def test_features_short_document_zero_vector():
-    fv = hashed_ngram_features(Document.create("s", "one"), (2, 3), 64)
-    assert fv.total == 0
-
-
-def test_features_invalid_params():
-    doc = Document.create("x", "a b")
-    with pytest.raises(RefineError):
-        hashed_ngram_features(doc, (0, 2), 64)
-    with pytest.raises(RefineError):
-        hashed_ngram_features(doc, (2, 1), 64)
-    with pytest.raises(RefineError):
-        hashed_ngram_features(doc, (1, 2), 0)
+    [(ids, counts)] = corpus_features(Corpus([Document.create("d", text)]))
+    expected = oracle_counts(text.split())
+    assert list(ids) == sorted(expected)
+    assert list(counts) == [expected[b] for b in sorted(expected)]
+    assert counts.sum() == 20 + 19
 
 
 def test_weights_zero_when_distributions_match():
     corpus = Corpus.from_texts(["a b c", "d e f", "a b c"])
-    agg, per_doc = corpus_features(corpus, (1, 1), 32)
-    weights = importance_weights(agg, agg, per_doc)
+    weights = importance_weights(corpus, corpus)
     assert weights == [0.0, 0.0, 0.0]
 
 
 def test_weights_scale_invariant():
-    raw_corpus = Corpus.from_texts(["a b c d", "e f g h"])
-    target_corpus = Corpus.from_texts(["a b a b", "c d c d"])
-    raw, per_doc = corpus_features(raw_corpus, (1, 1), 32)
-    target, _ = corpus_features(target_corpus, (1, 1), 32)
-    scaled_raw = aggregate_features([raw, raw, raw])
-    scaled_target = aggregate_features([target, target, target])
-    w1 = importance_weights(raw, target, per_doc, smoothing=0.01)
-    w2 = importance_weights(scaled_raw, scaled_target, per_doc, smoothing=0.01)
-    assert w1 == pytest.approx(w2, rel=1e-12)
+    raw_texts = ["a b c d", "e f g h"]
+    target_texts = ["a b a b", "c d c d"]
+    w1 = importance_weights(
+        Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts), smoothing=0.01
+    )
+    # Each corpus three times over, under fresh ids, triples every count
+    # and leaves every document's weight as it was.
+    w3 = importance_weights(
+        Corpus.from_texts(raw_texts * 3, id_prefix="raw3"),
+        Corpus.from_texts(target_texts * 3, id_prefix="target3"),
+        smoothing=0.01,
+    )
+    assert w3 == pytest.approx(w1 * 3, rel=1e-12)
 
 
 def test_weights_positive_when_target_dominates():
-    # target has much more of the doc's vocabulary than raw does
-    raw_corpus = Corpus.from_texts(["x y z w q r s t u v"])
-    target_corpus = Corpus.from_texts(["a b a b a b", "a b x y"])
-    doc = Document.create("probe", "a b a b")
-    n_range, buckets = (1, 1), 64
-    raw, _ = corpus_features(raw_corpus, n_range, buckets)
-    target, _ = corpus_features(target_corpus, n_range, buckets)
-    probe_fv = hashed_ngram_features(doc, n_range, buckets)
-    weights = importance_weights(raw, target, [probe_fv], smoothing=0.01)
-    assert weights[0] > 0
+    # target has much more of the probe's vocabulary than raw does
+    raw = Corpus.from_texts(["x y z w q r s t u v", "a b a b"])
+    target = Corpus.from_texts(["a b a b a b", "a b x y"])
+    weights = importance_weights(raw, target, smoothing=0.01)
+    assert weights[1] > 0
+    assert weights[0] < 0
 
 
 def test_weights_hand_computed_small_fixture():
-    # 4 buckets, hand-maintained counts; weights follow
     # sum_b count_doc[b] * (log p_target[b] - log p_raw[b]) with the
-    # relative add-smoothing p[b] = (c[b] + g*T/B) / (T*(1+g)).
-    from qtokens.refine import FeatureVector
-
-    def fv(ids, counts):
-        return FeatureVector(np.array(ids), np.array(counts), n_buckets=4, n_range=(1, 1))
-
-    raw = fv([0, 1, 2, 3], [4, 3, 2, 1])
-    target = fv([0, 1, 2, 3], [1, 2, 3, 4])
-    docs = [
-        fv([0], [2]),
-        fv([3], [2]),
-        fv([0, 1, 2, 3], [1, 1, 1, 1]),
-        fv([1, 2], [2, 2]),
-        fv([0, 3], [5, 5]),
-    ]
+    # relative add-smoothing p[b] = (c[b] + g*T/B) / (T*(1+g)), from a
+    # pure-Python enumeration of every document's uni- and bigrams.
+    rng = np.random.default_rng(21)
+    raw_texts = [" ".join(f"w{v}" for v in rng.integers(0, 30, size=25)) for _ in range(6)]
+    target_texts = [" ".join(f"w{v}" for v in rng.integers(0, 12, size=25)) for _ in range(4)]
     g = 0.1
-    p_raw = [(c + g * 10 / 4) / (10 * (1 + g)) for c in (4, 3, 2, 1)]
-    p_tgt = [(c + g * 10 / 4) / (10 * (1 + g)) for c in (1, 2, 3, 4)]
-    expected = []
-    for doc in docs:
-        expected.append(
-            sum(
-                int(doc.buckets[b]) * (math.log(p_tgt[b]) - math.log(p_raw[b]))
-                for b in range(4)
-            )
+
+    def distribution(texts):
+        counts: dict[int, int] = {}
+        for text in texts:
+            for bucket, count in oracle_counts(text.split()).items():
+                counts[bucket] = counts.get(bucket, 0) + count
+        total = sum(counts.values())
+        return lambda b: (counts.get(b, 0) + g * total / N_BUCKETS) / (total * (1 + g))
+
+    p_raw, p_tgt = distribution(raw_texts), distribution(target_texts)
+    expected = [
+        sum(
+            count * (math.log(p_tgt(b)) - math.log(p_raw(b)))
+            for b, count in oracle_counts(text.split()).items()
         )
-    weights = importance_weights(raw, target, docs, smoothing=g)
+        for text in raw_texts
+    ]
+    weights = importance_weights(
+        Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts), smoothing=g
+    )
+    # every weight is far from 0, so rel=1e-12 is a real bound
+    assert min(abs(w) for w in expected) > 1.0
     assert weights == pytest.approx(expected, rel=1e-12)
-    # symmetric document sees both distributions alike
-    assert weights[4] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_corpus_features_hash_each_distinct_ngram_once(monkeypatch):
@@ -150,7 +138,7 @@ def test_corpus_features_hash_each_distinct_ngram_once(monkeypatch):
         return real(gram, seed)
 
     monkeypatch.setattr(refine, "_ngram_hash", counting)
-    agg, per_doc = corpus_features(corpus, (1, 2), 64)
+    features = corpus_features(corpus)
     distinct = {
         tuple(doc.tokens[i : i + n])
         for doc in corpus
@@ -159,11 +147,27 @@ def test_corpus_features_hash_each_distinct_ngram_once(monkeypatch):
     }
     assert len(calls) == len(distinct) == 3 + 5
     assert sorted(calls) == sorted(distinct)
-    # sharing the hashes across documents changes no vector
-    for doc, fv in zip(corpus, per_doc):
-        alone = hashed_ngram_features(doc, (1, 2), 64)
-        assert (fv.ids == alone.ids).all() and (fv.counts == alone.counts).all()
-    assert (agg.buckets == sum(fv.buckets for fv in per_doc)).all()
+    # sharing the hashes across documents changes no document's features
+    for doc, (ids, counts) in zip(corpus, features):
+        [(alone_ids, alone_counts)] = corpus_features(Corpus([doc]))
+        assert (ids == alone_ids).all() and (counts == alone_counts).all()
+
+
+def test_weights_read_features_through_corpus_features(monkeypatch):
+    # Callers that wrap refine.corpus_features (the benchmark's tracer)
+    # see both corpora go through it.
+    seen = []
+    real = refine.corpus_features
+
+    def recording(corpus):
+        seen.append([doc.id for doc in corpus])
+        return real(corpus)
+
+    monkeypatch.setattr(refine, "corpus_features", recording)
+    raw = Corpus.from_texts(["a b c", "c d e"], id_prefix="raw")
+    target = Corpus.from_texts(["a b"], id_prefix="target")
+    importance_weights(raw, target)
+    assert seen == [["raw:0", "raw:1"], ["target:0"]]
 
 
 def test_corpus_features_memory_is_sparse():
@@ -180,31 +184,28 @@ def test_corpus_features_memory_is_sparse():
         tracemalloc.stop()
     # dense storage would hold 200 x 65,536 int64 counts (100 MB)
     assert held < 8 * 2**20
-    assert features[1][0].n_buckets == 1 << 16
+    assert len(features) == 200
+    assert all(0 <= ids.min() and ids.max() < N_BUCKETS for ids, _ in features)
 
 
 @pytest.mark.parametrize(
-    "raw_buckets, target_buckets, doc_buckets, raw_range",
+    "raw_texts, target_texts, message",
     [
-        (64, 32, 64, (1, 2)),
-        (64, 64, 32, (1, 2)),
-        (64, 64, 64, (1, 1)),
+        ([], ["a b"], "raw corpus has no documents"),
+        (["a b"], [], "target corpus has no documents"),
+        (["", ""], ["a b"], "raw corpus has no n-grams"),
+        (["a b"], ["", ""], "target corpus has no n-grams"),
     ],
 )
-def test_weights_reject_mismatched_vectors(raw_buckets, target_buckets, doc_buckets, raw_range):
-    corpus = Corpus.from_texts(["a b c", "c d e"])
-    raw, _ = corpus_features(corpus, raw_range, raw_buckets)
-    target, _ = corpus_features(corpus, (1, 2), target_buckets)
-    _, docs = corpus_features(corpus, (1, 2), doc_buckets)
-    with pytest.raises(RefineError, match="disagree"):
-        importance_weights(raw, target, docs)
+def test_weights_name_the_corpus_without_ngrams(raw_texts, target_texts, message):
+    with pytest.raises(RefineError, match=message):
+        importance_weights(Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts))
 
 
 def test_weights_invalid_smoothing():
     corpus = Corpus.from_texts(["a b"])
-    agg, per_doc = corpus_features(corpus, (1, 1), 8)
     with pytest.raises(RefineError):
-        importance_weights(agg, agg, per_doc, smoothing=0.0)
+        importance_weights(corpus, corpus, smoothing=0.0)
 
 
 def weighted_corpus():
