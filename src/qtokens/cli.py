@@ -66,7 +66,7 @@ def _load_constants(spec: str) -> ScalingConstants:
     )
 
 
-def _make_scorer(spec: str | None, tokenizer: Tokenizer, kgram_k: int):
+def _make_scorer(spec: str | None, tokenizer: Tokenizer):
     if spec is None:
         spec = os.environ.get(SCORER_ENV) or "none"
         if spec != "none" and not spec.startswith(("kgram:", "external:")):
@@ -75,7 +75,7 @@ def _make_scorer(spec: str | None, tokenizer: Tokenizer, kgram_k: int):
         return None
     if spec.startswith("kgram:"):
         reference = load_jsonl(spec.split(":", 1)[1], tokenizer)
-        return train_kgram_scorer(reference, k=kgram_k)
+        return train_kgram_scorer(reference)
     if spec.startswith("external:"):
         return external_scorer_connect(spec.split(":", 1)[1])
     raise QTokensError(f"unknown scorer spec {spec!r}")
@@ -97,14 +97,12 @@ def _close_scorer(scorer) -> None:
 
 def cmd_score(args) -> int:
     tokenizer = Tokenizer.from_spec(args.tokenizer)
-    scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k)
+    scorer = _make_scorer(args.scorer, tokenizer)
 
     def score_one(path: str) -> dict:
         corpus = load_jsonl(path, tokenizer)
         name = os.path.basename(path)
-        rep = diversity.score_corpus_diversity(
-            corpus, level=args.level, mattr_window=args.mattr_window
-        )
+        rep = diversity.score_corpus_diversity(corpus, level=args.level)
         for warning in rep.warnings:
             print(f"warning: {name}: {warning}", file=sys.stderr)
         row = {"corpus": name, "tokens": corpus.total_tokens, **rep.to_flat_dict()}
@@ -131,34 +129,22 @@ def cmd_score(args) -> int:
 
 def cmd_fit(args) -> int:
     if args.fixture:
+        if args.quality:
+            raise QTokensError("--quality needs --experiments, not --fixture")
         points = fixtures.fixture_points()
-    elif args.experiments:
+    else:
         quality = fitting.load_quality_csv(args.quality) if args.quality else None
         points = fitting.load_experiments_csv(args.experiments, quality)
-    else:
-        raise QTokensError("fit needs --experiments CSV or --fixture")
     if args.init:
         init = _load_constants(args.init).with_form(args.form)
     else:
         init = default_initial_guess(args.form)
     report = fitting.fit_constants(
-        points,
-        init,
-        max_evals=args.max_evals,
-        max_iters=args.max_iters,
-        clamp_during_fit=args.clamp,
-        n_restarts=args.restarts,
-        restart_seed=args.seed,
+        points, init, n_restarts=args.restarts, restart_seed=args.seed
     )
     if args.bootstrap_n > 0:
         report.se = fitting.bootstrap_se(
-            points,
-            report,
-            n_resamples=args.bootstrap_n,
-            seed=args.seed,
-            max_evals=args.max_evals,
-            max_iters=args.max_iters,
-            clamp_during_fit=args.clamp,
+            points, report, n_resamples=args.bootstrap_n, seed=args.seed
         )
     payload = fitting.fit_report_to_dict(report, points, seed=args.seed)
     text = json.dumps(payload, indent=2) + "\n"
@@ -192,7 +178,7 @@ def _write_sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **
     and token counts, Dr and S before and after refinement, then ``extra``."""
     if not args.report:
         return
-    scorer = _make_scorer(args.scorer, tokenizer, args.kgram_k)
+    scorer = _make_scorer(args.scorer, tokenizer)
     side = {
         "seed": args.seed,
         "before": {"documents": len(before), "tokens": before.total_tokens},
@@ -222,7 +208,7 @@ def cmd_select(args) -> int:
     tokenizer = Tokenizer.from_spec(args.tokenizer)
     raw = load_jsonl(args.input, tokenizer)
     target = load_jsonl(args.target, tokenizer)
-    weights = refine.importance_weights(raw, target, args.smoothing)
+    weights = refine.importance_weights(raw, target)
     selected, warnings = refine.select_by_weight(
         raw, weights, args.budget_tokens, mode=args.mode, seed=args.seed
     )
@@ -239,14 +225,7 @@ def cmd_dedup(args) -> int:
     if args.mode == "exact":
         deduped = refine.dedup_exact(corpus)
     else:
-        deduped = refine.dedup_near(
-            corpus,
-            shingle_n=args.shingle_n,
-            n_hashes=args.n_hashes,
-            bands=args.bands,
-            seed=args.seed,
-            keep=args.keep,
-        )
+        deduped = refine.dedup_near(corpus, seed=args.seed)
     write_jsonl(deduped, args.out)
     _write_sidecar(args, tokenizer, corpus, deduped, mode=args.mode)
     return 0
@@ -277,28 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--scorer", default=None,
                          help=f"none | kgram:<ref.jsonl> | external:<target> "
                               f"(default from ${SCORER_ENV} if set)")
-    scoring.add_argument("--kgram-k", type=int, default=3)
 
     p = sub.add_parser("score", parents=[scoring],
                        help="diversity/syntheticity metrics per corpus")
     p.add_argument("inputs", nargs="+", help="JSONL corpus files")
     p.add_argument("--sample-fraction", type=float, default=syntheticity.DEFAULT_SAMPLE_FRACTION)
     p.add_argument("--level", type=int, default=diversity.DEFAULT_LEVEL)
-    p.add_argument("--mattr-window", type=int, default=diversity.DEFAULT_MATTR_WINDOW)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("fit", help="estimate scaling-law constants")
-    p.add_argument("--experiments", help="experiments CSV path")
-    p.add_argument("--quality", help="separate quality CSV (label, pct, dr, s)")
-    p.add_argument("--fixture", action="store_true", help="use the embedded dataset")
+    data = p.add_mutually_exclusive_group(required=True)
+    data.add_argument("--experiments", help="experiments CSV path")
+    data.add_argument("--fixture", action="store_true", help="use the embedded dataset")
+    p.add_argument("--quality", help="separate quality CSV (label, pct, dr, s); "
+                                     "needs --experiments")
     p.add_argument("--form", default="F1", choices=["F1", "F2", "F3", "F4"])
     p.add_argument("--init", help="initial constants: preset name or JSON path")
-    p.add_argument("--max-evals", type=int, default=fitting.DEFAULT_MAX_EVALS)
-    p.add_argument("--max-iters", type=int, default=fitting.DEFAULT_MAX_ITERS)
     p.add_argument("--restarts", type=int, default=0,
                    help="extra fits from perturbed initial guesses; best SSE wins")
     p.add_argument("--bootstrap-n", type=int, default=0)
-    p.add_argument("--clamp", action="store_true", help="clamp predictions during the fit")
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_fit)
 
@@ -322,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target corpus JSONL")
     p.add_argument("--budget-tokens", type=int, required=True)
     p.add_argument("--mode", default="topk", choices=["topk", "gumbel-sample"])
-    p.add_argument("--smoothing", type=float, default=1e-4)
     p.add_argument("--out", required=True, help="selected corpus JSONL")
     p.add_argument("--report", help="sidecar JSON with before/after stats")
     p.set_defaults(func=cmd_select)
@@ -330,10 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dedup", parents=[scoring], help="remove exact or near duplicates")
     p.add_argument("input", help="corpus JSONL")
     p.add_argument("--mode", default="exact", choices=["exact", "near"])
-    p.add_argument("--shingle-n", type=int, default=refine.DEFAULT_SHINGLE_N)
-    p.add_argument("--n-hashes", type=int, default=refine.DEFAULT_N_HASHES)
-    p.add_argument("--bands", type=int, default=refine.DEFAULT_BANDS)
-    p.add_argument("--keep", default="longest", choices=["longest", "first"])
     p.add_argument("--out", required=True, help="deduplicated corpus JSONL")
     p.add_argument("--report", help="sidecar JSON with before/after stats")
     p.set_defaults(func=cmd_dedup)

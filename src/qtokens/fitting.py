@@ -11,6 +11,9 @@ from blowing up early in the search.
 Goodness of fit is reported as R-squared and the Pearson correlation of
 predictions against observations. Parameter uncertainty comes from
 refitting on seeded bootstrap resamples.
+
+Every fit runs on unclamped residuals, within at most ``MAX_EVALS``
+residual evaluations and ``MAX_ITERS`` iterations per start.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .errors import FittingError
 from .scaling_law import ScalingConstants, _dq, _score
 
 N_PARAMS = 7
-DEFAULT_MAX_EVALS = 2000
-DEFAULT_MAX_ITERS = 200
+MAX_EVALS = 2000
+MAX_ITERS = 200
 FTOL = 1e-10
 LAMBDA0 = 1e-3
 FD_REL_STEP = 1e-6
@@ -95,17 +98,12 @@ def _point_arrays(points: Sequence[ExperimentPoint]):
     return n, d, dr, s, y
 
 
-def model_predictions(
-    theta: np.ndarray, n, d, dr, s, form: str, clamp: bool = False
-) -> np.ndarray:
-    """Vectorized model over experiment arrays; may return non-finite
-    values for wild parameters (callers reject those trial steps)."""
+def model_predictions(theta: np.ndarray, n, d, dr, s, form: str) -> np.ndarray:
+    """Vectorized unclamped model over experiment arrays; may return
+    non-finite values for wild parameters (callers reject those trial steps)."""
     e, a, alpha, b, beta, c1, c2 = theta
     with np.errstate(all="ignore"):
-        pred = _score(n, _dq(d, dr, s, c1, c2, form, np.exp), e, a, alpha, b, beta)
-    if clamp:
-        pred = np.clip(pred, 0.0, 1.0)
-    return pred
+        return _score(n, _dq(d, dr, s, c1, c2, form, np.exp), e, a, alpha, b, beta)
 
 
 def _theta_of(consts: ScalingConstants) -> np.ndarray:
@@ -122,8 +120,6 @@ def _consts_of(theta: np.ndarray, form: str) -> ScalingConstants:
 def _levenberg_marquardt(
     residual: Callable[[np.ndarray], np.ndarray],
     theta0: np.ndarray,
-    max_evals: int,
-    max_iters: int,
 ) -> tuple[np.ndarray, float, int, int, bool]:
     """Minimize ||residual(theta)||^2; returns (theta, sse, evals, iters, converged)."""
     n_evals = 0
@@ -142,7 +138,7 @@ def _levenberg_marquardt(
     col_scale = np.zeros(theta.size)
     n_iters = 0
     converged = False
-    while n_iters < max_iters and n_evals + theta.size < max_evals:
+    while n_iters < MAX_ITERS and n_evals + theta.size < MAX_EVALS:
         n_iters += 1
         jac = np.empty((r.size, theta.size))
         for j in range(theta.size):
@@ -160,7 +156,7 @@ def _levenberg_marquardt(
             converged = True
             break
         accepted = False
-        while n_evals < max_evals and lam <= LAMBDA_MAX:
+        while n_evals < MAX_EVALS and lam <= LAMBDA_MAX:
             try:
                 step = np.linalg.solve(normal + lam * np.diag(scale**2), -gradient)
             except np.linalg.LinAlgError:
@@ -190,9 +186,6 @@ def _levenberg_marquardt(
 def fit_constants(
     points: Sequence[ExperimentPoint],
     init: ScalingConstants,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    clamp_during_fit: bool = False,
     n_restarts: int = 0,
     restart_seed: int = 0,
 ) -> FitReport:
@@ -201,8 +194,9 @@ def fit_constants(
 
     The returned SSE is never worse than at the initial guess, and the
     whole procedure is deterministic for identical inputs. Residuals use
-    the unclamped model unless ``clamp_during_fit`` is set (the clamp
-    zeroes gradients wherever predictions saturate).
+    the unclamped model, since a clamp would zero the gradient wherever
+    predictions saturate. Each start may use up to ``MAX_EVALS`` residual
+    evaluations and ``MAX_ITERS`` iterations.
 
     ``n_restarts`` extra runs start from seeded perturbations of the
     initial guess (each with its own evaluation budget); the best SSE
@@ -217,21 +211,17 @@ def fit_constants(
     n, d, dr, s, y = _point_arrays(points)
 
     def residual(theta):
-        return model_predictions(theta, n, d, dr, s, form, clamp=clamp_during_fit) - y
+        return model_predictions(theta, n, d, dr, s, form) - y
 
     theta0 = _theta_of(init)
-    theta, sse, n_evals, n_iters, converged = _levenberg_marquardt(
-        residual, theta0, max_evals, max_iters
-    )
+    theta, sse, n_evals, n_iters, converged = _levenberg_marquardt(residual, theta0)
     for i in range(n_restarts):
         rng = np.random.default_rng([restart_seed, i])
         perturbed = theta0 * rng.uniform(0.5, 1.5, size=theta0.size) + rng.normal(
             0.0, 0.1, size=theta0.size
         )
         try:
-            theta_r, sse_r, evals_r, iters_r, conv_r = _levenberg_marquardt(
-                residual, perturbed, max_evals, max_iters
-            )
+            theta_r, sse_r, evals_r, iters_r, conv_r = _levenberg_marquardt(residual, perturbed)
         except FittingError:
             continue
         n_evals += evals_r
@@ -239,7 +229,7 @@ def fit_constants(
         if sse_r < sse:
             theta, sse, converged = theta_r, sse_r, conv_r
     constants = _consts_of(theta, form)
-    pred = model_predictions(theta, n, d, dr, s, form, clamp=clamp_during_fit)
+    pred = model_predictions(theta, n, d, dr, s, form)
     residuals = (pred - y).tolist()
     return FitReport(
         constants=constants,
@@ -295,9 +285,6 @@ def bootstrap_se(
     base: FitReport,
     n_resamples: int,
     seed: int,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    clamp_during_fit: bool = False,
 ) -> dict[str, float]:
     """Per-parameter standard errors from seeded with-replacement resamples.
 
@@ -315,13 +302,7 @@ def bootstrap_se(
         idx = rng.integers(0, n, size=n)
         resample = [points[j] for j in idx]
         try:
-            report = fit_constants(
-                resample,
-                base.constants,
-                max_evals=max_evals,
-                max_iters=max_iters,
-                clamp_during_fit=clamp_during_fit,
-            )
+            report = fit_constants(resample, base.constants)
         except FittingError:
             failures += 1
             continue

@@ -31,6 +31,7 @@ from .diversity import _encode
 from .errors import ProtocolError, ScorerError
 
 DEFAULT_CONTEXT_LEN = 1024
+DEFAULT_KGRAM_K = 3
 DEFAULT_SAMPLE_FRACTION = 0.25
 # Requests an external scorer may have outstanding at a time.
 MAX_IN_FLIGHT = 8
@@ -140,7 +141,7 @@ def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def train_kgram_scorer(
     reference: Corpus,
-    k: int,
+    k: int = DEFAULT_KGRAM_K,
     smoothing: float = 1.0,
     context_len: int = DEFAULT_CONTEXT_LEN,
 ) -> KgramScorer:
@@ -234,7 +235,11 @@ class ExternalScorer:
             except Exception:
                 pass
             self._proc.terminate()
-            self._proc.wait(timeout=5)
+            try:
+                self._proc.wait(timeout=self.timeout)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
             self._proc.stdout.close()
         if self._conn is not None:
             self._conn.close()

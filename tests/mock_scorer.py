@@ -12,11 +12,13 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     die        exit with status 3 after reading one request
     batch4     hold requests until 4 are unanswered, or stdin has been idle
                for 3 s, then answer the held ones in order
+    stubborn   ignore SIGTERM, reply like const, and linger after stdin closes
 """
 
 import json
 import os
 import select
+import signal
 import sys
 import time
 
@@ -57,6 +59,9 @@ def main():
     if mode == "batch4":
         batch4()
         return
+    stubborn = mode == "stubborn"
+    if stubborn:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
     buffered = []
     for line in sys.stdin:
         if not line.strip():
@@ -94,6 +99,8 @@ def main():
             mode = "const"
             continue
         reply({"id": req["id"], "logprobs": [-1.0] * len(req["tokens"])})
+    if stubborn:
+        time.sleep(3600)
 
 
 if __name__ == "__main__":

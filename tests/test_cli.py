@@ -202,6 +202,23 @@ def test_fit_experiments_with_quality_csv_matches_fixture(tmp_path, capsys):
     assert json.loads(out) == json.loads(fixture_out)
 
 
+def test_fit_needs_exactly_one_data_source(capsys):
+    for argv in (["fit"], ["fit", "--fixture", "--experiments", "runs.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code != 0
+        assert "error:" in capsys.readouterr().err
+
+
+def test_fit_quality_needs_experiments(tmp_path, capsys):
+    quality = tmp_path / "q.csv"
+    _write_quality_csv(quality, QUALITY_TABLE)
+    code, out, err = run_cli(["fit", "--fixture", "--quality", str(quality)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--quality" in err
+
+
 @pytest.mark.parametrize("bad_row", [("Random", 20, "oops", 0.02), ("Random", 20)])
 def test_fit_malformed_quality_row(tmp_path, capsys, bad_row):
     exp = tmp_path / "exp.csv"
@@ -462,6 +479,60 @@ def test_dedup_end_to_end(write_corpus, tmp_path, capsys):
     side = json.loads(report_path.read_text())
     assert side["after"]["documents"] == 2
     assert side["after"]["dr"] > side["before"]["dr"]
+
+
+def test_fixed_settings_are_the_library_defaults(write_corpus, tmp_path, capsys):
+    from qtokens.corpus import load_jsonl
+    from qtokens.diversity import score_corpus_diversity
+    from qtokens.refine import dedup_near, importance_weights, select_by_weight
+    from qtokens.syntheticity import score_corpus, train_kgram_scorer
+
+    rng = np.random.default_rng(6)
+
+    def text(vocab, length):
+        return " ".join(f"w{v}" for v in rng.integers(0, vocab, size=length))
+
+    ref = write_corpus("ref.jsonl", [{"text": text(12, 80)} for _ in range(6)])
+    # Raw documents of mixed length and vocabulary rank differently under
+    # other selection smoothings.
+    raw = write_corpus("raw.jsonl", [
+        {"id": f"r{i}", "text": text(int(rng.integers(12, 60)), int(rng.integers(8, 40)))}
+        for i in range(30)
+    ])
+    target = write_corpus("target.jsonl", [{"text": text(12, 25)} for _ in range(8)])
+    # Pairs whose second, longer copy replaces every 8th to 29th token:
+    # other shingle lengths, hash counts or keep rules cluster them differently.
+    dup_rows = []
+    for g in range(8):
+        base = text(5000, 120).split()
+        copy = [t if i % (8 + 3 * g) else "x" for i, t in enumerate(base, 1)]
+        dup_rows += [{"id": f"g{g}a", "text": " ".join(base)},
+                     {"id": f"g{g}b", "text": " ".join(copy + ["tail", "end"])}]
+    dups = write_corpus("dups.jsonl", dup_rows)
+
+    code, out, _ = run_cli(["score", raw, "--scorer", f"kgram:{ref}"], capsys)
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    raw_corpus = load_jsonl(raw)
+    s = score_corpus(train_kgram_scorer(load_jsonl(ref)), raw_corpus, 0.25, 42).s
+    assert row["syntheticity"] == f"{s:.6g}"
+    assert row["mattr"] == f"{score_corpus_diversity(raw_corpus).mattr:.6g}"
+
+    selected = tmp_path / "selected.jsonl"
+    code, _, _ = run_cli(["select", raw, "--target", target, "--budget-tokens", "200",
+                          "--out", str(selected)], capsys)
+    assert code == 0
+    expected, _ = select_by_weight(
+        raw_corpus, importance_weights(raw_corpus, load_jsonl(target)), 200, seed=42
+    )
+    assert [d.id for d in load_jsonl(str(selected))] == [d.id for d in expected]
+
+    deduped = tmp_path / "deduped.jsonl"
+    code, _, _ = run_cli(["dedup", dups, "--mode", "near", "--out", str(deduped)], capsys)
+    assert code == 0
+    expected_ids = [d.id for d in dedup_near(load_jsonl(dups), seed=42)]
+    assert [d.id for d in load_jsonl(str(deduped))] == expected_ids
+    assert {f"g{g}b" for g in range(8)} < set(expected_ids) < {r["id"] for r in dup_rows}
 
 
 def test_dedup_near_shingles_under_global_tokenizer(write_corpus, tmp_path, capsys):

@@ -189,12 +189,6 @@ def test_fit_rejects_nonfinite_initial_model():
         fit_constants(points, bad)
 
 
-def test_fit_clamped_mode_runs():
-    points = synthetic_points(TRUTH)
-    report = fit_constants(points, PERTURBED, clamp_during_fit=True)
-    assert report.sse < 1e-8
-
-
 def test_fit_sse_equals_sum_of_squared_residuals():
     report = fit_constants(fixture_points(), default_initial_guess("F1"))
     assert report.sse == pytest.approx(sum(r * r for r in report.residuals), rel=1e-12)

@@ -1,11 +1,13 @@
-"""Every import in the package and the tests is used, and every
-module-level definition in the package is referenced somewhere.
+"""Every import in the package and the tests is used, every module-level
+definition in the package is referenced somewhere, and every command-line
+option is set somewhere.
 
 ``__init__.py`` is left out of both scans: its imports are the package's
 public names. Those exports do count as references, as do the dotted
 names the benchmark in ``perfbench/`` looks functions up by.
 """
 
+import argparse
 import ast
 import functools
 import os
@@ -14,6 +16,7 @@ import re
 import pytest
 
 import qtokens
+from qtokens.cli import build_parser
 
 PACKAGE_DIR = os.path.dirname(qtokens.__file__)
 TESTS_DIR = os.path.dirname(__file__)
@@ -153,3 +156,33 @@ def test_scan_finds_a_dead_definition():
 )
 def test_no_dead_definitions(path):
     assert dead_definitions(_reference_sources(), path) == []
+
+
+def _option_strings(parser: argparse.ArgumentParser):
+    """(command, option string) for ``parser`` and its subcommands, without -h/--help."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                yield from _option_strings(subparser)
+        elif not isinstance(action, argparse._HelpAction):
+            yield from ((parser.prog, option) for option in action.option_strings)
+
+
+def test_every_cli_option_is_set_somewhere():
+    """An option that no README example, test or benchmark job sets is a
+    setting with one value in use; it belongs in the code as a constant."""
+    with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
+        texts = re.findall(r"^```.*?^```", fh.read(), re.M | re.S)
+    for directory in (TESTS_DIR, os.path.join(REPO_DIR, "perfbench")):
+        for root, _, names in os.walk(directory):
+            for name in sorted(names):
+                path = os.path.join(root, name)
+                if name.endswith((".py", ".md")) and path != os.path.abspath(__file__):
+                    with open(path, encoding="utf-8") as fh:
+                        texts.append(fh.read())
+    corpus = "\n".join(texts)
+    unset = [
+        f"{command} {option}" for command, option in _option_strings(build_parser())
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", corpus)
+    ]
+    assert unset == []

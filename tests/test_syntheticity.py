@@ -1,5 +1,6 @@
 import math
 import re
+import signal
 import socket
 import socketserver
 import struct
@@ -416,6 +417,16 @@ def test_external_dead_child_reports_exit_status(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("die")) as scorer:
         with pytest.raises(ProtocolError, match="exited with status 3"):
             scorer.log_probs(["a"])
+
+
+def test_external_close_kills_child_that_ignores_sigterm(mock_scorer_cmd):
+    scorer = external_scorer_connect(mock_scorer_cmd("stubborn"), timeout=0.3)
+    # A round trip first, so the child has set SIGTERM to be ignored.
+    assert scorer.log_probs(["a"]) == [-1.0]
+    start = time.monotonic()
+    scorer.close()
+    assert time.monotonic() - start < 5
+    assert scorer._proc.returncode == -signal.SIGKILL
 
 
 class _TCPScorerHandler(socketserver.StreamRequestHandler):
