@@ -1,19 +1,25 @@
 """Nonlinear least-squares estimation of the scaling-law constants.
 
 The seven constants (E, A, alpha, B, beta, c1, c2) are fitted to observed
-accuracies by a damped least-squares iteration with a forward-difference
-Jacobian. Damping follows the standard schedule (lambda starts at 1e-3,
-grows 10x on a rejected step, shrinks 10x on an accepted one) applied to
-a column-scaled normal matrix; the scale for each parameter is the running
-maximum of its Jacobian column norm, which keeps badly scaled directions
-from blowing up early in the search.
+accuracies by Levenberg-Marquardt with a closed-form Jacobian. Damping
+follows the standard schedule (lambda starts at 1e-3, grows 10x on a
+rejected step, shrinks 10x on an accepted one) applied to a column-scaled
+normal matrix; the scale for each parameter is the running maximum of its
+Jacobian column norm, which keeps badly scaled directions from blowing up
+early in the search.
+
+One solver runs a stack of problems at once, keeping the damping, the
+accept/reject decision and the stopping rule per row, so that restarts
+and bootstrap resamples cost one batched linear solve and one stacked
+model evaluation per trial step rather than one each.
 
 Goodness of fit is reported as R-squared and the Pearson correlation of
 predictions against observations. Parameter uncertainty comes from
 refitting on seeded bootstrap resamples.
 
 Every fit runs on unclamped residuals, within at most ``MAX_EVALS``
-residual evaluations and ``MAX_ITERS`` iterations per start.
+evaluations (a Jacobian counts as one) and ``MAX_ITERS`` iterations per
+start.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +39,6 @@ MAX_EVALS = 2000
 MAX_ITERS = 200
 FTOL = 1e-10
 LAMBDA0 = 1e-3
-FD_REL_STEP = 1e-6
 LAMBDA_MAX = 1e30
 GRAD_TOL = 1e-12
 
@@ -87,23 +92,48 @@ class FitReport:
     n_iters: int
     converged: bool
     residuals: list[float]
+    bootstrap_converged: int | None = None
 
 
-def _point_arrays(points: Sequence[ExperimentPoint]):
-    n = np.array([p.n_millions for p in points], dtype=float)
-    d = np.array([p.d_tokens for p in points], dtype=float)
-    dr = np.array([p.dr for p in points], dtype=float)
-    s = np.array([p.s for p in points], dtype=float)
-    y = np.array([p.accuracy for p in points], dtype=float)
-    return n, d, dr, s, y
+def _point_arrays(points: Sequence[ExperimentPoint]) -> np.ndarray:
+    """(5, m) stack of N, D, Dr, S and accuracy."""
+    return np.array([[p.n_millions for p in points], [p.d_tokens for p in points],
+                     [p.dr for p in points], [p.s for p in points],
+                     [p.accuracy for p in points]], dtype=float)
+
+
+def _params(theta: np.ndarray):
+    """The seven parameters of a (7,) or (K, 7) theta, shaped to broadcast
+    over (m,) or (K, m) data."""
+    return np.asarray(theta, dtype=float).T[..., None]
 
 
 def model_predictions(theta: np.ndarray, n, d, dr, s, form: str) -> np.ndarray:
-    """Vectorized unclamped model over experiment arrays; may return
-    non-finite values for wild parameters (callers reject those trial steps)."""
-    e, a, alpha, b, beta, c1, c2 = theta
-    with np.errstate(all="ignore"):
-        return _score(n, _dq(d, dr, s, c1, c2, form, np.exp), e, a, alpha, b, beta)
+    """Vectorized unclamped model over experiment arrays, for a (7,) theta
+    with (m,) data or a (K, 7) stack with (K, m) data. It may return
+    non-finite values for wild parameters; the solver rejects those trial
+    steps and silences numpy's warnings about them."""
+    e, a, alpha, b, beta, c1, c2 = _params(theta)
+    return _score(n, _dq(d, dr, s, c1, c2, form, np.exp), e, a, alpha, b, beta)
+
+
+def model_jacobian(theta: np.ndarray, n, d, dr, s, form: str) -> np.ndarray:
+    """Closed-form derivative of ``model_predictions`` with respect to the
+    seven parameters, one row per parameter: (7, m) for (m,) data, or
+    (K, 7, m) for a stack."""
+    _, a, alpha, b, beta, c1, c2 = _params(theta)
+    dq = _dq(d, dr, s, c1, c2, form, np.exp)
+    jac = np.empty(dq.shape[:-1] + (N_PARAMS,) + dq.shape[-1:])
+    jac[..., 0, :] = 1.0
+    jac[..., 1, :] = 1 / n**alpha  # N^-alpha
+    jac[..., 2, :] = -a * np.log(n) * jac[..., 1, :]
+    jac[..., 3, :] = 1 / dq**beta  # Dq^-beta
+    jac[..., 4, :] = -b * np.log(dq) * jac[..., 3, :]
+    # c1 and c2 act through ln Dq, whose slopes are Dr or ln Dr and S or ln S.
+    jac[..., 5, :] = -b * beta * jac[..., 3, :]
+    jac[..., 6, :] = jac[..., 5, :] * (s if form in ("F1", "F2") else np.log(s))
+    jac[..., 5, :] *= dr if form in ("F1", "F3") else np.log(dr)
+    return jac
 
 
 def _theta_of(consts: ScalingConstants) -> np.ndarray:
@@ -117,70 +147,87 @@ def _consts_of(theta: np.ndarray, form: str) -> ScalingConstants:
     return ScalingConstants(e=e, a=a, alpha=alpha, b=b, beta=beta, c1=c1, c2=c2, form=form)
 
 
-def _levenberg_marquardt(
-    residual: Callable[[np.ndarray], np.ndarray],
-    theta0: np.ndarray,
-) -> tuple[np.ndarray, float, int, int, bool]:
-    """Minimize ||residual(theta)||^2; returns (theta, sse, evals, iters, converged)."""
-    n_evals = 0
+def _levenberg_marquardt(theta0: np.ndarray, data: np.ndarray, picks: np.ndarray, form: str):
+    """Minimize ||model(theta) - y||^2 for each of K stacked problems.
 
-    def call(th):
-        nonlocal n_evals
-        n_evals += 1
-        return residual(th)
+    ``theta0`` is (K, 7), ``data`` the (5, m) stack of N, D, Dr, S and y,
+    and row i of ``picks`` (K, m') the indices of the points problem i
+    fits. Every row follows its own damping schedule, exactly as if it
+    were solved alone. Returns per-row (theta, residuals, sse, evals,
+    iters, converged); a row whose model is not finite at its start keeps
+    a non-finite SSE and is never iterated.
+    """
 
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = call(theta)
-    sse = float(r @ r)
-    if not math.isfinite(sse):
-        raise FittingError("model is not finite at the initial guess")
-    lam = LAMBDA0
-    col_scale = np.zeros(theta.size)
-    n_iters = 0
-    converged = False
-    while n_iters < MAX_ITERS and n_evals + theta.size < MAX_EVALS:
-        n_iters += 1
-        jac = np.empty((r.size, theta.size))
-        for j in range(theta.size):
-            h = FD_REL_STEP * max(abs(theta[j]), 1.0)
-            probe = theta.copy()
-            probe[j] += h
-            jac[:, j] = (call(probe) - r) / h
-        if not np.all(np.isfinite(jac)):
-            jac = np.nan_to_num(jac, nan=0.0, posinf=0.0, neginf=0.0)
-        col_scale = np.maximum(col_scale, np.linalg.norm(jac, axis=0))
-        scale = np.where(col_scale > 0, col_scale, 1.0)
-        gradient = jac.T @ r
-        normal = jac.T @ jac
-        if float(np.max(np.abs(gradient))) < GRAD_TOL:
-            converged = True
-            break
-        accepted = False
-        while n_evals < MAX_EVALS and lam <= LAMBDA_MAX:
-            try:
-                step = np.linalg.solve(normal + lam * np.diag(scale**2), -gradient)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            r_new = call(theta + step)
-            sse_new = float(r_new @ r_new)
-            if math.isfinite(sse_new) and sse_new < sse:
-                improvement = (sse - sse_new) / sse
-                theta = theta + step
-                r = r_new
-                sse = sse_new
-                lam = max(lam / 10, 1e-15)
-                accepted = True
-                if improvement < FTOL or sse == 0.0:
-                    converged = True
-                break
-            lam *= 10
-        if not accepted:
-            converged = bool(float(np.max(np.abs(gradient))) < math.sqrt(GRAD_TOL))
-            break
-        if converged:
-            break
-    return theta, sse, n_evals, n_iters, converged
+    def residuals(th, part):
+        r = model_predictions(th, *part[:4], form) - part[4]
+        return r, np.einsum("km,km->k", r, r)
+
+    theta = np.array(theta0, dtype=float)
+    k = len(theta)
+    evals, iters, converged = np.ones(k, dtype=int), np.zeros(k, dtype=int), np.zeros(k, bool)
+    with np.errstate(all="ignore"):
+        sub = data[:, picks]
+        r, sse = residuals(theta, sub)
+        # The working set: the rows still iterating, with their state and data.
+        rows = np.flatnonzero(np.isfinite(sse))
+        th, res, ss = theta[rows], r[rows], sse[rows]
+        sub = sub if rows.size == k else sub[:, rows]
+        lm = np.full(rows.size, LAMBDA0)
+        col_scale = np.zeros((rows.size, N_PARAMS))
+        ev, it = evals[rows], iters[rows]
+        while rows.size:
+            it += 1
+            ev += 1  # one Jacobian counts as one evaluation
+            jac_t = model_jacobian(th, *sub[:4], form)
+            jac_t[~np.isfinite(jac_t)] = 0.0
+            normal = jac_t @ jac_t.transpose(0, 2, 1)
+            col_scale = np.maximum(col_scale, np.sqrt(normal.diagonal(axis1=1, axis2=2)))
+            damping = np.eye(N_PARAMS) * np.where(col_scale > 0, col_scale, 1.0)[:, None, :] ** 2
+            gradient = (jac_t @ res[..., None])[..., 0]
+            del jac_t  # the largest array here; the trial rounds do not need it
+            grad_max = np.max(np.abs(gradient), axis=1)
+            conv = grad_max < GRAD_TOL
+            accepted = np.zeros(rows.size, dtype=bool)
+            while True:
+                at = np.flatnonzero(~conv & ~accepted & (ev < MAX_EVALS) & (lm <= LAMBDA_MAX))
+                if not at.size:
+                    break
+                system = normal[at] + lm[at, None, None] * damping[at]
+                try:
+                    step = np.linalg.solve(system, -gradient[at, :, None])[..., 0]
+                except np.linalg.LinAlgError:  # find the singular rows one by one
+                    step = np.zeros((at.size, N_PARAMS))
+                    solved = np.ones(at.size, dtype=bool)
+                    for i in range(at.size):
+                        try:
+                            step[i] = np.linalg.solve(
+                                system[i : i + 1], -gradient[at[i : i + 1], :, None])[0, :, 0]
+                        except np.linalg.LinAlgError:
+                            solved[i] = False
+                    lm[at[~solved]] *= 10
+                    at, step = at[solved], step[solved]
+                trial = th[at] + step
+                r_new, sse_new = residuals(trial, sub if at.size == rows.size else sub[:, at])
+                ev[at] += 1
+                better = np.isfinite(sse_new) & (sse_new < ss[at])
+                lm[at[~better]] *= 10
+                won = at[better]
+                improvement = (ss[won] - sse_new[better]) / ss[won]
+                th[won], res[won], ss[won] = trial[better], r_new[better], sse_new[better]
+                lm[won] = np.maximum(lm[won] / 10, 1e-15)
+                conv[won] = (improvement < FTOL) | (ss[won] == 0.0)
+                accepted[won] = True
+            # A row that found no better step stops, converged if its gradient is small.
+            conv |= ~accepted & (grad_max < math.sqrt(GRAD_TOL))
+            keep = accepted & ~conv & (it < MAX_ITERS) & (ev + 1 < MAX_EVALS)
+            if not keep.all():  # retire the rows that are done
+                done, gone = ~keep, rows[~keep]
+                theta[gone], r[gone], sse[gone] = th[done], res[done], ss[done]
+                evals[gone], iters[gone], converged[gone] = ev[done], it[done], conv[done]
+                rows, th, res, ss, lm, col_scale, ev, it = (
+                    x[keep] for x in (rows, th, res, ss, lm, col_scale, ev, it))
+                sub = sub[:, keep]
+    return theta, r, sse, evals, iters, converged
 
 
 def fit_constants(
@@ -195,12 +242,13 @@ def fit_constants(
     The returned SSE is never worse than at the initial guess, and the
     whole procedure is deterministic for identical inputs. Residuals use
     the unclamped model, since a clamp would zero the gradient wherever
-    predictions saturate. Each start may use up to ``MAX_EVALS`` residual
-    evaluations and ``MAX_ITERS`` iterations.
+    predictions saturate. Each start may use up to ``MAX_EVALS`` evaluations
+    (a Jacobian counts as one) and ``MAX_ITERS`` iterations.
 
-    ``n_restarts`` extra runs start from seeded perturbations of the
-    initial guess (each with its own evaluation budget); the best SSE
-    wins. Off by default.
+    ``n_restarts`` extra starts are seeded perturbations of the initial
+    guess, solved in one stack with it; the best SSE wins, the earliest
+    start on a tie, and a restart whose model is not finite at its start
+    is skipped. Off by default.
     """
     form = init.form
     if len(points) < N_PARAMS + 1:
@@ -208,40 +256,32 @@ def fit_constants(
             f"need at least {N_PARAMS + 1} points to fit {N_PARAMS} parameters, "
             f"got {len(points)}"
         )
-    n, d, dr, s, y = _point_arrays(points)
-
-    def residual(theta):
-        return model_predictions(theta, n, d, dr, s, form) - y
-
-    theta0 = _theta_of(init)
-    theta, sse, n_evals, n_iters, converged = _levenberg_marquardt(residual, theta0)
+    data = _point_arrays(points)
+    starts = [_theta_of(init)]
     for i in range(n_restarts):
         rng = np.random.default_rng([restart_seed, i])
-        perturbed = theta0 * rng.uniform(0.5, 1.5, size=theta0.size) + rng.normal(
-            0.0, 0.1, size=theta0.size
-        )
-        try:
-            theta_r, sse_r, evals_r, iters_r, conv_r = _levenberg_marquardt(residual, perturbed)
-        except FittingError:
-            continue
-        n_evals += evals_r
-        n_iters += iters_r
-        if sse_r < sse:
-            theta, sse, converged = theta_r, sse_r, conv_r
-    constants = _consts_of(theta, form)
-    pred = model_predictions(theta, n, d, dr, s, form)
-    residuals = (pred - y).tolist()
+        starts.append(starts[0] * rng.uniform(0.5, 1.5, size=N_PARAMS)
+                      + rng.normal(0.0, 0.1, size=N_PARAMS))
+    picks = np.broadcast_to(np.arange(len(points)), (len(starts), len(points)))
+    theta, r, sse, evals, iters, converged = _levenberg_marquardt(
+        np.array(starts), data, picks, form)
+    ok = np.isfinite(sse)
+    if not ok[0]:
+        raise FittingError("model is not finite at the initial guess")
+    best = int(np.argmin(np.where(ok, sse, np.inf)))
+    residuals = r[best]
+    pred = residuals + data[4]
     return FitReport(
-        constants=constants,
+        constants=_consts_of(theta[best], form),
         se=None,
-        r2=r_squared(pred.tolist(), y.tolist()),
-        pearson=pearson(pred.tolist(), y.tolist()),
-        sse=sse,
+        r2=r_squared(pred.tolist(), data[4].tolist()),
+        pearson=pearson(pred.tolist(), data[4].tolist()),
+        sse=float(sse[best]),
         n_points=len(points),
-        n_evals=n_evals,
-        n_iters=n_iters,
-        converged=converged,
-        residuals=residuals,
+        n_evals=int(evals[ok].sum()),
+        n_iters=int(iters[ok].sum()),
+        converged=bool(converged[best]),
+        residuals=residuals.tolist(),
     )
 
 
@@ -289,31 +329,29 @@ def bootstrap_se(
     """Per-parameter standard errors from seeded with-replacement resamples.
 
     Each resample's index stream derives from (seed, resample index), so
-    results do not depend on evaluation order. Refits start from the base
-    fit's constants.
+    results do not depend on evaluation order. All refits start from the
+    base fit's constants and are solved in one stack, each row exactly as
+    it would be alone. How many of them converged within ``MAX_ITERS`` is
+    recorded on ``base.bootstrap_converged``: the spread of a refit that
+    stopped at the cap reflects the cap as much as the data.
     """
     if n_resamples < 2:
         raise FittingError(f"n_resamples must be >= 2, got {n_resamples}")
     n = len(points)
-    fitted = []
-    failures = 0
-    for i in range(n_resamples):
-        rng = np.random.default_rng([seed, i])
-        idx = rng.integers(0, n, size=n)
-        resample = [points[j] for j in idx]
-        try:
-            report = fit_constants(resample, base.constants)
-        except FittingError:
-            failures += 1
-            continue
-        fitted.append(_theta_of(report.constants))
+    idx = [np.random.default_rng([seed, i]).integers(0, n, size=n) for i in range(n_resamples)]
+    starts = np.tile(_theta_of(base.constants), (n_resamples, 1))
+    theta, _, sse, _, _, converged = _levenberg_marquardt(
+        starts, _point_arrays(points), np.array(idx), base.constants.form)
+    ok = np.isfinite(sse)
+    failures = n_resamples - int(ok.sum())
     if failures > n_resamples // 2:
         raise FittingError(
             f"bootstrap failed: {failures} of {n_resamples} resample fits errored"
         )
-    if len(fitted) < 2:
+    if n_resamples - failures < 2:
         raise FittingError("bootstrap needs at least 2 successful resample fits")
-    spread = np.std(np.vstack(fitted), axis=0, ddof=1)
+    base.bootstrap_converged = int(converged.sum())
+    spread = np.std(theta[ok], axis=0, ddof=1)
     return {name: float(v) for name, v in zip(PARAM_NAMES, spread)}
 
 
@@ -443,6 +481,7 @@ def fit_report_to_dict(report: FitReport, points: Sequence[ExperimentPoint], see
         "n_iters": report.n_iters,
         "converged": report.converged,
         "residuals": report.residuals,
+        "bootstrap_converged": report.bootstrap_converged,
         "seed": seed,
         "points": [
             {

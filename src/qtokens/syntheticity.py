@@ -20,6 +20,7 @@ import select
 import shlex
 import socket
 import subprocess
+import time
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -35,6 +36,8 @@ DEFAULT_KGRAM_K = 3
 DEFAULT_SAMPLE_FRACTION = 0.25
 # Requests an external scorer may have outstanding at a time.
 MAX_IN_FLIGHT = 8
+# Bytes of a subprocess scorer's stderr kept to explain its death.
+STDERR_TAIL = 4096
 
 
 class LikelihoodScorer(Protocol):
@@ -193,6 +196,10 @@ class ExternalScorer:
     are outstanding at a time. No wait for the peer to accept a request or
     to send a response lasts longer than ``timeout`` seconds. A target that
     cannot be reached or started raises ``ScorerError``.
+
+    A subprocess scorer's stderr is read while its responses are awaited,
+    so a chatty child never blocks on a full pipe; only the last
+    ``STDERR_TAIL`` bytes are kept, to name in the error if it dies.
     """
 
     def __init__(self, target: str, context_len: int = DEFAULT_CONTEXT_LEN,
@@ -201,6 +208,8 @@ class ExternalScorer:
         self.timeout = timeout
         self._next_id = 0
         self._buffer = bytearray()
+        self._efd = None  # a subprocess scorer's stderr, until it ends
+        self._stderr_tail = b""
         # Both directions are non-blocking: the duplex loop waits in select,
         # and a write may be partial.
         if target.startswith("tcp://"):
@@ -220,13 +229,16 @@ class ExternalScorer:
                 argv = shlex.split(target)
                 if not argv:
                     raise ValueError("empty command")
-                self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                              stderr=subprocess.PIPE)
             except (OSError, ValueError) as exc:
                 raise ScorerError(f"cannot start scorer {target!r}: {exc}") from exc
             self._conn = None
             self._rfd = self._proc.stdout.fileno()
             self._wfd = self._proc.stdin.fileno()
+            self._efd = self._proc.stderr.fileno()
             os.set_blocking(self._wfd, False)
+            os.set_blocking(self._efd, False)
 
     def close(self):
         if self._proc is not None:
@@ -241,6 +253,7 @@ class ExternalScorer:
                 self._proc.kill()
                 self._proc.wait()
             self._proc.stdout.close()
+            self._proc.stderr.close()
         if self._conn is not None:
             self._conn.close()
 
@@ -251,15 +264,51 @@ class ExternalScorer:
         self.close()
         return False
 
-    def _exit_status(self) -> str:
-        """Say how a subprocess scorer ended, for a stream it closed."""
+    def _exit_status(self, when: str = "") -> str:
+        """Say how a scorer ended, for a stream it closed: ``when`` (such as
+        " before responding") follows the status, and a subprocess scorer's
+        last stderr line ends the message."""
         if self._proc is None:
-            return "scorer closed the connection"
+            return f"scorer closed the connection{when}"
         try:
             status = self._proc.wait(timeout=self.timeout)
         except subprocess.TimeoutExpired:
-            return "scorer closed its output but is still running"
-        return f"scorer exited with status {status}"
+            return f"scorer closed its output but is still running{when}"
+        while self._drain_stderr():
+            pass
+        lines = self._stderr_tail.decode("utf-8", "replace").strip().splitlines()
+        last = f"; its stderr ends: {lines[-1].strip()!r}" if lines else ""
+        return f"scorer exited with status {status}{when}{last}"
+
+    def _drain_stderr(self) -> bool:
+        """Read what a subprocess scorer has written to stderr, keeping the
+        last ``STDERR_TAIL`` bytes; return whether more may be waiting."""
+        if self._efd is None:
+            return False
+        try:
+            chunk = os.read(self._efd, 1 << 16)
+        except OSError:  # nothing to read yet; a broken pipe just ends the tail
+            return False
+        if not chunk:
+            self._efd = None
+            return False
+        self._stderr_tail = (self._stderr_tail + chunk)[-STDERR_TAIL:]
+        return True
+
+    def _wait(self, writing: bool) -> tuple[bool, bool]:
+        """Wait up to ``timeout`` for the peer to have output to read or, if
+        ``writing``, room for input; drain stderr meanwhile. Return
+        (readable, writable); both False means the wait timed out."""
+        deadline = time.monotonic() + self.timeout
+        while True:
+            watched = [self._rfd] if self._efd is None else [self._rfd, self._efd]
+            readable, writable, _ = select.select(
+                watched, [self._wfd] if writing else [], [],
+                max(0.0, deadline - time.monotonic()))
+            if self._efd is not None and self._efd in readable:
+                self._drain_stderr()
+            if self._rfd in readable or writable or time.monotonic() >= deadline:
+                return self._rfd in readable, bool(writable)
 
     def _parse_response(self, line: bytes) -> tuple[str, list[float]]:
         try:
@@ -284,7 +333,7 @@ class ExternalScorer:
         except OSError as exc:
             raise ProtocolError(f"cannot read from scorer: {exc}") from exc
         if not chunk:
-            raise ProtocolError(f"{self._exit_status()} before responding")
+            raise ProtocolError(self._exit_status(" before responding"))
         self._buffer += chunk
         if b"\n" not in chunk:
             return []
@@ -336,9 +385,7 @@ class ExternalScorer:
                 continue
             if due == sent and exhausted:
                 return
-            readable, writable, _ = select.select(
-                [self._rfd], [self._wfd] if out else [], [], self.timeout
-            )
+            readable, writable = self._wait(bool(out))
             if not readable and not writable:
                 if out:
                     raise ProtocolError(f"cannot send to scorer: timed out after {self.timeout}s")
@@ -408,7 +455,9 @@ def score_corpus(
     # Windows are sliced only as the scorer asks for them, so an external
     # scorer can keep several in flight without the corpus being copied.
     windows = (doc.tokens[start : start + ctx] for doc, start in spans())
-    if isinstance(scorer, ExternalScorer):
+    # score_windows has already checked every value it yields.
+    external = isinstance(scorer, ExternalScorer)
+    if external:
         results = scorer.score_windows(windows)
     else:
         results = map(scorer.log_probs, windows)
@@ -427,7 +476,7 @@ def score_corpus(
                 f"scorer returned {len(logprobs)} values for {n_tokens} tokens "
                 f"(document {doc.id!r})"
             )
-        bad = _invalid_log_prob(logprobs)
+        bad = None if external else _invalid_log_prob(logprobs)
         if bad:
             raise ScorerError(f"{bad[0]} on document {doc.id!r}: {bad[1]}")
         window_sums.append(math.fsum(logprobs))

@@ -10,6 +10,8 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     garbage    reply with a line of bytes that are not UTF-8
     silent     never reply
     die        exit with status 3 after reading one request
+    noisy      after reading one request, write about 1 MB to stderr ending
+               in the line "fatal: out of memory", then exit with status 3
     batch4     hold requests until 4 are unanswered, or stdin has been idle
                for 3 s, then answer the held ones in order
     stubborn   ignore SIGTERM, reply like const, and linger after stdin closes
@@ -68,6 +70,12 @@ def main():
             continue
         req = json.loads(line)
         if mode == "die":
+            sys.exit(3)
+        if mode == "noisy":
+            for i in range(16384):
+                sys.stderr.write(f"progress {i:05d} " + "." * 48 + "\n")
+            sys.stderr.write("fatal: out of memory\n")
+            sys.stderr.flush()
             sys.exit(3)
         if mode == "silent":
             time.sleep(3600)

@@ -123,6 +123,16 @@ def test_fit_fixture_f1(capsys):
     assert payload["seed"] == 42
     assert len(payload["points"]) == 207
     assert set(payload["constants"]) == {"E", "A", "alpha", "B", "beta", "c1", "c2", "form"}
+    assert payload["bootstrap_converged"] is None
+
+
+def test_fit_fixture_bootstrap_counts_converged_refits(capsys):
+    # 8 of the 24 refits stop at the iteration cap; their spread is bounded by it.
+    code, out, _ = run_cli(["--seed", "42", "fit", "--fixture", "--bootstrap-n", "24"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bootstrap_converged"] == 16
+    assert set(payload["se"]) == {"E", "A", "alpha", "B", "beta", "c1", "c2"}
 
 
 def test_fit_synthetic_csv_exact_recovery(tmp_path, capsys):
@@ -269,6 +279,7 @@ def test_fit_with_bootstrap(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["se"] is not None
     assert set(payload["se"]) == {"E", "A", "alpha", "B", "beta", "c1", "c2"}
+    assert 0 <= payload["bootstrap_converged"] <= 4
 
 
 def test_predict_preset_random_100(capsys):

@@ -6,11 +6,15 @@ import pytest
 from qtokens.errors import FittingError
 from qtokens.fitting import (
     ExperimentPoint,
+    _levenberg_marquardt,
+    _point_arrays,
+    _theta_of,
     bootstrap_se,
     fit_constants,
     fit_report_to_dict,
     join_fixture_tables,
     load_experiments_csv,
+    model_jacobian,
     model_predictions,
     pearson,
     r_squared,
@@ -139,6 +143,96 @@ def test_model_predictions_match_scalar_law(form):
         for p in points
     ]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_jacobian_matches_central_differences(form):
+    points = fixture_points()
+    n, d, dr, s, _ = _point_arrays(points)
+    optimum = _theta_of(fit_constants(points, default_initial_guess(form)).constants)
+    rng = np.random.default_rng(7)
+    thetas = [optimum] + [optimum * rng.uniform(0.8, 1.2, size=7) for _ in range(3)]
+    for theta in thetas:
+        jac = model_jacobian(theta, n, d, dr, s, form)
+        assert jac.shape == (7, len(points))
+        for j in range(7):
+            h = 1e-5 * max(abs(theta[j]), 1e-3)
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            numeric = (model_predictions(up, n, d, dr, s, form)
+                       - model_predictions(down, n, d, dr, s, form)) / (2 * h)
+            np.testing.assert_allclose(jac[j], numeric, rtol=1e-5,
+                                       atol=1e-7 * np.max(np.abs(jac[j])))
+
+
+def _fit_alone(theta, points, form):
+    """One problem through the solver on its own (a stack of one)."""
+    theta, _, sse, evals, iters, converged = _levenberg_marquardt(
+        theta[None], _point_arrays(points), np.arange(len(points))[None], form)
+    return theta[0], sse[0], evals[0], iters[0], converged[0]
+
+
+def test_stacked_bootstrap_equals_resamples_fitted_alone():
+    points = fixture_points()
+    base = fit_constants(points, default_initial_guess("F1"))
+    n = len(points)
+    fitted, converged = [], 0
+    for i in range(6):
+        idx = np.random.default_rng([11, i]).integers(0, n, size=n)
+        theta, _, _, _, conv = _fit_alone(_theta_of(base.constants), [points[j] for j in idx], "F1")
+        fitted.append(theta)
+        converged += conv
+    spread = np.std(np.vstack(fitted), axis=0, ddof=1)
+    want = dict(zip(("E", "A", "alpha", "B", "beta", "c1", "c2"), spread.tolist()))
+    assert base.bootstrap_converged is None
+    assert bootstrap_se(points, base, n_resamples=6, seed=11) == want
+    assert base.bootstrap_converged == converged
+
+
+def test_stacked_restarts_equal_starts_fitted_alone():
+    points = synthetic_points(TRUTH, noise=0.004, seed=3)
+    theta0 = _theta_of(PERTURBED)
+    starts = [theta0]
+    for i in range(3):
+        rng = np.random.default_rng([1, i])
+        starts.append(theta0 * rng.uniform(0.5, 1.5, size=7) + rng.normal(0.0, 0.1, size=7))
+    alone = [_fit_alone(start, points, "F1") for start in starts]
+    best = alone[0]
+    for run in alone[1:]:
+        if run[1] < best[1]:
+            best = run
+    report = fit_constants(points, PERTURBED, n_restarts=3, restart_seed=1)
+    assert _theta_of(report.constants).tolist() == best[0].tolist()
+    assert report.sse == best[1]
+    assert report.converged == best[4]
+    assert report.n_evals == sum(run[2] for run in alone if math.isfinite(run[1]))
+    assert report.n_iters == sum(run[3] for run in alone if math.isfinite(run[1]))
+
+
+def test_singular_step_only_costs_its_own_row(monkeypatch):
+    # With beta near 19 the B, beta, c1 and c2 columns are so small that their
+    # squares underflow, so the damped normal matrix is exactly singular.
+    points = fixture_points()
+    good = _theta_of(default_initial_guess("F1"))
+    starts = [good] + [np.where(np.arange(7) == 4, beta, good) for beta in (18.5, 19.0)]
+    real_solve, singular = np.linalg.solve, []
+
+    def solve(a, b):
+        try:
+            return real_solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    picks = np.tile(np.arange(len(points)), (3, 1))
+    stacked = _levenberg_marquardt(np.array(starts), _point_arrays(points), picks, "F1")
+    assert singular
+    for row, start in enumerate(starts):
+        alone = _fit_alone(start, points, "F1")
+        assert stacked[0][row].tolist() == alone[0].tolist()
+        assert [stacked[i][row] for i in (2, 3, 4, 5)] == list(alone[1:])
 
 
 def test_fit_is_deterministic():

@@ -15,6 +15,7 @@ import pytest
 from qtokens.corpus import Corpus, Document, Tokenizer
 from qtokens.errors import ProtocolError, ScorerError
 from qtokens.syntheticity import (
+    STDERR_TAIL,
     external_scorer_connect,
     score_corpus,
     train_kgram_scorer,
@@ -417,6 +418,16 @@ def test_external_dead_child_reports_exit_status(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("die")) as scorer:
         with pytest.raises(ProtocolError, match="exited with status 3"):
             scorer.log_probs(["a"])
+
+
+def test_external_dead_child_reports_stderr_tail(mock_scorer_cmd):
+    # The child writes about 1 MB to stderr before dying: far more than a pipe
+    # holds, so it only gets to exit if stderr is drained while waiting.
+    with external_scorer_connect(mock_scorer_cmd("noisy"), timeout=10) as scorer:
+        with pytest.raises(ProtocolError, match="exited with status 3 before responding; "
+                           "its stderr ends: 'fatal: out of memory'$"):
+            scorer.log_probs(["a"])
+        assert len(scorer._stderr_tail) <= STDERR_TAIL
 
 
 def test_external_close_kills_child_that_ignores_sigterm(mock_scorer_cmd):
