@@ -238,12 +238,24 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer in [0, 2**64), the range numpy's generators
+    and the 8-byte MinHash key both take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtokens",
         description="Corpus quality metrics and the effective-token scaling law.",
     )
-    parser.add_argument("--seed", type=int, default=42, help="global random seed")
+    parser.add_argument("--seed", type=_seed, default=42, help="global random seed")
     parser.add_argument(
         "--tokenizer",
         default="whitespace",

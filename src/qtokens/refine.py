@@ -7,9 +7,13 @@ distribution than under the raw one. High-scoring documents are kept up
 to a token budget.
 
 Deduplication comes in two flavors: exact (first occurrence of each text
-wins) and near (MinHash signatures banded into an LSH index; documents
-colliding in any band are clustered and one representative per cluster
-survives).
+wins) and near (one-permutation MinHash signatures banded into an LSH
+index; documents colliding in any band are clustered and one
+representative per cluster survives).
+
+Both hash a whole corpus at once: each distinct token gets one keyed
+blake2b hash, and an n-gram's hash combines its tokens' hashes with a
+64-bit multiply-xor, so no n-gram is hashed from Python.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
+from .diversity import _encode
 from .errors import RefineError
 
 # Fixed, published hash seed: selections must be reproducible across machines.
@@ -32,57 +37,86 @@ DEFAULT_SHINGLE_N = 3
 DEFAULT_N_HASHES = 128
 DEFAULT_BANDS = 16
 
-# Largest prime below 2^32: (a*x + b) stays within uint64 for a, x, b < p.
-_MINHASH_PRIME = np.uint64(4294967291)
+# Odd 64-bit multipliers of the n-gram hash combiner (splitmix64's).
+_MIX_LEFT = np.uint64(0x9E3779B97F4A7C15)
+_MIX_OUT = np.uint64(0xBF58476D1CE4E5B9)
+# A MinHash bin no shingle fell in, before densification.
+_EMPTY = np.uint64(np.iinfo(np.uint64).max)
 
 
-def _ngram_hash(gram: tuple[str, ...], seed: int) -> int:
-    """Keyed 64-bit hash of an n-gram, shared by feature buckets and shingles."""
-    digest = hashlib.blake2b(
-        "\x1f".join(gram).encode("utf-8"),
-        digest_size=8,
-        key=seed.to_bytes(8, "big"),
-    ).digest()
-    return int.from_bytes(digest, "big")
+def _token_hashes(corpus: Corpus, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keyed 64-bit hash of every token of the corpus, and its document index.
 
-
-def corpus_features(corpus: Corpus) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each document's hashed n-gram counts, stored sparse.
-
-    One ``(ids, counts)`` pair per document: the sorted, distinct buckets
-    its n-grams fall in and how many fall in each, so memory grows with
-    distinct n-grams, not with ``N_BUCKETS``. An empty document has no
-    ids. Each distinct n-gram is hashed once per call.
+    Tokens are laid out document after document. Each distinct token is
+    hashed once: 8-byte blake2b of its UTF-8 bytes, keyed by ``seed``.
     """
+    lengths = [doc.token_count for doc in corpus]
+    ids, types = _encode((tok for doc in corpus for tok in doc.tokens), sum(lengths))
+    key = seed.to_bytes(8, "big")
+    type_hashes = np.fromiter(
+        (
+            int.from_bytes(hashlib.blake2b(t.encode("utf-8"), digest_size=8, key=key).digest(), "big")
+            for t in types
+        ),
+        dtype=np.uint64,
+        count=len(types),
+    )
+    return type_hashes[ids], np.repeat(np.arange(len(lengths)), lengths)
+
+
+def _combine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Hash of each sequence (left, right) from the hashes of its two parts.
+
+    Multiplying only the left hash makes the result depend on order; the
+    xor-shift and multiply rounds after it carry every input bit into the
+    low bits that pick a bucket. All arithmetic wraps modulo 2**64.
+    """
+    x = (left * _MIX_LEFT) ^ right
+    x ^= x >> np.uint64(32)
+    x *= _MIX_OUT
+    x ^= x >> np.uint64(29)
+    return x
+
+
+def _ngram_hashes(
+    hashes: np.ndarray, docs: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hash and document index of every n-gram that lies inside one document."""
+    m = max(len(hashes) - n + 1, 0)
+    grams = hashes[:m]
+    for k in range(1, n):
+        grams = _combine(grams, hashes[k : k + m])
+    inside = docs[:m] == docs[n - 1 : n - 1 + m]
+    return grams[inside], docs[:m][inside]
+
+
+def corpus_features(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket and document index of every uni- and bigram of the corpus.
+
+    Two flat int64 arrays with one entry per n-gram, so memory grows with
+    the corpus's tokens, not with documents times ``N_BUCKETS``. A bigram
+    never spans two documents, so a document's entries are the ones it
+    has alone. A unigram's bucket is its token hash mod ``N_BUCKETS``; a
+    bigram's is the combined hash of its two tokens mod ``N_BUCKETS``.
+    """
+    hashes, docs = _token_hashes(corpus, FEATURE_HASH_SEED)
     lo, hi = N_RANGE
-    memo: dict[tuple[str, ...], int] = {}
-    features = []
-    for doc in corpus:
-        ids = []
-        for n in range(lo, hi + 1):
-            for gram in zip(*(doc.tokens[k:] for k in range(n))):
-                bucket = memo.get(gram)
-                if bucket is None:
-                    bucket = memo[gram] = _ngram_hash(gram, FEATURE_HASH_SEED) % N_BUCKETS
-                ids.append(bucket)
-        features.append(np.unique(np.array(ids, dtype=np.int64), return_counts=True))
-    return features
+    grams = [_ngram_hashes(hashes, docs, n) for n in range(lo, hi + 1)]
+    buckets = np.concatenate([h for h, _ in grams])
+    buckets %= np.uint64(N_BUCKETS)
+    # Every bucket is below 2**16, so its bits read the same as an int64.
+    return buckets.view(np.int64), np.concatenate([d for _, d in grams])
 
 
 def _smoothed_log_probs(
-    features: list[tuple[np.ndarray, np.ndarray]], name: str, smoothing: float
+    buckets: np.ndarray, n_docs: int, name: str, smoothing: float
 ) -> np.ndarray:
-    if not features:
+    if n_docs == 0:
         raise RefineError(f"{name} corpus has no documents")
-    # float64 weights count exactly up to 2**53 n-grams
-    counts = np.bincount(
-        np.concatenate([ids for ids, _ in features]),
-        weights=np.concatenate([doc_counts for _, doc_counts in features]),
-        minlength=N_BUCKETS,
-    ).astype(np.int64)
-    total = int(counts.sum())
-    if total <= 0:
+    total = len(buckets)
+    if total == 0:
         raise RefineError(f"{name} corpus has no n-grams")
+    counts = np.bincount(buckets, minlength=N_BUCKETS)
     return np.log((counts + smoothing * total / N_BUCKETS) / (total * (1 + smoothing)))
 
 
@@ -97,11 +131,12 @@ def importance_weights(raw: Corpus, target: Corpus, smoothing: float = 1e-4) -> 
     """
     if smoothing <= 0:
         raise RefineError(f"smoothing must be > 0, got {smoothing}")
-    docs = corpus_features(raw)
-    raw_logp = _smoothed_log_probs(docs, "raw", smoothing)
-    target_logp = _smoothed_log_probs(corpus_features(target), "target", smoothing)
+    raw_buckets, raw_docs = corpus_features(raw)
+    raw_logp = _smoothed_log_probs(raw_buckets, len(raw), "raw", smoothing)
+    target_buckets, _ = corpus_features(target)
+    target_logp = _smoothed_log_probs(target_buckets, len(target), "target", smoothing)
     delta = target_logp - raw_logp
-    return [float(counts @ delta[ids]) for ids, counts in docs]
+    return np.bincount(raw_docs, weights=delta[raw_buckets], minlength=len(raw)).tolist()
 
 
 def select_by_weight(
@@ -161,12 +196,6 @@ def dedup_exact(corpus: Corpus) -> Corpus:
     return Corpus(kept)
 
 
-def _shingle_hashes(tokens: Sequence[str], shingle_n: int, seed: int) -> np.ndarray:
-    shingles = {tuple(tokens[i : i + shingle_n]) for i in range(len(tokens) - shingle_n + 1)}
-    values = {_ngram_hash(sh, seed) % int(_MINHASH_PRIME) for sh in shingles}
-    return np.fromiter(values, dtype=np.uint64, count=len(values))
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -183,20 +212,36 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def minhash_signature(
-    tokens: Sequence[str], shingle_n: int, seed: int, a: np.ndarray, b: np.ndarray
-) -> np.ndarray | None:
-    """MinHash signature over token shingles; None for too-short documents.
+def minhash_signature(corpus: Corpus, shingle_n: int, n_hashes: int, seed: int) -> np.ndarray:
+    """One-permutation MinHash signatures of every document's token shingles.
 
-    ``a`` and ``b`` hold one universal-hash permutation per signature row.
+    Returns a ``(len(corpus), n_hashes)`` uint64 matrix. Each shingle (a
+    ``shingle_n``-gram inside one document) gets one 64-bit hash, keyed by
+    ``seed``. Its high bits pick one of ``n_hashes`` bins (the top 7 bits
+    for 128) and each document keeps its smallest hash per bin (Li, Owen
+    and Zhang, "One Permutation Hashing", 2012). A bin none of the
+    document's shingles fell in takes the value of the next filled bin to
+    its right, circularly, plus a multiple of the distance to it
+    (rotation densification, Shrivastava and Li, 2014). Two documents then
+    agree on a row with probability close to their shingle Jaccard
+    similarity. A document with fewer than ``shingle_n`` tokens has no
+    shingles; every entry of its row is the largest uint64.
     """
-    if len(tokens) < shingle_n:
-        return None
-    hashes = _shingle_hashes(tokens, shingle_n, seed)
-    # (a * x + b) mod p per hash function, minimized over shingles; all
-    # operands are < 2^32 so the products fit in uint64.
-    sig = ((a[None, :] * hashes[:, None] + b[None, :]) % _MINHASH_PRIME).min(axis=0)
-    return sig
+    hashes, docs = _token_hashes(corpus, seed)
+    shingles, owners = _ngram_hashes(hashes, docs, shingle_n)
+    bins = ((shingles >> np.uint64(32)) * np.uint64(n_hashes)) >> np.uint64(32)
+    sig = np.full((len(corpus), n_hashes), _EMPTY, dtype=np.uint64)
+    np.minimum.at(sig, (owners, bins.astype(np.intp)), shingles)
+    # Column of the next filled bin at or after each bin, over two turns
+    # of the circle; 2 * n_hashes where a row has none.
+    filled = np.tile(sig != _EMPTY, 2)
+    turns = np.where(filled, np.arange(2 * n_hashes), 2 * n_hashes)
+    nearest = np.minimum.accumulate(turns[:, ::-1], axis=1)[:, ::-1][:, :n_hashes]
+    distance = (nearest - np.arange(n_hashes)).astype(np.uint64)
+    # Offsets are distance times an odd constant, so a borrowed value
+    # differs from the one it came from and from those at other distances.
+    dense = np.take_along_axis(sig, nearest % n_hashes, axis=1) + distance * _MIX_LEFT
+    return np.where(nearest < 2 * n_hashes, dense, _EMPTY)
 
 
 def dedup_near(
@@ -225,21 +270,19 @@ def dedup_near(
     if keep not in ("longest", "first"):
         raise RefineError(f"unknown keep policy {keep!r}")
     rows = n_hashes // bands
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, int(_MINHASH_PRIME), size=n_hashes, dtype=np.uint64)
-    b = rng.integers(0, int(_MINHASH_PRIME), size=n_hashes, dtype=np.uint64)
+    sig = minhash_signature(corpus, shingle_n, n_hashes, seed)
+    shingled = np.flatnonzero([doc.token_count >= shingle_n for doc in corpus])
+    sig = sig[shingled]
     uf = _UnionFind(len(corpus))
-    index: dict[tuple, int] = {}
-    for i, doc in enumerate(corpus):
-        sig = minhash_signature(doc.tokens, shingle_n, seed, a, b)
-        if sig is None:
-            continue
-        for band in range(bands):
-            key = (band, tuple(sig[band * rows : (band + 1) * rows].tolist()))
-            if key in index:
-                uf.union(index[key], i)
-            else:
-                index[key] = i
+    for band in range(bands):
+        # Each document joins the first document whose band equals its own.
+        _, first, inverse = np.unique(
+            sig[:, band * rows : (band + 1) * rows],
+            axis=0, return_index=True, return_inverse=True,
+        )
+        leaders = first[inverse.reshape(-1)]
+        for i in np.flatnonzero(leaders != np.arange(len(shingled))):
+            uf.union(int(shingled[leaders[i]]), int(shingled[i]))
     clusters: dict[int, list[int]] = {}
     for i in range(len(corpus)):
         clusters.setdefault(uf.find(i), []).append(i)
@@ -251,18 +294,3 @@ def dedup_near(
             best = min(members)
         survivors.add(best)
     return Corpus([doc for i, doc in enumerate(corpus.documents) if i in survivors])
-
-
-def jaccard(tokens_a: Sequence[str], tokens_b: Sequence[str], shingle_n: int) -> float:
-    """Exact shingle-set Jaccard similarity (used to sanity-check LSH)."""
-    sa = {tuple(tokens_a[i : i + shingle_n]) for i in range(len(tokens_a) - shingle_n + 1)}
-    sb = {tuple(tokens_b[i : i + shingle_n]) for i in range(len(tokens_b) - shingle_n + 1)}
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
-
-
-def lsh_collision_probability(jaccard_sim: float, n_hashes: int, bands: int) -> float:
-    """Probability that two documents at the given similarity share a band."""
-    rows = n_hashes // bands
-    return 1.0 - (1.0 - jaccard_sim**rows) ** bands

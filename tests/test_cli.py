@@ -492,6 +492,36 @@ def test_dedup_end_to_end(write_corpus, tmp_path, capsys):
     assert side["after"]["dr"] > side["before"]["dr"]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+@pytest.mark.parametrize("command", ["dedup", "select"])
+def test_seed_out_of_range_is_a_usage_error(write_corpus, tmp_path, capsys, command, seed):
+    src = write_corpus("c.jsonl", [{"id": "a", "text": "a b c d e"}, {"id": "b", "text": "a b c d f"}])
+    out_path = tmp_path / "out.jsonl"
+    argv = {
+        "dedup": ["dedup", src, "--mode", "near"],
+        "select": ["select", src, "--target", src, "--budget-tokens", "5", "--mode", "gumbel-sample"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", seed, *argv, "--out", str(out_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("qtokens: error: argument --seed: ")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_seed_bounds_are_accepted(write_corpus, tmp_path, capsys):
+    src = write_corpus("c.jsonl", [{"id": "a", "text": "a b c d e"}, {"id": "b", "text": "a b c d e"}])
+    for seed in ("0", str(2**64 - 1)):
+        code, _, _ = run_cli(["--seed", seed, "dedup", src, "--mode", "near",
+                              "--out", str(tmp_path / "near.jsonl")], capsys)
+        assert code == 0
+        code, _, _ = run_cli(["--seed", seed, "select", src, "--target", src, "--budget-tokens",
+                              "5", "--mode", "gumbel-sample", "--out", str(tmp_path / "sel.jsonl")],
+                             capsys)
+        assert code == 0
+
+
 def test_fixed_settings_are_the_library_defaults(write_corpus, tmp_path, capsys):
     from qtokens.corpus import load_jsonl
     from qtokens.diversity import score_corpus_diversity

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -16,19 +17,34 @@ from qtokens.refine import (
     dedup_exact,
     dedup_near,
     importance_weights,
-    jaccard,
-    lsh_collision_probability,
+    minhash_signature,
     select_by_weight,
 )
+
+MASK64 = (1 << 64) - 1
+
+
+def oracle_token_hash(token: str, seed: int = FEATURE_HASH_SEED) -> int:
+    """The published token hash: 8-byte blake2b keyed by the seed."""
+    digest = hashlib.blake2b(token.encode(), digest_size=8, key=seed.to_bytes(8, "big")).digest()
+    return int.from_bytes(digest, "big")
+
+
+def oracle_combine(left: int, right: int) -> int:
+    """The published n-gram hash step, in Python integers."""
+    x = ((left * 0x9E3779B97F4A7C15) & MASK64) ^ right
+    x ^= x >> 32
+    x = (x * 0xBF58476D1CE4E5B9) & MASK64
+    return x ^ (x >> 29)
+
+
+def oracle_gram_hash(gram, seed: int = FEATURE_HASH_SEED) -> int:
+    return functools.reduce(oracle_combine, [oracle_token_hash(t, seed) for t in gram])
 
 
 def oracle_bucket(gram: tuple[str, ...]) -> int:
     """The published bucket convention, computed independently."""
-    digest = hashlib.blake2b(
-        "\x1f".join(gram).encode(), digest_size=8,
-        key=FEATURE_HASH_SEED.to_bytes(8, "big"),
-    ).digest()
-    return int.from_bytes(digest, "big") % N_BUCKETS
+    return oracle_gram_hash(gram) % N_BUCKETS
 
 
 def oracle_counts(tokens: list[str]) -> dict[int, int]:
@@ -41,27 +57,119 @@ def oracle_counts(tokens: list[str]) -> dict[int, int]:
     return counts
 
 
+def oracle_signature(tokens, shingle_n: int, n_hashes: int, seed: int) -> list[int]:
+    """One-permutation MinHash with rotation densification, one shingle at a time."""
+    if len(tokens) < shingle_n:
+        return [MASK64] * n_hashes
+    bins: list[int | None] = [None] * n_hashes
+    for i in range(len(tokens) - shingle_n + 1):
+        h = oracle_gram_hash(tokens[i : i + shingle_n], seed)
+        j = ((h >> 32) * n_hashes) >> 32
+        bins[j] = h if bins[j] is None else min(bins[j], h)
+    signature = []
+    for j in range(n_hashes):
+        t = next(t for t in range(n_hashes) if bins[(j + t) % n_hashes] is not None)
+        signature.append((bins[(j + t) % n_hashes] + t * 0x9E3779B97F4A7C15) & MASK64)
+    return signature
+
+
+def jaccard(tokens_a, tokens_b, shingle_n: int) -> float:
+    """Exact shingle-set Jaccard similarity."""
+    sa = {tuple(tokens_a[i : i + shingle_n]) for i in range(len(tokens_a) - shingle_n + 1)}
+    sb = {tuple(tokens_b[i : i + shingle_n]) for i in range(len(tokens_b) - shingle_n + 1)}
+    if not sa and not sb:
+        return 1.0
+    return len(sa & sb) / len(sa | sb)
+
+
+def lsh_collision_probability(jaccard_sim: float, n_hashes: int, bands: int) -> float:
+    """Probability that two documents share a band if every row agrees
+    independently with probability ``jaccard_sim``; only approximate for
+    densified one-permutation rows."""
+    rows = n_hashes // bands
+    return 1.0 - (1.0 - jaccard_sim**rows) ** bands
+
+
 def test_features_empty_document():
-    [(ids, counts)] = corpus_features(Corpus([Document.create("e", "")]))
-    assert len(ids) == 0
-    assert counts.sum() == 0
+    buckets, docs = corpus_features(Corpus([Document.create("e", "")]))
+    assert len(buckets) == len(docs) == 0
 
 
 def test_features_single_repeated_token():
     # "a" three times and ("a", "a") twice, in two distinct buckets
-    [(ids, counts)] = corpus_features(Corpus([Document.create("a", "a a a")]))
-    assert list(ids) == sorted([oracle_bucket(("a",)), oracle_bucket(("a", "a"))])
-    assert sorted(counts) == [2, 3]
+    buckets, docs = corpus_features(Corpus([Document.create("a", "a a a")]))
+    assert list(buckets) == [oracle_bucket(("a",))] * 3 + [oracle_bucket(("a", "a"))] * 2
+    assert list(docs) == [0] * 5
 
 
 def test_features_match_brute_force_enumeration():
     rng = np.random.default_rng(14)
     text = " ".join(f"w{v}" for v in rng.integers(0, 9, size=20))
-    [(ids, counts)] = corpus_features(Corpus([Document.create("d", text)]))
+    buckets, _ = corpus_features(Corpus([Document.create("d", text)]))
+    ids, counts = np.unique(buckets, return_counts=True)
     expected = oracle_counts(text.split())
     assert list(ids) == sorted(expected)
     assert list(counts) == [expected[b] for b in sorted(expected)]
     assert counts.sum() == 20 + 19
+
+
+def test_combined_hash_has_no_collisions():
+    tokens = [f"t{i}" for i in range(400)]
+    h = np.array([oracle_token_hash(t) for t in tokens], dtype=np.uint64)
+    left, right = (a.ravel() for a in np.meshgrid(h, h, indexing="ij"))
+    pairs = refine._combine(left, right)
+    assert len(np.unique(pairs)) == len(h) ** 2
+    # the pair (a, b) never hashes like (b, a), nor like a unigram
+    assert not (pairs == refine._combine(right, left))[left != right].any()
+    assert not np.isin(pairs, h).any()
+    assert [int(x) for x in pairs[:3]] == [
+        oracle_combine(oracle_token_hash(tokens[0]), oracle_token_hash(t)) for t in tokens[:3]
+    ]
+    small = h[:120]
+    left, mid, right = (a.ravel() for a in np.meshgrid(small, small, small, indexing="ij"))
+    assert len(np.unique(refine._combine(refine._combine(left, mid), right))) == len(small) ** 3
+
+
+def test_each_distinct_token_hashed_once_per_corpus(monkeypatch):
+    corpus = Corpus.from_texts(["a b a b a b", "b a b a c", "a b c a b c d"])
+    calls = []
+    real = hashlib.blake2b
+
+    def counting(data, **kwargs):
+        calls.append(data)
+        return real(data, **kwargs)
+
+    monkeypatch.setattr(refine.hashlib, "blake2b", counting)
+    corpus_features(corpus)
+    assert sorted(calls) == [b"a", b"b", b"c", b"d"]
+    calls.clear()
+    minhash_signature(corpus, 3, 16, seed=5)
+    assert sorted(calls) == [b"a", b"b", b"c", b"d"]
+
+
+def test_whole_corpus_equals_each_document_alone():
+    # n-grams and shingles never cross a document boundary, so sharing one
+    # pass over the corpus changes no document's features or signature
+    rng = np.random.default_rng(23)
+    texts = [" ".join(f"w{v}" for v in rng.integers(0, 12, size=n)) for n in (9, 0, 1, 2, 3, 40)]
+    corpus = Corpus.from_texts(texts)
+    buckets, docs = corpus_features(corpus)
+    signatures = minhash_signature(corpus, 3, 32, seed=7)
+    for i, doc in enumerate(corpus):
+        alone_buckets, alone_docs = corpus_features(Corpus([doc]))
+        assert (buckets[docs == i] == alone_buckets).all() and (alone_docs == 0).all()
+        assert (signatures[i] == minhash_signature(Corpus([doc]), 3, 32, seed=7)[0]).all()
+        assert signatures[i].tolist() == oracle_signature(doc.tokens, 3, 32, seed=7)
+    assert len(buckets) == sum(2 * len(t.split()) - 1 for t in texts if t)
+
+
+@pytest.mark.parametrize("length, n_hashes", [(3, 128), (12, 128), (300, 128), (50, 48)])
+def test_minhash_signature_matches_pure_python_oracle(length, n_hashes):
+    # short documents leave most bins empty, so densification does the work
+    rng = np.random.default_rng(length)
+    tokens = [f"w{v}" for v in rng.integers(0, 40, size=length)]
+    [signature] = minhash_signature(Corpus([Document.create("d", " ".join(tokens))]), 3, n_hashes, 11)
+    assert signature.tolist() == oracle_signature(tokens, 3, n_hashes, 11)
 
 
 def test_weights_zero_when_distributions_match():
@@ -128,31 +236,6 @@ def test_weights_hand_computed_small_fixture():
     assert weights == pytest.approx(expected, rel=1e-12)
 
 
-def test_corpus_features_hash_each_distinct_ngram_once(monkeypatch):
-    corpus = Corpus.from_texts(["a b a b a b", "b a b a c", "a b c a b c"])
-    calls = []
-    real = refine._ngram_hash
-
-    def counting(gram, seed):
-        calls.append(gram)
-        return real(gram, seed)
-
-    monkeypatch.setattr(refine, "_ngram_hash", counting)
-    features = corpus_features(corpus)
-    distinct = {
-        tuple(doc.tokens[i : i + n])
-        for doc in corpus
-        for n in (1, 2)
-        for i in range(len(doc.tokens) - n + 1)
-    }
-    assert len(calls) == len(distinct) == 3 + 5
-    assert sorted(calls) == sorted(distinct)
-    # sharing the hashes across documents changes no document's features
-    for doc, (ids, counts) in zip(corpus, features):
-        [(alone_ids, alone_counts)] = corpus_features(Corpus([doc]))
-        assert (ids == alone_ids).all() and (counts == alone_counts).all()
-
-
 def test_weights_read_features_through_corpus_features(monkeypatch):
     # Callers that wrap refine.corpus_features (the benchmark's tracer)
     # see both corpora go through it.
@@ -170,22 +253,48 @@ def test_weights_read_features_through_corpus_features(monkeypatch):
     assert seen == [["raw:0", "raw:1"], ["target:0"]]
 
 
-def test_corpus_features_memory_is_sparse():
+def test_dedup_near_reads_signatures_through_minhash_signature(monkeypatch):
+    # The same holds for dedup_near and refine.minhash_signature.
+    seen = []
+    real = refine.minhash_signature
+
+    def recording(corpus, *args):
+        seen.append([doc.id for doc in corpus])
+        return real(corpus, *args)
+
+    monkeypatch.setattr(refine, "minhash_signature", recording)
+    dedup_near(Corpus.from_texts(["a b c d", "a b c d", "e f"]))
+    assert seen == [["doc:0", "doc:1", "doc:2"]]
+
+
+def _features_memory(vocabulary: int) -> tuple[int, int]:
+    """Bytes held after, and peak bytes during, corpus_features on 200 x 300 tokens."""
     rng = np.random.default_rng(19)
     corpus = Corpus.from_texts(
-        [" ".join(f"w{v}" for v in rng.integers(0, 5000, size=300)) for _ in range(200)]
+        [" ".join(f"w{v}" for v in rng.integers(0, vocabulary, size=300)) for _ in range(200)]
     )
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        features = corpus_features(corpus)
-        held = tracemalloc.get_traced_memory()[0] - before
+        buckets, docs = corpus_features(corpus)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    assert len(buckets) == len(docs) == 200 * (2 * 300 - 1)
+    assert 0 <= buckets.min() and buckets.max() < N_BUCKETS
+    assert set(docs.tolist()) == set(range(200))
+    return held, peak
+
+
+def test_corpus_features_memory_is_sparse():
+    held, peak = _features_memory(5000)
     # dense storage would hold 200 x 65,536 int64 counts (100 MB)
     assert held < 8 * 2**20
-    assert len(features) == 200
-    assert all(0 <= ids.min() and ids.max() < N_BUCKETS for ids, _ in features)
+    # About 59k distinct n-grams here against 2.5k with 50 words: the peak
+    # must not grow with them (an n-gram -> bucket memo took it from 1.3 MB
+    # to 9.8 MB).
+    _, few_ngrams_peak = _features_memory(50)
+    assert peak < 1.2 * few_ngrams_peak
 
 
 @pytest.mark.parametrize(
@@ -314,10 +423,72 @@ def test_dedup_near_collapses_near_duplicate_pair():
     near = " ".join(changed)
     sim = jaccard(words, changed, 3)
     assert sim == pytest.approx(0.99, abs=0.005)
-    assert lsh_collision_probability(sim, 128, 16) > 0.999
     corpus = Corpus([Document.create("a", original), Document.create("b", near)])
+    # The margin, measured: one agreeing band of 8 rows is enough, and at
+    # every seed most of the 16 bands agree.
+    agreeing_bands = []
+    for seed in range(100):
+        signatures = minhash_signature(corpus, 3, 128, seed)
+        agreeing_bands.append((signatures[0] == signatures[1]).reshape(16, 8).all(axis=1).sum())
+    assert min(agreeing_bands) >= 8
     survivors = dedup_near(corpus)
     assert len(survivors) == 1
+
+
+@pytest.mark.parametrize("n_edits", [15, 30, 60])
+def test_minhash_rows_agree_at_the_jaccard_rate(n_edits):
+    # Densified one-permutation rows are not independent, so the banding
+    # formula is only a guide for the band rate; each row's agreement rate
+    # is the shingle Jaccard similarity.
+    rng = np.random.default_rng(n_edits)
+    words = [f"w{v}" for v in rng.integers(0, 5000, size=500)]
+    changed = list(words)
+    for pos in rng.choice(500, size=n_edits, replace=False):
+        changed[pos] = f"R{pos}"
+    sim = jaccard(words, changed, 3)
+    corpus = Corpus([Document.create("a", " ".join(words)), Document.create("b", " ".join(changed))])
+    rows, bands = [], []
+    for seed in range(200):
+        signatures = minhash_signature(corpus, 3, 128, seed)
+        agree = signatures[0] == signatures[1]
+        rows.append(agree.mean())
+        bands.append(agree.reshape(16, 8).all(axis=1).any())
+    assert np.mean(rows) == pytest.approx(sim, abs=0.02)
+    assert np.mean(bands) == pytest.approx(lsh_collision_probability(sim, 128, 16), abs=0.1)
+
+
+ZIPF_WORDS = [f"w{i}" for i in range(5000)]
+ZIPF_PROBS = 1.0 / np.arange(1, 5001) ** 1.1
+ZIPF_PROBS /= ZIPF_PROBS.sum()
+
+
+def planted_near_duplicates(seed: int, n_unique=100, n_pairs=40, length=300, edit_share=0.03):
+    """Zipf documents, ``n_pairs`` of them copied with ``edit_share`` of
+    their tokens replaced at random; returns the corpus and the pairs."""
+    rng = np.random.default_rng(seed)
+    docs = {
+        f"u{i}": [ZIPF_WORDS[v] for v in rng.choice(5000, size=length, p=ZIPF_PROBS)]
+        for i in range(n_unique)
+    }
+    pairs = []
+    for k, original in enumerate(rng.choice(n_unique, size=n_pairs, replace=False)):
+        copy = list(docs[f"u{original}"])
+        for pos in rng.choice(length, size=round(edit_share * length), replace=False):
+            copy[pos] = ZIPF_WORDS[rng.integers(5000)]
+        docs[f"n{k}"] = copy
+        pairs.append({f"u{original}", f"n{k}"})
+    return Corpus([Document.create(i, " ".join(t)) for i, t in docs.items()]), pairs
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dedup_near_recall_on_planted_near_duplicates(seed):
+    # 9 of 300 tokens edited puts each pair near Jaccard 0.83. Over seeds
+    # 0-99 of this generator the mean recall is 0.996 and the lowest 0.975.
+    corpus, pairs = planted_near_duplicates(seed)
+    kept = {d.id for d in dedup_near(corpus, seed=seed)}
+    removed = {d.id for d in corpus} - kept
+    assert removed <= set().union(*pairs)
+    assert sum(not pair <= kept for pair in pairs) / len(pairs) >= 0.95
 
 
 def test_dedup_near_idempotent():
