@@ -102,7 +102,7 @@ def cmd_score(args) -> int:
     def score_one(path: str) -> dict:
         corpus = load_jsonl(path, tokenizer)
         name = os.path.basename(path)
-        rep = diversity.score_corpus_diversity(corpus, level=args.level)
+        rep = diversity.score_corpus_diversity(corpus)
         for warning in rep.warnings:
             print(f"warning: {name}: {warning}", file=sys.stderr)
         row = {"corpus": name, "tokens": corpus.total_tokens, **rep.to_flat_dict()}
@@ -142,7 +142,7 @@ def cmd_fit(args) -> int:
     report = fitting.fit_constants(
         points, init, n_restarts=args.restarts, restart_seed=args.seed
     )
-    if args.bootstrap_n > 0:
+    if args.bootstrap_n:
         report.se = fitting.bootstrap_se(
             points, report, n_resamples=args.bootstrap_n, seed=args.seed
         )
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="diversity/syntheticity metrics per corpus")
     p.add_argument("inputs", nargs="+", help="JSONL corpus files")
     p.add_argument("--sample-fraction", type=float, default=syntheticity.DEFAULT_SAMPLE_FRACTION)
-    p.add_argument("--level", type=int, default=diversity.DEFAULT_LEVEL)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("fit", help="estimate scaling-law constants")

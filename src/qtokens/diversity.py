@@ -19,11 +19,13 @@ import numpy as np
 from .corpus import Corpus
 from .errors import DiversityError
 
-DEFAULT_LEVEL = 6
+# Dr is DEFLATE at zlib level 6 over the documents joined by newlines.
+LEVEL = 6
 SEPARATOR = b"\n"
-DEFAULT_MATTR_WINDOW = 100
-DEFAULT_NGRAM_NS = (2, 3, 4)
-DEFAULT_SELF_REPETITION_N = 4
+# The report's MATTR window, n-gram orders and self-repetition order.
+MATTR_WINDOW = 100
+NGRAM_NS = (2, 3, 4)
+SELF_REPETITION_N = 4
 
 
 @dataclass
@@ -46,18 +48,16 @@ class DiversityReport:
         return out
 
 
-def compression_ratio(corpus: Corpus, level: int = DEFAULT_LEVEL) -> float:
+def compression_ratio(corpus: Corpus) -> float:
     """Original bytes over DEFLATE-compressed bytes of the joined corpus.
 
-    Documents are joined with newlines and measured on UTF-8 bytes.
-    Compression is streamed document by document, so the concatenation is
-    never materialized. ``level`` is a zlib level: -1 (zlib's default) or 0..9.
+    Documents are joined with newlines and measured on UTF-8 bytes, and
+    compressed at zlib level ``LEVEL`` (6). Compression is streamed
+    document by document, so the concatenation is never materialized.
     """
-    if not -1 <= level <= 9:
-        raise DiversityError(f"compression level must be in -1..9, got {level}")
     if len(corpus) == 0:
         raise DiversityError("cannot compress empty corpus")
-    comp = zlib.compressobj(level)
+    comp = zlib.compressobj(LEVEL)
     raw = 0
     compressed = 0
     for i, doc in enumerate(corpus):
@@ -73,9 +73,9 @@ def compression_ratio(corpus: Corpus, level: int = DEFAULT_LEVEL) -> float:
     return raw / compressed
 
 
-def diversity_score(corpus: Corpus, level: int = DEFAULT_LEVEL) -> float:
+def diversity_score(corpus: Corpus) -> float:
     """Inverse compression ratio; higher means more diverse."""
-    return 1.0 / compression_ratio(corpus, level)
+    return 1.0 / compression_ratio(corpus)
 
 
 def _encode(tokens: Iterable[str], count: int) -> tuple[np.ndarray, dict[str, int]]:
@@ -188,7 +188,7 @@ def ngram_diversity(tokens: Sequence[str], n: int) -> float:
     return distinct[n - 1] / (len(tokens) - n + 1)
 
 
-def self_repetition(documents: Sequence[Sequence[str]], n: int = DEFAULT_SELF_REPETITION_N) -> float:
+def self_repetition(documents: Sequence[Sequence[str]], n: int = SELF_REPETITION_N) -> float:
     """Average log(1 + k) where k counts a document's n-grams seen elsewhere.
 
     Every n-gram occurrence in a document contributes to k when that n-gram
@@ -201,22 +201,18 @@ def self_repetition(documents: Sequence[Sequence[str]], n: int = DEFAULT_SELF_RE
     return _self_repetition(ranks, lengths, n)
 
 
-def score_corpus_diversity(
-    corpus: Corpus,
-    level: int = DEFAULT_LEVEL,
-    mattr_window: int = DEFAULT_MATTR_WINDOW,
-    ngram_ns: Sequence[int] = DEFAULT_NGRAM_NS,
-    self_repetition_n: int = DEFAULT_SELF_REPETITION_N,
-) -> DiversityReport:
+def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
     """Compute the full diversity report for one corpus.
 
-    TTR, MATTR and n-gram diversity run on the concatenated stream of the
-    documents' tokens, across document boundaries; self-repetition counts
-    within-document n-grams only. The compression metric reads the UTF-8
-    text instead. Metrics whose preconditions fail on this corpus (e.g.
-    self-repetition with a single document) are reported as None.
+    TTR, MATTR (window ``MATTR_WINDOW``, 100 tokens) and n-gram diversity
+    (n in ``NGRAM_NS``, 2 to 4) run on the concatenated stream of the
+    documents' tokens, across document boundaries; self-repetition (n =
+    ``SELF_REPETITION_N``, 4) counts within-document n-grams only. The
+    compression metric reads the UTF-8 text instead. Metrics whose
+    preconditions fail on this corpus (e.g. self-repetition with a single
+    document) are reported as None.
     """
-    cr = compression_ratio(corpus, level)
+    cr = compression_ratio(corpus)
     dr = 1.0 / cr
     warnings = ()
     if cr < 1.0:
@@ -225,17 +221,12 @@ def score_corpus_diversity(
     total = int(lengths.sum())
     if total == 0:
         raise DiversityError("corpus has no tokens")
-    for n in ngram_ns:
-        if n < 1:
-            raise DiversityError(f"n must be >= 1, got {n}")
-    if mattr_window < 1:
-        raise DiversityError(f"window must be >= 1, got {mattr_window}")
     ids, types = _encode(chain.from_iterable(doc.tokens for doc in corpus), total)
     n_types = len(types)
-    ranks, distinct = _ngram_ranks(ids, n_types, max((*ngram_ns, self_repetition_n)))
-    ngd = {n: distinct[n - 1] / (total - n + 1) if total >= n else None for n in ngram_ns}
+    ranks, distinct = _ngram_ranks(ids, n_types, max((*NGRAM_NS, SELF_REPETITION_N)))
+    ngd = {n: distinct[n - 1] / (total - n + 1) if total >= n else None for n in NGRAM_NS}
     try:
-        sr = _self_repetition(ranks, lengths, self_repetition_n)
+        sr = _self_repetition(ranks, lengths, SELF_REPETITION_N)
     except DiversityError:
         sr = None
     ttr = n_types / total
@@ -243,7 +234,7 @@ def score_corpus_diversity(
         cr=cr,
         dr=dr,
         ttr=ttr,
-        mattr=_mattr(ids, mattr_window) if total >= mattr_window else ttr,
+        mattr=_mattr(ids, MATTR_WINDOW) if total >= MATTR_WINDOW else ttr,
         ngram_diversity=ngd,
         self_repetition=sr,
         warnings=warnings,
@@ -266,27 +257,18 @@ class CorrelationMatrix:
     undefined: tuple[str, ...] = ()
 
 
-def metric_correlation_matrix(
-    corpora: Sequence[Corpus],
-    mattr_window: int = DEFAULT_MATTR_WINDOW,
-    ngram_n: int = 2,
-    self_repetition_n: int = DEFAULT_SELF_REPETITION_N,
-) -> CorrelationMatrix:
-    """Correlate the diversity metrics across a set of corpora."""
+def metric_correlation_matrix(corpora: Sequence[Corpus]) -> CorrelationMatrix:
+    """Correlate the diversity metrics of ``score_corpus_diversity``
+    across a set of corpora; the n-gram diversity is the bigram one."""
     if len(corpora) < 3:
         raise DiversityError("metric correlation needs at least 3 corpora")
     rows = {key: [] for key in METRIC_KEYS}
     for corpus in corpora:
-        report = score_corpus_diversity(
-            corpus,
-            mattr_window=mattr_window,
-            ngram_ns=(ngram_n,),
-            self_repetition_n=self_repetition_n,
-        )
+        report = score_corpus_diversity(corpus)
         rows["dr"].append(report.dr)
         rows["ttr"].append(report.ttr)
         rows["mattr"].append(report.mattr)
-        rows["ngram_diversity"].append(report.ngram_diversity[ngram_n])
+        rows["ngram_diversity"].append(report.ngram_diversity[2])
         rows["self_repetition"].append(report.self_repetition)
     undefined = []
     vectors = {}

@@ -64,8 +64,6 @@ class ExperimentPoint:
     dr: float
     s: float
     accuracy: float
-    train_loss: float | None = None
-    eval_loss: float | None = None
     label: str = ""
     fraction_pct: int = 100
 
@@ -250,6 +248,8 @@ def fit_constants(
     start on a tie, and a restart whose model is not finite at its start
     is skipped. Off by default.
     """
+    if n_restarts < 0:
+        raise FittingError(f"n_restarts must be >= 0, got {n_restarts}")
     form = init.form
     if len(points) < N_PARAMS + 1:
         raise FittingError(
@@ -369,16 +369,14 @@ def _quality_lookup(quality: Sequence[tuple]) -> dict[tuple[str, int], tuple[flo
 def _experiment_point(result: tuple, dr: float, s: float) -> ExperimentPoint:
     """Point for a result row (size_m, label, pct, n_tokens, train_loss,
     eval_loss, accuracy_pct) with its quality scores; accuracy percent
-    becomes a fraction and a loss of None stays None."""
-    size_m, label, pct, n_tokens, train_loss, eval_loss, acc_pct = result
+    becomes a fraction and the losses are not read."""
+    size_m, label, pct, n_tokens, _, _, acc_pct = result
     return ExperimentPoint(
         n_millions=float(size_m),
         d_tokens=float(n_tokens),
         dr=dr,
         s=s,
         accuracy=float(acc_pct) / 100.0,
-        train_loss=float(train_loss) if train_loss is not None else None,
-        eval_loss=float(eval_loss) if eval_loss is not None else None,
         label=label,
         fraction_pct=int(pct),
     )
@@ -459,8 +457,7 @@ def load_experiments_csv(
                     raise FittingError("diversity/syntheticity columns empty "
                                        "and no quality table supplied")
                 result = (row["model_size_m"], label, pct, row["n_tokens"],
-                          row.get("train_loss") or None, row.get("eval_loss") or None,
-                          row["accuracy_pct"])
+                          None, None, row["accuracy_pct"])
                 points.append(_experiment_point(result, dr, s))
             except (FittingError, KeyError, TypeError, ValueError) as exc:
                 raise FittingError(f"row {row_no}: {exc}") from exc

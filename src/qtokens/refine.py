@@ -32,10 +32,13 @@ FEATURE_HASH_SEED = 0x9E3779B1
 # Selection features: uni- and bigram counts hashed into 65,536 buckets.
 N_RANGE = (1, 2)
 N_BUCKETS = 1 << 16
+# Add-smoothing of both bucket distributions, relative to each one's total.
+SMOOTHING = 1e-4
 
-DEFAULT_SHINGLE_N = 3
-DEFAULT_N_HASHES = 128
-DEFAULT_BANDS = 16
+# Near dedup: 3-token shingles, 128 MinHash bins in 16 bands of 8 rows.
+SHINGLE_N = 3
+N_HASHES = 128
+BANDS = 16
 
 # Odd 64-bit multipliers of the n-gram hash combiner (splitmix64's).
 _MIX_LEFT = np.uint64(0x9E3779B97F4A7C15)
@@ -108,33 +111,29 @@ def corpus_features(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     return buckets.view(np.int64), np.concatenate([d for _, d in grams])
 
 
-def _smoothed_log_probs(
-    buckets: np.ndarray, n_docs: int, name: str, smoothing: float
-) -> np.ndarray:
+def _smoothed_log_probs(buckets: np.ndarray, n_docs: int, name: str) -> np.ndarray:
     if n_docs == 0:
         raise RefineError(f"{name} corpus has no documents")
     total = len(buckets)
     if total == 0:
         raise RefineError(f"{name} corpus has no n-grams")
     counts = np.bincount(buckets, minlength=N_BUCKETS)
-    return np.log((counts + smoothing * total / N_BUCKETS) / (total * (1 + smoothing)))
+    return np.log((counts + SMOOTHING * total / N_BUCKETS) / (total * (1 + SMOOTHING)))
 
 
-def importance_weights(raw: Corpus, target: Corpus, smoothing: float = 1e-4) -> list[float]:
+def importance_weights(raw: Corpus, target: Corpus) -> list[float]:
     """Log-likelihood ratio of each raw document under target vs raw buckets.
 
     Each corpus's bucket distribution gets add-smoothing proportional to
-    its own total (``count + smoothing * total / N_BUCKETS`` per bucket),
+    its own total (``count + SMOOTHING * total / N_BUCKETS`` per bucket),
     so every bucket has positive probability, weights stay finite, and
     scaling both totals by the same factor leaves the weights unchanged.
     Only the two corpus distributions are made dense.
     """
-    if smoothing <= 0:
-        raise RefineError(f"smoothing must be > 0, got {smoothing}")
     raw_buckets, raw_docs = corpus_features(raw)
-    raw_logp = _smoothed_log_probs(raw_buckets, len(raw), "raw", smoothing)
+    raw_logp = _smoothed_log_probs(raw_buckets, len(raw), "raw")
     target_buckets, _ = corpus_features(target)
-    target_logp = _smoothed_log_probs(target_buckets, len(target), "target", smoothing)
+    target_logp = _smoothed_log_probs(target_buckets, len(target), "target")
     delta = target_logp - raw_logp
     return np.bincount(raw_docs, weights=delta[raw_buckets], minlength=len(raw)).tolist()
 
@@ -212,69 +211,55 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def minhash_signature(corpus: Corpus, shingle_n: int, n_hashes: int, seed: int) -> np.ndarray:
+def minhash_signature(corpus: Corpus, seed: int) -> np.ndarray:
     """One-permutation MinHash signatures of every document's token shingles.
 
-    Returns a ``(len(corpus), n_hashes)`` uint64 matrix. Each shingle (a
-    ``shingle_n``-gram inside one document) gets one 64-bit hash, keyed by
-    ``seed``. Its high bits pick one of ``n_hashes`` bins (the top 7 bits
-    for 128) and each document keeps its smallest hash per bin (Li, Owen
-    and Zhang, "One Permutation Hashing", 2012). A bin none of the
-    document's shingles fell in takes the value of the next filled bin to
-    its right, circularly, plus a multiple of the distance to it
-    (rotation densification, Shrivastava and Li, 2014). Two documents then
-    agree on a row with probability close to their shingle Jaccard
-    similarity. A document with fewer than ``shingle_n`` tokens has no
-    shingles; every entry of its row is the largest uint64.
+    Returns a ``(len(corpus), N_HASHES)`` uint64 matrix. Each shingle (a
+    ``SHINGLE_N``-gram, 3 tokens, inside one document) gets one 64-bit
+    hash, keyed by ``seed``, an integer in [0, 2**64). Its top 7 bits
+    pick one of the ``N_HASHES`` (128) bins and each document keeps its
+    smallest hash per bin (Li, Owen and Zhang, "One Permutation Hashing",
+    2012). A bin none of the document's shingles fell in takes the value
+    of the next filled bin to its right, circularly, plus a multiple of
+    the distance to it (rotation densification, Shrivastava and Li, 2014).
+    Two documents then agree on a row with probability close to their
+    shingle Jaccard similarity. A document with fewer than ``SHINGLE_N``
+    tokens has no shingles; every entry of its row is the largest uint64.
     """
+    if not 0 <= seed < 1 << 64:
+        raise RefineError(f"seed must be in [0, 2**64), got {seed}")
     hashes, docs = _token_hashes(corpus, seed)
-    shingles, owners = _ngram_hashes(hashes, docs, shingle_n)
-    bins = ((shingles >> np.uint64(32)) * np.uint64(n_hashes)) >> np.uint64(32)
-    sig = np.full((len(corpus), n_hashes), _EMPTY, dtype=np.uint64)
+    shingles, owners = _ngram_hashes(hashes, docs, SHINGLE_N)
+    bins = ((shingles >> np.uint64(32)) * np.uint64(N_HASHES)) >> np.uint64(32)
+    sig = np.full((len(corpus), N_HASHES), _EMPTY, dtype=np.uint64)
     np.minimum.at(sig, (owners, bins.astype(np.intp)), shingles)
     # Column of the next filled bin at or after each bin, over two turns
-    # of the circle; 2 * n_hashes where a row has none.
+    # of the circle; 2 * N_HASHES where a row has none.
     filled = np.tile(sig != _EMPTY, 2)
-    turns = np.where(filled, np.arange(2 * n_hashes), 2 * n_hashes)
-    nearest = np.minimum.accumulate(turns[:, ::-1], axis=1)[:, ::-1][:, :n_hashes]
-    distance = (nearest - np.arange(n_hashes)).astype(np.uint64)
+    turns = np.where(filled, np.arange(2 * N_HASHES), 2 * N_HASHES)
+    nearest = np.minimum.accumulate(turns[:, ::-1], axis=1)[:, ::-1][:, :N_HASHES]
+    distance = (nearest - np.arange(N_HASHES)).astype(np.uint64)
     # Offsets are distance times an odd constant, so a borrowed value
     # differs from the one it came from and from those at other distances.
-    dense = np.take_along_axis(sig, nearest % n_hashes, axis=1) + distance * _MIX_LEFT
-    return np.where(nearest < 2 * n_hashes, dense, _EMPTY)
+    dense = np.take_along_axis(sig, nearest % N_HASHES, axis=1) + distance * _MIX_LEFT
+    return np.where(nearest < 2 * N_HASHES, dense, _EMPTY)
 
 
-def dedup_near(
-    corpus: Corpus,
-    shingle_n: int = DEFAULT_SHINGLE_N,
-    n_hashes: int = DEFAULT_N_HASHES,
-    bands: int = DEFAULT_BANDS,
-    seed: int = 0,
-    keep: str = "longest",
-) -> Corpus:
+def dedup_near(corpus: Corpus, seed: int = 0) -> Corpus:
     """Collapse near-duplicate documents found by MinHash-LSH banding.
 
-    Documents whose signatures agree on all rows of at least one band are
-    clustered together (transitively); the longest document in each
-    cluster survives (``keep="first"`` keeps the earliest instead).
+    The ``N_HASHES`` (128) signature rows of ``minhash_signature`` form
+    ``BANDS`` (16) bands of 8 rows. Documents whose signatures agree on
+    all rows of at least one band are clustered together (transitively);
+    the longest document in each cluster survives, the earliest on a tie.
     Documents too short to shingle are never clustered.
     """
-    if shingle_n < 1:
-        raise RefineError(f"shingle_n must be >= 1, got {shingle_n}")
-    if n_hashes < 1:
-        raise RefineError(f"n_hashes must be >= 1, got {n_hashes}")
-    if bands < 1 or n_hashes % bands != 0:
-        raise RefineError(
-            f"n_hashes ({n_hashes}) must be divisible by bands ({bands})"
-        )
-    if keep not in ("longest", "first"):
-        raise RefineError(f"unknown keep policy {keep!r}")
-    rows = n_hashes // bands
-    sig = minhash_signature(corpus, shingle_n, n_hashes, seed)
-    shingled = np.flatnonzero([doc.token_count >= shingle_n for doc in corpus])
+    rows = N_HASHES // BANDS
+    sig = minhash_signature(corpus, seed)
+    shingled = np.flatnonzero([doc.token_count >= SHINGLE_N for doc in corpus])
     sig = sig[shingled]
     uf = _UnionFind(len(corpus))
-    for band in range(bands):
+    for band in range(BANDS):
         # Each document joins the first document whose band equals its own.
         _, first, inverse = np.unique(
             sig[:, band * rows : (band + 1) * rows],
@@ -286,11 +271,8 @@ def dedup_near(
     clusters: dict[int, list[int]] = {}
     for i in range(len(corpus)):
         clusters.setdefault(uf.find(i), []).append(i)
-    survivors = set()
-    for members in clusters.values():
-        if keep == "longest":
-            best = max(members, key=lambda i: (corpus.documents[i].token_count, -i))
-        else:
-            best = min(members)
-        survivors.add(best)
+    survivors = {
+        max(members, key=lambda i: (corpus.documents[i].token_count, -i))
+        for members in clusters.values()
+    }
     return Corpus([doc for i, doc in enumerate(corpus.documents) if i in survivors])

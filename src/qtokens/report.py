@@ -19,6 +19,11 @@ from .scaling_law import ScalingConstants, _score, clamp_unit, effective_tokens_
 WIDTH = 640
 HEIGHT = 480
 MARGIN = 60
+# Axes span the data plus 8% of its range on each side, with 5 tick intervals.
+PAD_FRAC = 0.08
+TICKS = 5
+# The Q surface is a 21 x 21 grid over the fitted points' Dr and S ranges.
+SURFACE_STEPS = 21
 
 PRED_VS_TRUE_SVG = "pred_vs_true.svg"
 ACC_VS_DQ_SVG = "acc_vs_dq.svg"
@@ -54,10 +59,10 @@ class _Axes:
         return HEIGHT - MARGIN - frac * (HEIGHT - 2 * MARGIN)
 
 
-def _pad_limits(values: Sequence[float], frac: float = 0.08) -> tuple[float, float]:
+def _pad_limits(values: Sequence[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     span = (hi - lo) or abs(hi) or 1.0
-    return lo - frac * span, hi + frac * span
+    return lo - PAD_FRAC * span, hi + PAD_FRAC * span
 
 
 def _svg_document(body: list[str], title: str, xlabel: str, ylabel: str) -> str:
@@ -80,13 +85,13 @@ def _svg_document(body: list[str], title: str, xlabel: str, ylabel: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _ticks(axes: _Axes, n: int = 5) -> list[str]:
+def _ticks(axes: _Axes) -> list[str]:
     parts = []
-    for i in range(n + 1):
-        xf = axes.xlim[0] + (axes.xlim[1] - axes.xlim[0]) * i / n
+    for i in range(TICKS + 1):
+        xf = axes.xlim[0] + (axes.xlim[1] - axes.xlim[0]) * i / TICKS
         if axes.log_x:
             lg0, lg1 = math.log10(axes.xlim[0]), math.log10(axes.xlim[1])
-            xf = 10 ** (lg0 + (lg1 - lg0) * i / n)
+            xf = 10 ** (lg0 + (lg1 - lg0) * i / TICKS)
             label = f"{xf:.2g}"
         else:
             label = _fmt(xf)
@@ -99,7 +104,7 @@ def _ticks(axes: _Axes, n: int = 5) -> list[str]:
             f'<text x="{px:.1f}" y="{HEIGHT - MARGIN + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{label}</text>'
         )
-        yf = axes.ylim[0] + (axes.ylim[1] - axes.ylim[0]) * i / n
+        yf = axes.ylim[0] + (axes.ylim[1] - axes.ylim[0]) * i / TICKS
         py = axes.y(yf)
         parts.append(
             f'<line x1="{MARGIN - 5}" y1="{py:.1f}" x2="{MARGIN}" y2="{py:.1f}" '
@@ -187,15 +192,14 @@ def q_surface_csv(
     constants: ScalingConstants,
     dr_range: tuple[float, float],
     s_range: tuple[float, float],
-    steps: int = 21,
 ) -> str:
-    """Grid of the fitted form's scaling factor Q = Dq / D over the
-    (diversity, syntheticity) plane."""
+    """``SURFACE_STEPS`` x ``SURFACE_STEPS`` grid of the fitted form's
+    scaling factor Q = Dq / D over the (diversity, syntheticity) plane."""
     lines = ["diversity,syntheticity,q"]
-    for i in range(steps):
-        dr = dr_range[0] + (dr_range[1] - dr_range[0]) * i / (steps - 1)
-        for j in range(steps):
-            s = s_range[0] + (s_range[1] - s_range[0]) * j / (steps - 1)
+    for i in range(SURFACE_STEPS):
+        dr = dr_range[0] + (dr_range[1] - dr_range[0]) * i / (SURFACE_STEPS - 1)
+        for j in range(SURFACE_STEPS):
+            s = s_range[0] + (s_range[1] - s_range[0]) * j / (SURFACE_STEPS - 1)
             q = effective_tokens_raw(1.0, dr, s, constants)
             lines.append(f"{dr:.6f},{s:.6f},{q:.8e}")
     return "\n".join(lines) + "\n"

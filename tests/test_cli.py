@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -103,15 +104,6 @@ def test_score_warns_on_incompressible_input(write_corpus, capsys):
     assert row["cr"] == "0.529412"
     assert "warning" not in out
     assert err == "warning: tiny.jsonl: compression ratio 0.5294 < 1; input is incompressible\n"
-
-
-@pytest.mark.parametrize("level", ["12", "-2"])
-def test_score_rejects_out_of_range_level(write_corpus, capsys, level):
-    path = write_corpus("x.jsonl", [{"text": "a b c d"}])
-    code, out, err = run_cli(["score", path, "--level", level], capsys)
-    assert code == 1
-    assert err.startswith("error:") and "level" in err
-    assert out == ""
 
 
 def test_fit_fixture_f1(capsys):
@@ -576,6 +568,79 @@ def test_fixed_settings_are_the_library_defaults(write_corpus, tmp_path, capsys)
     assert {f"g{g}b" for g in range(8)} < set(expected_ids) < {r["id"] for r in dup_rows}
 
 
+def _lcg_text(state: int, vocab: int, length: int) -> tuple[int, str]:
+    """``length`` words drawn from ``vocab`` by a 64-bit LCG; the next state and the text."""
+    words = []
+    for _ in range(length):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        words.append(f"w{(state >> 33) % vocab}")
+    return state, " ".join(words)
+
+
+# sha256 of every stdout and output file of test_pinned_outputs. A change to
+# any fixed setting (Dr's zlib level, the report's window and n-gram orders,
+# selection smoothing, the MinHash layout, the report's grid) changes one.
+PINNED_OUTPUTS = {
+    "score stdout": "cf275d982c4cc96112d66b3b6dc99e4e7b39aedcd92647be930652213015e817",
+    "select stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "near stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "exact stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fit stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "exact.jsonl": "c3bf6e808b77681c2231f1a5d607bff566a51e50701a8c40a18502740bfe1c43",
+    "fit.json": "00ce38beedb1fe5b04d95cb5ba304a4b05854f973024f5eb671aec50da133c34",
+    "near.json": "5681dfa3e69178b110bbcb48e37b08e8ceaec6f768ca33f1b82208b848b38641",
+    "near.jsonl": "b5f60517b7707a478546b1c597e6819c875c61e85869cea1599b8542f66a2f95",
+    "select.json": "3f77c2dace6e5f03bb3d50e5dd92e0c615268746705b02268527a9d229a19c27",
+    "select.jsonl": "01fce2f93f58af3497f5b7af52f2d90c8be7c67202d750008564c01443af9d37",
+    "acc_vs_dq.svg": "6b7727344ae5bc0a7316b3544f5f2ce3fde0543b64d82c7c8b72651fa8221789",
+    "pred_vs_true.svg": "7791b9e3ff8a33ed09db9a17f81e5739bea601d6616e525d495c4224ada3be57",
+    "q_surface.csv": "5091942dea289dbbfe007000bacc09a77933617287fc8e5b3b8ab629e79e4e38",
+}
+
+
+def test_pinned_outputs(write_corpus, tmp_path, capsys):
+    state = 2024
+    raw_rows, target_rows, dup_rows = [], [], []
+    for i in range(30):
+        state, text = _lcg_text(state, 12 + 2 * (i % 25), 8 + i % 33)
+        raw_rows.append({"id": f"r{i}", "text": text})
+    for i in range(8):
+        state, text = _lcg_text(state, 12, 25)
+        target_rows.append({"id": f"t{i}", "text": text})
+    for g in range(8):
+        state, text = _lcg_text(state, 5000, 120)
+        base = text.split()
+        copy = [t if i % (8 + 3 * g) else "x" for i, t in enumerate(base, 1)]
+        dup_rows += [{"id": f"g{g}a", "text": text},
+                     {"id": f"g{g}b", "text": " ".join(copy + ["tail", "end"])},
+                     {"id": f"g{g}c", "text": text}]
+    raw = write_corpus("raw.jsonl", raw_rows)
+    target = write_corpus("target.jsonl", target_rows)
+    dups = write_corpus("dups.jsonl", dup_rows)
+
+    digests = {}
+    for name, argv in [
+        ("score", ["score", raw, target, dups, "--scorer", f"kgram:{target}"]),
+        ("select", ["select", raw, "--target", target, "--budget-tokens", "200",
+                    "--out", str(tmp_path / "select.jsonl"),
+                    "--report", str(tmp_path / "select.json")]),
+        ("near", ["dedup", dups, "--mode", "near", "--out", str(tmp_path / "near.jsonl"),
+                  "--report", str(tmp_path / "near.json")]),
+        ("exact", ["dedup", dups, "--mode", "exact", "--out", str(tmp_path / "exact.jsonl")]),
+        ("fit", ["fit", "--fixture", "--out", str(tmp_path / "fit.json")]),
+    ]:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, name
+        digests[f"{name} stdout"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    code, _, _ = run_cli(["report", "--fit-report", str(tmp_path / "fit.json"),
+                          "--out-dir", str(tmp_path / "plots")], capsys)
+    assert code == 0
+    for path in sorted(tmp_path.glob("*.json*")) + sorted((tmp_path / "plots").iterdir()):
+        if path.name not in ("raw.jsonl", "target.jsonl", "dups.jsonl"):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PINNED_OUTPUTS
+
+
 def test_dedup_near_shingles_under_global_tokenizer(write_corpus, tmp_path, capsys):
     # Single-word texts are too short to shingle under whitespace tokens;
     # byte tokens make the first two near duplicates.
@@ -662,6 +727,20 @@ def test_fit_with_restarts_flag(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pearson"] >= 0.80
+
+
+def test_fit_negative_restarts_is_an_error(capsys):
+    code, out, err = run_cli(["fit", "--fixture", "--restarts", "-2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: n_restarts must be >= 0, got -2\n"
+
+
+def test_fit_negative_bootstrap_n_is_an_error(capsys):
+    code, out, err = run_cli(["fit", "--fixture", "--bootstrap-n", "-5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: n_resamples must be >= 2, got -5\n"
 
 
 def test_report_single_point_rejected(tmp_path, capsys):

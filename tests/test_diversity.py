@@ -257,10 +257,10 @@ def test_byte_tokenizer_report_matches_oracles():
     corpus = Corpus([Document.create(f"d{i}", t, tok) for i, t in enumerate(texts)])
     docs = [list(doc.tokens) for doc in corpus]
     stream = [t for doc in docs for t in doc]
-    assert len(stream) == len("".join(texts).encode("utf-8"))
-    report = score_corpus_diversity(corpus, mattr_window=30)
+    assert len(stream) == len("".join(texts).encode("utf-8")) > 100
+    report = score_corpus_diversity(corpus)
     assert report.ttr == len(set(stream)) / len(stream)
-    assert report.mattr == brute_force_mattr(stream, 30)
+    assert report.mattr == brute_force_mattr(stream, 100)
     for n in (2, 3, 4):
         assert report.ngram_diversity[n] == set_of_tuples_ngram_diversity(stream, n)
     assert report.self_repetition == reference_self_repetition(docs, 4)
@@ -269,26 +269,30 @@ def test_byte_tokenizer_report_matches_oracles():
 def test_report_matches_public_functions_across_boundaries():
     # Short documents over a small vocabulary: many n-grams of the joined
     # stream cross a document boundary, and self-repetition must skip them.
+    # Streams run from 7 to 183 tokens, on both sides of the MATTR
+    # window of 100.
     rng = np.random.default_rng(44)
+    windowed = 0
     for _ in range(20):
         texts = [
             " ".join(f"w{v}" for v in rng.integers(0, 6, size=int(rng.integers(1, 9))))
-            for _ in range(int(rng.integers(2, 15)))
+            for _ in range(int(rng.integers(2, 40)))
         ]
         corpus = Corpus.from_texts(texts)
         docs = [list(doc.tokens) for doc in corpus]
         stream = [t for doc in docs for t in doc]
-        window = int(rng.integers(1, 20))
-        report = score_corpus_diversity(corpus, mattr_window=window, ngram_ns=(1, 2, 3, 4))
+        windowed += len(stream) > 100
+        report = score_corpus_diversity(corpus)
         assert report.ttr == type_token_ratio(stream)
-        assert report.mattr == mattr(stream, window)
-        for n in (1, 2, 3, 4):
+        assert report.mattr == mattr(stream, 100)
+        for n in (2, 3, 4):
             expected = ngram_diversity(stream, n) if len(stream) >= n else None
             assert report.ngram_diversity[n] == expected
         if sum(len(d) >= 4 for d in docs) >= 2:
             assert report.self_repetition == self_repetition(docs, 4)
         else:
             assert report.self_repetition is None
+    assert 0 < windowed < 20
     # "a b c d" appears inside the first document and again only across the
     # boundary of the last two: n-gram diversity sees the repeat,
     # self-repetition does not.

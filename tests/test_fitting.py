@@ -389,7 +389,10 @@ def test_load_experiments_csv(tmp_path):
     points = load_experiments_csv(str(path))
     assert len(points) == 2
     assert points[0].accuracy == pytest.approx(0.3787)
-    assert points[0].train_loss == 1.36
+    assert (points[0].n_millions, points[0].d_tokens, points[0].dr, points[0].s) == (
+        25.0, 1083200970.0, 0.3775, 0.02699
+    )
+    assert (points[1].label, points[1].fraction_pct) == ("Random", 10)
 
 
 def test_load_experiments_csv_with_quality_table(tmp_path):

@@ -1,6 +1,7 @@
 """Every import in the package and the tests is used, every module-level
-definition in the package is referenced somewhere, and every command-line
-option is set somewhere.
+definition in the package is referenced somewhere, every command-line
+option is set somewhere, and every defaulted library parameter is passed
+somewhere outside the tests.
 
 ``__init__.py`` is left out of both scans: its imports are the package's
 public names. Those exports do count as references, as do the dotted
@@ -10,6 +11,7 @@ names the benchmark in ``perfbench/`` looks functions up by.
 import argparse
 import ast
 import functools
+import math
 import os
 import re
 
@@ -186,3 +188,113 @@ def test_every_cli_option_is_set_somewhere():
         if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", corpus)
     ]
     assert unset == []
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, positional index or None) of every parameter with
+    a default. A method's callee is its name, ``__init__``'s its class's;
+    ``self`` and ``cls`` take no index."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                if owner is not None and not static:
+                    positional = positional[1:]
+                callee = owner if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((callee, a.arg, i) for i, a in enumerate(positional) if i >= first)
+                found.extend((callee, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, float, set]]:
+    """(callee, positional argument count, keyword names) of every call.
+    ``cls(...)`` inside a class calls that class; a ``*`` argument counts
+    as every positional argument, and ``**`` gives the keyword name None."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                if callee == "cls" and owner is not None:
+                    callee = owner
+                starred = any(isinstance(a, ast.Starred) for a in child.args)
+                found.append((callee, math.inf if starred else len(child.args),
+                              {k.arg for k in child.keywords}))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def unpassed_parameters(definitions: str, callers: list[str]) -> list[str]:
+    """``callee(parameter)`` for each defaulted parameter in ``definitions``
+    that no call in ``callers`` passes, by position or by keyword."""
+    calls = [c for source in callers for c in _calls(ast.parse(source))]
+    return [
+        f"{callee}({param})"
+        for callee, param, index in _defaulted_parameters(ast.parse(definitions))
+        if not any(
+            name == callee and (param in keywords or None in keywords
+                                or index is not None and index < count)
+            for name, count, keywords in calls
+        )
+    ]
+
+
+def test_scan_finds_an_unpassed_parameter():
+    module = (
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, z=0):\n"
+        "        return cls(y=z)\n"
+        "    def m(self, w=0):\n"
+        "        pass\n"
+    )
+    caller = "f(0, 1)\nf(*args)\nK.make()\nK().m(1)\n"
+    assert unpassed_parameters(module, [module, caller]) == ["f(d)", "K(x)", "make(z)"]
+    assert unpassed_parameters(module, [module, caller, "f(**kw)\nK.make(2)"]) == ["K(x)"]
+
+
+# Defaulted parameters that only tests pass, and why each stays a parameter.
+TEST_ONLY_PARAMETERS = (
+    ("from_texts(tokenizer)", "tests build corpora from literal texts under each tokenizer"),
+    ("from_texts(id_prefix)", "tests combine corpora built from texts, whose ids must differ"),
+    ("self_repetition(n)", "its reference-loop test sweeps n from 1 to 5"),
+    ("train_kgram_scorer(smoothing)", "the oracle tests check add-alpha smoothing at several alphas"),
+    ("train_kgram_scorer(context_len)", "the oracle tests score windows shorter than a document"),
+    ("external_scorer_connect(timeout)", "the tests of a peer that stalls need a short timeout"),
+)
+
+
+def test_every_library_parameter_is_passed_somewhere():
+    """A defaulted parameter that no call in the package, the benchmark or
+    the README's library example passes is a setting with one value in
+    use; it belongs in the code as a constant."""
+    with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
+        callers = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    sources = _reference_sources()
+    callers += [text for path, text in sources.items() if not path.startswith(TESTS_DIR)]
+    unpassed = [
+        name
+        for path, text in sources.items() if os.path.dirname(path) == PACKAGE_DIR
+        for name in unpassed_parameters(text, callers)
+    ]
+    assert sorted(unpassed) == sorted(name for name, _ in TEST_ONLY_PARAMETERS)

@@ -57,8 +57,10 @@ def oracle_counts(tokens: list[str]) -> dict[int, int]:
     return counts
 
 
-def oracle_signature(tokens, shingle_n: int, n_hashes: int, seed: int) -> list[int]:
-    """One-permutation MinHash with rotation densification, one shingle at a time."""
+def oracle_signature(tokens, seed: int) -> list[int]:
+    """One-permutation MinHash with rotation densification over 3-token
+    shingles and 128 bins, one shingle at a time."""
+    shingle_n, n_hashes = 3, 128
     if len(tokens) < shingle_n:
         return [MASK64] * n_hashes
     bins: list[int | None] = [None] * n_hashes
@@ -143,7 +145,7 @@ def test_each_distinct_token_hashed_once_per_corpus(monkeypatch):
     corpus_features(corpus)
     assert sorted(calls) == [b"a", b"b", b"c", b"d"]
     calls.clear()
-    minhash_signature(corpus, 3, 16, seed=5)
+    minhash_signature(corpus, seed=5)
     assert sorted(calls) == [b"a", b"b", b"c", b"d"]
 
 
@@ -154,22 +156,31 @@ def test_whole_corpus_equals_each_document_alone():
     texts = [" ".join(f"w{v}" for v in rng.integers(0, 12, size=n)) for n in (9, 0, 1, 2, 3, 40)]
     corpus = Corpus.from_texts(texts)
     buckets, docs = corpus_features(corpus)
-    signatures = minhash_signature(corpus, 3, 32, seed=7)
+    signatures = minhash_signature(corpus, seed=7)
     for i, doc in enumerate(corpus):
         alone_buckets, alone_docs = corpus_features(Corpus([doc]))
         assert (buckets[docs == i] == alone_buckets).all() and (alone_docs == 0).all()
-        assert (signatures[i] == minhash_signature(Corpus([doc]), 3, 32, seed=7)[0]).all()
-        assert signatures[i].tolist() == oracle_signature(doc.tokens, 3, 32, seed=7)
+        assert (signatures[i] == minhash_signature(Corpus([doc]), seed=7)[0]).all()
+        assert signatures[i].tolist() == oracle_signature(doc.tokens, seed=7)
     assert len(buckets) == sum(2 * len(t.split()) - 1 for t in texts if t)
 
 
-@pytest.mark.parametrize("length, n_hashes", [(3, 128), (12, 128), (300, 128), (50, 48)])
-def test_minhash_signature_matches_pure_python_oracle(length, n_hashes):
-    # short documents leave most bins empty, so densification does the work
+@pytest.mark.parametrize("length", [3, 12, 300], ids=lambda length: f"{length}-128")
+def test_minhash_signature_matches_pure_python_oracle(length):
+    # short documents leave most of the 128 bins empty, so densification does the work
     rng = np.random.default_rng(length)
     tokens = [f"w{v}" for v in rng.integers(0, 40, size=length)]
-    [signature] = minhash_signature(Corpus([Document.create("d", " ".join(tokens))]), 3, n_hashes, 11)
-    assert signature.tolist() == oracle_signature(tokens, 3, n_hashes, 11)
+    [signature] = minhash_signature(Corpus([Document.create("d", " ".join(tokens))]), 11)
+    assert signature.tolist() == oracle_signature(tokens, 11)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_minhash_signature_rejects_seed_out_of_range(seed):
+    corpus = Corpus.from_texts(["a b c d e", "a b c d f"])
+    with pytest.raises(RefineError, match=r"seed must be in \[0, 2\*\*64\)"):
+        minhash_signature(corpus, seed)
+    with pytest.raises(RefineError, match="seed must be in"):
+        dedup_near(corpus, seed=seed)
 
 
 def test_weights_zero_when_distributions_match():
@@ -181,15 +192,12 @@ def test_weights_zero_when_distributions_match():
 def test_weights_scale_invariant():
     raw_texts = ["a b c d", "e f g h"]
     target_texts = ["a b a b", "c d c d"]
-    w1 = importance_weights(
-        Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts), smoothing=0.01
-    )
+    w1 = importance_weights(Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts))
     # Each corpus three times over, under fresh ids, triples every count
     # and leaves every document's weight as it was.
     w3 = importance_weights(
         Corpus.from_texts(raw_texts * 3, id_prefix="raw3"),
         Corpus.from_texts(target_texts * 3, id_prefix="target3"),
-        smoothing=0.01,
     )
     assert w3 == pytest.approx(w1 * 3, rel=1e-12)
 
@@ -198,7 +206,7 @@ def test_weights_positive_when_target_dominates():
     # target has much more of the probe's vocabulary than raw does
     raw = Corpus.from_texts(["x y z w q r s t u v", "a b a b"])
     target = Corpus.from_texts(["a b a b a b", "a b x y"])
-    weights = importance_weights(raw, target, smoothing=0.01)
+    weights = importance_weights(raw, target)
     assert weights[1] > 0
     assert weights[0] < 0
 
@@ -210,7 +218,7 @@ def test_weights_hand_computed_small_fixture():
     rng = np.random.default_rng(21)
     raw_texts = [" ".join(f"w{v}" for v in rng.integers(0, 30, size=25)) for _ in range(6)]
     target_texts = [" ".join(f"w{v}" for v in rng.integers(0, 12, size=25)) for _ in range(4)]
-    g = 0.1
+    g = 1e-4
 
     def distribution(texts):
         counts: dict[int, int] = {}
@@ -228,9 +236,7 @@ def test_weights_hand_computed_small_fixture():
         )
         for text in raw_texts
     ]
-    weights = importance_weights(
-        Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts), smoothing=g
-    )
+    weights = importance_weights(Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts))
     # every weight is far from 0, so rel=1e-12 is a real bound
     assert min(abs(w) for w in expected) > 1.0
     assert weights == pytest.approx(expected, rel=1e-12)
@@ -309,12 +315,6 @@ def test_corpus_features_memory_is_sparse():
 def test_weights_name_the_corpus_without_ngrams(raw_texts, target_texts, message):
     with pytest.raises(RefineError, match=message):
         importance_weights(Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts))
-
-
-def test_weights_invalid_smoothing():
-    corpus = Corpus.from_texts(["a b"])
-    with pytest.raises(RefineError):
-        importance_weights(corpus, corpus, smoothing=0.0)
 
 
 def weighted_corpus():
@@ -428,7 +428,7 @@ def test_dedup_near_collapses_near_duplicate_pair():
     # every seed most of the 16 bands agree.
     agreeing_bands = []
     for seed in range(100):
-        signatures = minhash_signature(corpus, 3, 128, seed)
+        signatures = minhash_signature(corpus, seed)
         agreeing_bands.append((signatures[0] == signatures[1]).reshape(16, 8).all(axis=1).sum())
     assert min(agreeing_bands) >= 8
     survivors = dedup_near(corpus)
@@ -449,7 +449,7 @@ def test_minhash_rows_agree_at_the_jaccard_rate(n_edits):
     corpus = Corpus([Document.create("a", " ".join(words)), Document.create("b", " ".join(changed))])
     rows, bands = [], []
     for seed in range(200):
-        signatures = minhash_signature(corpus, 3, 128, seed)
+        signatures = minhash_signature(corpus, seed)
         agree = signatures[0] == signatures[1]
         rows.append(agree.mean())
         bands.append(agree.reshape(16, 8).all(axis=1).any())
@@ -516,21 +516,6 @@ def test_dedup_near_keeps_longest():
     corpus = Corpus([Document.create("short", shorter), Document.create("long", longer)])
     survivors = dedup_near(corpus)
     assert [d.id for d in survivors] == ["long"]
-    survivors_first = dedup_near(corpus, keep="first")
-    assert [d.id for d in survivors_first] == ["short"]
-
-
-def test_dedup_near_band_arithmetic_validated():
-    corpus = Corpus.from_texts(["a b c d e"])
-    with pytest.raises(RefineError, match="divisible"):
-        dedup_near(corpus, n_hashes=100, bands=16)
-
-
-@pytest.mark.parametrize("n_hashes, bands", [(0, 1), (-4, 2)])
-def test_dedup_near_rejects_non_positive_hash_count(n_hashes, bands):
-    corpus = Corpus.from_texts(["a b c d e", "a b c d e f"])
-    with pytest.raises(RefineError, match="n_hashes must be >= 1"):
-        dedup_near(corpus, n_hashes=n_hashes, bands=bands)
 
 
 def test_dedup_increases_diversity_score():
