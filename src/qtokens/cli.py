@@ -146,6 +146,13 @@ def cmd_fit(args) -> int:
         report.se = fitting.bootstrap_se(
             points, report, n_resamples=args.bootstrap_n, seed=args.seed
         )
+        if 2 * report.bootstrap_converged < args.bootstrap_n:
+            print(
+                f"warning: only {report.bootstrap_converged} of {args.bootstrap_n} bootstrap "
+                f"refits converged within {fitting.MAX_ITERS} iterations; the standard "
+                f"errors are bounded by the iteration cap",
+                file=sys.stderr,
+            )
     payload = fitting.fit_report_to_dict(report, points, seed=args.seed)
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:

@@ -9,6 +9,7 @@ compared against.
 
 from __future__ import annotations
 
+import threading
 import zlib
 from dataclasses import dataclass
 from itertools import chain
@@ -54,6 +55,8 @@ def compression_ratio(corpus: Corpus) -> float:
     Documents are joined with newlines and measured on UTF-8 bytes, and
     compressed at zlib level ``LEVEL`` (6). Compression is streamed
     document by document, so the concatenation is never materialized.
+    zlib releases the GIL inside each ``compress`` call, which is what
+    lets ``score_corpus_diversity`` run this on a background thread.
     """
     if len(corpus) == 0:
         raise DiversityError("cannot compress empty corpus")
@@ -211,12 +214,51 @@ def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
     compression metric reads the UTF-8 text instead. Metrics whose
     preconditions fail on this corpus (e.g. self-repetition with a single
     document) are reported as None.
+
+    The compression ratio is computed on one background thread while this
+    thread computes the token metrics; zlib releases the GIL while it
+    compresses, so the two overlap on a second core. The thread is joined
+    before this returns or raises, and a failed compression is raised
+    ahead of any token-metric error, as if it had run first.
     """
-    cr = compression_ratio(corpus)
-    dr = 1.0 / cr
+    deflated: list = []
+
+    def deflate() -> None:
+        try:
+            deflated.append(compression_ratio(corpus))
+        except BaseException as exc:
+            deflated.append(exc)
+
+    thread = threading.Thread(target=deflate, name="qtokens-deflate")
+    thread.start()
+    try:
+        metrics = _token_metrics(corpus)
+    except DiversityError as exc:
+        metrics = exc
+    finally:
+        thread.join()
+    (cr,) = deflated
+    if isinstance(cr, BaseException):
+        raise cr
+    if isinstance(metrics, DiversityError):
+        raise metrics
+    ttr, mattr_value, ngd, sr = metrics
     warnings = ()
     if cr < 1.0:
         warnings = (f"compression ratio {cr:.4f} < 1; input is incompressible",)
+    return DiversityReport(
+        cr=cr,
+        dr=1.0 / cr,
+        ttr=ttr,
+        mattr=mattr_value,
+        ngram_diversity=ngd,
+        self_repetition=sr,
+        warnings=warnings,
+    )
+
+
+def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None], float | None]:
+    """TTR, MATTR, n-gram diversity and self-repetition of the report."""
     lengths = np.fromiter((doc.token_count for doc in corpus), dtype=np.int64, count=len(corpus))
     total = int(lengths.sum())
     if total == 0:
@@ -230,15 +272,7 @@ def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
     except DiversityError:
         sr = None
     ttr = n_types / total
-    return DiversityReport(
-        cr=cr,
-        dr=dr,
-        ttr=ttr,
-        mattr=_mattr(ids, MATTR_WINDOW) if total >= MATTR_WINDOW else ttr,
-        ngram_diversity=ngd,
-        self_repetition=sr,
-        warnings=warnings,
-    )
+    return ttr, _mattr(ids, MATTR_WINDOW) if total >= MATTR_WINDOW else ttr, ngd, sr
 
 
 METRIC_KEYS = ("dr", "ttr", "mattr", "ngram_diversity", "self_repetition")

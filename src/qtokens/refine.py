@@ -48,7 +48,7 @@ _EMPTY = np.uint64(np.iinfo(np.uint64).max)
 
 
 def _token_hashes(corpus: Corpus, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keyed 64-bit hash of every token of the corpus, and its document index.
+    """Keyed 64-bit hash of every token of the corpus, and its int32 document index.
 
     Tokens are laid out document after document. Each distinct token is
     hashed once: 8-byte blake2b of its UTF-8 bytes, keyed by ``seed``.
@@ -64,7 +64,7 @@ def _token_hashes(corpus: Corpus, seed: int) -> tuple[np.ndarray, np.ndarray]:
         dtype=np.uint64,
         count=len(types),
     )
-    return type_hashes[ids], np.repeat(np.arange(len(lengths)), lengths)
+    return type_hashes[ids], np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
 
 
 def _combine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -84,7 +84,12 @@ def _combine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _ngram_hashes(
     hashes: np.ndarray, docs: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hash and document index of every n-gram that lies inside one document."""
+    """Hash and document index of every n-gram that lies inside one document.
+
+    Unigrams are the inputs themselves, returned without a copy.
+    """
+    if n == 1:
+        return hashes, docs
     m = max(len(hashes) - n + 1, 0)
     grams = hashes[:m]
     for k in range(1, n):
@@ -96,11 +101,12 @@ def _ngram_hashes(
 def corpus_features(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """Bucket and document index of every uni- and bigram of the corpus.
 
-    Two flat int64 arrays with one entry per n-gram, so memory grows with
-    the corpus's tokens, not with documents times ``N_BUCKETS``. A bigram
-    never spans two documents, so a document's entries are the ones it
-    has alone. A unigram's bucket is its token hash mod ``N_BUCKETS``; a
-    bigram's is the combined hash of its two tokens mod ``N_BUCKETS``.
+    Two flat arrays (int64 buckets, int32 document indices) with one entry
+    per n-gram, so memory grows with the corpus's tokens, not with
+    documents times ``N_BUCKETS``. A bigram never spans two documents, so
+    a document's entries are the ones it has alone. A unigram's bucket is
+    its token hash mod ``N_BUCKETS``; a bigram's is the combined hash of
+    its two tokens mod ``N_BUCKETS``.
     """
     hashes, docs = _token_hashes(corpus, FEATURE_HASH_SEED)
     lo, hi = N_RANGE

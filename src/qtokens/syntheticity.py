@@ -38,10 +38,19 @@ DEFAULT_SAMPLE_FRACTION = 0.25
 MAX_IN_FLIGHT = 8
 # Bytes of a subprocess scorer's stderr kept to explain its death.
 STDERR_TAIL = 4096
+# Tokens the k-gram scorer scores in one numpy pass.
+SCORE_BATCH_TOKENS = 1 << 14
 
 
 class LikelihoodScorer(Protocol):
-    """Anything that can score a token window."""
+    """Anything that can score a token window.
+
+    ``log_probs`` is all a scorer needs. One that can score many windows at
+    once may also offer ``score_windows(windows)``, an iterator of each
+    window's log-probabilities in input order, as ``KgramScorer`` and
+    ``ExternalScorer`` do; ``score_corpus`` then uses it and trusts its
+    values to be log-probabilities.
+    """
 
     context_len: int
 
@@ -107,19 +116,24 @@ class KgramScorer:
         self._n_events = len(vocab) + 1
         self._unk = vocab.get(UNKNOWN_TOKEN, len(vocab))
 
-    def _probs(self, tokens: Sequence[str]) -> np.ndarray:
-        """Probability of each token given the tokens before it in ``tokens``."""
-        ids = np.fromiter(map(self.vocab.get, tokens, repeat(self._unk)), dtype=np.int64,
-                          count=len(tokens))
+    def _probs(self, windows: Sequence[Sequence[str]]) -> np.ndarray:
+        """Probability of every token of ``windows``, laid end to end, given
+        the tokens before it in its own window."""
+        lengths = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
+        ids = np.fromiter(map(self.vocab.get, chain.from_iterable(windows), repeat(self._unk)),
+                          dtype=np.int64, count=int(lengths.sum()))
+        # Offset of every position in its window; a position has min(offset, k - 1)
+        # tokens of context.
+        offset = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         radix = self._n_events
         ctx = np.zeros(len(ids), dtype=np.int64)  # every position has the empty context
-        for m in range(1, min(self.k, len(ids))):
-            # Extend the (m-1)-token context before position i - 1 by ids[i - 1],
+        for m in range(1, self.k):
+            at = np.flatnonzero(offset >= m)
+            # Extend the (m-1)-token context of position i - 1 by ids[i - 1],
             # keyed as in training.
-            prefix = ctx[m - 1 : -1]
-            keys = prefix * radix + ids[m - 1 : -1] + 1
-            pos, found = _find(self._ctx_keys, keys)
-            ctx[m:] = np.where((prefix >= 0) & found, pos, -1)  # -1: never seen
+            prefix = ctx[at - 1]
+            pos, found = _find(self._ctx_keys, prefix * radix + ids[at - 1] + 1)
+            ctx[at] = np.where((prefix >= 0) & found, pos, -1)  # -1: never seen
         seen = ctx >= 0
         totals = np.where(seen, self._ctx_totals[ctx], 0)
         pos, found = _find(self._pair_keys, ctx * radix + ids)
@@ -128,12 +142,38 @@ class KgramScorer:
 
     def prob(self, token: str, context: Sequence[str]) -> float:
         window = [*context[max(0, len(context) - (self.k - 1)) :], token]
-        return float(self._probs(window)[-1])
+        return float(self._probs([window])[-1])
 
-    def log_probs(self, tokens: Sequence[str]) -> list[float]:
+    def score_windows(self, windows: Iterable[Sequence[str]]) -> Iterator[list[float]]:
+        """Log-probabilities of each window's tokens, in input order.
+
+        Windows are drawn from ``windows`` and scored together in batches
+        of about ``SCORE_BATCH_TOKENS`` tokens: a batch closes with the
+        window that brings it to that size, so no window is split.
+        """
+        batch: list[Sequence[str]] = []
+        size = 0
+        for window in windows:
+            batch.append(window)
+            size += len(window)
+            if size >= SCORE_BATCH_TOKENS:
+                yield from self._score_batch(batch)
+                batch, size = [], 0
+        if batch:
+            yield from self._score_batch(batch)
+
+    def _score_batch(self, batch: Sequence[Sequence[str]]) -> Iterator[list[float]]:
         # math.log, not np.log: numpy's vectorized log differs in the last
         # bit on some inputs, and the scores must not depend on the build.
-        return list(map(math.log, self._probs(tokens).tolist()))
+        logs = list(map(math.log, self._probs(batch).tolist()))
+        start = 0
+        for window in batch:
+            yield logs[start : start + len(window)]
+            start += len(window)
+
+    def log_probs(self, tokens: Sequence[str]) -> list[float]:
+        (logprobs,) = self.score_windows([tokens])
+        return logprobs
 
 
 def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,6 +481,11 @@ def score_corpus(
     scored against its within-window prefix. Cross-window context is not
     used. Scoring visits the sampled documents in id order, so the result
     is independent of how the corpus happens to be ordered.
+
+    A scorer with a ``score_windows`` method gets all the windows through
+    it, and its values are taken as checked; otherwise ``log_probs`` is
+    called once per window and every value it returns must lie in
+    (-inf, 0].
     """
     if len(corpus) == 0:
         raise ScorerError("cannot score an empty corpus")
@@ -455,12 +500,10 @@ def score_corpus(
     # Windows are sliced only as the scorer asks for them, so an external
     # scorer can keep several in flight without the corpus being copied.
     windows = (doc.tokens[start : start + ctx] for doc, start in spans())
-    # score_windows has already checked every value it yields.
-    external = isinstance(scorer, ExternalScorer)
-    if external:
-        results = scorer.score_windows(windows)
-    else:
-        results = map(scorer.log_probs, windows)
+    # A scorer's own score_windows has already checked every value it yields.
+    score_windows = getattr(scorer, "score_windows", None)
+    checked = score_windows is not None
+    results = score_windows(windows) if checked else map(scorer.log_probs, windows)
     window_sums = []
     m_tokens = 0
     for doc, start in spans():
@@ -476,7 +519,7 @@ def score_corpus(
                 f"scorer returned {len(logprobs)} values for {n_tokens} tokens "
                 f"(document {doc.id!r})"
             )
-        bad = None if external else _invalid_log_prob(logprobs)
+        bad = None if checked else _invalid_log_prob(logprobs)
         if bad:
             raise ScorerError(f"{bad[0]} on document {doc.id!r}: {bad[1]}")
         window_sums.append(math.fsum(logprobs))

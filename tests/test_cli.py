@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from qtokens import fitting, fixtures
 from qtokens.cli import main
 from qtokens.corpus import Tokenizer
 from qtokens.fixtures import QUALITY_TABLE, RESULTS_TABLE
-from qtokens.scaling_law import ScalingConstants, effective_tokens_raw
+from qtokens.scaling_law import ScalingConstants, default_initial_guess, effective_tokens_raw
 
 
 def run_cli(argv, capsys):
@@ -120,11 +121,32 @@ def test_fit_fixture_f1(capsys):
 
 def test_fit_fixture_bootstrap_counts_converged_refits(capsys):
     # 8 of the 24 refits stop at the iteration cap; their spread is bounded by it.
-    code, out, _ = run_cli(["--seed", "42", "fit", "--fixture", "--bootstrap-n", "24"], capsys)
+    code, out, err = run_cli(["--seed", "42", "fit", "--fixture", "--bootstrap-n", "24"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["bootstrap_converged"] == 16
     assert set(payload["se"]) == {"E", "A", "alpha", "B", "beta", "c1", "c2"}
+    # At least half converged, so no warning.
+    assert err == ""
+
+
+def test_fit_warns_when_most_bootstrap_refits_hit_the_cap(capsys, monkeypatch):
+    argv = ["--seed", "42", "fit", "--fixture", "--bootstrap-n", "6"]
+    monkeypatch.setattr(fitting, "MAX_ITERS", 3)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    converged = json.loads(out)["bootstrap_converged"]
+    assert 2 * converged < 6
+    assert err == (
+        f"warning: only {converged} of 6 bootstrap refits converged within 3 iterations; "
+        "the standard errors are bounded by the iteration cap\n"
+    )
+    # The warning goes to stderr only: stdout is what the library alone gives.
+    points = fixtures.fixture_points()
+    report = fitting.fit_constants(points, default_initial_guess("F1"), n_restarts=0,
+                                   restart_seed=42)
+    report.se = fitting.bootstrap_se(points, report, n_resamples=6, seed=42)
+    assert out == json.dumps(fitting.fit_report_to_dict(report, points, seed=42), indent=2) + "\n"
 
 
 def test_fit_synthetic_csv_exact_recovery(tmp_path, capsys):

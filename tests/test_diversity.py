@@ -1,9 +1,11 @@
 import math
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from qtokens import diversity
 from qtokens.corpus import Corpus, Document, Tokenizer
 from qtokens.diversity import (
     compression_ratio,
@@ -62,6 +64,65 @@ def test_cr_empty_corpus():
         compression_ratio(Corpus([]))
     with pytest.raises(DiversityError, match="empty corpus"):
         compression_ratio(Corpus([Document.create("e", "")]))
+
+
+@pytest.mark.parametrize(
+    "documents, message",
+    [
+        ([], "cannot compress empty corpus"),
+        ([Document.create("e", "")], "cannot compress empty corpus"),
+        # Two empty texts join to one separator byte, which compresses.
+        ([Document.create("e", ""), Document.create("f", "")], "corpus has no tokens"),
+        ([Document.create("w", "  \t\n ")], "corpus has no tokens"),
+    ],
+    ids=["no-documents", "one-empty-text", "two-empty-texts", "whitespace-only"],
+)
+def test_report_errors_and_deflate_thread_is_joined(documents, message):
+    before = threading.active_count()
+    with pytest.raises(DiversityError, match=f"^{message}$"):
+        score_corpus_diversity(Corpus(documents))
+    assert threading.active_count() == before
+
+
+def test_report_raises_a_failed_compression_first(monkeypatch):
+    # Compression fails on the thread and the token metrics fail on the
+    # caller's; the compression error is raised, as when it ran first.
+    def failed_compression(corpus):
+        raise OSError("deflate failed")
+
+    def failed_metrics(corpus):
+        raise DiversityError("corpus has no tokens")
+
+    monkeypatch.setattr(diversity, "compression_ratio", failed_compression)
+    monkeypatch.setattr(diversity, "_token_metrics", failed_metrics)
+    corpus = repeated_corpus(4096)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="deflate failed"):
+        score_corpus_diversity(corpus)
+    assert threading.active_count() == before
+    monkeypatch.undo()
+
+    # The thread is joined, and its result dropped, when the token metrics
+    # raise anything else.
+    def broken(corpus):
+        raise RuntimeError("token metrics failed")
+
+    monkeypatch.setattr(diversity, "_token_metrics", broken)
+    with pytest.raises(RuntimeError, match="token metrics failed"):
+        score_corpus_diversity(corpus)
+    assert threading.active_count() == before
+
+
+def test_report_cr_equals_compression_ratio_exactly():
+    rng = np.random.default_rng(31)
+    texts = [" ".join(f"w{w}" for w in rng.integers(0, 3000, size=int(rng.integers(1, 400))))
+             for _ in range(300)]
+    corpus = Corpus.from_texts(texts)
+    before = threading.active_count()
+    report = score_corpus_diversity(corpus)
+    assert threading.active_count() == before
+    assert report.cr == compression_ratio(corpus)
+    assert report.dr == 1.0 / report.cr
 
 
 def test_dr_is_exact_inverse_of_cr():

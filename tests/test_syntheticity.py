@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qtokens import syntheticity
 from qtokens.corpus import Corpus, Document, Tokenizer
 from qtokens.errors import ProtocolError, ScorerError
 from qtokens.syntheticity import (
@@ -324,6 +325,77 @@ def test_sample_fraction_default_quarter():
     result = score_corpus(UniformScorer(10), corpus, seed=1)
     assert result.sample_fraction == 0.25
     assert result.m_tokens == 25 * 3
+
+
+def _window_kinds(k, rng):
+    """Empty windows, windows shorter than k, one-token windows and longer
+    ones, drawn from 40 types of which the reference knows 30."""
+    def draw(n):
+        return [f"w{v}" for v in rng.integers(0, 40, size=n)]
+
+    windows = [[], draw(1), [], draw(max(k - 1, 1)), draw(1), draw(1)]
+    windows += [draw(int(n)) for n in rng.integers(0, 12, size=30)]
+    return windows + [[], draw(1)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kgram_score_windows_equals_log_probs_and_oracle(k, monkeypatch):
+    reference = corpus_of(_seeded_texts(12 + k, 30, 30, 40))
+    scorer = train_kgram_scorer(reference, k=k, smoothing=0.5)
+    windows = _window_kinds(k, np.random.default_rng(k))
+    # Batches of 7 tokens: most windows longer than one token straddle a
+    # batch boundary.
+    monkeypatch.setattr(syntheticity, "SCORE_BATCH_TOKENS", 7)
+    got = list(scorer.score_windows(iter(windows)))
+    assert got == [scorer.log_probs(w) for w in windows]
+    assert got == reference_kgram_log_probs(reference, k, 0.5, windows)
+    assert [len(g) for g in got] == [len(w) for w in windows]
+
+
+def test_kgram_score_windows_closes_a_batch_with_the_window_that_fills_it(monkeypatch):
+    reference = corpus_of(_seeded_texts(3, 70, 10, 400))
+    scorer = train_kgram_scorer(reference, k=3)
+    batches = []
+    real = scorer._probs
+
+    def spy(batch):
+        batches.append([len(w) for w in batch])
+        return real(batch)
+
+    monkeypatch.setattr(scorer, "_probs", spy)
+    # The default batch closes with the window of 300 tokens that fills it.
+    first = -(-syntheticity.SCORE_BATCH_TOKENS // 300)
+    windows = [["w1", "w2", "w3"] * 100] * (first + 5)
+    got = list(scorer.score_windows(windows))
+    assert batches == [[300] * first, [300] * 5]
+    assert got == [scorer.log_probs(w) for w in windows]
+    # 5 + 4 tokens cross a batch of 7 inside the second window; the third
+    # starts a new batch.
+    batches.clear()
+    monkeypatch.setattr(syntheticity, "SCORE_BATCH_TOKENS", 7)
+    windows = [doc.tokens[:n] for doc, n in zip(reference, (5, 4, 6, 2))]
+    got = list(scorer.score_windows(windows))
+    assert batches == [[5, 4], [6, 2]]
+    assert got == reference_kgram_log_probs(reference, 3, 1.0, windows)
+
+
+class LogProbsOnly:
+    """Exposes only a wrapped scorer's log_probs, so score_corpus maps it."""
+
+    def __init__(self, scorer):
+        self.context_len = scorer.context_len
+        self.log_probs = scorer.log_probs
+
+
+def test_score_corpus_same_through_score_windows_and_log_probs():
+    rng = np.random.default_rng(17)
+    reference = corpus_of(_seeded_texts(17, 40, 50, 120))
+    texts = [" ".join(f"w{v}" for v in rng.integers(0, 60, size=int(n)))
+             for n in rng.integers(0, 90, size=60)]
+    corpus = corpus_of(texts)
+    scorer = train_kgram_scorer(reference, k=3, smoothing=0.5, context_len=32)
+    batched = score_corpus(scorer, corpus, 1.0, 0)
+    assert batched == score_corpus(LogProbsOnly(scorer), corpus, 1.0, 0)
 
 
 # --- external scorer protocol ---------------------------------------------
