@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import diversity, fitting, fixtures, refine, report as report_mod, syntheticity
+from . import diversity, fitting, fixtures, refine, report as report_mod
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
 from .errors import QTokensError
 from .scaling_law import (
@@ -107,7 +107,7 @@ def cmd_score(args) -> int:
             print(f"warning: {name}: {warning}", file=sys.stderr)
         row = {"corpus": name, "tokens": corpus.total_tokens, **rep.to_flat_dict()}
         if scorer is not None:
-            result = score_corpus(scorer, corpus, args.sample_fraction, args.seed)
+            result = score_corpus(scorer, corpus, seed=args.seed)
             row["avg_nll"] = result.avg_nll
             row["perplexity"] = result.perplexity
             row["syntheticity"] = result.s
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", parents=[scoring],
                        help="diversity/syntheticity metrics per corpus")
     p.add_argument("inputs", nargs="+", help="JSONL corpus files")
-    p.add_argument("--sample-fraction", type=float, default=syntheticity.DEFAULT_SAMPLE_FRACTION)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("fit", help="estimate scaling-law constants")

@@ -1,7 +1,8 @@
 """JSONL document collections: loading, sampling, tokenizing.
 
 A corpus is an ordered sequence of documents, each tokenized once when it
-is created; every token-based step reads ``Document.tokens``. Sampling
+is created; every token-based step reads ``Document.tokens``, and the
+numpy ones turn them into integer ids with ``encode_tokens``. Sampling
 uses a seeded per-document hash ranking so that smaller fractions are
 always subsets of larger ones at the same seed.
 """
@@ -14,7 +15,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CorpusError
 
@@ -23,6 +28,19 @@ BYTE = "byte"
 VOCAB = "vocab"
 
 UNKNOWN_TOKEN = "<unk>"
+
+
+def encode_tokens(
+    sequences: Sequence[Sequence[str]],
+) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """Lay token sequences end to end as int64 ids, numbered in order of
+    first occurrence; return the ids, each sequence's length and the id of
+    each distinct token."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    types: dict[str, int] = {}
+    ids = np.fromiter((types.setdefault(t, len(types)) for t in chain.from_iterable(sequences)),
+                      dtype=np.int64, count=int(lengths.sum()))
+    return ids, lengths, types
 
 
 class Tokenizer:
@@ -173,14 +191,17 @@ def _rank_hash(seed: int, doc_id: str) -> int:
 def sample_fraction(corpus: Corpus, fraction: float, seed: int = 0) -> Corpus:
     """Deterministic pseudo-random subset of ceil(fraction * n) documents.
 
-    Documents are ranked by a seeded hash of their id and the lowest-ranked
-    prefix is kept, so samples nest: the 10% sample is a subset of the 50%
-    sample at the same seed. Output preserves the original document order.
+    The product is taken exactly, on the fraction as written in decimal,
+    so 0.55 of 100 documents is 55 even though ``0.55 * 100`` in floating
+    point exceeds 55. Documents are ranked by a seeded hash of their id
+    and the lowest-ranked prefix is kept, so samples nest: the 10% sample
+    is a subset of the 50% sample at the same seed. Output preserves the
+    original document order.
     """
     if not (0.0 < fraction <= 1.0):
         raise CorpusError(f"fraction must be in (0, 1], got {fraction}")
     n = len(corpus)
-    take = math.ceil(fraction * n)
+    take = math.ceil(Fraction(str(fraction)) * n)
     if take >= n:
         return Corpus(list(corpus.documents))
     ranked = sorted(corpus.documents, key=lambda d: (_rank_hash(seed, d.id), d.id))

@@ -12,12 +12,11 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, encode_tokens
 from .errors import DiversityError
 
 # Dr is DEFLATE at zlib level 6 over the documents joined by newlines.
@@ -79,13 +78,6 @@ def compression_ratio(corpus: Corpus) -> float:
 def diversity_score(corpus: Corpus) -> float:
     """Inverse compression ratio; higher means more diverse."""
     return 1.0 / compression_ratio(corpus)
-
-
-def _encode(tokens: Iterable[str], count: int) -> tuple[np.ndarray, dict[str, int]]:
-    """Map tokens to int ids in order of first occurrence; return ids and the id of each type."""
-    types: dict[str, int] = {}
-    ids = np.fromiter((types.setdefault(t, len(types)) for t in tokens), dtype=np.int64, count=count)
-    return ids, types
 
 
 def _ngram_ranks(ids: np.ndarray, n_types: int, n_max: int) -> tuple[list[np.ndarray], list[int]]:
@@ -160,7 +152,7 @@ def type_token_ratio(tokens: Sequence[str]) -> float:
     """Unique tokens over total tokens."""
     if not tokens:
         raise DiversityError("type_token_ratio of empty sequence")
-    _, types = _encode(tokens, len(tokens))
+    _, _, types = encode_tokens([tokens])
     return len(types) / len(tokens)
 
 
@@ -176,7 +168,7 @@ def mattr(tokens: Sequence[str], window: int) -> float:
         raise DiversityError("mattr of empty sequence")
     if len(tokens) < window:
         return type_token_ratio(tokens)
-    ids, _ = _encode(tokens, len(tokens))
+    ids, _, _ = encode_tokens([tokens])
     return _mattr(ids, window)
 
 
@@ -186,7 +178,7 @@ def ngram_diversity(tokens: Sequence[str], n: int) -> float:
         raise DiversityError(f"n must be >= 1, got {n}")
     if len(tokens) < n:
         raise DiversityError(f"sequence of {len(tokens)} tokens is shorter than n={n}")
-    ids, types = _encode(tokens, len(tokens))
+    ids, _, types = encode_tokens([tokens])
     _, distinct = _ngram_ranks(ids, len(types), n)
     return distinct[n - 1] / (len(tokens) - n + 1)
 
@@ -198,8 +190,7 @@ def self_repetition(documents: Sequence[Sequence[str]], n: int = SELF_REPETITION
     appears in at least one other document. Documents shorter than n tokens
     are skipped; at least two must remain.
     """
-    lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
-    ids, types = _encode(chain.from_iterable(documents), int(lengths.sum()))
+    ids, lengths, types = encode_tokens(documents)
     ranks, _ = _ngram_ranks(ids, len(types), n)
     return _self_repetition(ranks, lengths, n)
 
@@ -259,11 +250,10 @@ def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
 
 def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None], float | None]:
     """TTR, MATTR, n-gram diversity and self-repetition of the report."""
-    lengths = np.fromiter((doc.token_count for doc in corpus), dtype=np.int64, count=len(corpus))
-    total = int(lengths.sum())
+    ids, lengths, types = encode_tokens([doc.tokens for doc in corpus])
+    total = len(ids)
     if total == 0:
         raise DiversityError("corpus has no tokens")
-    ids, types = _encode(chain.from_iterable(doc.tokens for doc in corpus), total)
     n_types = len(types)
     ranks, distinct = _ngram_ranks(ids, n_types, max((*NGRAM_NS, SELF_REPETITION_N)))
     ngd = {n: distinct[n - 1] / (total - n + 1) if total >= n else None for n in NGRAM_NS}

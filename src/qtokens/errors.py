@@ -18,11 +18,8 @@ class ScorerError(QTokensError):
 
 
 class ProtocolError(ScorerError):
-    """Raised when an external scorer violates the line protocol."""
-
-    def __init__(self, message: str, payload=None):
-        super().__init__(message)
-        self.payload = payload
+    """Raised when an external scorer violates the line protocol, dies or
+    stops responding; the message says what the scorer sent or did."""
 
 
 class ScalingDomainError(QTokensError):

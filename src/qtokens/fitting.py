@@ -17,9 +17,10 @@ Goodness of fit is reported as R-squared and the Pearson correlation of
 predictions against observations. Parameter uncertainty comes from
 refitting on seeded bootstrap resamples.
 
-Every fit runs on unclamped residuals, within at most ``MAX_EVALS``
-evaluations (a Jacobian counts as one) and ``MAX_ITERS`` iterations per
-start.
+Every fit runs on unclamped residuals, for at most ``MAX_ITERS``
+iterations per start. Within an iteration, a start tries steps with
+growing damping until one lowers its SSE or lambda passes ``LAMBDA_MAX``,
+so an iteration makes at most about 46 trial evaluations.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import FittingError
 from .scaling_law import ScalingConstants, _dq, _score
 
 N_PARAMS = 7
-MAX_EVALS = 2000
 MAX_ITERS = 200
 FTOL = 1e-10
 LAMBDA0 = 1e-3
@@ -187,7 +187,7 @@ def _levenberg_marquardt(theta0: np.ndarray, data: np.ndarray, picks: np.ndarray
             conv = grad_max < GRAD_TOL
             accepted = np.zeros(rows.size, dtype=bool)
             while True:
-                at = np.flatnonzero(~conv & ~accepted & (ev < MAX_EVALS) & (lm <= LAMBDA_MAX))
+                at = np.flatnonzero(~conv & ~accepted & (lm <= LAMBDA_MAX))
                 if not at.size:
                     break
                 system = normal[at] + lm[at, None, None] * damping[at]
@@ -217,7 +217,7 @@ def _levenberg_marquardt(theta0: np.ndarray, data: np.ndarray, picks: np.ndarray
                 accepted[won] = True
             # A row that found no better step stops, converged if its gradient is small.
             conv |= ~accepted & (grad_max < math.sqrt(GRAD_TOL))
-            keep = accepted & ~conv & (it < MAX_ITERS) & (ev + 1 < MAX_EVALS)
+            keep = accepted & ~conv & (it < MAX_ITERS)
             if not keep.all():  # retire the rows that are done
                 done, gone = ~keep, rows[~keep]
                 theta[gone], r[gone], sse[gone] = th[done], res[done], ss[done]
@@ -240,8 +240,9 @@ def fit_constants(
     The returned SSE is never worse than at the initial guess, and the
     whole procedure is deterministic for identical inputs. Residuals use
     the unclamped model, since a clamp would zero the gradient wherever
-    predictions saturate. Each start may use up to ``MAX_EVALS`` evaluations
-    (a Jacobian counts as one) and ``MAX_ITERS`` iterations.
+    predictions saturate. Each start runs for at most ``MAX_ITERS``
+    iterations; ``n_evals`` counts its model evaluations, a Jacobian
+    counting as one.
 
     ``n_restarts`` extra starts are seeded perturbations of the initial
     guess, solved in one stack with it; the best SSE wins, the earliest

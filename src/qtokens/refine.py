@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus
-from .diversity import _encode
+from .corpus import Corpus, encode_tokens
 from .errors import RefineError
 
 # Fixed, published hash seed: selections must be reproducible across machines.
@@ -53,8 +52,7 @@ def _token_hashes(corpus: Corpus, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Tokens are laid out document after document. Each distinct token is
     hashed once: 8-byte blake2b of its UTF-8 bytes, keyed by ``seed``.
     """
-    lengths = [doc.token_count for doc in corpus]
-    ids, types = _encode((tok for doc in corpus for tok in doc.tokens), sum(lengths))
+    ids, lengths, types = encode_tokens([doc.tokens for doc in corpus])
     key = seed.to_bytes(8, "big")
     type_hashes = np.fromiter(
         (

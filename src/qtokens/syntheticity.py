@@ -27,8 +27,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, UNKNOWN_TOKEN, sample_fraction
-from .diversity import _encode
+from .corpus import Corpus, UNKNOWN_TOKEN, encode_tokens, sample_fraction
 from .errors import ProtocolError, ScorerError
 
 DEFAULT_CONTEXT_LEN = 1024
@@ -199,12 +198,10 @@ def train_kgram_scorer(
         raise ScorerError(f"smoothing must be > 0, got {smoothing}")
     if len(reference) == 0:
         raise ScorerError("reference corpus is empty")
-    lengths = np.fromiter((doc.token_count for doc in reference), dtype=np.int64,
-                          count=len(reference))
+    ids, lengths, vocab = encode_tokens([doc.tokens for doc in reference])
     longest = int(lengths.max())
     if k > longest:
         raise ScorerError(f"k={k} exceeds longest reference document ({longest} tokens)")
-    ids, vocab = _encode(chain.from_iterable(doc.tokens for doc in reference), int(lengths.sum()))
     radix = len(vocab) + 1
     # Position of every token within its document.
     pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -354,14 +351,14 @@ class ExternalScorer:
         try:
             obj = json.loads(line)
         except ValueError as exc:  # not JSON, or bytes that are not UTF-8
-            raise ProtocolError(f"invalid JSON from scorer: {exc}", payload=line) from exc
+            raise ProtocolError(f"invalid JSON from scorer: {exc}") from exc
         if not isinstance(obj, dict) or "id" not in obj or "logprobs" not in obj:
-            raise ProtocolError("response missing id or logprobs", payload=line)
+            raise ProtocolError("response missing id or logprobs")
         logprobs = obj["logprobs"]
         if not isinstance(logprobs, list) or not all(
             isinstance(v, (int, float)) for v in logprobs
         ):
-            raise ProtocolError("logprobs is not a list of numbers", payload=line)
+            raise ProtocolError("logprobs is not a list of numbers")
         return str(obj["id"]), [float(v) for v in logprobs]
 
     def _read_lines(self) -> list[bytes]:
@@ -436,16 +433,13 @@ class ExternalScorer:
                 for line in self._read_lines():
                     resp_id, logprobs = self._parse_response(line)
                     if resp_id not in pending:
-                        raise ProtocolError(f"unknown response id {resp_id!r}", payload=resp_id)
+                        raise ProtocolError(f"unknown response id {resp_id!r}")
                     index, n_tokens = pending.pop(resp_id)
                     if len(logprobs) != n_tokens:
-                        raise ProtocolError(
-                            f"expected {n_tokens} logprobs, got {len(logprobs)}",
-                            payload=logprobs,
-                        )
+                        raise ProtocolError(f"expected {n_tokens} logprobs, got {len(logprobs)}")
                     bad = _invalid_log_prob(logprobs)
                     if bad:
-                        raise ProtocolError(f"{bad[0]}: {bad[1]}", payload=logprobs)
+                        raise ProtocolError(f"{bad[0]}: {bad[1]}")
                     ready[index] = logprobs
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:

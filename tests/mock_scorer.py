@@ -6,6 +6,9 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     value V    reply float(V) per token, e.g. ``value nan``
     reorder3   buffer the first 3 requests, answer them in reverse order
     short      reply with one fewer logprob than requested
+    wrongid    reply under an id that was never requested
+    noid       reply with logprobs but no id
+    strings    reply with logprobs that are strings, not numbers
     badjson    reply with a non-JSON line
     garbage    reply with a line of bytes that are not UTF-8
     silent     never reply
@@ -95,6 +98,15 @@ def main():
             continue
         if mode == "short":
             reply({"id": req["id"], "logprobs": [-1.0] * (len(req["tokens"]) - 1)})
+            continue
+        if mode == "wrongid":
+            reply({"id": "never-sent", "logprobs": [-1.0] * len(req["tokens"])})
+            continue
+        if mode == "noid":
+            reply({"logprobs": [-1.0] * len(req["tokens"])})
+            continue
+        if mode == "strings":
+            reply({"id": req["id"], "logprobs": ["-1.0"] * len(req["tokens"])})
             continue
         if mode == "reorder3" and len(buffered) < 2:
             buffered.append(req)

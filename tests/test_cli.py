@@ -64,9 +64,7 @@ def test_score_tokenizes_each_document_once(write_corpus, capsys, monkeypatch):
         return tokenize(self, text)
 
     monkeypatch.setattr(Tokenizer, "tokenize", counting)
-    code, out, _ = run_cli(
-        ["score", a, b, "--scorer", f"kgram:{ref}", "--sample-fraction", "1.0"], capsys
-    )
+    code, out, _ = run_cli(["score", a, b, "--scorer", f"kgram:{ref}"], capsys)
     assert code == 0
     assert len(list(csv.DictReader(io.StringIO(out)))) == 2
     assert len(calls) == 3 + 2 + 4
@@ -75,7 +73,7 @@ def test_score_tokenizes_each_document_once(write_corpus, capsys, monkeypatch):
 def test_score_env_scorer(write_corpus, capsys, monkeypatch, mock_scorer_cmd):
     corpus = write_corpus("c.jsonl", [{"text": "x y z"}])
     monkeypatch.setenv("QTOKENS_SCORER", mock_scorer_cmd("const"))
-    code, out, _ = run_cli(["score", corpus, "--sample-fraction", "1.0"], capsys)
+    code, out, _ = run_cli(["score", corpus], capsys)
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
     assert float(row["avg_nll"]) == pytest.approx(1.0)
@@ -87,6 +85,14 @@ def test_score_bad_scorer_endpoint(write_corpus, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "tcp://127.0.0.1:abc" in err
+
+
+def test_score_unknown_scorer_spec(write_corpus, capsys):
+    corpus = write_corpus("c.jsonl", [{"text": "x y z"}])
+    code, out, err = run_cli(["score", corpus, "--scorer", "bogus"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown scorer spec 'bogus'\n"
 
 
 def test_score_unreadable_input(capsys):
@@ -453,6 +459,26 @@ def test_select_rejects_corpus_without_ngrams(
     assert not out_path.exists()
 
 
+def test_select_budget_below_smallest_document(write_corpus, tmp_path, capsys):
+    raw = write_corpus("raw.jsonl", [{"text": "a b c d"}, {"text": "e f g h i"}])
+    target = write_corpus("target.jsonl", [{"text": "a b c"}])
+    out_path = tmp_path / "selected.jsonl"
+    report_path = tmp_path / "side.json"
+    code, out, err = run_cli(
+        ["select", raw, "--target", target, "--budget-tokens", "3",
+         "--out", str(out_path), "--report", str(report_path)],
+        capsys,
+    )
+    assert code == 0
+    assert out == ""
+    assert err == "warning: budget smaller than the smallest document; empty selection\n"
+    assert out_path.read_text() == ""
+    side = json.loads(report_path.read_text())
+    # An empty corpus has no compression ratio, so its Dr is null.
+    assert side["after"] == {"documents": 0, "tokens": 0, "dr": None, "syntheticity": None}
+    assert side["before"]["dr"] > 0
+
+
 def test_select_sidecar_syntheticity_matches_score(write_corpus, tmp_path, capsys):
     rng = np.random.default_rng(5)
     raw = write_corpus("raw.jsonl", [
@@ -784,6 +810,17 @@ def test_report_single_point_rejected(tmp_path, capsys):
     assert "2 points" in err
 
 
+def test_report_non_object_rejected(tmp_path, capsys):
+    fit = tmp_path / "fit.json"
+    fit.write_text("[1, 2]")
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(["report", "--fit-report", str(fit), "--out-dir", str(out_dir)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: fit report is not a JSON object\n"
+    assert not out_dir.exists()
+
+
 def test_report_without_constants_rejected(tmp_path, capsys):
     fit = tmp_path / "fit.json"
     code, _, _ = run_cli(["fit", "--fixture", "--out", str(fit)], capsys)
@@ -811,12 +848,17 @@ def _string_observed(points):
     points[2]["observed"] = "x"
 
 
+def _zero_dr(points):
+    points[3]["dr"] = 0
+
+
 @pytest.mark.parametrize(
     "break_points, message",
     [(_drop_dr, "point 1 has no 'dr'"),
      (_number_for_point, "point 0 is not a JSON object"),
-     (_string_observed, "point 2: 'observed' is not a finite number: 'x'")],
-    ids=["missing-key", "number", "string-value"],
+     (_string_observed, "point 2: 'observed' is not a finite number: 'x'"),
+     (_zero_dr, "point 3: 'dr' must be > 0, got 0")],
+    ids=["missing-key", "number", "string-value", "zero-dr"],
 )
 def test_report_malformed_point_rejected(tmp_path, capsys, break_points, message):
     fit = tmp_path / "fit.json"

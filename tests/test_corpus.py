@@ -1,7 +1,10 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from qtokens import corpus as corpus_mod
 from qtokens.corpus import (
     Corpus,
     Document,
@@ -28,6 +31,12 @@ def test_load_jsonl_three_lines(write_corpus):
 def test_load_jsonl_missing_text(write_corpus):
     path = write_corpus("c.jsonl", [{"text": "ok"}, {"txt": "x"}])
     with pytest.raises(CorpusError, match="line 2: missing field text"):
+        load_jsonl(path)
+
+
+def test_load_jsonl_non_string_text(write_corpus):
+    path = write_corpus("c.jsonl", [{"text": "ok"}, {"text": 7}])
+    with pytest.raises(CorpusError, match="^line 2: field text is not a string$"):
         load_jsonl(path)
 
 
@@ -93,6 +102,18 @@ def test_sample_nesting():
             ids = {d.id for d in sample_fraction(corpus, fraction, seed)}
             assert previous <= ids
             previous = ids
+
+
+def test_sample_size_takes_the_fraction_as_written(monkeypatch):
+    # In floating point 0.55 * 100 and 0.07 * 100 both lie just above an
+    # integer. Equal ranks leave the size alone and skip the per-id hashing.
+    monkeypatch.setattr(corpus_mod, "_rank_hash", lambda seed, doc_id: 0)
+    docs = Corpus.from_texts([f"t {i}" for i in range(500)]).documents
+    for n in range(1, 501):
+        corpus = Corpus(docs[:n])
+        for fraction in (0.01, 0.07, 0.1, 0.25, 0.29, 0.55, 0.57, 0.99, 1.0):
+            expected = math.ceil(Fraction(str(fraction)) * n)
+            assert len(sample_fraction(corpus, fraction, seed=0)) == expected, (fraction, n)
 
 
 def test_sample_fraction_out_of_range():

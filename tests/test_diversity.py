@@ -221,6 +221,11 @@ def test_ngram_diversity_too_short():
         ngram_diversity(["a", "b"], 3)
 
 
+def test_mattr_of_empty_sequence():
+    with pytest.raises(DiversityError, match="^mattr of empty sequence$"):
+        mattr([], 10)
+
+
 def test_window_and_order_lower_bounds():
     with pytest.raises(DiversityError):
         mattr(["a", "b"], 0)

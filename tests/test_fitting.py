@@ -98,6 +98,13 @@ def test_r_squared_zero_variance():
         r_squared([1.0, 2.0], [3.0, 3.0])
 
 
+def test_r_squared_errors():
+    with pytest.raises(FittingError, match="^length mismatch: 2 vs 3$"):
+        r_squared([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(FittingError, match="^r_squared needs at least 2 points$"):
+        r_squared([1.0], [1.0])
+
+
 def test_r_squared_equals_pearson_squared_for_regression_predictions():
     # For least-squares affine predictions of the observations, R2 equals
     # the squared correlation. (For an arbitrary affine map p = a*o + b the
@@ -402,6 +409,20 @@ def test_load_experiments_csv_with_quality_table(tmp_path):
     )
     points = load_experiments_csv(str(path), quality=QUALITY_TABLE)
     assert points[0].dr == 0.37750
+
+
+def test_load_experiments_csv_without_quality_scores(tmp_path):
+    path = tmp_path / "exp.csv"
+    path.write_text(
+        EXP_HEADER + "25,Mystery,10,1083200970,1.36,6.89,37.87,,\n", encoding="utf-8"
+    )
+    with pytest.raises(
+        FittingError,
+        match="^row 2: diversity/syntheticity columns empty and no quality table supplied$",
+    ):
+        load_experiments_csv(str(path))
+    with pytest.raises(FittingError, match=r"^row 2: no quality row for \('Mystery', 10\)$"):
+        load_experiments_csv(str(path), quality=QUALITY_TABLE)
 
 
 def test_load_experiments_csv_bad_row(tmp_path):

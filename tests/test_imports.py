@@ -1,11 +1,12 @@
 """Every import in the package and the tests is used, every module-level
-definition in the package is referenced somewhere, every command-line
-option is set somewhere, and every defaulted library parameter is passed
-somewhere outside the tests.
+definition in the package is referenced somewhere, every attribute the
+package sets on ``self`` is read somewhere, and every command-line option
+and defaulted library parameter is set somewhere outside the tests.
 
-``__init__.py`` is left out of both scans: its imports are the package's
-public names. Those exports do count as references, as do the dotted
-names the benchmark in ``perfbench/`` looks functions up by.
+``__init__.py`` is left out of the import and definition scans: its
+imports are the package's public names. Those exports do count as
+references, as do the dotted names the benchmark in ``perfbench/`` looks
+functions up by.
 """
 
 import argparse
@@ -160,6 +161,63 @@ def test_no_dead_definitions(path):
     assert dead_definitions(_reference_sources(), path) == []
 
 
+def unread_attributes(sources: dict[str, str], paths: list[str]) -> list[str]:
+    """``Class.attribute`` for each attribute that a class in one of
+    ``paths`` assigns on ``self`` and no source in ``sources`` reads, either
+    as an attribute or as a (dotted) identifier string such as ``getattr``
+    takes. A local variable of the same name is not a read."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and _DOTTED_NAME.match(node.value)
+            ):
+                read.update(node.value.split("."))
+    found = []
+    for cls in (node for path in paths for node in ast.walk(trees[path])):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr not in read
+                ):
+                    found.append(f"{cls.name}.{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_scan_finds_an_unread_attribute():
+    module = (
+        "class Box:\n"
+        "    def __init__(self, size, label):\n"
+        "        self.size = size\n"
+        "        self.label = label\n"
+        "        self.kind = 'box'\n"
+        "        self.count = 0\n"
+        "    def grow(self):\n"
+        "        self.count += 1\n"
+        "        return self.size\n"
+    )
+    caller = "label = 'x'\nprint(label, getattr(Box(1, label), 'kind', None))\n"
+    # A counter that is only ever incremented is not read either.
+    assert unread_attributes({"mod.py": module, "caller.py": caller}, ["mod.py"]) == [
+        "Box.label (line 4)", "Box.count (line 6)", "Box.count (line 8)",
+    ]
+
+
+def test_no_unread_attributes():
+    sources = _reference_sources()
+    package = [path for path in sources if os.path.dirname(path) == PACKAGE_DIR]
+    assert unread_attributes(sources, package) == []
+
+
 def _option_strings(parser: argparse.ArgumentParser):
     """(command, option string) for ``parser`` and its subcommands, without -h/--help."""
     for action in parser._actions:
@@ -170,24 +228,47 @@ def _option_strings(parser: argparse.ArgumentParser):
             yield from ((parser.prog, option) for option in action.option_strings)
 
 
+# Options that no README example or benchmark job sets, and why each stays an option.
+TEST_ONLY_OPTIONS = (
+    ("qtokens --tokenizer", "the token unit depends on the data, such as byte tokens for "
+                            "text without spaces; a test dedups such text"),
+    ("qtokens fit --quality", "experiment results may keep Dr and S in a separate table, "
+                              "as the fixture's two tables do; tests fit such a pair"),
+    ("qtokens fit --init", "a fit far from the default start needs its own initial "
+                           "constants; tests recover synthetic truths that way"),
+)
+
+
+def _sets(option: str, text: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text) is not None
+
+
+def _texts(directory: str) -> str:
+    texts = []
+    for root, _, names in os.walk(directory):
+        for name in sorted(names):
+            path = os.path.join(root, name)
+            if name.endswith((".py", ".md")) and path != os.path.abspath(__file__):
+                with open(path, encoding="utf-8") as fh:
+                    texts.append(fh.read())
+    return "\n".join(texts)
+
+
 def test_every_cli_option_is_set_somewhere():
-    """An option that no README example, test or benchmark job sets is a
-    setting with one value in use; it belongs in the code as a constant."""
+    """An option that no README example or benchmark job sets is a setting
+    with one value in use; it belongs in the code as a constant. Tests do
+    not count, since a test may set any option it checks; the few that
+    only tests set are listed with their reasons, and a test must set them."""
     with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
-        texts = re.findall(r"^```.*?^```", fh.read(), re.M | re.S)
-    for directory in (TESTS_DIR, os.path.join(REPO_DIR, "perfbench")):
-        for root, _, names in os.walk(directory):
-            for name in sorted(names):
-                path = os.path.join(root, name)
-                if name.endswith((".py", ".md")) and path != os.path.abspath(__file__):
-                    with open(path, encoding="utf-8") as fh:
-                        texts.append(fh.read())
-    corpus = "\n".join(texts)
+        setters = "\n".join(re.findall(r"^```.*?^```", fh.read(), re.M | re.S))
+    setters += "\n" + _texts(os.path.join(REPO_DIR, "perfbench"))
     unset = [
         f"{command} {option}" for command, option in _option_strings(build_parser())
-        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", corpus)
+        if not _sets(option, setters)
     ]
-    assert unset == []
+    assert sorted(unset) == sorted(name for name, _ in TEST_ONLY_OPTIONS)
+    tests = _texts(TESTS_DIR)
+    assert [name for name, _ in TEST_ONLY_OPTIONS if not _sets(name.split()[-1], tests)] == []
 
 
 def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:

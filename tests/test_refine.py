@@ -360,6 +360,18 @@ def test_select_budget_respected_exactly():
         assert selected.total_tokens <= budget
 
 
+@pytest.mark.parametrize(
+    "weights, budget, mode, message",
+    [([0.0] * 4, 0, "topk", "^budget_tokens must be >= 1, got 0$"),
+     ([0.0] * 3, 9, "topk", "^weights cover 3 documents, corpus has 4$"),
+     ([0.0] * 4, 9, "bottomk", "^unknown selection mode 'bottomk'$")],
+    ids=["budget", "weights", "mode"],
+)
+def test_select_rejects_bad_arguments(weights, budget, mode, message):
+    with pytest.raises(RefineError, match=message):
+        select_by_weight(weighted_corpus(), weights, budget, mode=mode)
+
+
 def test_select_budget_smaller_than_smallest_doc():
     corpus = weighted_corpus()
     weights = [0.0, 0.0, 0.0, 0.0]

@@ -42,6 +42,13 @@ def test_constants_json_roundtrip():
     assert set(data) == {"E", "A", "alpha", "B", "beta", "c1", "c2", "form"}
 
 
+def test_constants_from_dict_missing_key():
+    data = PRESETS["paper-ours"].to_dict()
+    del data["beta"]
+    with pytest.raises(ScalingDomainError, match="^constants JSON missing key 'beta'$"):
+        ScalingConstants.from_dict(data)
+
+
 def test_presets():
     ours = PRESETS["paper-ours"]
     assert (ours.e, ours.a, ours.alpha) == (1.1400, -0.8546, 0.0450)
@@ -183,6 +190,19 @@ def test_invert_out_of_domain():
     consts = ScalingConstants(e=1.0, a=0.0, alpha=0.5, b=1.0, beta=1.0, c1=0, c2=0)
     with pytest.raises(ScalingDomainError, match="loss unreachable"):
         invert_effective_tokens(consts, 10, 0.5)  # (l - e) < 0 while b > 0
+
+
+@pytest.mark.parametrize(
+    "n_millions, score, message",
+    [(0.0, 0.5, "^n_millions must be finite and > 0, got 0.0$"),
+     (-25.0, 0.5, "^n_millions must be finite and > 0, got -25.0$"),
+     (25.0, math.nan, "^score is not finite: nan$"),
+     (25.0, math.inf, "^score is not finite: inf$")],
+    ids=["zero-n", "negative-n", "nan-score", "inf-score"],
+)
+def test_invert_rejects_bad_inputs(n_millions, score, message):
+    with pytest.raises(ScalingDomainError, match=message):
+        invert_effective_tokens(PRESETS["paper-ours"], n_millions, score)
 
 
 def test_invert_roundtrip_fitted_constants():

@@ -101,6 +101,48 @@ def test_invalid_log_prob_rejected(value, message):
         score_corpus(BadTokenScorer(value), corpus, 1.0, 0)
 
 
+class RaisingScorer:
+    """Raises ``error`` on every window."""
+
+    context_len = 1024
+
+    def __init__(self, error):
+        self.error = error
+
+    def log_probs(self, tokens):
+        raise self.error
+
+
+def test_score_corpus_names_the_document_a_custom_scorer_failed_on():
+    with pytest.raises(ScorerError, match="^scorer failed on document 'doc:0': boom$") as info:
+        score_corpus(RaisingScorer(ValueError("boom")), corpus_of(["a b", "c d"]), 1.0, 0)
+    assert type(info.value) is ScorerError
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_score_corpus_passes_a_protocol_error_through():
+    error = ProtocolError("scorer timed out after 1s")
+    with pytest.raises(ProtocolError) as info:
+        score_corpus(RaisingScorer(error), corpus_of(["a b", "c d"]), 1.0, 0)
+    assert info.value is error
+
+
+class DroppingScorer:
+    """Returns one value too few for every window."""
+
+    context_len = 1024
+
+    def log_probs(self, tokens):
+        return [-1.0] * (len(tokens) - 1)
+
+
+def test_score_corpus_rejects_a_wrong_number_of_values():
+    with pytest.raises(
+        ScorerError, match=r"^scorer returned 1 values for 2 tokens \(document 'doc:0'\)$"
+    ):
+        score_corpus(DroppingScorer(), corpus_of(["a b", "c d e"]), 1.0, 0)
+
+
 def test_zero_scoreable_tokens():
     corpus = Corpus([Document.create("a", "   ")])
     with pytest.raises(ScorerError, match="no scoreable tokens"):
@@ -296,6 +338,8 @@ def test_kgram_invalid_params():
         train_kgram_scorer(corpus_of(["a b"]), k=0)
     with pytest.raises(ScorerError):
         train_kgram_scorer(corpus_of(["a b"]), k=1, smoothing=0.0)
+    with pytest.raises(ScorerError, match="reference corpus is empty"):
+        train_kgram_scorer(Corpus([]))
 
 
 def test_score_corpus_order_invariant():
@@ -433,6 +477,19 @@ def test_external_short_response_rejected(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("short")) as scorer:
         with pytest.raises(ProtocolError, match="expected 3 logprobs"):
             scorer.log_probs(["a", "b", "c"])
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [("wrongid", "^unknown response id 'never-sent'$"),
+     ("noid", "^response missing id or logprobs$"),
+     ("strings", "^logprobs is not a list of numbers$")],
+    ids=["wrongid", "noid", "strings"],
+)
+def test_external_malformed_response_rejected(mock_scorer_cmd, mode, message):
+    with external_scorer_connect(mock_scorer_cmd(mode)) as scorer:
+        with pytest.raises(ProtocolError, match=message):
+            scorer.log_probs(["a", "b"])
 
 
 def test_external_bad_json_rejected(mock_scorer_cmd):
