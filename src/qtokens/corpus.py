@@ -1,22 +1,17 @@
 """JSONL document collections: loading, sampling, tokenizing.
 
-A corpus is an ordered sequence of documents, each tokenized once when it
-is created; every token-based step reads ``Document.tokens``, and the
-numpy ones turn them into integer ids with ``encode_tokens``. Sampling
-uses a seeded per-document hash ranking so that smaller fractions are
-always subsets of larger ones at the same seed.
+A corpus is an ordered sequence of documents, each tokenized once, when
+it is created, into int32 ids of one process-wide vocabulary; no output may
+depend on which id a token got. Sampling uses a seeded per-document hash
+ranking so that smaller fractions are always subsets of larger ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,17 +25,25 @@ VOCAB = "vocab"
 UNKNOWN_TOKEN = "<unk>"
 
 
-def encode_tokens(
-    sequences: Sequence[Sequence[str]],
-) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
-    """Lay token sequences end to end as int64 ids, numbered in order of
-    first occurrence; return the ids, each sequence's length and the id of
-    each distinct token."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    types: dict[str, int] = {}
-    ids = np.fromiter((types.setdefault(t, len(types)) for t in chain.from_iterable(sequences)),
-                      dtype=np.int64, count=int(lengths.sum()))
-    return ids, lengths, types
+class _Vocabulary(dict):
+    """Token -> id; a token not seen before gets the next id."""
+
+    def __missing__(self, token: str) -> int:
+        _TOKENS.append(token)
+        return self.setdefault(token, len(self))
+
+
+_VOCAB = _Vocabulary()
+_TOKENS: list[str] = []  # id -> token
+
+
+def encode(tokens: Sequence[str]) -> np.ndarray:
+    # Known tokens are looked up in C; only a new one calls __missing__.
+    return np.fromiter(map(_VOCAB.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+
+
+def decode(ids: np.ndarray) -> list[str]:
+    return list(map(_TOKENS.__getitem__, ids.tolist()))
 
 
 class Tokenizer:
@@ -85,26 +88,21 @@ DEFAULT_TOKENIZER = Tokenizer(WHITESPACE)
 
 @dataclass(frozen=True)
 class Document:
-    """One unit of UTF-8 text with its byte count and its tokens."""
+    """One unit of UTF-8 text with its byte count and its token ids."""
 
     id: str
     text: str
     byte_len: int
-    # Interned, so a corpus holds one string per distinct token.
-    tokens: tuple[str, ...] = field(repr=False)
+    ids: np.ndarray = field(repr=False, compare=False)  # an array has no == or hash()
 
     @property
     def token_count(self) -> int:
-        return len(self.tokens)
+        return len(self.ids)
 
     @classmethod
     def create(cls, id: str, text: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "Document":
-        return cls(
-            id=id,
-            text=text,
-            byte_len=len(text.encode("utf-8")),
-            tokens=tuple(map(sys.intern, tokenizer.tokenize(text))),
-        )
+        return cls(id=id, text=text, byte_len=len(text.encode("utf-8")),
+                   ids=encode(tokenizer.tokenize(text)))
 
 
 @dataclass
@@ -123,6 +121,11 @@ class Corpus:
     @property
     def total_tokens(self) -> int:
         return sum(doc.token_count for doc in self.documents)
+
+    def token_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every document's token ids laid end to end, and each one's count."""
+        return (np.concatenate([np.zeros(0, dtype=np.int32), *(d.ids for d in self.documents)]),
+                np.array([d.token_count for d in self.documents], dtype=np.int64))
 
     @property
     def total_bytes(self) -> int:
@@ -201,7 +204,9 @@ def sample_fraction(corpus: Corpus, fraction: float, seed: int = 0) -> Corpus:
     if not (0.0 < fraction <= 1.0):
         raise CorpusError(f"fraction must be in (0, 1], got {fraction}")
     n = len(corpus)
-    take = math.ceil(Fraction(str(fraction)) * n)
+    mantissa, _, exponent = str(fraction).partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    take = -(-int(whole + decimals) * n // 10 ** (len(decimals) - int(exponent or 0)))
     if take >= n:
         return Corpus(list(corpus.documents))
     ranked = sorted(corpus.documents, key=lambda d: (_rank_hash(seed, d.id), d.id))

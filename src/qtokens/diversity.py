@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, encode_tokens
+from .corpus import Corpus, encode
 from .errors import DiversityError
 
 # Dr is DEFLATE at zlib level 6 over the documents joined by newlines.
@@ -80,21 +80,22 @@ def diversity_score(corpus: Corpus) -> float:
     return 1.0 / compression_ratio(corpus)
 
 
-def _ngram_ranks(ids: np.ndarray, n_types: int, n_max: int) -> tuple[list[np.ndarray], list[int]]:
+def _ngram_ranks(ids: np.ndarray, n_max: int) -> tuple[list[np.ndarray], list[int]]:
     """Rank every n-gram of ``ids`` for n = 1..n_max; also count the distinct ones.
 
     ``ranks[n - 1][i]`` names the n-gram starting at position i: equal n-grams
-    get equal ranks, all below the number of distinct n-grams. An n-gram is
-    keyed by its (n-1)-gram prefix rank and its last id, so keys stay below
-    ``len(ids) * n_types`` whatever n and the vocabulary size are. The chain
-    stops at the longest n the sequence has.
+    get equal ranks (a unigram's is its id). An n-gram is keyed by its
+    (n-1)-gram prefix rank and its last id in int64, so keys stay below
+    ``len(ids) * radix`` whatever n and the ids' type are. The chain stops at
+    the longest n the sequence has.
     """
-    ranks, distinct = [ids], [n_types]
+    radix = np.int64(ids.max(initial=-1)) + 1
+    ranks, distinct = [ids], [np.count_nonzero(np.bincount(ids))]
     for n in range(2, n_max + 1):
         m = len(ids) - n + 1
         if m < 1:
             break
-        grams, rank = np.unique(ranks[-1][:m] * n_types + ids[n - 1 :], return_inverse=True)
+        grams, rank = np.unique(ranks[-1][:m] * radix + ids[n - 1 :], return_inverse=True)
         ranks.append(rank)
         distinct.append(len(grams))
     return ranks, distinct
@@ -136,7 +137,7 @@ def _self_repetition(ranks: list[np.ndarray], lengths: np.ndarray, n: int) -> fl
     eligible = lengths >= n
     if np.count_nonzero(eligible) < 2:
         raise DiversityError("self_repetition needs at least 2 documents with >= n tokens")
-    gram = ranks[n - 1]
+    gram = ranks[n - 1].astype(np.int64, copy=False)
     n_docs = len(lengths)
     doc = np.repeat(np.arange(n_docs), lengths)[: len(gram)]
     inside = np.arange(len(gram)) + n <= np.cumsum(lengths)[doc]
@@ -152,8 +153,7 @@ def type_token_ratio(tokens: Sequence[str]) -> float:
     """Unique tokens over total tokens."""
     if not tokens:
         raise DiversityError("type_token_ratio of empty sequence")
-    _, _, types = encode_tokens([tokens])
-    return len(types) / len(tokens)
+    return np.count_nonzero(np.bincount(encode(tokens))) / len(tokens)
 
 
 def mattr(tokens: Sequence[str], window: int) -> float:
@@ -168,8 +168,7 @@ def mattr(tokens: Sequence[str], window: int) -> float:
         raise DiversityError("mattr of empty sequence")
     if len(tokens) < window:
         return type_token_ratio(tokens)
-    ids, _, _ = encode_tokens([tokens])
-    return _mattr(ids, window)
+    return _mattr(encode(tokens), window)
 
 
 def ngram_diversity(tokens: Sequence[str], n: int) -> float:
@@ -178,8 +177,7 @@ def ngram_diversity(tokens: Sequence[str], n: int) -> float:
         raise DiversityError(f"n must be >= 1, got {n}")
     if len(tokens) < n:
         raise DiversityError(f"sequence of {len(tokens)} tokens is shorter than n={n}")
-    ids, _, types = encode_tokens([tokens])
-    _, distinct = _ngram_ranks(ids, len(types), n)
+    _, distinct = _ngram_ranks(encode(tokens), n)
     return distinct[n - 1] / (len(tokens) - n + 1)
 
 
@@ -190,8 +188,8 @@ def self_repetition(documents: Sequence[Sequence[str]], n: int = SELF_REPETITION
     appears in at least one other document. Documents shorter than n tokens
     are skipped; at least two must remain.
     """
-    ids, lengths, types = encode_tokens(documents)
-    ranks, _ = _ngram_ranks(ids, len(types), n)
+    lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
+    ranks, _ = _ngram_ranks(encode([t for doc in documents for t in doc]), n)
     return _self_repetition(ranks, lengths, n)
 
 
@@ -250,18 +248,17 @@ def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
 
 def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None], float | None]:
     """TTR, MATTR, n-gram diversity and self-repetition of the report."""
-    ids, lengths, types = encode_tokens([doc.tokens for doc in corpus])
+    ids, lengths = corpus.token_ids()
     total = len(ids)
     if total == 0:
         raise DiversityError("corpus has no tokens")
-    n_types = len(types)
-    ranks, distinct = _ngram_ranks(ids, n_types, max((*NGRAM_NS, SELF_REPETITION_N)))
+    ranks, distinct = _ngram_ranks(ids, max((*NGRAM_NS, SELF_REPETITION_N)))
     ngd = {n: distinct[n - 1] / (total - n + 1) if total >= n else None for n in NGRAM_NS}
     try:
         sr = _self_repetition(ranks, lengths, SELF_REPETITION_N)
     except DiversityError:
         sr = None
-    ttr = n_types / total
+    ttr = distinct[0] / total
     return ttr, _mattr(ids, MATTR_WINDOW) if total >= MATTR_WINDOW else ttr, ngd, sr
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, encode_tokens
+from .corpus import Corpus, decode
 from .errors import RefineError
 
 # Fixed, published hash seed: selections must be reproducible across machines.
@@ -52,12 +52,14 @@ def _token_hashes(corpus: Corpus, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Tokens are laid out document after document. Each distinct token is
     hashed once: 8-byte blake2b of its UTF-8 bytes, keyed by ``seed``.
     """
-    ids, lengths, types = encode_tokens([doc.tokens for doc in corpus])
+    ids, lengths = corpus.token_ids()
+    types = np.flatnonzero(np.bincount(ids))
+    type_hashes = np.zeros(int(ids.max(initial=-1)) + 1, dtype=np.uint64)
     key = seed.to_bytes(8, "big")
-    type_hashes = np.fromiter(
+    type_hashes[types] = np.fromiter(
         (
             int.from_bytes(hashlib.blake2b(t.encode("utf-8"), digest_size=8, key=key).digest(), "big")
-            for t in types
+            for t in decode(types)
         ),
         dtype=np.uint64,
         count=len(types),

@@ -119,8 +119,6 @@ def _ticks(axes: _Axes) -> list[str]:
 
 def pred_vs_true_svg(observed: Sequence[float], predicted: Sequence[float]) -> str:
     """Scatter of predicted against observed accuracy with a y=x guide."""
-    if len(observed) < 2:
-        raise QTokensError("need >= 2 points to plot correlation")
     r = pearson(predicted, observed)
     lim = _pad_limits(list(observed) + list(predicted))
     axes = _Axes(lim, lim)
@@ -144,8 +142,6 @@ def pred_vs_true_svg(observed: Sequence[float], predicted: Sequence[float]) -> s
 
 def acc_vs_dq_svg(points: Sequence[dict], constants: ScalingConstants) -> str:
     """Observed accuracy against effective tokens, with model curves."""
-    if len(points) < 2:
-        raise QTokensError("need >= 2 points to plot correlation")
     dqs = [
         effective_tokens_raw(p["d_tokens"], p["dr"], p["s"], constants) for p in points
     ]

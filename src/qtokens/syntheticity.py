@@ -22,12 +22,11 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, UNKNOWN_TOKEN, encode_tokens, sample_fraction
+from .corpus import Corpus, UNKNOWN_TOKEN, decode, encode, sample_fraction
 from .errors import ProtocolError, ScorerError
 
 DEFAULT_CONTEXT_LEN = 1024
@@ -84,7 +83,7 @@ class KgramScorer:
     The counts live in four sorted-key arrays over integer token ids. A
     context of m tokens is keyed by the table index of its first m - 1
     tokens and its last id, so keys stay below the table size times
-    ``len(vocab) + 1`` whatever k is. The context table holds every
+    ``len(types) + 1`` whatever k is. The context table holds every
     context seen in training plus the shorter n-grams that chain to them,
     with how often each preceded a token; the pair table holds each
     (context index, token id) with its count.
@@ -94,7 +93,7 @@ class KgramScorer:
         self,
         k: int,
         smoothing: float,
-        vocab: dict[str, int],
+        types: np.ndarray,
         ctx_keys: np.ndarray,
         ctx_totals: np.ndarray,
         pair_keys: np.ndarray,
@@ -105,22 +104,22 @@ class KgramScorer:
         self.kind = "builtin-kgram"
         self.k = k
         self.smoothing = smoothing
-        self.vocab = vocab
         self.context_len = context_len
         self._ctx_keys = ctx_keys
         self._ctx_totals = ctx_totals
         self._pair_keys = pair_keys
         self._pair_counts = pair_counts
-        # Event space: vocabulary plus the unknown symbol.
-        self._n_events = len(vocab) + 1
-        self._unk = vocab.get(UNKNOWN_TOKEN, len(vocab))
+        # Event space: vocabulary (``types``, its sorted ids) plus the unknown symbol.
+        self._n_events = len(types) + 1
+        pos, found = _find(types, encode([UNKNOWN_TOKEN]))
+        self._lookup = np.full(types[-1] + 2, pos[0] if found[0] else len(types), dtype=np.int64)
+        self._lookup[types] = np.arange(len(types))
 
     def _probs(self, windows: Sequence[Sequence[str]]) -> np.ndarray:
         """Probability of every token of ``windows``, laid end to end, given
         the tokens before it in its own window."""
         lengths = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
-        ids = np.fromiter(map(self.vocab.get, chain.from_iterable(windows), repeat(self._unk)),
-                          dtype=np.int64, count=int(lengths.sum()))
+        ids = np.take(self._lookup, encode([t for w in windows for t in w]), mode="clip")
         # Offset of every position in its window; a position has min(offset, k - 1)
         # tokens of context.
         offset = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -198,11 +197,12 @@ def train_kgram_scorer(
         raise ScorerError(f"smoothing must be > 0, got {smoothing}")
     if len(reference) == 0:
         raise ScorerError("reference corpus is empty")
-    ids, lengths, vocab = encode_tokens([doc.tokens for doc in reference])
+    ids, lengths = reference.token_ids()
     longest = int(lengths.max())
     if k > longest:
         raise ScorerError(f"k={k} exceeds longest reference document ({longest} tokens)")
-    radix = len(vocab) + 1
+    types, ids = np.unique(ids, return_inverse=True)
+    radix = len(types) + 1
     # Position of every token within its document.
     pos = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     # Index of each position's context in the table, grown one token per level
@@ -220,7 +220,7 @@ def train_kgram_scorer(
         tables.append(table)
         size += len(table)
     pair_keys, pair_counts = np.unique(ctx * radix + ids, return_counts=True)
-    return KgramScorer(k, smoothing, vocab, np.concatenate(tables),
+    return KgramScorer(k, smoothing, types, np.concatenate(tables),
                        np.bincount(ctx, minlength=size), pair_keys, pair_counts, context_len)
 
 
@@ -493,7 +493,7 @@ def score_corpus(
 
     # Windows are sliced only as the scorer asks for them, so an external
     # scorer can keep several in flight without the corpus being copied.
-    windows = (doc.tokens[start : start + ctx] for doc, start in spans())
+    windows = (decode(doc.ids[start : start + ctx]) for doc, start in spans())
     # A scorer's own score_windows has already checked every value it yields.
     score_windows = getattr(scorer, "score_windows", None)
     checked = score_windows is not None

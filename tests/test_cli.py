@@ -52,7 +52,7 @@ def test_score_with_kgram_scorer(write_corpus, capsys):
     )
 
 
-def test_score_tokenizes_each_document_once(write_corpus, capsys, monkeypatch):
+def test_score_tokenizes_each_document_once(write_corpus, capsys, monkeypatch, tmp_path):
     ref = write_corpus("ref.jsonl", [{"text": "the cat sat on the mat"}] * 3)
     a = write_corpus("a.jsonl", [{"text": "the cat sat"}, {"text": "on the mat"}])
     b = write_corpus("b.jsonl", [{"text": "a dog ran off"}] * 4)
@@ -68,6 +68,18 @@ def test_score_tokenizes_each_document_once(write_corpus, capsys, monkeypatch):
     assert code == 0
     assert len(list(csv.DictReader(io.StringIO(out)))) == 2
     assert len(calls) == 3 + 2 + 4
+    # The sidecar scores Dr and S before and after from the loaded corpora.
+    out_path, side = str(tmp_path / "out.jsonl"), tmp_path / "side.json"
+    for argv, documents in (
+        (["select", b, "--target", a, "--budget-tokens", "8"], 4 + 2),
+        (["dedup", b, "--mode", "near"], 4),
+    ):
+        calls.clear()
+        code, _, _ = run_cli(argv + ["--out", out_path, "--report", str(side),
+                                     "--scorer", f"kgram:{ref}"], capsys)
+        assert code == 0
+        assert json.loads(side.read_text())["after"]["syntheticity"] is not None
+        assert len(calls) == 3 + documents
 
 
 def test_score_env_scorer(write_corpus, capsys, monkeypatch, mock_scorer_cmd):

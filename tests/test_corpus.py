@@ -116,6 +116,15 @@ def test_sample_size_takes_the_fraction_as_written(monkeypatch):
             assert len(sample_fraction(corpus, fraction, seed=0)) == expected, (fraction, n)
 
 
+@pytest.mark.parametrize("fraction", [1e-05, 2.5e-06, 1.5e-07, 0.000123, 5e-324, 1])
+def test_sample_size_of_exponent_and_integer_forms(monkeypatch, fraction):
+    monkeypatch.setattr(corpus_mod, "_rank_hash", lambda seed, doc_id: 0)
+    docs = Corpus.from_texts([f"t {i}" for i in range(40)]).documents
+    for n in range(1, 41):
+        expected = math.ceil(Fraction(str(fraction)) * n)
+        assert len(sample_fraction(Corpus(docs[:n]), fraction, seed=0)) == expected
+
+
 def test_sample_fraction_out_of_range():
     corpus = Corpus.from_texts(["a"])
     for bad in (0.0, -0.1, 1.2):

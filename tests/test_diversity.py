@@ -315,13 +315,42 @@ def test_ngram_diversity_beyond_packed_key_range():
     assert ngram_diversity(tokens, 4) < 1.0
 
 
+def test_report_past_the_int32_key_range_matches_oracles():
+    # Over 50,000 distinct tokens, so a bigram key, first id * radix + second
+    # id with radix = largest id + 1, passes 2**32. Two bigrams whose keys
+    # differ by exactly 2**32 would be counted as one if keys wrapped in the
+    # int32 of the ids.
+    words = [f"ov{v}" for v in range(70_000)]
+    ids, _ = Corpus.from_texts([" ".join(words)]).token_ids()
+    low = int(ids.min())
+    assert ids.tolist() == list(range(low, low + len(words)))
+    q = -(-(2**32) // (low + len(words)))
+    radix = 2**32 // q
+    r = 2**32 - q * radix
+    assert 0 <= r < q < radix - low
+    words = words[: radix - low]
+    texts = [" ".join(words[i : i + 400]) for i in range(0, len(words), 400)]
+    texts += [f"{words[q]} {words[r]} " * 2, f"{words[0]} {words[0]} " * 2] + texts[:5]
+    corpus = Corpus.from_texts(texts)
+    assert int(corpus.token_ids()[0].max()) + 1 == radix
+    docs = [Tokenizer().tokenize(doc.text) for doc in corpus]
+    stream = [t for doc in docs for t in doc]
+    assert len(set(stream)) > 50_000
+    report = score_corpus_diversity(corpus)
+    assert report.ttr == len(set(stream)) / len(stream)
+    assert report.mattr == brute_force_mattr(stream, 100)
+    for n in (2, 3, 4):
+        assert report.ngram_diversity[n] == set_of_tuples_ngram_diversity(stream, n)
+    assert report.self_repetition == reference_self_repetition(docs, 4) > 0
+
+
 def test_byte_tokenizer_report_matches_oracles():
     rng = np.random.default_rng(31)
     words = ["ab", "ba", "é", "ß", "日本", "a", "b", " "]
     tok = Tokenizer("byte")
     texts = ["".join(rng.choice(words, size=int(rng.integers(5, 60)))) for _ in range(25)]
     corpus = Corpus([Document.create(f"d{i}", t, tok) for i, t in enumerate(texts)])
-    docs = [list(doc.tokens) for doc in corpus]
+    docs = [tok.tokenize(doc.text) for doc in corpus]
     stream = [t for doc in docs for t in doc]
     assert len(stream) == len("".join(texts).encode("utf-8")) > 100
     report = score_corpus_diversity(corpus)
@@ -345,7 +374,7 @@ def test_report_matches_public_functions_across_boundaries():
             for _ in range(int(rng.integers(2, 40)))
         ]
         corpus = Corpus.from_texts(texts)
-        docs = [list(doc.tokens) for doc in corpus]
+        docs = [Tokenizer().tokenize(doc.text) for doc in corpus]
         stream = [t for doc in docs for t in doc]
         windowed += len(stream) > 100
         report = score_corpus_diversity(corpus)
@@ -366,7 +395,7 @@ def test_report_matches_public_functions_across_boundaries():
     report = score_corpus_diversity(corpus)
     assert report.ngram_diversity[4] == 8 / 9
     assert report.self_repetition == 0.0
-    assert self_repetition([list(doc.tokens) for doc in corpus], 4) == 0.0
+    assert self_repetition([Tokenizer().tokenize(doc.text) for doc in corpus], 4) == 0.0
 
 
 def test_self_repetition_needs_two_eligible():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qtokens.errors import FittingError
+from qtokens import fitting, fixtures
+from qtokens.errors import FittingError, QTokensError
 from qtokens.fitting import (
     ExperimentPoint,
     _levenberg_marquardt,
@@ -327,6 +328,50 @@ def test_bootstrap_rejects_tiny_resample_count():
     for bad in (0, 1):
         with pytest.raises(FittingError, match="n_resamples"):
             bootstrap_se(points, base, n_resamples=bad, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n_resamples, failed, message",
+    [(6, 4, "^bootstrap failed: 4 of 6 resample fits errored$"),
+     (2, 1, "^bootstrap needs at least 2 successful resample fits$"),
+     (6, 3, None), (3, 1, None)],
+)
+def test_bootstrap_failure_rules(monkeypatch, n_resamples, failed, message):
+    # More than half of the refits failing, or fewer than two succeeding, is
+    # an error; otherwise the SEs come from the refits that succeeded.
+    points = synthetic_points(TRUTH, noise=0.004, seed=3)
+    base = fit_constants(points, PERTURBED)
+    solve = fitting._levenberg_marquardt
+    solved = []
+
+    def failing(*args):
+        theta, r, sse, evals, iters, converged = solve(*args)
+        sse = sse.copy()
+        sse[:failed] = np.nan
+        solved.append(theta)
+        return theta, r, sse, evals, iters, converged
+
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", failing)
+    if message is not None:
+        with pytest.raises(FittingError, match=message):
+            bootstrap_se(points, base, n_resamples=n_resamples, seed=11)
+        return
+    se = bootstrap_se(points, base, n_resamples=n_resamples, seed=11)
+    (theta,) = solved
+    assert list(se.values()) == np.std(theta[failed:], axis=0, ddof=1).tolist()
+
+
+def test_verify_fixtures_rejects_altered_tables(monkeypatch):
+    monkeypatch.setattr(fixtures, "QUALITY_TABLE", QUALITY_TABLE[:-1])
+    with pytest.raises(QTokensError, match="^fixture tables corrupted: 29 quality rows, "
+                                           "207 result rows$"):
+        fixture_points()
+    monkeypatch.setattr(fixtures, "QUALITY_TABLE", QUALITY_TABLE)
+    first = RESULTS_TABLE[0]
+    altered = (first[:-1] + (first[-1] + 0.01,),) + RESULTS_TABLE[1:]
+    monkeypatch.setattr(fixtures, "RESULTS_TABLE", altered)
+    with pytest.raises(QTokensError, match="^fixture checksum mismatch: [0-9a-f]{64}$"):
+        fixture_points()
 
 
 def test_bootstrap_se_shrinks_with_more_points():

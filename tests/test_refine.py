@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qtokens import refine
-from qtokens.corpus import Corpus, Document
+from qtokens.corpus import Corpus, Document, Tokenizer
 from qtokens.diversity import diversity_score
 from qtokens.errors import RefineError
 from qtokens.refine import (
@@ -161,7 +161,7 @@ def test_whole_corpus_equals_each_document_alone():
         alone_buckets, alone_docs = corpus_features(Corpus([doc]))
         assert (buckets[docs == i] == alone_buckets).all() and (alone_docs == 0).all()
         assert (signatures[i] == minhash_signature(Corpus([doc]), seed=7)[0]).all()
-        assert signatures[i].tolist() == oracle_signature(doc.tokens, seed=7)
+        assert signatures[i].tolist() == oracle_signature(Tokenizer().tokenize(doc.text), seed=7)
     assert len(buckets) == sum(2 * len(t.split()) - 1 for t in texts if t)
 
 

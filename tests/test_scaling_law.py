@@ -190,6 +190,9 @@ def test_invert_out_of_domain():
     consts = ScalingConstants(e=1.0, a=0.0, alpha=0.5, b=1.0, beta=1.0, c1=0, c2=0)
     with pytest.raises(ScalingDomainError, match="loss unreachable"):
         invert_effective_tokens(consts, 10, 0.5)  # (l - e) < 0 while b > 0
+    # With A = 0 the score E itself needs infinite data: the denominator is 0.
+    with pytest.raises(ScalingDomainError, match="^loss unreachable at this model size$"):
+        invert_effective_tokens(consts, 10, 1.0)
 
 
 @pytest.mark.parametrize(

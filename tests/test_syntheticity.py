@@ -1,9 +1,11 @@
 import math
 import re
+import shlex
 import signal
 import socket
 import socketserver
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -162,7 +164,7 @@ def test_kgram_unigram_closed_form():
 def test_kgram_probabilities_sum_to_one():
     reference = corpus_of(["the cat sat on the mat", "the dog sat on the rug"])
     scorer = train_kgram_scorer(reference, k=3, smoothing=0.5)
-    events = sorted(scorer.vocab) + ["<unk>"]
+    events = sorted({t for doc in reference for t in Tokenizer().tokenize(doc.text)}) + ["<unk>"]
     for context in ([], ["the"], ["the", "cat"], ["nope", "nope"], ["sat", "on"]):
         total = sum(scorer.prob(w, context) for w in events)
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -212,13 +214,14 @@ def test_kgram_matches_count_oracle():
     assert got == pytest.approx(oracle_nll(normalized), abs=1e-9)
 
 
-def reference_kgram_log_probs(reference, k, smoothing, windows):
+def reference_kgram_log_probs(reference, k, smoothing, windows, tokenizer=Tokenizer()):
     """Per-token log-probabilities of each window from string-tuple count
-    tables, one dict lookup per token: the exact oracle for the id tables."""
+    tables, one dict lookup per token: the exact oracle for the id tables.
+    ``tokenizer`` is the one ``reference`` was built with."""
     vocab = set()
     counts = {}
     for doc in reference:
-        tokens = doc.tokens
+        tokens = tuple(tokenizer.tokenize(doc.text))
         vocab.update(tokens)
         for i, token in enumerate(tokens):
             counts.setdefault(tokens[max(0, i - (k - 1)) : i], Counter())[token] += 1
@@ -251,11 +254,11 @@ def _seeded_texts(seed, n_docs, n_types, max_len, words=None):
 
 
 def _kgram_case(case, tmp_path):
-    """(reference, probe, k, smoothing, context_len) for one oracle case."""
+    """(tokenizer, reference, probe, k, smoothing, context_len) for one oracle case."""
     if case == "oov":
         # The probe draws from 40 types, the reference from 30.
-        return (corpus_of(_seeded_texts(1, 30, 30, 60)), corpus_of(_seeded_texts(2, 20, 40, 60)),
-                3, 0.5, 1024)
+        return (Tokenizer(), corpus_of(_seeded_texts(1, 30, 30, 60)),
+                corpus_of(_seeded_texts(2, 20, 40, 60)), 3, 0.5, 1024)
     if case == "unk-in-vocab":
         # w0..w19 are in the vocabulary file, so the reference holds <unk> and
         # w15..w19, absent from the reference, map to <unk> in the scorer too.
@@ -263,32 +266,35 @@ def _kgram_case(case, tmp_path):
         vocab_file.write_text("".join(f"w{v}\n" for v in range(20)))
         tokenizer = Tokenizer("vocab", vocab_path=str(vocab_file))
         reference = Corpus.from_texts(_seeded_texts(3, 30, 15, 60) + ["x y z w0 q"], tokenizer)
-        return reference, Corpus.from_texts(_seeded_texts(4, 20, 30, 60), tokenizer), 3, 1.0, 1024
+        probe = Corpus.from_texts(_seeded_texts(4, 20, 30, 60), tokenizer)
+        return tokenizer, reference, probe, 3, 1.0, 1024
     if case == "bytes":
         tokenizer = Tokenizer("byte")
         words = ["ab", "é", "中", "c d", "ü", "x"]
         reference = Corpus.from_texts(_seeded_texts(5, 20, 0, 40, words), tokenizer)
         probe = Corpus.from_texts(_seeded_texts(6, 20, 0, 40, words + ["ø", "z"]), tokenizer)
-        return reference, probe, 4, 0.25, 1024
+        return tokenizer, reference, probe, 4, 0.25, 1024
     if case == "k1":
-        return (corpus_of(_seeded_texts(7, 20, 25, 50)), corpus_of(_seeded_texts(8, 20, 30, 50)),
-                1, 1.0, 1024)
+        return (Tokenizer(), corpus_of(_seeded_texts(7, 20, 25, 50)),
+                corpus_of(_seeded_texts(8, 20, 30, 50)), 1, 1.0, 1024)
     # k beyond the window: contexts stop at the window start.
-    return (corpus_of(_seeded_texts(9, 20, 8, 80)), corpus_of(_seeded_texts(10, 20, 10, 80)),
-            7, 0.1, 5)
+    return (Tokenizer(), corpus_of(_seeded_texts(9, 20, 8, 80)),
+            corpus_of(_seeded_texts(10, 20, 10, 80)), 7, 0.1, 5)
 
 
 @pytest.mark.parametrize("case", ["oov", "unk-in-vocab", "bytes", "k1", "k-beyond-context"])
 def test_kgram_matches_string_tuple_oracle_exactly(case, tmp_path):
-    reference, probe, k, smoothing, context_len = _kgram_case(case, tmp_path)
+    tokenizer, reference, probe, k, smoothing, context_len = _kgram_case(case, tmp_path)
     scorer = train_kgram_scorer(reference, k=k, smoothing=smoothing, context_len=context_len)
-    windows = [doc.tokens[start : start + context_len]
-               for doc in probe for start in range(0, doc.token_count, context_len)]
-    assert any(t not in scorer.vocab for w in windows for t in w)
+    windows = [tokens[start : start + context_len]
+               for tokens in (tokenizer.tokenize(doc.text) for doc in probe)
+               for start in range(0, len(tokens), context_len)]
+    vocab = {t for doc in reference for t in tokenizer.tokenize(doc.text)}
+    assert any(t not in vocab for w in windows for t in w)
     if case == "unk-in-vocab":
-        assert "<unk>" in scorer.vocab
+        assert "<unk>" in vocab
     got = [scorer.log_probs(w) for w in windows]
-    assert got == reference_kgram_log_probs(reference, k, smoothing, windows)
+    assert got == reference_kgram_log_probs(reference, k, smoothing, windows, tokenizer)
 
 
 def test_kgram_keys_do_not_overflow_with_large_vocab_and_k():
@@ -302,8 +308,8 @@ def test_kgram_keys_do_not_overflow_with_large_vocab_and_k():
     texts += texts[:20]
     reference = corpus_of(texts)
     scorer = train_kgram_scorer(reference, k=k, smoothing=0.5)
-    assert (len(scorer.vocab) + 1) ** (k - 1) > 2**63
-    windows = [doc.tokens for doc in reference.documents[:25]]
+    assert (len({t for text in texts for t in text.split()}) + 1) ** (k - 1) > 2**63
+    windows = [Tokenizer().tokenize(doc.text) for doc in reference.documents[:25]]
     windows += [[f"w{v}" for v in rng.integers(0, n_types + 50, size=200)] for _ in range(5)]
     got = [scorer.log_probs(w) for w in windows]
     assert got == reference_kgram_log_probs(reference, k, 0.5, windows)
@@ -417,7 +423,7 @@ def test_kgram_score_windows_closes_a_batch_with_the_window_that_fills_it(monkey
     # starts a new batch.
     batches.clear()
     monkeypatch.setattr(syntheticity, "SCORE_BATCH_TOKENS", 7)
-    windows = [doc.tokens[:n] for doc, n in zip(reference, (5, 4, 6, 2))]
+    windows = [Tokenizer().tokenize(doc.text)[:n] for doc, n in zip(reference, (5, 4, 6, 2))]
     got = list(scorer.score_windows(windows))
     assert batches == [[5, 4], [6, 2]]
     assert got == reference_kgram_log_probs(reference, 3, 1.0, windows)
@@ -531,6 +537,26 @@ def test_external_large_windows_do_not_deadlock(mock_scorer_cmd):
     assert not hung
     assert [len(r) for r in results] == [200_000] * 3
     assert all(v == -1.0 for r in results for v in r)
+
+
+def test_external_write_to_an_exited_scorer_names_its_end():
+    # Nothing reads the pipe once the child has exited, so the write breaks.
+    code = "import sys; sys.stderr.write('bye\\n')"
+    with external_scorer_connect(f"{shlex.quote(sys.executable)} -c {shlex.quote(code)}") as scorer:
+        scorer._proc.wait(timeout=30)
+        with pytest.raises(ProtocolError, match="^cannot send to scorer: scorer exited with "
+                                                "status 0; its stderr ends: 'bye'$"):
+            scorer.log_probs(["a"])
+
+
+def test_external_write_error_is_a_protocol_error(mock_scorer_cmd, tmp_path):
+    # A descriptor open only for reading refuses the write with EBADF.
+    path = tmp_path / "read-only"
+    path.write_bytes(b"")
+    with external_scorer_connect(mock_scorer_cmd("const")) as scorer, open(path, "rb") as fh:
+        scorer._wfd = fh.fileno()
+        with pytest.raises(ProtocolError, match=r"^cannot send to scorer: \[Errno \d+\] "):
+            scorer.log_probs(["a"])
 
 
 def test_external_requests_are_pipelined(mock_scorer_cmd):
