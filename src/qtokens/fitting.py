@@ -1,17 +1,14 @@
 """Nonlinear least-squares estimation of the scaling-law constants.
 
-The seven constants (E, A, alpha, B, beta, c1, c2) are fitted to observed
-accuracies by Levenberg-Marquardt with a closed-form Jacobian. Damping
-follows the standard schedule (lambda starts at 1e-3, grows 10x on a
-rejected step, shrinks 10x on an accepted one) applied to a column-scaled
-normal matrix; the scale for each parameter is the running maximum of its
-Jacobian column norm, which keeps badly scaled directions from blowing up
-early in the search.
-
-One solver runs a stack of problems at once, keeping the damping, the
-accept/reject decision and the stopping rule per row, so that restarts
-and bootstrap resamples cost one batched linear solve and one stacked
-model evaluation per trial step rather than one each.
+The model E + A*N^-alpha + B*Dq^-beta is linear in E, A and B once alpha,
+beta, c1 and c2 are fixed, so the seven constants are fitted by variable
+projection (Golub & Pereyra, 1973). Levenberg-Marquardt searches only
+(alpha, beta, c1, c2). At every point it tries, E, A and B are solved
+exactly by least squares on the columns [1, N^-alpha, Dq^-beta], and its
+steps use Kaufman's (1975) Jacobian: the alpha, beta, c1 and c2 rows of
+the closed-form model Jacobian, projected off the span of those columns.
+Damping follows Marquardt's schedule on diag(J^T J): lambda starts at
+1e-3, grows 10x on a rejected step and shrinks 10x on an accepted one.
 
 Goodness of fit is reported as R-squared and the Pearson correlation of
 predictions against observations. Parameter uncertainty comes from
@@ -37,10 +34,12 @@ from .scaling_law import ScalingConstants, _dq, _score
 
 N_PARAMS = 7
 MAX_ITERS = 200
-FTOL = 1e-10
+FTOL = 1e-12
 LAMBDA0 = 1e-3
 LAMBDA_MAX = 1e30
 GRAD_TOL = 1e-12
+# The parameters the solver searches (alpha, beta, c1, c2); E, A and B are solved.
+_SEARCHED = [2, 4, 5, 6]
 
 EXPERIMENTS_CSV_HEADER = [
     "model_size_m",
@@ -100,37 +99,29 @@ def _point_arrays(points: Sequence[ExperimentPoint]) -> np.ndarray:
                      [p.accuracy for p in points]], dtype=float)
 
 
-def _params(theta: np.ndarray):
-    """The seven parameters of a (7,) or (K, 7) theta, shaped to broadcast
-    over (m,) or (K, m) data."""
-    return np.asarray(theta, dtype=float).T[..., None]
-
-
 def model_predictions(theta: np.ndarray, n, d, dr, s, form: str) -> np.ndarray:
-    """Vectorized unclamped model over experiment arrays, for a (7,) theta
-    with (m,) data or a (K, 7) stack with (K, m) data. It may return
+    """Vectorized unclamped model over experiment arrays. It may return
     non-finite values for wild parameters; the solver rejects those trial
     steps and silences numpy's warnings about them."""
-    e, a, alpha, b, beta, c1, c2 = _params(theta)
+    e, a, alpha, b, beta, c1, c2 = theta
     return _score(n, _dq(d, dr, s, c1, c2, form, np.exp), e, a, alpha, b, beta)
 
 
 def model_jacobian(theta: np.ndarray, n, d, dr, s, form: str) -> np.ndarray:
     """Closed-form derivative of ``model_predictions`` with respect to the
-    seven parameters, one row per parameter: (7, m) for (m,) data, or
-    (K, 7, m) for a stack."""
-    _, a, alpha, b, beta, c1, c2 = _params(theta)
+    seven parameters, (7, m): one row per parameter."""
+    _, a, alpha, b, beta, c1, c2 = theta
     dq = _dq(d, dr, s, c1, c2, form, np.exp)
-    jac = np.empty(dq.shape[:-1] + (N_PARAMS,) + dq.shape[-1:])
-    jac[..., 0, :] = 1.0
-    jac[..., 1, :] = 1 / n**alpha  # N^-alpha
-    jac[..., 2, :] = -a * np.log(n) * jac[..., 1, :]
-    jac[..., 3, :] = 1 / dq**beta  # Dq^-beta
-    jac[..., 4, :] = -b * np.log(dq) * jac[..., 3, :]
+    jac = np.empty((N_PARAMS, len(dq)))
+    jac[0] = 1.0
+    jac[1] = 1 / n**alpha  # N^-alpha
+    jac[2] = -a * np.log(n) * jac[1]
+    jac[3] = 1 / dq**beta  # Dq^-beta
+    jac[4] = -b * np.log(dq) * jac[3]
     # c1 and c2 act through ln Dq, whose slopes are Dr or ln Dr and S or ln S.
-    jac[..., 5, :] = -b * beta * jac[..., 3, :]
-    jac[..., 6, :] = jac[..., 5, :] * (s if form in ("F1", "F2") else np.log(s))
-    jac[..., 5, :] *= dr if form in ("F1", "F3") else np.log(dr)
+    jac[5] = -b * beta * jac[3]
+    jac[6] = jac[5] * (s if form in ("F1", "F2") else np.log(s))
+    jac[5] *= dr if form in ("F1", "F3") else np.log(dr)
     return jac
 
 
@@ -145,86 +136,75 @@ def _consts_of(theta: np.ndarray, form: str) -> ScalingConstants:
     return ScalingConstants(e=e, a=a, alpha=alpha, b=b, beta=beta, c1=c1, c2=c2, form=form)
 
 
-def _levenberg_marquardt(theta0: np.ndarray, data: np.ndarray, picks: np.ndarray, form: str):
-    """Minimize ||model(theta) - y||^2 for each of K stacked problems.
+def _solve_linear(p: np.ndarray, data: np.ndarray, form: str):
+    """E, A and B by least squares for the searched parameters ``p``.
 
-    ``theta0`` is (K, 7), ``data`` the (5, m) stack of N, D, Dr, S and y,
-    and row i of ``picks`` (K, m') the indices of the points problem i
-    fits. Every row follows its own damping schedule, exactly as if it
-    were solved alone. Returns per-row (theta, residuals, sse, evals,
-    iters, converged); a row whose model is not finite at its start keeps
-    a non-finite SSE and is never iterated.
+    Returns the full theta, an orthonormal basis of the columns
+    [1, N^-alpha, Dq^-beta], the residuals and the SSE; the SSE is NaN
+    where the columns or the model are not finite. Each column is scaled
+    to a largest entry of 1 before an SVD, and directions below the rank
+    cutoff are dropped, so an underflowed Dq^-beta or collinear
+    [1, N^-alpha] gets a minimum-norm solution rather than a blown-up one.
     """
+    n, d, dr, s, y = data
+    alpha, beta, c1, c2 = p
+    dq = _dq(d, dr, s, c1, c2, form, np.exp)
+    cols = np.array([np.ones_like(y), 1 / n**alpha, 1 / dq**beta])
+    if not np.isfinite(cols).all():
+        return None, None, None, math.nan
+    scale = np.max(np.abs(cols), axis=1)
+    scale[scale == 0.0] = 1.0
+    u, sv, vt = np.linalg.svd(cols.T / scale, full_matrices=False)
+    rank = int(np.count_nonzero(sv > sv[0] * len(y) * np.finfo(float).eps))
+    u, sv, vt = u[:, :rank], sv[:rank], vt[:rank]
+    e, a, b = vt.T @ ((u.T @ y) / sv) / scale
+    theta = np.array([e, a, alpha, b, beta, c1, c2])
+    r = model_predictions(theta, n, d, dr, s, form) - y
+    return theta, u, r, float(r @ r)
 
-    def residuals(th, part):
-        r = model_predictions(th, *part[:4], form) - part[4]
-        return r, np.einsum("km,km->k", r, r)
 
-    theta = np.array(theta0, dtype=float)
-    k = len(theta)
-    evals, iters, converged = np.ones(k, dtype=int), np.zeros(k, dtype=int), np.zeros(k, bool)
+def _levenberg_marquardt(p0: np.ndarray, data: np.ndarray, form: str):
+    """Minimize ||model(theta) - y||^2 by variable projection.
+
+    ``p0`` is the start for (alpha, beta, c1, c2) and ``data`` the (5, m)
+    stack of N, D, Dr, S and y. E, A and B are solved exactly at every
+    point tried, and the search steps along Kaufman's Jacobian. Returns
+    (theta, residuals, sse, evals, iters, converged); the SSE stays NaN,
+    and nothing is iterated, when the model is not finite at the start.
+    """
     with np.errstate(all="ignore"):
-        sub = data[:, picks]
-        r, sse = residuals(theta, sub)
-        # The working set: the rows still iterating, with their state and data.
-        rows = np.flatnonzero(np.isfinite(sse))
-        th, res, ss = theta[rows], r[rows], sse[rows]
-        sub = sub if rows.size == k else sub[:, rows]
-        lm = np.full(rows.size, LAMBDA0)
-        col_scale = np.zeros((rows.size, N_PARAMS))
-        ev, it = evals[rows], iters[rows]
-        while rows.size:
-            it += 1
-            ev += 1  # one Jacobian counts as one evaluation
-            jac_t = model_jacobian(th, *sub[:4], form)
-            jac_t[~np.isfinite(jac_t)] = 0.0
-            normal = jac_t @ jac_t.transpose(0, 2, 1)
-            col_scale = np.maximum(col_scale, np.sqrt(normal.diagonal(axis1=1, axis2=2)))
-            damping = np.eye(N_PARAMS) * np.where(col_scale > 0, col_scale, 1.0)[:, None, :] ** 2
-            gradient = (jac_t @ res[..., None])[..., 0]
-            del jac_t  # the largest array here; the trial rounds do not need it
-            grad_max = np.max(np.abs(gradient), axis=1)
-            conv = grad_max < GRAD_TOL
-            accepted = np.zeros(rows.size, dtype=bool)
-            while True:
-                at = np.flatnonzero(~conv & ~accepted & (lm <= LAMBDA_MAX))
-                if not at.size:
-                    break
-                system = normal[at] + lm[at, None, None] * damping[at]
+        theta, basis, r, sse = _solve_linear(p0, data, form)
+        evals, iters, lm, converged = 1, 0, LAMBDA0, False
+        while math.isfinite(sse) and not converged and iters < MAX_ITERS:
+            iters += 1
+            evals += 1  # one Jacobian counts as one evaluation
+            jac = model_jacobian(theta, *data[:4], form)[_SEARCHED]
+            jac[~np.isfinite(jac)] = 0.0
+            jac -= (jac @ basis) @ basis.T
+            normal, gradient = jac @ jac.T, jac @ r
+            grad_max = float(np.max(np.abs(gradient)))
+            if grad_max < GRAD_TOL:
+                converged = True
+                break
+            diag = normal.diagonal()
+            damping = np.diag(np.where(diag > 0, diag, 1.0))
+            while lm <= LAMBDA_MAX:
                 try:
-                    step = np.linalg.solve(system, -gradient[at, :, None])[..., 0]
-                except np.linalg.LinAlgError:  # find the singular rows one by one
-                    step = np.zeros((at.size, N_PARAMS))
-                    solved = np.ones(at.size, dtype=bool)
-                    for i in range(at.size):
-                        try:
-                            step[i] = np.linalg.solve(
-                                system[i : i + 1], -gradient[at[i : i + 1], :, None])[0, :, 0]
-                        except np.linalg.LinAlgError:
-                            solved[i] = False
-                    lm[at[~solved]] *= 10
-                    at, step = at[solved], step[solved]
-                trial = th[at] + step
-                r_new, sse_new = residuals(trial, sub if at.size == rows.size else sub[:, at])
-                ev[at] += 1
-                better = np.isfinite(sse_new) & (sse_new < ss[at])
-                lm[at[~better]] *= 10
-                won = at[better]
-                improvement = (ss[won] - sse_new[better]) / ss[won]
-                th[won], res[won], ss[won] = trial[better], r_new[better], sse_new[better]
-                lm[won] = np.maximum(lm[won] / 10, 1e-15)
-                conv[won] = (improvement < FTOL) | (ss[won] == 0.0)
-                accepted[won] = True
-            # A row that found no better step stops, converged if its gradient is small.
-            conv |= ~accepted & (grad_max < math.sqrt(GRAD_TOL))
-            keep = accepted & ~conv & (it < MAX_ITERS)
-            if not keep.all():  # retire the rows that are done
-                done, gone = ~keep, rows[~keep]
-                theta[gone], r[gone], sse[gone] = th[done], res[done], ss[done]
-                evals[gone], iters[gone], converged[gone] = ev[done], it[done], conv[done]
-                rows, th, res, ss, lm, col_scale, ev, it = (
-                    x[keep] for x in (rows, th, res, ss, lm, col_scale, ev, it))
-                sub = sub[:, keep]
+                    step = np.linalg.solve(normal + lm * damping, -gradient)
+                except np.linalg.LinAlgError:
+                    lm *= 10
+                    continue
+                trial = _solve_linear(theta[_SEARCHED] + step, data, form)
+                evals += 1
+                if trial[3] < sse:
+                    converged = (sse - trial[3]) / sse < FTOL or trial[3] == 0.0
+                    theta, basis, r, sse = trial
+                    lm = max(lm / 10, 1e-15)
+                    break
+                lm *= 10
+            else:  # no step lowered the SSE: stop, converged if the gradient is small
+                converged = grad_max < math.sqrt(GRAD_TOL)
+                break
     return theta, r, sse, evals, iters, converged
 
 
@@ -237,17 +217,18 @@ def fit_constants(
     """Fit the seven constants to observed accuracies, in the functional
     form of ``init``.
 
-    The returned SSE is never worse than at the initial guess, and the
-    whole procedure is deterministic for identical inputs. Residuals use
-    the unclamped model, since a clamp would zero the gradient wherever
-    predictions saturate. Each start runs for at most ``MAX_ITERS``
-    iterations; ``n_evals`` counts its model evaluations, a Jacobian
-    counting as one.
+    Only alpha, beta, c1 and c2 of ``init`` are read: E, A and B are
+    solved exactly for them, so the returned SSE is never worse than at
+    the initial guess. The whole procedure is deterministic for identical
+    inputs. Residuals use the unclamped model, since a clamp would zero
+    the gradient wherever predictions saturate. Each start runs for at
+    most ``MAX_ITERS`` iterations; ``n_evals`` counts its evaluations (a
+    linear solve plus its residuals), a Jacobian counting as one.
 
-    ``n_restarts`` extra starts are seeded perturbations of the initial
-    guess, solved in one stack with it; the best SSE wins, the earliest
-    start on a tie, and a restart whose model is not finite at its start
-    is skipped. Off by default.
+    ``n_restarts`` extra starts are seeded perturbations of the searched
+    parameters of the initial guess, each fitted on its own; the best SSE
+    wins, the earliest start on a tie, and a restart whose model is not
+    finite at its start is skipped. Off by default.
     """
     if n_restarts < 0:
         raise FittingError(f"n_restarts must be >= 0, got {n_restarts}")
@@ -258,30 +239,28 @@ def fit_constants(
             f"got {len(points)}"
         )
     data = _point_arrays(points)
-    starts = [_theta_of(init)]
+    p0 = _theta_of(init)[_SEARCHED]
+    starts = [p0]
     for i in range(n_restarts):
         rng = np.random.default_rng([restart_seed, i])
-        starts.append(starts[0] * rng.uniform(0.5, 1.5, size=N_PARAMS)
-                      + rng.normal(0.0, 0.1, size=N_PARAMS))
-    picks = np.broadcast_to(np.arange(len(points)), (len(starts), len(points)))
-    theta, r, sse, evals, iters, converged = _levenberg_marquardt(
-        np.array(starts), data, picks, form)
-    ok = np.isfinite(sse)
-    if not ok[0]:
+        starts.append(p0 * rng.uniform(0.5, 1.5, size=p0.size)
+                      + rng.normal(0.0, 0.1, size=p0.size))
+    fits = [_levenberg_marquardt(start, data, form) for start in starts]
+    if not math.isfinite(fits[0][2]):
         raise FittingError("model is not finite at the initial guess")
-    best = int(np.argmin(np.where(ok, sse, np.inf)))
-    residuals = r[best]
+    ok = [fit for fit in fits if math.isfinite(fit[2])]
+    theta, residuals, sse, _, _, converged = min(ok, key=lambda fit: fit[2])
     pred = residuals + data[4]
     return FitReport(
-        constants=_consts_of(theta[best], form),
+        constants=_consts_of(theta, form),
         se=None,
         r2=r_squared(pred.tolist(), data[4].tolist()),
         pearson=pearson(pred.tolist(), data[4].tolist()),
-        sse=float(sse[best]),
+        sse=sse,
         n_points=len(points),
-        n_evals=int(evals[ok].sum()),
-        n_iters=int(iters[ok].sum()),
-        converged=bool(converged[best]),
+        n_evals=sum(fit[3] for fit in ok),
+        n_iters=sum(fit[4] for fit in ok),
+        converged=converged,
         residuals=residuals.tolist(),
     )
 
@@ -330,29 +309,31 @@ def bootstrap_se(
     """Per-parameter standard errors from seeded with-replacement resamples.
 
     Each resample's index stream derives from (seed, resample index), so
-    results do not depend on evaluation order. All refits start from the
-    base fit's constants and are solved in one stack, each row exactly as
-    it would be alone. How many of them converged within ``MAX_ITERS`` is
-    recorded on ``base.bootstrap_converged``: the spread of a refit that
-    stopped at the cap reflects the cap as much as the data.
+    results do not depend on evaluation order. Every refit is solved on
+    its own, from the searched parameters of the base fit. How many of
+    them converged within ``MAX_ITERS`` is recorded on
+    ``base.bootstrap_converged``: the spread of a refit that stopped at
+    the cap reflects the cap as much as the data.
     """
     if n_resamples < 2:
         raise FittingError(f"n_resamples must be >= 2, got {n_resamples}")
+    data = _point_arrays(points)
     n = len(points)
-    idx = [np.random.default_rng([seed, i]).integers(0, n, size=n) for i in range(n_resamples)]
-    starts = np.tile(_theta_of(base.constants), (n_resamples, 1))
-    theta, _, sse, _, _, converged = _levenberg_marquardt(
-        starts, _point_arrays(points), np.array(idx), base.constants.form)
-    ok = np.isfinite(sse)
-    failures = n_resamples - int(ok.sum())
+    start, form = _theta_of(base.constants)[_SEARCHED], base.constants.form
+    fits = []
+    for i in range(n_resamples):
+        idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
+        fits.append(_levenberg_marquardt(start, data[:, idx], form))
+    fitted = [fit[0] for fit in fits if math.isfinite(fit[2])]
+    failures = n_resamples - len(fitted)
     if failures > n_resamples // 2:
         raise FittingError(
             f"bootstrap failed: {failures} of {n_resamples} resample fits errored"
         )
-    if n_resamples - failures < 2:
+    if len(fitted) < 2:
         raise FittingError("bootstrap needs at least 2 successful resample fits")
-    base.bootstrap_converged = int(converged.sum())
-    spread = np.std(theta[ok], axis=0, ddof=1)
+    base.bootstrap_converged = sum(fit[5] for fit in fits)
+    spread = np.std(fitted, axis=0, ddof=1)
     return {name: float(v) for name, v in zip(PARAM_NAMES, spread)}
 
 

@@ -138,10 +138,6 @@ class KgramScorer:
         counts = np.where(seen & found, self._pair_counts[pos], 0)
         return (counts + self.smoothing) / (totals + self.smoothing * self._n_events)
 
-    def prob(self, token: str, context: Sequence[str]) -> float:
-        window = [*context[max(0, len(context) - (self.k - 1)) :], token]
-        return float(self._probs([window])[-1])
-
     def score_windows(self, windows: Iterable[Sequence[str]]) -> Iterator[list[float]]:
         """Log-probabilities of each window's tokens, in input order.
 

@@ -151,14 +151,19 @@ def test_zero_scoreable_tokens():
         score_corpus(UniformScorer(4), corpus, 1.0, 0)
 
 
+def _prob(scorer, token, context):
+    """Probability of ``token`` after ``context`` under ``scorer``."""
+    return math.exp(scorer.log_probs([*context, token])[-1])
+
+
 def test_kgram_unigram_closed_form():
     # add-alpha over vocab {a, b} plus the unknown symbol: 3 events
     scorer = train_kgram_scorer(corpus_of(["a a a b"]), k=1, smoothing=1.0)
-    assert scorer.prob("a", []) == pytest.approx((3 + 1.0) / (4 + 3 * 1.0), rel=1e-15)
-    assert scorer.prob("b", []) == pytest.approx((1 + 1.0) / (4 + 3 * 1.0), rel=1e-15)
+    assert _prob(scorer, "a", []) == pytest.approx((3 + 1.0) / (4 + 3 * 1.0), rel=1e-15)
+    assert _prob(scorer, "b", []) == pytest.approx((1 + 1.0) / (4 + 3 * 1.0), rel=1e-15)
     alpha = 0.25
     scorer = train_kgram_scorer(corpus_of(["a a a b"]), k=1, smoothing=alpha)
-    assert scorer.prob("a", []) == pytest.approx((3 + alpha) / (4 + 3 * alpha), rel=1e-15)
+    assert _prob(scorer, "a", []) == pytest.approx((3 + alpha) / (4 + 3 * alpha), rel=1e-15)
 
 
 def test_kgram_probabilities_sum_to_one():
@@ -166,7 +171,7 @@ def test_kgram_probabilities_sum_to_one():
     scorer = train_kgram_scorer(reference, k=3, smoothing=0.5)
     events = sorted({t for doc in reference for t in Tokenizer().tokenize(doc.text)}) + ["<unk>"]
     for context in ([], ["the"], ["the", "cat"], ["nope", "nope"], ["sat", "on"]):
-        total = sum(scorer.prob(w, context) for w in events)
+        total = sum(_prob(scorer, w, context) for w in events)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
