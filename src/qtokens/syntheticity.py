@@ -41,19 +41,18 @@ SCORE_BATCH_TOKENS = 1 << 14
 
 
 class LikelihoodScorer(Protocol):
-    """Anything that can score a token window.
+    """Anything that can score windows of token ids.
 
-    ``log_probs`` is all a scorer needs. One that can score many windows at
-    once may also offer ``score_windows(windows)``, an iterator of each
-    window's log-probabilities in input order, as ``KgramScorer`` and
-    ``ExternalScorer`` do; ``score_corpus`` then uses it and trusts its
-    values to be log-probabilities.
+    Each window is an int32 array of ids of the process-wide vocabulary, at
+    most ``context_len`` long; a scorer that reads tokens turns them back
+    into strings with ``qtokens.corpus.decode``.
     """
 
     context_len: int
 
-    def log_probs(self, tokens: Sequence[str]) -> list[float]:
-        """Log-probability of each token given the tokens before it."""
+    def score_windows(self, windows: Iterable[np.ndarray]) -> Iterator[Sequence[float]]:
+        """Log-probability of each window's tokens, each given the tokens
+        before it in its window: one sequence per window, in input order."""
         ...
 
 
@@ -115,11 +114,11 @@ class KgramScorer:
         self._lookup = np.full(types[-1] + 2, pos[0] if found[0] else len(types), dtype=np.int64)
         self._lookup[types] = np.arange(len(types))
 
-    def _probs(self, windows: Sequence[Sequence[str]]) -> np.ndarray:
+    def _probs(self, windows: Sequence[np.ndarray]) -> np.ndarray:
         """Probability of every token of ``windows``, laid end to end, given
         the tokens before it in its own window."""
         lengths = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
-        ids = np.take(self._lookup, encode([t for w in windows for t in w]), mode="clip")
+        ids = np.take(self._lookup, np.concatenate(windows), mode="clip")
         # Offset of every position in its window; a position has min(offset, k - 1)
         # tokens of context.
         offset = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -138,14 +137,14 @@ class KgramScorer:
         counts = np.where(seen & found, self._pair_counts[pos], 0)
         return (counts + self.smoothing) / (totals + self.smoothing * self._n_events)
 
-    def score_windows(self, windows: Iterable[Sequence[str]]) -> Iterator[list[float]]:
-        """Log-probabilities of each window's tokens, in input order.
+    def score_windows(self, windows: Iterable[np.ndarray]) -> Iterator[list[float]]:
+        """Log-probabilities of each id window's tokens, in input order.
 
         Windows are drawn from ``windows`` and scored together in batches
         of about ``SCORE_BATCH_TOKENS`` tokens: a batch closes with the
         window that brings it to that size, so no window is split.
         """
-        batch: list[Sequence[str]] = []
+        batch: list[np.ndarray] = []
         size = 0
         for window in windows:
             batch.append(window)
@@ -156,7 +155,7 @@ class KgramScorer:
         if batch:
             yield from self._score_batch(batch)
 
-    def _score_batch(self, batch: Sequence[Sequence[str]]) -> Iterator[list[float]]:
+    def _score_batch(self, batch: Sequence[np.ndarray]) -> Iterator[list[float]]:
         # math.log, not np.log: numpy's vectorized log differs in the last
         # bit on some inputs, and the scores must not depend on the build.
         logs = list(map(math.log, self._probs(batch).tolist()))
@@ -166,7 +165,8 @@ class KgramScorer:
             start += len(window)
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
-        (logprobs,) = self.score_windows([tokens])
+        """Log-probabilities of one window of tokens."""
+        (logprobs,) = self.score_windows([encode(tokens)])
         return logprobs
 
 
@@ -351,11 +351,12 @@ class ExternalScorer:
         if not isinstance(obj, dict) or "id" not in obj or "logprobs" not in obj:
             raise ProtocolError("response missing id or logprobs")
         logprobs = obj["logprobs"]
-        if not isinstance(logprobs, list) or not all(
-            isinstance(v, (int, float)) for v in logprobs
-        ):
-            raise ProtocolError("logprobs is not a list of numbers")
-        return str(obj["id"]), [float(v) for v in logprobs]
+        try:
+            if isinstance(logprobs, list) and _all_numbers(logprobs):
+                return str(obj["id"]), list(map(float, logprobs))
+        except OverflowError:  # an integer beyond the float range
+            pass
+        raise ProtocolError("logprobs is not a list of numbers")
 
     def _read_lines(self) -> list[bytes]:
         """Read what the peer has sent; return the complete lines in it."""
@@ -385,9 +386,10 @@ class ExternalScorer:
         except OSError as exc:
             raise ProtocolError(f"cannot send to scorer: {exc}") from exc
 
-    def score_windows(self, windows: Iterable[Sequence[str]]) -> Iterator[list[float]]:
-        """Score token windows, yielding their log-probabilities in input order.
+    def score_windows(self, windows: Iterable[np.ndarray]) -> Iterator[list[float]]:
+        """Score id windows, yielding their log-probabilities in input order.
 
+        Each window's ids are decoded to tokens as its request is built.
         Windows are drawn from ``windows`` only as requests are sent, and at
         most ``MAX_IN_FLIGHT`` windows are either awaiting a response or
         holding one that is not yet due, so neither the input nor the output
@@ -410,7 +412,7 @@ class ExternalScorer:
                     self._next_id += 1
                     pending[req_id] = (sent, len(window))
                     sent += 1
-                    request = json.dumps({"id": req_id, "tokens": list(window)}) + "\n"
+                    request = json.dumps({"id": req_id, "tokens": decode(window)}) + "\n"
                     out = memoryview(request.encode("utf-8"))
             if due in ready:
                 yield ready.pop(due)
@@ -439,15 +441,33 @@ class ExternalScorer:
                     ready[index] = logprobs
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
-        (logprobs,) = self.score_windows([tokens])
+        """Log-probabilities of one window of tokens."""
+        (logprobs,) = self.score_windows([encode(tokens)])
         return logprobs
 
 
-def _invalid_log_prob(logprobs: Iterable[float]) -> tuple[str, float] | None:
+def _all_numbers(values: list) -> bool:
+    """Whether every value is an int or a float, as JSON numbers parse to."""
+    try:
+        math.fsum(values)  # reads every value in C; a string such as "0.5" raises TypeError
+        return True
+    except TypeError:
+        return False
+    except (OverflowError, ValueError):  # fsum may stop early past the float range
+        return all(isinstance(v, (int, float)) for v in values)
+
+
+def _invalid_log_prob(logprobs: Sequence[float]) -> tuple[str, float] | None:
     """The first value that is not a log-probability, with what is wrong."""
-    lowest = -math.inf  # a local: this loop runs once per scored token
+    # In C first: a finite sum means every value is finite.
+    try:
+        if math.isfinite(math.fsum(logprobs)) and max(logprobs, default=0.0) <= 0:
+            return None
+    except (OverflowError, ValueError):  # a sum beyond the float range, or inf + -inf
+        pass
+    # Otherwise find the first bad value, to name it.
     for lp in logprobs:
-        if not lowest < lp <= 0:  # also true for NaN
+        if not -math.inf < lp <= 0:  # also true for NaN
             return ("log-probability > 0" if lp > 0 else "non-finite log-probability"), lp
     return None
 
@@ -472,15 +492,15 @@ def score_corpus(
     used. Scoring visits the sampled documents in id order, so the result
     is independent of how the corpus happens to be ordered.
 
-    A scorer with a ``score_windows`` method gets all the windows through
-    it, and its values are taken as checked; otherwise ``log_probs`` is
-    called once per window and every value it returns must lie in
-    (-inf, 0].
+    The windows go to ``scorer.score_windows`` as slices of each
+    document's ids, and every value it returns must lie in (-inf, 0].
     """
     if len(corpus) == 0:
         raise ScorerError("cannot score an empty corpus")
-    sampled = sorted(sample_fraction(corpus, sample_frac, seed), key=lambda d: d.id)
     ctx = scorer.context_len
+    if ctx < 1:
+        raise ScorerError(f"context_len must be >= 1, got {ctx}")
+    sampled = sorted(sample_fraction(corpus, sample_frac, seed), key=lambda d: d.id)
 
     def spans():
         for doc in sampled:
@@ -489,11 +509,7 @@ def score_corpus(
 
     # Windows are sliced only as the scorer asks for them, so an external
     # scorer can keep several in flight without the corpus being copied.
-    windows = (decode(doc.ids[start : start + ctx]) for doc, start in spans())
-    # A scorer's own score_windows has already checked every value it yields.
-    score_windows = getattr(scorer, "score_windows", None)
-    checked = score_windows is not None
-    results = score_windows(windows) if checked else map(scorer.log_probs, windows)
+    results = iter(scorer.score_windows(doc.ids[start : start + ctx] for doc, start in spans()))
     window_sums = []
     m_tokens = 0
     for doc, start in spans():
@@ -509,7 +525,7 @@ def score_corpus(
                 f"scorer returned {len(logprobs)} values for {n_tokens} tokens "
                 f"(document {doc.id!r})"
             )
-        bad = None if checked else _invalid_log_prob(logprobs)
+        bad = _invalid_log_prob(logprobs)
         if bad:
             raise ScorerError(f"{bad[0]} on document {doc.id!r}: {bad[1]}")
         window_sums.append(math.fsum(logprobs))

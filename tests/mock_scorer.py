@@ -9,6 +9,7 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     wrongid    reply under an id that was never requested
     noid       reply with logprobs but no id
     strings    reply with logprobs that are strings, not numbers
+    logprobs J reply with the JSON text J as logprobs, whatever the request
     badjson    reply with a non-JSON line
     garbage    reply with a line of bytes that are not UTF-8
     silent     never reply
@@ -104,6 +105,10 @@ def main():
             continue
         if mode == "noid":
             reply({"logprobs": [-1.0] * len(req["tokens"])})
+            continue
+        if mode == "logprobs":
+            sys.stdout.write(f'{{"id": {json.dumps(req["id"])}, "logprobs": {sys.argv[2]}}}\n')
+            sys.stdout.flush()
             continue
         if mode == "strings":
             reply({"id": req["id"], "logprobs": ["-1.0"] * len(req["tokens"])})

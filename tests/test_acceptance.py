@@ -163,8 +163,9 @@ def test_criterion_5_metric_properties():
         def __init__(self, v):
             self.v = v
 
-        def log_probs(self, tokens):
-            return [-math.log(self.v)] * len(tokens)
+        def score_windows(self, windows):
+            for window in windows:
+                yield [-math.log(self.v)] * len(window)
 
     corpus16 = Corpus.from_texts(["a b c d e f g h", "i j k l m n o p"])  # 16 tokens
     uniform_ok = all(

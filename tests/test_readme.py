@@ -1,0 +1,24 @@
+"""The README's library example runs as written."""
+
+import os
+import re
+import subprocess
+import sys
+
+import numpy as np
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def test_readme_library_example_runs(tmp_path, write_corpus):
+    with open(README, encoding="utf-8") as fh:
+        (example,) = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    rng = np.random.default_rng(3)
+    write_corpus("corpus.jsonl", [
+        {"id": f"d{i}", "text": " ".join(f"w{v}" for v in rng.integers(0, 50, size=60))}
+        for i in range(40)
+    ])
+    run = subprocess.run([sys.executable, "-c", example], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert 0.0 <= float(run.stdout) <= 1.0

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qtokens import syntheticity
-from qtokens.corpus import Corpus, Document, Tokenizer
+from qtokens.corpus import Corpus, Document, Tokenizer, decode, encode
 from qtokens.errors import ProtocolError, ScorerError
 from qtokens.syntheticity import (
     STDERR_TAIL,
@@ -32,15 +32,17 @@ class UniformScorer:
         self.vocab_size = vocab_size
         self.context_len = context_len
 
-    def log_probs(self, tokens):
-        return [-math.log(self.vocab_size)] * len(tokens)
+    def score_windows(self, windows):
+        for window in windows:
+            yield [-math.log(self.vocab_size)] * len(window)
 
 
 class CertaintyScorer:
     context_len = 1024
 
-    def log_probs(self, tokens):
-        return [0.0] * len(tokens)
+    def score_windows(self, windows):
+        for window in windows:
+            yield [0.0] * len(window)
 
 
 def corpus_of(texts):
@@ -87,8 +89,9 @@ class BadTokenScorer:
     def __init__(self, value):
         self.value = value
 
-    def log_probs(self, tokens):
-        return [self.value if t == "bad" else -1.0 for t in tokens]
+    def score_windows(self, windows):
+        for window in windows:
+            yield [self.value if t == "bad" else -1.0 for t in decode(window)]
 
 
 @pytest.mark.parametrize(
@@ -111,8 +114,10 @@ class RaisingScorer:
     def __init__(self, error):
         self.error = error
 
-    def log_probs(self, tokens):
-        raise self.error
+    def score_windows(self, windows):
+        for _ in windows:
+            raise self.error
+        yield  # a generator, so the error comes with the first window
 
 
 def test_score_corpus_names_the_document_a_custom_scorer_failed_on():
@@ -134,8 +139,9 @@ class DroppingScorer:
 
     context_len = 1024
 
-    def log_probs(self, tokens):
-        return [-1.0] * (len(tokens) - 1)
+    def score_windows(self, windows):
+        for window in windows:
+            yield [-1.0] * (len(window) - 1)
 
 
 def test_score_corpus_rejects_a_wrong_number_of_values():
@@ -143,6 +149,12 @@ def test_score_corpus_rejects_a_wrong_number_of_values():
         ScorerError, match=r"^scorer returned 1 values for 2 tokens \(document 'doc:0'\)$"
     ):
         score_corpus(DroppingScorer(), corpus_of(["a b", "c d e"]), 1.0, 0)
+
+
+@pytest.mark.parametrize("context_len", [0, -1])
+def test_score_corpus_rejects_a_context_len_below_one(context_len):
+    with pytest.raises(ScorerError, match=f"^context_len must be >= 1, got {context_len}$"):
+        score_corpus(UniformScorer(4, context_len), corpus_of(["a b", "c d"]), 1.0, 0)
 
 
 def test_zero_scoreable_tokens():
@@ -401,7 +413,7 @@ def test_kgram_score_windows_equals_log_probs_and_oracle(k, monkeypatch):
     # Batches of 7 tokens: most windows longer than one token straddle a
     # batch boundary.
     monkeypatch.setattr(syntheticity, "SCORE_BATCH_TOKENS", 7)
-    got = list(scorer.score_windows(iter(windows)))
+    got = list(scorer.score_windows(map(encode, windows)))
     assert got == [scorer.log_probs(w) for w in windows]
     assert got == reference_kgram_log_probs(reference, k, 0.5, windows)
     assert [len(g) for g in got] == [len(w) for w in windows]
@@ -421,7 +433,7 @@ def test_kgram_score_windows_closes_a_batch_with_the_window_that_fills_it(monkey
     # The default batch closes with the window of 300 tokens that fills it.
     first = -(-syntheticity.SCORE_BATCH_TOKENS // 300)
     windows = [["w1", "w2", "w3"] * 100] * (first + 5)
-    got = list(scorer.score_windows(windows))
+    got = list(scorer.score_windows(map(encode, windows)))
     assert batches == [[300] * first, [300] * 5]
     assert got == [scorer.log_probs(w) for w in windows]
     # 5 + 4 tokens cross a batch of 7 inside the second window; the third
@@ -429,28 +441,23 @@ def test_kgram_score_windows_closes_a_batch_with_the_window_that_fills_it(monkey
     batches.clear()
     monkeypatch.setattr(syntheticity, "SCORE_BATCH_TOKENS", 7)
     windows = [Tokenizer().tokenize(doc.text)[:n] for doc, n in zip(reference, (5, 4, 6, 2))]
-    got = list(scorer.score_windows(windows))
+    got = list(scorer.score_windows(map(encode, windows)))
     assert batches == [[5, 4], [6, 2]]
     assert got == reference_kgram_log_probs(reference, 3, 1.0, windows)
 
 
-class LogProbsOnly:
-    """Exposes only a wrapped scorer's log_probs, so score_corpus maps it."""
-
-    def __init__(self, scorer):
-        self.context_len = scorer.context_len
-        self.log_probs = scorer.log_probs
-
-
-def test_score_corpus_same_through_score_windows_and_log_probs():
-    rng = np.random.default_rng(17)
+def test_score_corpus_scores_ids_without_decoding_or_encoding(monkeypatch):
     reference = corpus_of(_seeded_texts(17, 40, 50, 120))
-    texts = [" ".join(f"w{v}" for v in rng.integers(0, 60, size=int(n)))
-             for n in rng.integers(0, 90, size=60)]
-    corpus = corpus_of(texts)
+    corpus = corpus_of(_seeded_texts(18, 60, 60, 90))
     scorer = train_kgram_scorer(reference, k=3, smoothing=0.5, context_len=32)
-    batched = score_corpus(scorer, corpus, 1.0, 0)
-    assert batched == score_corpus(LogProbsOnly(scorer), corpus, 1.0, 0)
+    expected = score_corpus(scorer, corpus, 1.0, 0)
+
+    def refuse(_):
+        raise AssertionError("the ids were converted on the scoring path")
+
+    monkeypatch.setattr(syntheticity, "decode", refuse)
+    monkeypatch.setattr(syntheticity, "encode", refuse)
+    assert score_corpus(scorer, corpus, 1.0, 0) == expected
 
 
 # --- external scorer protocol ---------------------------------------------
@@ -479,7 +486,7 @@ def test_external_non_finite_logprob_rejected(mock_scorer_cmd, value):
 def test_external_out_of_order_responses(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("reorder3")) as scorer:
         batches = [["a"], ["b", "b"], ["c", "c", "c"]]
-        results = list(scorer.score_windows(batches))
+        results = list(scorer.score_windows(map(encode, batches)))
     assert [len(r) for r in results] == [1, 2, 3]
     assert all(v == -1.0 for r in results for v in r)
 
@@ -501,6 +508,25 @@ def test_external_malformed_response_rejected(mock_scorer_cmd, mode, message):
     with external_scorer_connect(mock_scorer_cmd(mode)) as scorer:
         with pytest.raises(ProtocolError, match=message):
             scorer.log_probs(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "logprobs",
+    ['["0.5"]', '["-1.0"]', "[null]", "[[-1.0]]", "-1.0", '{"a": -1.0}', "[-1e308, -1e308, \"-1\"]",
+     f"[{-(10**400)}]"],
+    ids=["numeric-string", "string", "null", "nested", "number", "object", "after-overflow",
+         "huge-int"],
+)
+def test_external_non_numbers_rejected(mock_scorer_cmd, logprobs):
+    with external_scorer_connect(mock_scorer_cmd(f"logprobs {shlex.quote(logprobs)}")) as scorer:
+        with pytest.raises(ProtocolError, match="^logprobs is not a list of numbers$"):
+            scorer.log_probs(["a"] * 3)
+
+
+def test_external_huge_integer_through_score_corpus(mock_scorer_cmd):
+    with external_scorer_connect(mock_scorer_cmd(f"logprobs '[{-(10**400)}]'")) as scorer:
+        with pytest.raises(ProtocolError, match="^logprobs is not a list of numbers$"):
+            score_corpus(scorer, corpus_of(["a"]), 1.0, 0)
 
 
 def test_external_bad_json_rejected(mock_scorer_cmd):
@@ -527,7 +553,7 @@ def test_external_large_windows_do_not_deadlock(mock_scorer_cmd):
     scorer = external_scorer_connect(mock_scorer_cmd("const"), timeout=5)
     results = []
     worker = threading.Thread(
-        target=lambda: results.extend(scorer.score_windows([["x"] * 200_000] * 3)),
+        target=lambda: results.extend(scorer.score_windows([encode(["x"] * 200_000)] * 3)),
         daemon=True,
     )
     try:
