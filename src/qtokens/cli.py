@@ -16,7 +16,7 @@ import sys
 
 from . import diversity, fitting, fixtures, refine, report as report_mod
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
-from .errors import QTokensError
+from .errors import DiversityError, QTokensError
 from .scaling_law import (
     PRESETS,
     QualityInputs,
@@ -182,7 +182,11 @@ def cmd_invert(args) -> int:
 
 def _write_sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra) -> None:
     """Write the ``--report`` sidecar, if one was asked for: seed, document
-    and token counts, Dr and S before and after refinement, then ``extra``."""
+    and token counts, Dr and S before and after refinement, then ``extra``.
+
+    Dr is null for a corpus with no text, and S for one with no tokens or
+    when no scorer is set; a scorer that fails fails the command, as in
+    ``score``, and no sidecar is written."""
     if not args.report:
         return
     scorer = _make_scorer(args.scorer, tokenizer)
@@ -195,14 +199,11 @@ def _write_sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **
         for key, corpus in (("before", before), ("after", after)):
             try:
                 side[key]["dr"] = diversity.diversity_score(corpus)
-            except QTokensError:
+            except DiversityError:
                 side[key]["dr"] = None
             side[key]["syntheticity"] = None
-            if scorer is not None:
-                try:
-                    side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
-                except QTokensError:
-                    pass
+            if scorer is not None and corpus.total_tokens > 0:
+                side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
     finally:
         _close_scorer(scorer)
     side.update(extra)

@@ -3,10 +3,11 @@
 The model E + A*N^-alpha + B*Dq^-beta is linear in E, A and B once alpha,
 beta, c1 and c2 are fixed, so the seven constants are fitted by variable
 projection (Golub & Pereyra, 1973). Levenberg-Marquardt searches only
-(alpha, beta, c1, c2). At every point it tries, E, A and B are solved
-exactly by least squares on the columns [1, N^-alpha, Dq^-beta], and its
-steps use Kaufman's (1975) Jacobian: the alpha, beta, c1 and c2 rows of
-the closed-form model Jacobian, projected off the span of those columns.
+(alpha, beta, c1, c2). Each point it tries is evaluated once, by
+``_solve_linear``: E, A and B are solved exactly by least squares on the
+columns [1, N^-alpha, Dq^-beta], and the same columns give the residuals
+and Kaufman's (1975) Jacobian that the next step uses: the alpha, beta,
+c1 and c2 rows of the model's derivative, projected off their span.
 Damping follows Marquardt's schedule on diag(J^T J): lambda starts at
 1e-3, grows 10x on a rejected step and shrinks 10x on an accepted one.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,32 +100,6 @@ def _point_arrays(points: Sequence[ExperimentPoint]) -> np.ndarray:
                      [p.accuracy for p in points]], dtype=float)
 
 
-def model_predictions(theta: np.ndarray, n, d, dr, s, form: str) -> np.ndarray:
-    """Vectorized unclamped model over experiment arrays. It may return
-    non-finite values for wild parameters; the solver rejects those trial
-    steps and silences numpy's warnings about them."""
-    e, a, alpha, b, beta, c1, c2 = theta
-    return _score(n, _dq(d, dr, s, c1, c2, form, np.exp), e, a, alpha, b, beta)
-
-
-def model_jacobian(theta: np.ndarray, n, d, dr, s, form: str) -> np.ndarray:
-    """Closed-form derivative of ``model_predictions`` with respect to the
-    seven parameters, (7, m): one row per parameter."""
-    _, a, alpha, b, beta, c1, c2 = theta
-    dq = _dq(d, dr, s, c1, c2, form, np.exp)
-    jac = np.empty((N_PARAMS, len(dq)))
-    jac[0] = 1.0
-    jac[1] = 1 / n**alpha  # N^-alpha
-    jac[2] = -a * np.log(n) * jac[1]
-    jac[3] = 1 / dq**beta  # Dq^-beta
-    jac[4] = -b * np.log(dq) * jac[3]
-    # c1 and c2 act through ln Dq, whose slopes are Dr or ln Dr and S or ln S.
-    jac[5] = -b * beta * jac[3]
-    jac[6] = jac[5] * (s if form in ("F1", "F2") else np.log(s))
-    jac[5] *= dr if form in ("F1", "F3") else np.log(dr)
-    return jac
-
-
 def _theta_of(consts: ScalingConstants) -> np.ndarray:
     return np.array(
         [consts.e, consts.a, consts.alpha, consts.b, consts.beta, consts.c1, consts.c2]
@@ -137,12 +112,15 @@ def _consts_of(theta: np.ndarray, form: str) -> ScalingConstants:
 
 
 def _solve_linear(p: np.ndarray, data: np.ndarray, form: str):
-    """E, A and B by least squares for the searched parameters ``p``.
+    """The law at the searched parameters ``p``, with E, A and B solved by
+    least squares: the one place the fitter evaluates it.
 
-    Returns the full theta, an orthonormal basis of the columns
-    [1, N^-alpha, Dq^-beta], the residuals and the SSE; the SSE is NaN
-    where the columns or the model are not finite. Each column is scaled
-    to a largest entry of 1 before an SVD, and directions below the rank
+    Dq and the columns [1, N^-alpha, Dq^-beta] are built once. Returns the
+    full theta, the residuals, the SSE and Kaufman's Jacobian: the alpha,
+    beta, c1 and c2 rows of the model's derivative, non-finite entries
+    zeroed, projected off the span of the columns. The SSE is not finite
+    where the columns or the model are not. Each column is scaled to a
+    largest entry of 1 before an SVD, and directions below the rank
     cutoff are dropped, so an underflowed Dq^-beta or collinear
     [1, N^-alpha] gets a minimum-norm solution rather than a blown-up one.
     """
@@ -151,16 +129,22 @@ def _solve_linear(p: np.ndarray, data: np.ndarray, form: str):
     dq = _dq(d, dr, s, c1, c2, form, np.exp)
     cols = np.array([np.ones_like(y), 1 / n**alpha, 1 / dq**beta])
     if not np.isfinite(cols).all():
-        return None, None, None, math.nan
+        return None, None, math.nan, None
     scale = np.max(np.abs(cols), axis=1)
     scale[scale == 0.0] = 1.0
     u, sv, vt = np.linalg.svd(cols.T / scale, full_matrices=False)
     rank = int(np.count_nonzero(sv > sv[0] * len(y) * np.finfo(float).eps))
     u, sv, vt = u[:, :rank], sv[:rank], vt[:rank]
     e, a, b = vt.T @ ((u.T @ y) / sv) / scale
-    theta = np.array([e, a, alpha, b, beta, c1, c2])
-    r = model_predictions(theta, n, d, dr, s, form) - y
-    return theta, u, r, float(r @ r)
+    r = _score(n, dq, e, a, alpha, b, beta) - y
+    # c1 and c2 act through ln Dq, whose slopes are Dr or ln Dr and S or ln S.
+    by_log_dq = -b * beta * cols[2]
+    jac = np.array([-a * np.log(n) * cols[1], -b * np.log(dq) * cols[2],
+                    by_log_dq * (dr if form in ("F1", "F3") else np.log(dr)),
+                    by_log_dq * (s if form in ("F1", "F2") else np.log(s))])
+    jac[~np.isfinite(jac)] = 0.0
+    jac -= (jac @ u) @ u.T
+    return np.array([e, a, alpha, b, beta, c1, c2]), r, float(r @ r), jac
 
 
 def _levenberg_marquardt(p0: np.ndarray, data: np.ndarray, form: str):
@@ -168,19 +152,17 @@ def _levenberg_marquardt(p0: np.ndarray, data: np.ndarray, form: str):
 
     ``p0`` is the start for (alpha, beta, c1, c2) and ``data`` the (5, m)
     stack of N, D, Dr, S and y. E, A and B are solved exactly at every
-    point tried, and the search steps along Kaufman's Jacobian. Returns
-    (theta, residuals, sse, evals, iters, converged); the SSE stays NaN,
-    and nothing is iterated, when the model is not finite at the start.
+    point tried, and the search steps along the Jacobian that point's
+    solve returned. Returns (theta, residuals, sse, evals, iters,
+    converged); the SSE stays NaN, and nothing is iterated, when the
+    model is not finite at the start.
     """
     with np.errstate(all="ignore"):
-        theta, basis, r, sse = _solve_linear(p0, data, form)
+        theta, r, sse, jac = _solve_linear(p0, data, form)
         evals, iters, lm, converged = 1, 0, LAMBDA0, False
         while math.isfinite(sse) and not converged and iters < MAX_ITERS:
             iters += 1
-            evals += 1  # one Jacobian counts as one evaluation
-            jac = model_jacobian(theta, *data[:4], form)[_SEARCHED]
-            jac[~np.isfinite(jac)] = 0.0
-            jac -= (jac @ basis) @ basis.T
+            evals += 1  # one per iteration for its Jacobian; see fit_constants
             normal, gradient = jac @ jac.T, jac @ r
             grad_max = float(np.max(np.abs(gradient)))
             if grad_max < GRAD_TOL:
@@ -196,9 +178,9 @@ def _levenberg_marquardt(p0: np.ndarray, data: np.ndarray, form: str):
                     continue
                 trial = _solve_linear(theta[_SEARCHED] + step, data, form)
                 evals += 1
-                if trial[3] < sse:
-                    converged = (sse - trial[3]) / sse < FTOL or trial[3] == 0.0
-                    theta, basis, r, sse = trial
+                if trial[2] < sse:
+                    converged = (sse - trial[2]) / sse < FTOL or trial[2] == 0.0
+                    theta, r, sse, jac = trial
                     lm = max(lm / 10, 1e-15)
                     break
                 lm *= 10
@@ -222,8 +204,9 @@ def fit_constants(
     the initial guess. The whole procedure is deterministic for identical
     inputs. Residuals use the unclamped model, since a clamp would zero
     the gradient wherever predictions saturate. Each start runs for at
-    most ``MAX_ITERS`` iterations; ``n_evals`` counts its evaluations (a
-    linear solve plus its residuals), a Jacobian counting as one.
+    most ``MAX_ITERS`` iterations. ``n_evals`` counts one per point tried
+    plus one per iteration for the Jacobian it steps along, though that
+    comes with its point's solve, so fit reports keep their counts.
 
     ``n_restarts`` extra starts are seeded perturbations of the searched
     parameters of the initial guess, each fitted on its own; the best SSE
@@ -450,17 +433,8 @@ def fit_report_to_dict(report: FitReport, points: Sequence[ExperimentPoint], see
     """JSON-ready view of a fit report, with the seed and a record per
     fitted point (the plotting command consumes those)."""
     return {
+        **asdict(report),
         "constants": report.constants.to_dict(),
-        "se": report.se,
-        "r2": report.r2,
-        "pearson": report.pearson,
-        "sse": report.sse,
-        "n_points": report.n_points,
-        "n_evals": report.n_evals,
-        "n_iters": report.n_iters,
-        "converged": report.converged,
-        "residuals": report.residuals,
-        "bootstrap_converged": report.bootstrap_converged,
         "seed": seed,
         "points": [
             {

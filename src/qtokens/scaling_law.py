@@ -204,18 +204,24 @@ def invert_effective_tokens(consts: ScalingConstants, n_millions: float, score: 
     Solves ``score = E + A / N^alpha + B / Dq^beta`` for Dq:
     ``Dq = (B * N^alpha / ((score - E) * N^alpha - A)) ** (1 / beta)``.
     Callers must pass unclamped scores; outside the domain of the real
-    root this raises.
+    root, or where Dq is beyond the float range, this raises
+    ``ScalingDomainError``.
     """
     if not (math.isfinite(n_millions) and n_millions > 0):
         raise ScalingDomainError(f"n_millions must be finite and > 0, got {n_millions}")
     if not math.isfinite(score):
         raise ScalingDomainError(f"score is not finite: {score}")
-    n_alpha = n_millions**consts.alpha
-    denom = (score - consts.e) * n_alpha - consts.a
-    numer = consts.b * n_alpha
-    if denom == 0:
-        raise ScalingDomainError("loss unreachable at this model size")
-    quotient = numer / denom
-    if not (math.isfinite(quotient) and quotient > 0):
-        raise ScalingDomainError("loss unreachable at this model size")
-    return quotient ** (1.0 / consts.beta)
+    try:
+        n_alpha = n_millions**consts.alpha
+        denom = (score - consts.e) * n_alpha - consts.a
+        numer = consts.b * n_alpha
+        if denom == 0:
+            raise ScalingDomainError("loss unreachable at this model size")
+        quotient = numer / denom
+        if not (math.isfinite(quotient) and quotient > 0):
+            raise ScalingDomainError("loss unreachable at this model size")
+        return quotient ** (1.0 / consts.beta)
+    except OverflowError as exc:
+        raise ScalingDomainError(
+            f"effective tokens overflow at N={n_millions}, score={score}"
+        ) from exc

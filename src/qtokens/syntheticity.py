@@ -494,6 +494,8 @@ def score_corpus(
 
     The windows go to ``scorer.score_windows`` as slices of each
     document's ids, and every value it returns must lie in (-inf, 0].
+    An average NLL above about 709 nats per token (ln of the largest
+    float) has no finite perplexity and raises ``ScorerError``.
     """
     if len(corpus) == 0:
         raise ScorerError("cannot score an empty corpus")
@@ -528,12 +530,22 @@ def score_corpus(
         bad = _invalid_log_prob(logprobs)
         if bad:
             raise ScorerError(f"{bad[0]} on document {doc.id!r}: {bad[1]}")
-        window_sums.append(math.fsum(logprobs))
+        try:
+            window_sums.append(math.fsum(logprobs))
+        except OverflowError:
+            raise ScorerError(
+                f"log-probabilities on document {doc.id!r} sum beyond the float range"
+            ) from None
         m_tokens += n_tokens
     if m_tokens == 0:
         raise ScorerError("sampled corpus contains no scoreable tokens")
-    avg_nll = -math.fsum(window_sums) / m_tokens
-    perplexity = math.exp(avg_nll)
+    try:
+        avg_nll = -math.fsum(window_sums) / m_tokens
+        perplexity = math.exp(avg_nll)
+    except OverflowError:
+        raise ScorerError(
+            "average NLL is too large for a finite perplexity (above about 709 nats per token)"
+        ) from None
     return SyntheticityResult(
         avg_nll=avg_nll,
         perplexity=perplexity,

@@ -418,6 +418,17 @@ def test_invert_out_of_domain(capsys, tmp_path):
     assert "unreachable" in err
 
 
+def test_score_average_nll_beyond_perplexity_range(write_corpus, capsys, mock_scorer_cmd):
+    corpus = write_corpus("c.jsonl", [{"text": "the cat sat on the mat " * 10}])
+    code, out, err = run_cli(
+        ["score", corpus, "--scorer", f"external:{mock_scorer_cmd('value -1000')}"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == ("error: average NLL is too large for a finite perplexity "
+                   "(above about 709 nats per token)\n")
+
+
 def test_select_end_to_end(write_corpus, tmp_path, capsys):
     rng = np.random.default_rng(4)
     raw_rows = [
@@ -490,6 +501,22 @@ def test_select_budget_below_smallest_document(write_corpus, tmp_path, capsys):
     # An empty corpus has no compression ratio, so its Dr is null.
     assert side["after"] == {"documents": 0, "tokens": 0, "dr": None, "syntheticity": None}
     assert side["before"]["dr"] > 0
+
+
+@pytest.mark.parametrize("command", ["select", "dedup"])
+def test_sidecar_fails_on_a_failing_scorer(command, write_corpus, tmp_path, capsys,
+                                           mock_scorer_cmd):
+    raw = write_corpus("raw.jsonl", [{"text": "a b c d"}, {"text": "e f g h i"}])
+    target = write_corpus("target.jsonl", [{"text": "a b c"}])
+    report_path = tmp_path / "side.json"
+    argv = [command, raw, "--out", str(tmp_path / "out.jsonl"), "--report", str(report_path),
+            "--scorer", f"external:{mock_scorer_cmd('die')}"]
+    if command == "select":
+        argv += ["--target", target, "--budget-tokens", "6"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err == "error: scorer exited with status 3 before responding\n"
+    assert not report_path.exists()
 
 
 def test_select_sidecar_syntheticity_matches_score(write_corpus, tmp_path, capsys):

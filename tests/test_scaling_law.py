@@ -195,6 +195,14 @@ def test_invert_out_of_domain():
         invert_effective_tokens(consts, 10, 1.0)
 
 
+def test_invert_rejects_effective_tokens_beyond_the_float_range():
+    # The quotient is 2.0 / 1.77, and 1 / beta = 1000 raises it past 1e308.
+    consts = ScalingConstants(e=1.0, a=-0.5, alpha=0.1, b=-2.0, beta=0.001, c1=0, c2=0)
+    with pytest.raises(ScalingDomainError,
+                       match=r"^effective tokens overflow at N=25.0, score=0.5$"):
+        invert_effective_tokens(consts, 25.0, 0.5)
+
+
 @pytest.mark.parametrize(
     "n_millions, score, message",
     [(0.0, 0.5, "^n_millions must be finite and > 0, got 0.0$"),

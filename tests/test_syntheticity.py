@@ -151,6 +151,34 @@ def test_score_corpus_rejects_a_wrong_number_of_values():
         score_corpus(DroppingScorer(), corpus_of(["a b", "c d e"]), 1.0, 0)
 
 
+class ValueScorer:
+    """Scores every token with ``value``."""
+
+    context_len = 1024
+
+    def __init__(self, value):
+        self.value = value
+
+    def score_windows(self, windows):
+        for window in windows:
+            yield [self.value] * len(window)
+
+
+def test_score_corpus_rejects_a_window_sum_beyond_the_float_range():
+    # Each value is a legal log-probability; only their sum overflows.
+    corpus = corpus_of(["c d", "a b"])
+    with pytest.raises(
+        ScorerError, match="^log-probabilities on document 'doc:0' sum beyond the float range$"
+    ):
+        score_corpus(ValueScorer(-1e308), corpus, 1.0, 0)
+
+
+def test_score_corpus_rejects_an_average_nll_with_no_finite_perplexity():
+    assert score_corpus(ValueScorer(-709.0), corpus_of(["a b"]), 1.0, 0).perplexity < math.inf
+    with pytest.raises(ScorerError, match="^average NLL is too large for a finite perplexity"):
+        score_corpus(ValueScorer(-1000.0), corpus_of(["a b", "c"]), 1.0, 0)
+
+
 @pytest.mark.parametrize("context_len", [0, -1])
 def test_score_corpus_rejects_a_context_len_below_one(context_len):
     with pytest.raises(ScorerError, match=f"^context_len must be >= 1, got {context_len}$"):
