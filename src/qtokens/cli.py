@@ -180,15 +180,16 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _write_sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra) -> None:
-    """Write the ``--report`` sidecar, if one was asked for: seed, document
-    and token counts, Dr and S before and after refinement, then ``extra``.
+def _sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra) -> dict | None:
+    """The ``--report`` sidecar, or None if none was asked for: seed,
+    document and token counts, Dr and S before and after refinement, then
+    ``extra``.
 
     Dr is null for a corpus with no text, and S for one with no tokens or
     when no scorer is set; a scorer that fails fails the command, as in
-    ``score``, and no sidecar is written."""
+    ``score``."""
     if not args.report:
-        return
+        return None
     scorer = _make_scorer(args.scorer, tokenizer)
     side = {
         "seed": args.seed,
@@ -207,9 +208,18 @@ def _write_sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **
     finally:
         _close_scorer(scorer)
     side.update(extra)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(side, fh, indent=2)
-        fh.write("\n")
+    return side
+
+
+def _write_outputs(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra) -> None:
+    """Write ``after`` to ``--out``, then the sidecar. The sidecar is
+    computed first, so a command whose sidecar fails writes neither file."""
+    side = _sidecar(args, tokenizer, before, after, **extra)
+    write_jsonl(after, args.out)
+    if side is not None:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            json.dump(side, fh, indent=2)
+            fh.write("\n")
 
 
 def cmd_select(args) -> int:
@@ -222,8 +232,7 @@ def cmd_select(args) -> int:
     )
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    write_jsonl(selected, args.out)
-    _write_sidecar(args, tokenizer, raw, selected, budget_tokens=args.budget_tokens, mode=args.mode)
+    _write_outputs(args, tokenizer, raw, selected, budget_tokens=args.budget_tokens, mode=args.mode)
     return 0
 
 
@@ -234,8 +243,7 @@ def cmd_dedup(args) -> int:
         deduped = refine.dedup_exact(corpus)
     else:
         deduped = refine.dedup_near(corpus, seed=args.seed)
-    write_jsonl(deduped, args.out)
-    _write_sidecar(args, tokenizer, corpus, deduped, mode=args.mode)
+    _write_outputs(args, tokenizer, corpus, deduped, mode=args.mode)
     return 0
 
 

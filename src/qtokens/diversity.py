@@ -80,25 +80,45 @@ def diversity_score(corpus: Corpus) -> float:
     return 1.0 / compression_ratio(corpus)
 
 
-def _ngram_ranks(ids: np.ndarray, n_max: int) -> tuple[list[np.ndarray], list[int]]:
-    """Rank every n-gram of ``ids`` for n = 1..n_max; also count the distinct ones.
+def _index_type(size: int) -> type:
+    """The integer type of positions and ranks in a sequence of ``size`` tokens."""
+    return np.int32 if size < 2**31 else np.int64
 
-    ``ranks[n - 1][i]`` names the n-gram starting at position i: equal n-grams
-    get equal ranks (a unigram's is its id). An n-gram is keyed by its
-    (n-1)-gram prefix rank and its last id in int64, so keys stay below
-    ``len(ids) * radix`` whatever n and the ids' type are. The chain stops at
-    the longest n the sequence has.
+
+def _ngram_ranks(ids: np.ndarray, n_max: int) -> tuple[np.ndarray, list[int]]:
+    """Rank the n_max-grams of ``ids``; also count the distinct n-grams for n = 1..n_max.
+
+    Equal n-grams get equal ranks, numbered from 1 in the order of their keys
+    (a unigram's rank is its id). An n-gram is keyed in int64 by its (n-1)-gram
+    prefix rank and its last id, so keys stay below ``len(ids) * radix``
+    whatever n and the ids' type are. Each level is one ``argsort`` of its
+    keys: a neighbour mask over the sorted keys marks each new n-gram, and
+    its running count, scattered back through the permutation, is the rank.
+    Only one level is kept once the next exists. The chain stops at the
+    longest n the sequence has, and that level's ranks are returned.
     """
+    index = _index_type(len(ids))
     radix = np.int64(ids.max(initial=-1)) + 1
-    ranks, distinct = [ids], [np.count_nonzero(np.bincount(ids))]
+    rank, distinct = ids, [np.count_nonzero(np.bincount(ids))]
     for n in range(2, n_max + 1):
         m = len(ids) - n + 1
         if m < 1:
             break
-        grams, rank = np.unique(ranks[-1][:m] * radix + ids[n - 1 :], return_inverse=True)
-        ranks.append(rank)
-        distinct.append(len(grams))
-    return ranks, distinct
+        keys = np.multiply(rank[:m], radix, dtype=np.int64)
+        keys += ids[n - 1 :]
+        del rank
+        order = np.argsort(keys).astype(index)
+        keys = keys[order]
+        new = np.empty(m, dtype=bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        del keys
+        sorted_rank = np.cumsum(new, dtype=index)
+        rank = np.empty(m, dtype=index)
+        rank[order] = sorted_rank
+        distinct.append(int(sorted_rank[-1]))
+        del order, new, sorted_rank
+    return rank, distinct
 
 
 def _mattr(ids: np.ndarray, window: int) -> float:
@@ -107,45 +127,65 @@ def _mattr(ids: np.ndarray, window: int) -> float:
     A window's distinct count changes, as it slides one step, by -1 when the
     token leaving has no other occurrence before the new right edge and by
     +1 when the token entering has none after the old left edge; both follow
-    from each position's previous and next occurrence.
+    from each position's previous and next occurrence. Positions and counts
+    are in ``_index_type``, and each step's change in int8.
     """
     n = len(ids)
-    order = np.argsort(ids, kind="stable")
+    index = _index_type(n)
+    order = np.argsort(ids, kind="stable").astype(index)
     same = ids[order[1:]] == ids[order[:-1]]
-    prev = np.full(n, -1, dtype=np.int64)
+    prev = np.full(n, -1, dtype=index)
     prev[order[1:][same]] = order[:-1][same]
-    nxt = np.full(n, n, dtype=np.int64)
+    nxt = np.full(n, n, dtype=index)
     nxt[order[:-1][same]] = order[1:][same]
-    starts = np.arange(n - window)
-    delta = (prev[window:] <= starts).astype(np.int64) - (nxt[: n - window] >= starts + window)
-    counts = np.empty(n - window + 1, dtype=np.int64)
+    del order, same
+    starts = np.arange(n - window, dtype=index)
+    delta = (prev[window:] <= starts).astype(np.int8)
+    delta -= nxt[: n - window] >= starts + window
+    counts = np.empty(n - window + 1, dtype=index)
     counts[0] = np.count_nonzero(prev[:window] < 0)
-    counts[1:] = counts[0] + np.cumsum(delta)
+    del prev, nxt, starts
+    np.cumsum(delta, dtype=index, out=counts[1:])
+    counts[1:] += counts[0]
+    ratios = counts / window
     # cumsum adds left to right, so the ratios are summed in window order.
-    total = np.cumsum(counts / window)[-1]
-    return float(total) / (n - window + 1)
+    return float(np.cumsum(ratios, out=ratios)[-1]) / (n - window + 1)
 
 
-def _self_repetition(ranks: list[np.ndarray], lengths: np.ndarray, n: int) -> float:
+def _self_repetition(rank: np.ndarray, lengths: np.ndarray, n: int) -> float:
     """Self-repetition of documents laid end to end, from their n-gram ranks.
 
-    ``lengths`` holds each document's token count in stream order. N-grams
-    that cross a document boundary are left out.
+    ``rank[i]`` names the n-gram at stream position i, as ``_ngram_ranks``
+    gives it, and ``lengths`` holds each document's token count in stream
+    order. N-grams that cross a document boundary are left out. The distinct
+    (n-gram, document) pairs come from one sorted int64 key array and a
+    neighbour mask.
     """
     if n < 1:
         raise DiversityError(f"n must be >= 1, got {n}")
     eligible = lengths >= n
     if np.count_nonzero(eligible) < 2:
         raise DiversityError("self_repetition needs at least 2 documents with >= n tokens")
-    gram = ranks[n - 1].astype(np.int64, copy=False)
     n_docs = len(lengths)
-    doc = np.repeat(np.arange(n_docs), lengths)[: len(gram)]
-    inside = np.arange(len(gram)) + n <= np.cumsum(lengths)[doc]
-    gram, doc = gram[inside], doc[inside]
-    # Number of documents containing each n-gram, from distinct (n-gram, document) pairs.
-    pairs = np.unique(gram * n_docs + doc)
-    doc_freq = np.bincount(pairs // n_docs)
-    k = np.bincount(doc[doc_freq[gram] > 1], minlength=n_docs)[eligible]
+    m = len(rank)
+    doc = np.repeat(np.arange(n_docs, dtype=_index_type(n_docs)), lengths)
+    # An n-gram lies inside one document when its first and last tokens do.
+    inside = doc[:m] == doc[n - 1 :]
+    gram, doc = rank[inside], doc[:m][inside]
+    del inside
+    pairs = gram.astype(np.int64)
+    pairs *= n_docs
+    pairs += doc
+    pairs.sort()
+    # An n-gram is in more than one document when its run of sorted pairs
+    # holds a second distinct pair.
+    second = pairs[1:] != pairs[:-1]
+    pairs //= n_docs
+    second &= pairs[1:] == pairs[:-1]
+    shared = np.zeros(int(pairs[-1]) + 1, dtype=bool)
+    shared[pairs[1:][second]] = True
+    del pairs, second
+    k = np.bincount(doc[shared[gram]], minlength=n_docs)[eligible]
     return float(np.cumsum(np.log1p(k))[-1] / len(k))
 
 
@@ -189,8 +229,8 @@ def self_repetition(documents: Sequence[Sequence[str]], n: int = SELF_REPETITION
     are skipped; at least two must remain.
     """
     lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
-    ranks, _ = _ngram_ranks(encode([t for doc in documents for t in doc]), n)
-    return _self_repetition(ranks, lengths, n)
+    rank, _ = _ngram_ranks(encode([t for doc in documents for t in doc]), n)
+    return _self_repetition(rank, lengths, n)
 
 
 def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
@@ -252,12 +292,14 @@ def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None
     total = len(ids)
     if total == 0:
         raise DiversityError("corpus has no tokens")
-    ranks, distinct = _ngram_ranks(ids, max((*NGRAM_NS, SELF_REPETITION_N)))
+    # Self-repetition's order is the longest the report counts, so it reads the last level.
+    rank, distinct = _ngram_ranks(ids, SELF_REPETITION_N)
     ngd = {n: distinct[n - 1] / (total - n + 1) if total >= n else None for n in NGRAM_NS}
     try:
-        sr = _self_repetition(ranks, lengths, SELF_REPETITION_N)
+        sr = _self_repetition(rank, lengths, SELF_REPETITION_N)
     except DiversityError:
         sr = None
+    del rank
     ttr = distinct[0] / total
     return ttr, _mattr(ids, MATTR_WINDOW) if total >= MATTR_WINDOW else ttr, ngd, sr
 

@@ -517,6 +517,7 @@ def test_sidecar_fails_on_a_failing_scorer(command, write_corpus, tmp_path, caps
     assert code == 1
     assert err == "error: scorer exited with status 3 before responding\n"
     assert not report_path.exists()
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_select_sidecar_syntheticity_matches_score(write_corpus, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -342,6 +343,42 @@ def test_report_past_the_int32_key_range_matches_oracles():
     for n in (2, 3, 4):
         assert report.ngram_diversity[n] == set_of_tuples_ngram_diversity(stream, n)
     assert report.self_repetition == reference_self_repetition(docs, 4) > 0
+
+
+def test_self_repetition_pair_keys_past_int32_match_reference():
+    # 25,000 short documents with 4-gram ranks above 100,000: the
+    # (n-gram, document) key rank * n_docs + doc passes 2**31, so it would
+    # wrap if it were built in the int32 of the ranks. A thousand copied
+    # documents put repeats all over the rank range.
+    rng = np.random.default_rng(12)
+    docs = [[f"k{v}" for v in rng.integers(0, 50_000, size=int(rng.integers(4, 10)))]
+            for _ in range(24_000)]
+    docs += [list(docs[i]) for i in rng.integers(0, len(docs), size=1_000)]
+    stream = [t for doc in docs for t in doc]
+    # 4-gram ranks run up to the number of distinct 4-grams.
+    ranks = len({tuple(stream[i : i + 4]) for i in range(len(stream) - 3)})
+    assert ranks > 100_000 and ranks * len(docs) > 2**31
+    assert self_repetition(docs, 4) == reference_self_repetition(docs, 4) > 0
+    assert ngram_diversity(stream, 4) == set_of_tuples_ngram_diversity(stream, 4)
+
+
+def test_token_metrics_memory_per_token():
+    # 200,000 tokens drawn Zipf(1.1) from 20,000 words. The peak includes
+    # the ids array the call builds; int64 rank levels and MATTR temporaries
+    # once took it to 93 B per token.
+    rng = np.random.default_rng(3)
+    weights = 1.0 / np.arange(1, 20_001) ** 1.1
+    words = np.array([f"z{i}" for i in range(20_000)])
+    draws = rng.choice(20_000, size=(500, 400), p=weights / weights.sum())
+    corpus = Corpus.from_texts([" ".join(words[row]) for row in draws])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        diversity._token_metrics(corpus)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / corpus.total_tokens <= 46
 
 
 def test_byte_tokenizer_report_matches_oracles():
