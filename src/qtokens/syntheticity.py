@@ -21,6 +21,7 @@ import shlex
 import socket
 import subprocess
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
@@ -45,7 +46,11 @@ class LikelihoodScorer(Protocol):
 
     Each window is an int32 array of ids of the process-wide vocabulary, at
     most ``context_len`` long; a scorer that reads tokens turns them back
-    into strings with ``qtokens.corpus.decode``.
+    into strings with ``qtokens.corpus.decode``. ``score_windows`` yields one
+    sequence per window, in input order, holding one number per token: its
+    log-probability, finite and <= 0. ``score_corpus`` checks every value
+    and raises ``ScorerError``, naming the document, for any that breaks
+    this contract; a scorer need not check its own output.
     """
 
     context_len: int
@@ -68,7 +73,6 @@ class SyntheticityResult:
     perplexity: float
     s: float
     m_tokens: int
-    sample_fraction: float
 
 
 class KgramScorer:
@@ -163,11 +167,6 @@ class KgramScorer:
         for window in batch:
             yield logs[start : start + len(window)]
             start += len(window)
-
-    def log_probs(self, tokens: Sequence[str]) -> list[float]:
-        """Log-probabilities of one window of tokens."""
-        (logprobs,) = self.score_windows([encode(tokens)])
-        return logprobs
 
 
 def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,6 +343,8 @@ class ExternalScorer:
                 return self._rfd in readable, bool(writable)
 
     def _parse_response(self, line: bytes) -> tuple[str, list[float]]:
+        """Check one response line's format; its values are checked by
+        ``score_corpus``."""
         try:
             obj = json.loads(line)
         except ValueError as exc:  # not JSON, or bytes that are not UTF-8
@@ -351,11 +352,14 @@ class ExternalScorer:
         if not isinstance(obj, dict) or "id" not in obj or "logprobs" not in obj:
             raise ProtocolError("response missing id or logprobs")
         logprobs = obj["logprobs"]
-        try:
-            if isinstance(logprobs, list) and _all_numbers(logprobs):
-                return str(obj["id"]), list(map(float, logprobs))
-        except OverflowError:  # an integer beyond the float range
-            pass
+        # JSON numbers parse to float or int, and an int must fit a float;
+        # true and false parse to bool, which is not a number here.
+        if isinstance(logprobs, list) and {float, int}.issuperset(map(type, logprobs)):
+            try:
+                deque(map(float, logprobs), maxlen=0)  # converts every value, keeps none
+                return str(obj["id"]), logprobs
+            except OverflowError:
+                pass
         raise ProtocolError("logprobs is not a list of numbers")
 
     def _read_lines(self) -> list[bytes]:
@@ -396,7 +400,7 @@ class ExternalScorer:
         is held in memory as a whole.
         """
         windows = iter(windows)
-        pending: dict[str, tuple[int, int]] = {}  # request id -> (index, tokens)
+        pending: dict[str, int] = {}  # request id -> window index
         ready: dict[int, list[float]] = {}  # responses that arrived ahead of their turn
         out = memoryview(b"")
         sent = 0
@@ -410,7 +414,7 @@ class ExternalScorer:
                 else:
                     req_id = f"q{self._next_id}"
                     self._next_id += 1
-                    pending[req_id] = (sent, len(window))
+                    pending[req_id] = sent
                     sent += 1
                     request = json.dumps({"id": req_id, "tokens": decode(window)}) + "\n"
                     out = memoryview(request.encode("utf-8"))
@@ -432,44 +436,40 @@ class ExternalScorer:
                     resp_id, logprobs = self._parse_response(line)
                     if resp_id not in pending:
                         raise ProtocolError(f"unknown response id {resp_id!r}")
-                    index, n_tokens = pending.pop(resp_id)
-                    if len(logprobs) != n_tokens:
-                        raise ProtocolError(f"expected {n_tokens} logprobs, got {len(logprobs)}")
-                    bad = _invalid_log_prob(logprobs)
-                    if bad:
-                        raise ProtocolError(f"{bad[0]}: {bad[1]}")
-                    ready[index] = logprobs
+                    ready[pending.pop(resp_id)] = logprobs
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
-        """Log-probabilities of one window of tokens."""
+        """The values the scorer returns for one window of tokens, after the
+        format check only: their count and range are not checked."""
         (logprobs,) = self.score_windows([encode(tokens)])
         return logprobs
 
 
-def _all_numbers(values: list) -> bool:
-    """Whether every value is an int or a float, as JSON numbers parse to."""
+def _window_sum(logprobs: Sequence[float], n_tokens: int, doc_id: str) -> float:
+    """The sum of one window's log-probabilities, which must be ``n_tokens``
+    numbers, each finite and <= 0, with a sum within the float range;
+    otherwise a ``ScorerError`` naming the document."""
+    if len(logprobs) != n_tokens:
+        raise ScorerError(
+            f"scorer returned {len(logprobs)} values for {n_tokens} tokens (document {doc_id!r})"
+        )
+    # In C first: a finite sum means every value is a finite number.
     try:
-        math.fsum(values)  # reads every value in C; a string such as "0.5" raises TypeError
-        return True
-    except TypeError:
-        return False
-    except (OverflowError, ValueError):  # fsum may stop early past the float range
-        return all(isinstance(v, (int, float)) for v in values)
-
-
-def _invalid_log_prob(logprobs: Sequence[float]) -> tuple[str, float] | None:
-    """The first value that is not a log-probability, with what is wrong."""
-    # In C first: a finite sum means every value is finite.
-    try:
-        if math.isfinite(math.fsum(logprobs)) and max(logprobs, default=0.0) <= 0:
-            return None
-    except (OverflowError, ValueError):  # a sum beyond the float range, or inf + -inf
+        total = math.fsum(logprobs)
+        if math.isfinite(total) and max(logprobs) <= 0:
+            return total
+    except (TypeError, ValueError, OverflowError):  # a non-number, inf + -inf, or too large a sum
         pass
     # Otherwise find the first bad value, to name it.
     for lp in logprobs:
-        if not -math.inf < lp <= 0:  # also true for NaN
-            return ("log-probability > 0" if lp > 0 else "non-finite log-probability"), lp
-    return None
+        try:
+            if -math.inf < lp <= 0:  # false for NaN
+                continue
+        except TypeError:
+            raise ScorerError(f"value that is not a number on document {doc_id!r}: {lp!r}") from None
+        problem = "log-probability > 0" if lp > 0 else "non-finite log-probability"
+        raise ScorerError(f"{problem} on document {doc_id!r}: {lp}")
+    raise ScorerError(f"log-probabilities on document {doc_id!r} sum beyond the float range")
 
 
 def external_scorer_connect(command_or_endpoint: str, context_len: int = DEFAULT_CONTEXT_LEN,
@@ -493,7 +493,9 @@ def score_corpus(
     is independent of how the corpus happens to be ordered.
 
     The windows go to ``scorer.score_windows`` as slices of each
-    document's ids, and every value it returns must lie in (-inf, 0].
+    document's ids. Its output is checked here, for every scorer: one
+    number per token, each in (-inf, 0], or ``ScorerError`` names the
+    document.
     An average NLL above about 709 nats per token (ln of the largest
     float) has no finite perplexity and raises ``ScorerError``.
     """
@@ -522,25 +524,14 @@ def score_corpus(
         except Exception as exc:
             raise ScorerError(f"scorer failed on document {doc.id!r}: {exc}") from exc
         n_tokens = min(ctx, doc.token_count - start)
-        if len(logprobs) != n_tokens:
-            raise ScorerError(
-                f"scorer returned {len(logprobs)} values for {n_tokens} tokens "
-                f"(document {doc.id!r})"
-            )
-        bad = _invalid_log_prob(logprobs)
-        if bad:
-            raise ScorerError(f"{bad[0]} on document {doc.id!r}: {bad[1]}")
-        try:
-            window_sums.append(math.fsum(logprobs))
-        except OverflowError:
-            raise ScorerError(
-                f"log-probabilities on document {doc.id!r} sum beyond the float range"
-            ) from None
+        window_sums.append(_window_sum(logprobs, n_tokens, doc.id))
         m_tokens += n_tokens
     if m_tokens == 0:
         raise ScorerError("sampled corpus contains no scoreable tokens")
     try:
-        avg_nll = -math.fsum(window_sums) / m_tokens
+        # + 0.0 turns the -0.0 of an all-zero sum into 0.0 and leaves any
+        # other value as it is.
+        avg_nll = -math.fsum(window_sums) / m_tokens + 0.0
         perplexity = math.exp(avg_nll)
     except OverflowError:
         raise ScorerError(
@@ -551,5 +542,4 @@ def score_corpus(
         perplexity=perplexity,
         s=1.0 / perplexity,
         m_tokens=m_tokens,
-        sample_fraction=sample_frac,
     )

@@ -429,6 +429,15 @@ def test_score_average_nll_beyond_perplexity_range(write_corpus, capsys, mock_sc
                    "(above about 709 nats per token)\n")
 
 
+def test_score_all_zero_log_probs_print_a_zero_average_nll(write_corpus, capsys, mock_scorer_cmd):
+    corpus = write_corpus("c.jsonl", [{"text": "x y z"}])
+    code, out, _ = run_cli(["score", corpus, "--scorer", f"external:{mock_scorer_cmd('value 0')}"],
+                           capsys)
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert (row["avg_nll"], row["perplexity"], row["syntheticity"]) == ("0", "1", "1")
+
+
 def test_select_end_to_end(write_corpus, tmp_path, capsys):
     rng = np.random.default_rng(4)
     raw_rows = [

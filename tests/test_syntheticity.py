@@ -96,14 +96,18 @@ class BadTokenScorer:
 
 @pytest.mark.parametrize(
     "value, message",
-    [(math.nan, "non-finite log-probability"), (-math.inf, "non-finite log-probability"),
-     (0.5, "log-probability > 0")],
-    ids=["nan", "-inf", "positive"],
+    [(math.nan, "non-finite log-probability on document 'doc:1': nan"),
+     (-math.inf, "non-finite log-probability on document 'doc:1': -inf"),
+     (0.5, "log-probability > 0 on document 'doc:1': 0.5"),
+     (None, "value that is not a number on document 'doc:1': None"),
+     ("0.5", "value that is not a number on document 'doc:1': '0.5'")],
+    ids=["nan", "-inf", "positive", "none", "numeric-string"],
 )
 def test_invalid_log_prob_rejected(value, message):
     corpus = corpus_of(["a b", "c bad d"])
-    with pytest.raises(ScorerError, match=f"^{message} on document 'doc:1': {value}$"):
+    with pytest.raises(ScorerError, match=f"^{re.escape(message)}$") as info:
         score_corpus(BadTokenScorer(value), corpus, 1.0, 0)
+    assert type(info.value) is ScorerError
 
 
 class RaisingScorer:
@@ -191,9 +195,15 @@ def test_zero_scoreable_tokens():
         score_corpus(UniformScorer(4), corpus, 1.0, 0)
 
 
+def kgram_log_probs(scorer, tokens):
+    """Log-probabilities of one window of token strings under a k-gram scorer."""
+    (logprobs,) = scorer.score_windows([encode(tokens)])
+    return logprobs
+
+
 def _prob(scorer, token, context):
     """Probability of ``token`` after ``context`` under ``scorer``."""
-    return math.exp(scorer.log_probs([*context, token])[-1])
+    return math.exp(kgram_log_probs(scorer, [*context, token])[-1])
 
 
 def test_kgram_unigram_closed_form():
@@ -253,7 +263,7 @@ def test_kgram_matches_count_oracle():
 
     probe = [f"w{v}" for v in rng.integers(0, 14, size=500)]  # includes unseen words
     probe = [w if w in vocab else w for w in probe]
-    got = -sum(scorer.log_probs(probe)) / len(probe)
+    got = -sum(kgram_log_probs(scorer, probe)) / len(probe)
     # oracle maps unknown words the same way the scorer does
     normalized = [w if w in vocab else "<unk>" for w in probe]
     assert got == pytest.approx(oracle_nll(normalized), abs=1e-9)
@@ -338,7 +348,7 @@ def test_kgram_matches_string_tuple_oracle_exactly(case, tmp_path):
     assert any(t not in vocab for w in windows for t in w)
     if case == "unk-in-vocab":
         assert "<unk>" in vocab
-    got = [scorer.log_probs(w) for w in windows]
+    got = [kgram_log_probs(scorer, w) for w in windows]
     assert got == reference_kgram_log_probs(reference, k, smoothing, windows, tokenizer)
 
 
@@ -356,7 +366,7 @@ def test_kgram_keys_do_not_overflow_with_large_vocab_and_k():
     assert (len({t for text in texts for t in text.split()}) + 1) ** (k - 1) > 2**63
     windows = [Tokenizer().tokenize(doc.text) for doc in reference.documents[:25]]
     windows += [[f"w{v}" for v in rng.integers(0, n_types + 50, size=200)] for _ in range(5)]
-    got = [scorer.log_probs(w) for w in windows]
+    got = [kgram_log_probs(scorer, w) for w in windows]
     assert got == reference_kgram_log_probs(reference, k, 0.5, windows)
     # The repeated chunks are scored from real counts, not only the smoothing floor.
     assert max(got[0]) > math.log(0.5 / (0.5 * (n_types + 1)))
@@ -418,7 +428,6 @@ def test_doubled_documents_within_window_bound():
 def test_sample_fraction_default_quarter():
     corpus = corpus_of([f"word{i} extra text" for i in range(100)])
     result = score_corpus(UniformScorer(10), corpus, seed=1)
-    assert result.sample_fraction == 0.25
     assert result.m_tokens == 25 * 3
 
 
@@ -442,7 +451,7 @@ def test_kgram_score_windows_equals_log_probs_and_oracle(k, monkeypatch):
     # batch boundary.
     monkeypatch.setattr(syntheticity, "SCORE_BATCH_TOKENS", 7)
     got = list(scorer.score_windows(map(encode, windows)))
-    assert got == [scorer.log_probs(w) for w in windows]
+    assert got == [kgram_log_probs(scorer, w) for w in windows]
     assert got == reference_kgram_log_probs(reference, k, 0.5, windows)
     assert [len(g) for g in got] == [len(w) for w in windows]
 
@@ -463,7 +472,7 @@ def test_kgram_score_windows_closes_a_batch_with_the_window_that_fills_it(monkey
     windows = [["w1", "w2", "w3"] * 100] * (first + 5)
     got = list(scorer.score_windows(map(encode, windows)))
     assert batches == [[300] * first, [300] * 5]
-    assert got == [scorer.log_probs(w) for w in windows]
+    assert got == [kgram_log_probs(scorer, w) for w in windows]
     # 5 + 4 tokens cross a batch of 7 inside the second window; the third
     # starts a new batch.
     batches.clear()
@@ -500,15 +509,17 @@ def test_external_const_scorer(mock_scorer_cmd):
 
 def test_external_positive_logprob_rejected(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("positive")) as scorer:
-        with pytest.raises(ProtocolError, match="log-probability > 0"):
-            scorer.log_probs(["a", "b"])
+        with pytest.raises(ScorerError, match="^log-probability > 0 on document 'doc:0': 0.1$"):
+            score_corpus(scorer, corpus_of(["a b"]), 1.0, 0)
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf"])
 def test_external_non_finite_logprob_rejected(mock_scorer_cmd, value):
     with external_scorer_connect(mock_scorer_cmd(f"value {value}")) as scorer:
-        with pytest.raises(ProtocolError, match=f"non-finite log-probability: {value}"):
-            scorer.log_probs(["a", "b"])
+        with pytest.raises(
+            ScorerError, match=f"^non-finite log-probability on document 'doc:0': {value}$"
+        ):
+            score_corpus(scorer, corpus_of(["a b"]), 1.0, 0)
 
 
 def test_external_out_of_order_responses(mock_scorer_cmd):
@@ -521,8 +532,10 @@ def test_external_out_of_order_responses(mock_scorer_cmd):
 
 def test_external_short_response_rejected(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("short")) as scorer:
-        with pytest.raises(ProtocolError, match="expected 3 logprobs"):
-            scorer.log_probs(["a", "b", "c"])
+        with pytest.raises(
+            ScorerError, match=r"^scorer returned 2 values for 3 tokens \(document 'doc:0'\)$"
+        ):
+            score_corpus(scorer, corpus_of(["a b c"]), 1.0, 0)
 
 
 @pytest.mark.parametrize(
@@ -541,9 +554,9 @@ def test_external_malformed_response_rejected(mock_scorer_cmd, mode, message):
 @pytest.mark.parametrize(
     "logprobs",
     ['["0.5"]', '["-1.0"]', "[null]", "[[-1.0]]", "-1.0", '{"a": -1.0}', "[-1e308, -1e308, \"-1\"]",
-     f"[{-(10**400)}]"],
+     f"[{-(10**400)}]", "[false, false, false]"],
     ids=["numeric-string", "string", "null", "nested", "number", "object", "after-overflow",
-         "huge-int"],
+         "huge-int", "bool"],
 )
 def test_external_non_numbers_rejected(mock_scorer_cmd, logprobs):
     with external_scorer_connect(mock_scorer_cmd(f"logprobs {shlex.quote(logprobs)}")) as scorer:
