@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import diversity, fitting, fixtures, refine, report as report_mod
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
@@ -136,7 +137,7 @@ def cmd_fit(args) -> int:
         quality = fitting.load_quality_csv(args.quality) if args.quality else None
         points = fitting.load_experiments_csv(args.experiments, quality)
     if args.init:
-        init = _load_constants(args.init).with_form(args.form)
+        init = replace(_load_constants(args.init), form=args.form)
     else:
         init = default_initial_guess(args.form)
     report = fitting.fit_constants(

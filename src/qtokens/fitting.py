@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FittingError
-from .scaling_law import ScalingConstants, _dq, _score
+from .scaling_law import PARAM_NAMES, ScalingConstants, _dq, _score
 
-N_PARAMS = 7
+N_PARAMS = len(PARAM_NAMES)
 MAX_ITERS = 200
 FTOL = 1e-12
 LAMBDA0 = 1e-3
@@ -101,14 +101,11 @@ def _point_arrays(points: Sequence[ExperimentPoint]) -> np.ndarray:
 
 
 def _theta_of(consts: ScalingConstants) -> np.ndarray:
-    return np.array(
-        [consts.e, consts.a, consts.alpha, consts.b, consts.beta, consts.c1, consts.c2]
-    )
+    return np.array(astuple(consts)[:N_PARAMS])
 
 
 def _consts_of(theta: np.ndarray, form: str) -> ScalingConstants:
-    e, a, alpha, b, beta, c1, c2 = (float(v) for v in theta)
-    return ScalingConstants(e=e, a=a, alpha=alpha, b=b, beta=beta, c1=c1, c2=c2, form=form)
+    return ScalingConstants(*theta.tolist(), form=form)
 
 
 def _solve_linear(p: np.ndarray, data: np.ndarray, form: str):
@@ -278,9 +275,6 @@ def r_squared(predicted: Sequence[float], observed: Sequence[float]) -> float:
         raise FittingError("undefined r_squared: zero variance in observed")
     sse = float(np.sum((obs - pred) ** 2))
     return 1.0 - sse / sstot
-
-
-PARAM_NAMES = ("E", "A", "alpha", "B", "beta", "c1", "c2")
 
 
 def bootstrap_se(

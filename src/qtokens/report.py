@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import QTokensError, ScalingDomainError
 from .fitting import pearson
-from .scaling_law import ScalingConstants, _score, clamp_unit, effective_tokens_raw
+from .scaling_law import ScalingConstants, _dq, _score, clamp_unit
 
 WIDTH = 640
 HEIGHT = 480
@@ -141,12 +141,12 @@ def pred_vs_true_svg(observed: Sequence[float], predicted: Sequence[float]) -> s
 
 
 def acc_vs_dq_svg(points: Sequence[dict], constants: ScalingConstants) -> str:
-    """Observed accuracy against effective tokens, with model curves."""
-    dqs = [
-        effective_tokens_raw(p["d_tokens"], p["dr"], p["s"], constants) for p in points
-    ]
+    """Observed accuracy against effective tokens, with model curves.
+    ``points`` must have passed ``_check_points``."""
+    dqs = [_dq(p["d_tokens"], p["dr"], p["s"], constants.c1, constants.c2, constants.form)
+           for p in points]
     for i, dq in enumerate(dqs):
-        if not 0 < dq < math.inf:  # the effective-token axis is logarithmic
+        if not 0 < dq < math.inf:  # a log axis, and a float product can overflow to inf
             raise ScalingDomainError(f"point {i}: effective tokens {dq} cannot be plotted")
     accs = [p["observed"] for p in points]
     xlim = (min(dqs) / 1.5, max(dqs) * 1.5)
@@ -190,13 +190,14 @@ def q_surface_csv(
     s_range: tuple[float, float],
 ) -> str:
     """``SURFACE_STEPS`` x ``SURFACE_STEPS`` grid of the fitted form's
-    scaling factor Q = Dq / D over the (diversity, syntheticity) plane."""
+    scaling factor Q = Dq / D over the (diversity, syntheticity) plane;
+    both ranges must lie above 0."""
     lines = ["diversity,syntheticity,q"]
     for i in range(SURFACE_STEPS):
         dr = dr_range[0] + (dr_range[1] - dr_range[0]) * i / (SURFACE_STEPS - 1)
         for j in range(SURFACE_STEPS):
             s = s_range[0] + (s_range[1] - s_range[0]) * j / (SURFACE_STEPS - 1)
-            q = effective_tokens_raw(1.0, dr, s, constants)
+            q = _dq(1.0, dr, s, constants.c1, constants.c2, constants.form)
             lines.append(f"{dr:.6f},{s:.6f},{q:.8e}")
     return "\n".join(lines) + "\n"
 

@@ -18,12 +18,14 @@ convention reproduces the shipped preset's accuracy predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Mapping
 
 from .errors import ScalingDomainError
 
 FORMS = ("F1", "F2", "F3", "F4")
+# The seven constants by their JSON names, in ``ScalingConstants`` field order.
+PARAM_NAMES = ("E", "A", "alpha", "B", "beta", "c1", "c2")
 
 
 @dataclass(frozen=True)
@@ -44,42 +46,22 @@ class ScalingConstants:
             raise ScalingDomainError(f"form must be one of {FORMS}, got {self.form!r}")
         if self.beta == 0:
             raise ScalingDomainError("beta must be nonzero")
-        for name in ("e", "a", "alpha", "b", "beta", "c1", "c2"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in zip(PARAM_NAMES, astuple(self)):  # stops before form
+            if not math.isfinite(value):
                 raise ScalingDomainError(f"constant {name} is not finite")
 
     def to_dict(self) -> dict:
-        return {
-            "E": self.e,
-            "A": self.a,
-            "alpha": self.alpha,
-            "B": self.b,
-            "beta": self.beta,
-            "c1": self.c1,
-            "c2": self.c2,
-            "form": self.form,
-        }
+        return dict(zip(PARAM_NAMES + ("form",), astuple(self)))
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScalingConstants":
         try:
-            return cls(
-                e=float(data["E"]),
-                a=float(data["A"]),
-                alpha=float(data["alpha"]),
-                b=float(data["B"]),
-                beta=float(data["beta"]),
-                c1=float(data["c1"]),
-                c2=float(data["c2"]),
-                form=str(data.get("form", "F1")),
-            )
+            return cls(*(float(data[name]) for name in PARAM_NAMES),
+                       form=str(data.get("form", "F1")))
         except KeyError as exc:
             raise ScalingDomainError(f"constants JSON missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ScalingDomainError(f"constants JSON has a bad value: {exc}") from exc
-
-    def with_form(self, form: str) -> "ScalingConstants":
-        return replace(self, form=form)
 
 
 # Shipped presets: the fitted constants for this model, and the published
@@ -159,26 +141,9 @@ def scaling_factor_q(dr: float, s: float, c1: float, c2: float) -> float:
     return _dq(1.0, dr, s, c1, c2, "F1")
 
 
-def effective_tokens_raw(d: float, dr: float, s: float, consts: ScalingConstants) -> float:
-    """Effective token count for raw inputs under the selected form.
-
-    Power forms (F2-F4) need strictly positive Dr / S wherever they are
-    exponentiated; violations raise rather than being regularized away.
-    """
-    form = consts.form
-    if form != "F1":
-        if form == "F2" and dr <= 0:
-            raise ScalingDomainError(f"form F2 requires dr > 0, got {dr}")
-        if form == "F3" and s <= 0:
-            raise ScalingDomainError(f"form F3 requires s > 0, got {s}")
-        if form == "F4" and (dr <= 0 or s <= 0):
-            raise ScalingDomainError(f"form F4 requires dr > 0 and s > 0, got dr={dr}, s={s}")
-    return _dq(d, dr, s, consts.c1, consts.c2, form)
-
-
 def effective_tokens(q_in: QualityInputs, consts: ScalingConstants) -> float:
     """Effective token count Dq for a validated query."""
-    return effective_tokens_raw(q_in.d, q_in.dr, q_in.s, consts)
+    return _dq(q_in.d, q_in.dr, q_in.s, consts.c1, consts.c2, consts.form)
 
 
 def clamp_unit(x: float) -> float:
@@ -189,8 +154,8 @@ def clamp_unit(x: float) -> float:
 def predict_accuracy_unclamped(q_in: QualityInputs, consts: ScalingConstants) -> float:
     """Model score before clamping; the quantity the fit and the
     inversion operate on."""
-    dq = effective_tokens_raw(q_in.d, q_in.dr, q_in.s, consts)
-    return _score(q_in.n_millions, dq, consts.e, consts.a, consts.alpha, consts.b, consts.beta)
+    return _score(q_in.n_millions, effective_tokens(q_in, consts),
+                  consts.e, consts.a, consts.alpha, consts.b, consts.beta)
 
 
 def predict_accuracy(q_in: QualityInputs, consts: ScalingConstants) -> float:

@@ -37,6 +37,10 @@ DEFAULT_SAMPLE_FRACTION = 0.25
 MAX_IN_FLIGHT = 8
 # Bytes of a subprocess scorer's stderr kept to explain its death.
 STDERR_TAIL = 4096
+# An unfinished response line may hold this many bytes per token of the
+# longest window awaiting an answer, plus LINE_SLACK, before it is refused.
+LINE_BYTES_PER_TOKEN = 64
+LINE_SLACK = 1 << 16
 # Tokens the k-gram scorer scores in one numpy pass.
 SCORE_BATCH_TOKENS = 1 << 14
 
@@ -225,9 +229,12 @@ class ExternalScorer:
     The peer must answer each ``{"id": ..., "tokens": [...]}`` request line
     with a ``{"id": ..., "logprobs": [...]}`` line; responses may arrive in
     any order and are matched back by id. Up to ``MAX_IN_FLIGHT`` requests
-    are outstanding at a time. No wait for the peer to accept a request or
-    to send a response lasts longer than ``timeout`` seconds. A target that
-    cannot be reached or started raises ``ScorerError``.
+    are outstanding at a time. The peer must make progress, by accepting
+    request bytes or completing a response line, within ``timeout`` seconds
+    of its last progress, and a response line may not outgrow
+    ``LINE_BYTES_PER_TOKEN`` bytes per token of the longest window awaiting
+    an answer plus ``LINE_SLACK``; either failure is a ``ProtocolError``. A
+    target that cannot be reached or started raises ``ScorerError``.
 
     A subprocess scorer's stderr is read while its responses are awaited,
     so a chatty child never blocks on a full pipe; only the last
@@ -327,20 +334,20 @@ class ExternalScorer:
         self._stderr_tail = (self._stderr_tail + chunk)[-STDERR_TAIL:]
         return True
 
-    def _wait(self, writing: bool) -> tuple[bool, bool]:
-        """Wait up to ``timeout`` for the peer to have output to read or, if
-        ``writing``, room for input; drain stderr meanwhile. Return
-        (readable, writable); both False means the wait timed out."""
-        deadline = time.monotonic() + self.timeout
-        while True:
+    def _wait(self, writing: bool, deadline: float) -> tuple[bool, bool]:
+        """Wait until the ``time.monotonic()`` ``deadline`` for the peer to
+        have output to read or, if ``writing``, room for input; drain stderr
+        meanwhile. Return (readable, writable); both False means the
+        deadline passed."""
+        while (left := deadline - time.monotonic()) > 0:
             watched = [self._rfd] if self._efd is None else [self._rfd, self._efd]
             readable, writable, _ = select.select(
-                watched, [self._wfd] if writing else [], [],
-                max(0.0, deadline - time.monotonic()))
+                watched, [self._wfd] if writing else [], [], left)
             if self._efd is not None and self._efd in readable:
                 self._drain_stderr()
-            if self._rfd in readable or writable or time.monotonic() >= deadline:
+            if self._rfd in readable or writable:
                 return self._rfd in readable, bool(writable)
+        return False, False
 
     def _parse_response(self, line: bytes) -> tuple[str, list[float]]:
         """Check one response line's format; its values are checked by
@@ -362,8 +369,9 @@ class ExternalScorer:
                 pass
         raise ProtocolError("logprobs is not a list of numbers")
 
-    def _read_lines(self) -> list[bytes]:
-        """Read what the peer has sent; return the complete lines in it."""
+    def _read_lines(self, cap: int) -> list[bytes]:
+        """Read what the peer has sent; return the complete lines in it. An
+        unfinished line longer than ``cap`` bytes is a ``ProtocolError``."""
         try:
             chunk = os.read(self._rfd, 1 << 16)
         except BlockingIOError:  # select may report a socket ready spuriously
@@ -373,10 +381,11 @@ class ExternalScorer:
         if not chunk:
             raise ProtocolError(self._exit_status(" before responding"))
         self._buffer += chunk
-        if b"\n" not in chunk:
-            return []
-        *lines, tail = self._buffer.split(b"\n")
-        self._buffer = tail
+        lines = []
+        if b"\n" in chunk:
+            *lines, self._buffer = self._buffer.split(b"\n")
+        if len(self._buffer) > cap:
+            raise ProtocolError(f"scorer response line is longer than {cap} bytes")
         return [bytes(line) for line in lines]
 
     def _write(self, data: memoryview) -> memoryview:
@@ -397,15 +406,17 @@ class ExternalScorer:
         Windows are drawn from ``windows`` only as requests are sent, and at
         most ``MAX_IN_FLIGHT`` windows are either awaiting a response or
         holding one that is not yet due, so neither the input nor the output
-        is held in memory as a whole.
+        is held in memory as a whole. The ``timeout`` counts from the peer's
+        last progress, or from when the caller resumes the generator.
         """
         windows = iter(windows)
-        pending: dict[str, int] = {}  # request id -> window index
+        pending: dict[str, tuple[int, int]] = {}  # request id -> (window index, tokens)
         ready: dict[int, list[float]] = {}  # responses that arrived ahead of their turn
         out = memoryview(b"")
         sent = 0
         due = 0
         exhausted = False
+        deadline = time.monotonic() + self.timeout
         while True:
             if not out and not exhausted and len(pending) + len(ready) < MAX_IN_FLIGHT:
                 window = next(windows, None)
@@ -414,29 +425,35 @@ class ExternalScorer:
                 else:
                     req_id = f"q{self._next_id}"
                     self._next_id += 1
-                    pending[req_id] = sent
+                    pending[req_id] = (sent, len(window))
                     sent += 1
                     request = json.dumps({"id": req_id, "tokens": decode(window)}) + "\n"
                     out = memoryview(request.encode("utf-8"))
             if due in ready:
                 yield ready.pop(due)
                 due += 1
+                deadline = time.monotonic() + self.timeout
                 continue
             if due == sent and exhausted:
                 return
-            readable, writable = self._wait(bool(out))
+            readable, writable = self._wait(bool(out), deadline)
             if not readable and not writable:
                 if out:
                     raise ProtocolError(f"cannot send to scorer: timed out after {self.timeout}s")
                 raise ProtocolError(f"scorer timed out after {self.timeout}s")
             if writable:
-                out = self._write(out)
+                rest = self._write(out)
+                if len(rest) < len(out):
+                    deadline = time.monotonic() + self.timeout
+                out = rest
             if readable:
-                for line in self._read_lines():
+                longest = max(n for _, n in pending.values())
+                for line in self._read_lines(LINE_BYTES_PER_TOKEN * longest + LINE_SLACK):
                     resp_id, logprobs = self._parse_response(line)
                     if resp_id not in pending:
                         raise ProtocolError(f"unknown response id {resp_id!r}")
-                    ready[pending.pop(resp_id)] = logprobs
+                    ready[pending.pop(resp_id)[0]] = logprobs
+                    deadline = time.monotonic() + self.timeout
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
         """The values the scorer returns for one window of tokens, after the
@@ -449,9 +466,14 @@ def _window_sum(logprobs: Sequence[float], n_tokens: int, doc_id: str) -> float:
     """The sum of one window's log-probabilities, which must be ``n_tokens``
     numbers, each finite and <= 0, with a sum within the float range;
     otherwise a ``ScorerError`` naming the document."""
-    if len(logprobs) != n_tokens:
+    try:
+        n_values = len(logprobs)
+    except TypeError:  # an iterator or None: not a sequence
+        raise ScorerError(f"scorer returned {type(logprobs).__name__!r}, not a sequence, "
+                          f"for document {doc_id!r}") from None
+    if n_values != n_tokens:
         raise ScorerError(
-            f"scorer returned {len(logprobs)} values for {n_tokens} tokens (document {doc_id!r})"
+            f"scorer returned {n_values} values for {n_tokens} tokens (document {doc_id!r})"
         )
     # In C first: a finite sum means every value is a finite number.
     try:

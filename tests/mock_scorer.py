@@ -13,6 +13,10 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     badjson    reply with a non-JSON line
     garbage    reply with a line of bytes that are not UTF-8
     silent     never reply
+    drip       after reading one request, write "{" every 0.1 s and never a
+               newline, then exit with status 0 after about 3 s
+    flood      after reading one request, write 1 MiB of spaces at a time and
+               never a newline, then exit with status 0 after 8 MiB
     die        exit with status 3 after reading one request
     noisy      after reading one request, write about 1 MB to stderr ending
                in the line "fatal: out of memory", then exit with status 3
@@ -83,6 +87,17 @@ def main():
             sys.exit(3)
         if mode == "silent":
             time.sleep(3600)
+        if mode == "drip":
+            for _ in range(30):
+                sys.stdout.write("{")
+                sys.stdout.flush()
+                time.sleep(0.1)
+            return
+        if mode == "flood":
+            for _ in range(8):
+                sys.stdout.write(" " * (1 << 20))
+                sys.stdout.flush()
+            return
         if mode == "badjson":
             sys.stdout.write("not json\n")
             sys.stdout.flush()

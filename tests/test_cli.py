@@ -13,7 +13,12 @@ from qtokens import fitting, fixtures
 from qtokens.cli import main
 from qtokens.corpus import Tokenizer
 from qtokens.fixtures import QUALITY_TABLE, RESULTS_TABLE
-from qtokens.scaling_law import ScalingConstants, default_initial_guess, effective_tokens_raw
+from qtokens.scaling_law import (
+    QualityInputs,
+    ScalingConstants,
+    default_initial_guess,
+    effective_tokens,
+)
 
 
 def run_cli(argv, capsys):
@@ -798,7 +803,7 @@ def test_report_q_surface_uses_fitted_form(tmp_path, capsys):
         dr, s = float(row["diversity"]), float(row["syntheticity"])
         # q is written with 9 significant digits
         assert float(row["q"]) == pytest.approx(
-            effective_tokens_raw(1.0, dr, s, consts), rel=1e-8
+            effective_tokens(QualityInputs(d=1.0, dr=dr, s=s, n_millions=1.0), consts), rel=1e-8
         )
 
 
@@ -902,13 +907,18 @@ def _zero_dr(points):
     points[3]["dr"] = 0
 
 
+def _zero_s(points):
+    points[5]["s"] = 0.0
+
+
 @pytest.mark.parametrize(
     "break_points, message",
     [(_drop_dr, "point 1 has no 'dr'"),
      (_number_for_point, "point 0 is not a JSON object"),
      (_string_observed, "point 2: 'observed' is not a finite number: 'x'"),
-     (_zero_dr, "point 3: 'dr' must be > 0, got 0")],
-    ids=["missing-key", "number", "string-value", "zero-dr"],
+     (_zero_dr, "point 3: 'dr' must be > 0, got 0"),
+     (_zero_s, "point 5: 's' must be > 0, got 0.0")],
+    ids=["missing-key", "number", "string-value", "zero-dr", "zero-s"],
 )
 def test_report_malformed_point_rejected(tmp_path, capsys, break_points, message):
     fit = tmp_path / "fit.json"

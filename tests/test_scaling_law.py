@@ -12,7 +12,6 @@ from qtokens.scaling_law import (
     clamp_unit,
     default_initial_guess,
     effective_tokens,
-    effective_tokens_raw,
     invert_effective_tokens,
     predict_accuracy,
     predict_accuracy_unclamped,
@@ -28,6 +27,9 @@ SELSYN_100 = {"d": 2_507_011_688.0, "dr": 0.28578, "s": 0.11902}
 def test_constants_validation():
     with pytest.raises(ScalingDomainError):
         ScalingConstants(e=1, a=1, alpha=0.5, b=1, beta=0.0, c1=0, c2=0)
+    # A constant is named as in the constants JSON.
+    with pytest.raises(ScalingDomainError, match="^constant E is not finite$"):
+        ScalingConstants(e=math.nan, a=1, alpha=0.5, b=1, beta=0.5, c1=0, c2=0)
     with pytest.raises(ScalingDomainError):
         ScalingConstants(e=1, a=1, alpha=0.5, b=1, beta=0.5, c1=0, c2=0, form="F9")
     with pytest.raises(ScalingDomainError):
@@ -111,14 +113,6 @@ def test_effective_tokens_f4_exponent_one():
     assert effective_tokens(q_in, consts) == pytest.approx(1e6 * 0.25 * 0.5, rel=1e-15)
 
 
-def test_effective_tokens_power_form_domain():
-    consts = PRESETS["paper-ours"]
-    for form in ("F2", "F3", "F4"):
-        with pytest.raises(ScalingDomainError):
-            effective_tokens_raw(1e9, 0.0 if form != "F3" else 0.5,
-                                 0.0 if form != "F2" else 0.5, consts.with_form(form))
-
-
 def test_all_forms_positive():
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -127,12 +121,13 @@ def test_all_forms_positive():
             c1=float(rng.uniform(-5, 5)), c2=float(rng.uniform(-5, 5)),
             form=str(rng.choice(["F1", "F2", "F3", "F4"])),
         )
-        dq = effective_tokens_raw(
-            float(10 ** rng.uniform(3, 10)),
-            float(rng.uniform(0.05, 0.9)),
-            float(rng.uniform(0.01, 0.9)),
-            consts,
+        q_in = QualityInputs(
+            d=float(10 ** rng.uniform(3, 10)),
+            dr=float(rng.uniform(0.05, 0.9)),
+            s=float(rng.uniform(0.01, 0.9)),
+            n_millions=1.0,
         )
+        dq = effective_tokens(q_in, consts)
         assert dq > 0
 
 
@@ -257,9 +252,13 @@ def test_f1_partial_derivative_signs():
         dr = float(rng.uniform(0.1, 0.8))
         s = float(rng.uniform(0.02, 0.5))
         h = 1e-6
-        base = effective_tokens_raw(d, dr, s, consts)
-        d_dr = (effective_tokens_raw(d, dr + h * dr, s, consts) - base) / (h * dr)
-        d_s = (effective_tokens_raw(d, dr, s + h * s, consts) - base) / (h * s)
+
+        def dq(dr, s):
+            return effective_tokens(QualityInputs(d=d, dr=dr, s=s, n_millions=1.0), consts)
+
+        base = dq(dr, s)
+        d_dr = (dq(dr + h * dr, s) - base) / (h * dr)
+        d_s = (dq(dr, s + h * s) - base) / (h * s)
         assert math.copysign(1, d_dr) == math.copysign(1, c1)
         assert math.copysign(1, d_s) == math.copysign(1, c2)
 
@@ -276,15 +275,20 @@ def test_fitted_constants_quality_direction():
         assert scaling_factor_q(dr - 1e-6, s, ours.c1, ours.c2) > q
 
 
-def test_quality_inputs_validation():
-    with pytest.raises(ScalingDomainError):
-        QualityInputs(d=0, dr=0.1, s=0.1, n_millions=1)
-    with pytest.raises(ScalingDomainError):
-        QualityInputs(d=1, dr=-0.1, s=0.1, n_millions=1)
+# Every form's Dq is only defined on this domain; F2-F4 raise Dr or S to a power.
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", 0.0), ("dr", -0.1), ("dr", 0.0), ("s", 0.0), ("n_millions", math.inf)],
+    ids=["zero-d", "negative-dr", "zero-dr", "zero-s", "infinite-n"],
+)
+def test_quality_inputs_validation(field, value):
+    inputs = {"d": 1.0, "dr": 0.1, "s": 0.1, "n_millions": 1.0, field: value}
+    with pytest.raises(ScalingDomainError, match=f"^{field} must be finite and > 0, got"):
+        QualityInputs(**inputs)
 
 
 @pytest.mark.parametrize("form", ["F1", "F2", "F3", "F4"])
 def test_effective_tokens_overflow_is_a_domain_error(form):
     consts = ScalingConstants(e=1.0, a=0.0, alpha=0.5, b=1.0, beta=0.5, c1=1e6, c2=1e6, form=form)
     with pytest.raises(ScalingDomainError, match=f"overflow under form {form}"):
-        effective_tokens_raw(1e9, 2.0, 2.0, consts)
+        effective_tokens(QualityInputs(d=1e9, dr=2.0, s=2.0, n_millions=1.0), consts)

@@ -155,6 +155,32 @@ def test_score_corpus_rejects_a_wrong_number_of_values():
         score_corpus(DroppingScorer(), corpus_of(["a b", "c d e"]), 1.0, 0)
 
 
+class YieldingScorer:
+    """Yields ``make(n_tokens)`` for every window."""
+
+    context_len = 1024
+
+    def __init__(self, make):
+        self.make = make
+
+    def score_windows(self, windows):
+        for window in windows:
+            yield self.make(len(window))
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [(lambda n: iter([-1.0] * n), "list_iterator"), (lambda n: None, "NoneType")],
+    ids=["iterator", "none"],
+)
+def test_score_corpus_rejects_a_window_that_is_not_a_sequence(make, kind):
+    with pytest.raises(
+        ScorerError, match=f"^scorer returned '{kind}', not a sequence, for document 'doc:0'$"
+    ) as info:
+        score_corpus(YieldingScorer(make), corpus_of(["a b", "c d e"]), 1.0, 0)
+    assert type(info.value) is ScorerError
+
+
 class ValueScorer:
     """Scores every token with ``value``."""
 
@@ -586,6 +612,25 @@ def test_external_timeout(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("silent"), timeout=0.3) as scorer:
         with pytest.raises(ProtocolError, match="timed out"):
             scorer.log_probs(["a"])
+
+
+def test_external_response_has_a_deadline(mock_scorer_cmd):
+    # drip keeps the pipe readable but never finishes a line; it exits by
+    # itself after about 3 s, so a client without a deadline sees that exit.
+    with external_scorer_connect(mock_scorer_cmd("drip"), timeout=0.5) as scorer:
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="^scorer timed out after 0.5s$"):
+            scorer.log_probs(["a"])
+        assert time.monotonic() - start < 2.0
+
+
+def test_external_response_line_has_a_size_cap(mock_scorer_cmd):
+    # flood writes 8 MiB of spaces with no newline, then exits by itself. The
+    # cap for a 2-token window is 64 bytes a token plus 64 KiB.
+    with external_scorer_connect(mock_scorer_cmd("flood")) as scorer:
+        with pytest.raises(ProtocolError, match="^scorer response line is longer than 65664 bytes$"):
+            scorer.log_probs(["a", "b"])
+        assert len(scorer._buffer) <= 65664 + (1 << 16)
 
 
 def test_external_large_windows_do_not_deadlock(mock_scorer_cmd):
