@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -30,23 +29,6 @@ from .scaling_law import (
 from .syntheticity import external_scorer_connect, score_corpus, train_kgram_scorer
 
 SCORER_ENV = "QTOKENS_SCORER"
-
-SCORE_COLUMNS = [
-    "corpus",
-    "tokens",
-    "cr",
-    "dr",
-    "ttr",
-    "mattr",
-    "ngram_diversity_2",
-    "ngram_diversity_3",
-    "ngram_diversity_4",
-    "self_repetition",
-    "avg_nll",
-    "perplexity",
-    "syntheticity",
-]
-
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -106,25 +88,29 @@ def cmd_score(args) -> int:
         rep = diversity.score_corpus_diversity(corpus)
         for warning in rep.warnings:
             print(f"warning: {name}: {warning}", file=sys.stderr)
-        row = {"corpus": name, "tokens": corpus.total_tokens, **rep.to_flat_dict()}
-        if scorer is not None:
+        if scorer is None:
+            avg_nll = perplexity = s = None
+        else:
             result = score_corpus(scorer, corpus, seed=args.seed)
-            row["avg_nll"] = result.avg_nll
-            row["perplexity"] = result.perplexity
-            row["syntheticity"] = result.s
-        return row
+            avg_nll, perplexity, s = result.avg_nll, result.perplexity, result.s
+        return {
+            "corpus": name,
+            "tokens": corpus.total_tokens,
+            **rep.to_flat_dict(),
+            "avg_nll": avg_nll,
+            "perplexity": perplexity,
+            "syntheticity": s,
+        }
 
     try:
         rows = [score_one(path) for path in args.inputs]
     finally:
         _close_scorer(scorer)
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SCORE_COLUMNS)
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _fmt_cell(v) for k, v in row.items()})
-    sys.stdout.write(buf.getvalue())
     return 0
 
 

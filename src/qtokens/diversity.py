@@ -304,9 +304,6 @@ def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None
     return ttr, _mattr(ids, MATTR_WINDOW) if total >= MATTR_WINDOW else ttr, ngd, sr
 
 
-METRIC_KEYS = ("dr", "ttr", "mattr", "ngram_diversity", "self_repetition")
-
-
 @dataclass
 class CorrelationMatrix:
     """Pairwise Pearson correlations between metric score vectors.
@@ -325,33 +322,20 @@ def metric_correlation_matrix(corpora: Sequence[Corpus]) -> CorrelationMatrix:
     across a set of corpora; the n-gram diversity is the bigram one."""
     if len(corpora) < 3:
         raise DiversityError("metric correlation needs at least 3 corpora")
-    rows = {key: [] for key in METRIC_KEYS}
-    for corpus in corpora:
-        report = score_corpus_diversity(corpus)
-        rows["dr"].append(report.dr)
-        rows["ttr"].append(report.ttr)
-        rows["mattr"].append(report.mattr)
-        rows["ngram_diversity"].append(report.ngram_diversity[2])
-        rows["self_repetition"].append(report.self_repetition)
-    undefined = []
-    vectors = {}
-    for key, vals in rows.items():
-        if any(v is None for v in vals):
-            undefined.append(key)
-            continue
-        arr = np.asarray(vals, dtype=float)
-        if np.ptp(arr) == 0.0:
-            undefined.append(key)
-            continue
-        vectors[key] = arr
-    metrics = tuple(rows.keys())
-    size = len(metrics)
-    values: list[list[float | None]] = [[None] * size for _ in range(size)]
-    for i, mi in enumerate(metrics):
-        for j, mj in enumerate(metrics):
-            if mi in vectors and mj in vectors:
-                if i == j:
-                    values[i][j] = 1.0
-                else:
-                    values[i][j] = float(np.corrcoef(vectors[mi], vectors[mj])[0, 1])
-    return CorrelationMatrix(metrics=metrics, values=values, undefined=tuple(undefined))
+    metrics = ("dr", "ttr", "mattr", "ngram_diversity", "self_repetition")
+    columns = list(zip(*(
+        (r.dr, r.ttr, r.mattr, r.ngram_diversity[2], r.self_repetition)
+        for r in map(score_corpus_diversity, corpora)
+    )))
+    defined = [None not in col and min(col) != max(col) for col in columns]
+    keep = np.flatnonzero(defined)
+    corr = np.zeros((len(metrics), len(metrics)))
+    if keep.size:
+        corr[np.ix_(keep, keep)] = np.corrcoef([columns[i] for i in keep])
+    np.fill_diagonal(corr, 1.0)
+    values = [
+        [v if defined[i] and defined[j] else None for j, v in enumerate(row)]
+        for i, row in enumerate(corr.tolist())
+    ]
+    undefined = tuple(m for m, ok in zip(metrics, defined) if not ok)
+    return CorrelationMatrix(metrics=metrics, values=values, undefined=undefined)

@@ -105,7 +105,7 @@ class KgramScorer:
         ctx_totals: np.ndarray,
         pair_keys: np.ndarray,
         pair_counts: np.ndarray,
-        context_len: int = DEFAULT_CONTEXT_LEN,
+        context_len: int,
     ):
         # Lets perfbench tell k-gram scoring time apart in its traces.
         self.kind = "builtin-kgram"
@@ -241,8 +241,7 @@ class ExternalScorer:
     ``STDERR_TAIL`` bytes are kept, to name in the error if it dies.
     """
 
-    def __init__(self, target: str, context_len: int = DEFAULT_CONTEXT_LEN,
-                 timeout: float = 30.0):
+    def __init__(self, target: str, context_len: int, timeout: float):
         self.context_len = context_len
         self.timeout = timeout
         self._next_id = 0

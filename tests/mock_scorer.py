@@ -17,6 +17,8 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
                newline, then exit with status 0 after about 3 s
     flood      after reading one request, write 1 MiB of spaces at a time and
                never a newline, then exit with status 0 after 8 MiB
+    closeout   after reading one request, close stdout and keep running,
+               then exit with status 0 after about 3 s
     die        exit with status 3 after reading one request
     noisy      after reading one request, write about 1 MB to stderr ending
                in the line "fatal: out of memory", then exit with status 3
@@ -92,6 +94,10 @@ def main():
                 sys.stdout.write("{")
                 sys.stdout.flush()
                 time.sleep(0.1)
+            return
+        if mode == "closeout":
+            os.close(sys.stdout.fileno())
+            time.sleep(3)
             return
         if mode == "flood":
             for _ in range(8):

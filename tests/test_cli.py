@@ -36,6 +36,10 @@ def test_score_two_corpora(write_corpus, capsys):
     )
     code, out, err = run_cli(["score", a, b], capsys)
     assert code == 0
+    assert out.splitlines()[0] == (
+        "corpus,tokens,cr,dr,ttr,mattr,ngram_diversity_2,ngram_diversity_3,ngram_diversity_4,"
+        "self_repetition,avg_nll,perplexity,syntheticity"
+    )
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 2
     assert rows[0]["corpus"] == "rep.jsonl"

@@ -47,6 +47,15 @@ def test_load_jsonl_malformed_json(tmp_path):
         load_jsonl(str(path))
 
 
+def test_load_jsonl_skips_blank_lines_but_counts_them(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text('{"text": "a"}\n\n   \n{"text": "b"}\n', encoding="utf-8")
+    assert [doc.id for doc in load_jsonl(str(path))] == ["blank.jsonl:1", "blank.jsonl:4"]
+    path.write_text('{"text": "a"}\n\n \t\n{"text": "b"}\nnot json\n', encoding="utf-8")
+    with pytest.raises(CorpusError, match="^line 5: invalid JSON"):
+        load_jsonl(str(path))
+
+
 def test_load_jsonl_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its `score` columns are the real ones."""
 
 import os
 import re
@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import numpy as np
+
+from qtokens.cli import main
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
@@ -22,3 +24,11 @@ def test_readme_library_example_runs(tmp_path, write_corpus):
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert 0.0 <= float(run.stdout) <= 1.0
+
+
+def test_readme_lists_the_score_columns(write_corpus, capsys):
+    with open(README, encoding="utf-8") as fh:
+        (columns,) = re.findall(r"^`(corpus,tokens,[^`]*)`", fh.read(), re.M)
+    path = write_corpus("c.jsonl", [{"text": "a b c"}, {"text": "c d e"}])
+    assert main(["score", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == columns

@@ -686,6 +686,15 @@ def test_external_requests_are_pipelined(mock_scorer_cmd):
     assert result.avg_nll == 1.0
 
 
+def test_external_closed_output_of_a_running_child_is_named(mock_scorer_cmd):
+    # closeout closes stdout but stays alive for about 3 s, longer than the
+    # client waits for its exit status.
+    with external_scorer_connect(mock_scorer_cmd("closeout"), timeout=0.5) as scorer:
+        with pytest.raises(ProtocolError, match="^scorer closed its output but is still "
+                                                "running before responding$"):
+            scorer.log_probs(["a"])
+
+
 def test_external_dead_child_reports_exit_status(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("die")) as scorer:
         with pytest.raises(ProtocolError, match="exited with status 3"):
@@ -796,6 +805,24 @@ def test_external_tcp_reset():
     try:
         with external_scorer_connect(f"tcp://127.0.0.1:{server.server_address[1]}") as scorer:
             with pytest.raises(ProtocolError, match="cannot read"):
+                scorer.log_probs(["x"])
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_external_tcp_peer_closes_before_responding():
+    class Hangup(socketserver.StreamRequestHandler):
+        def handle(self):
+            # Reads the whole request first: closing with unread bytes would
+            # send a reset, which the client reports as a read error instead.
+            self.rfile.readline()
+
+    server = _serve(Hangup)
+    try:
+        with external_scorer_connect(f"tcp://127.0.0.1:{server.server_address[1]}") as scorer:
+            with pytest.raises(ProtocolError,
+                               match="^scorer closed the connection before responding$"):
                 scorer.log_probs(["x"])
     finally:
         server.shutdown()
