@@ -25,8 +25,8 @@ from .fitting import (
     ExperimentPoint,
     FitReport,
     bootstrap_se,
+    experiment_points,
     fit_constants,
-    join_fixture_tables,
     pearson,
     r_squared,
 )

@@ -8,6 +8,7 @@ code. Every run is deterministic given its flags and --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -50,15 +51,17 @@ def _load_constants(spec: str) -> ScalingConstants:
 
 
 def _make_scorer(spec: str | None, tokenizer: Tokenizer):
+    """A context manager giving the scorer ``spec`` names, or None for
+    ``none``, and closing it on exit."""
     if spec is None:
         spec = os.environ.get(SCORER_ENV) or "none"
         if spec != "none" and not spec.startswith(("kgram:", "external:")):
             spec = f"external:{spec}"
     if spec == "none":
-        return None
+        return contextlib.nullcontext()
     if spec.startswith("kgram:"):
         reference = load_jsonl(spec.split(":", 1)[1], tokenizer)
-        return train_kgram_scorer(reference)
+        return contextlib.nullcontext(train_kgram_scorer(reference))
     if spec.startswith("external:"):
         return external_scorer_connect(spec.split(":", 1)[1])
     raise QTokensError(f"unknown scorer spec {spec!r}")
@@ -72,17 +75,10 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _close_scorer(scorer) -> None:
-    close = getattr(scorer, "close", None)
-    if close is not None:
-        close()
-
-
 def cmd_score(args) -> int:
     tokenizer = Tokenizer.from_spec(args.tokenizer)
-    scorer = _make_scorer(args.scorer, tokenizer)
 
-    def score_one(path: str) -> dict:
+    def score_one(path: str, scorer) -> dict:
         corpus = load_jsonl(path, tokenizer)
         name = os.path.basename(path)
         rep = diversity.score_corpus_diversity(corpus)
@@ -102,10 +98,8 @@ def cmd_score(args) -> int:
             "syntheticity": s,
         }
 
-    try:
-        rows = [score_one(path) for path in args.inputs]
-    finally:
-        _close_scorer(scorer)
+    with _make_scorer(args.scorer, tokenizer) as scorer:
+        rows = [score_one(path, scorer) for path in args.inputs]
 
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
     writer.writeheader()
@@ -177,13 +171,12 @@ def _sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra)
     ``score``."""
     if not args.report:
         return None
-    scorer = _make_scorer(args.scorer, tokenizer)
     side = {
         "seed": args.seed,
         "before": {"documents": len(before), "tokens": before.total_tokens},
         "after": {"documents": len(after), "tokens": after.total_tokens},
     }
-    try:
+    with _make_scorer(args.scorer, tokenizer) as scorer:
         for key, corpus in (("before", before), ("after", after)):
             try:
                 side[key]["dr"] = diversity.diversity_score(corpus)
@@ -192,8 +185,6 @@ def _sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra)
             side[key]["syntheticity"] = None
             if scorer is not None and corpus.total_tokens > 0:
                 side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
-    finally:
-        _close_scorer(scorer)
     side.update(extra)
     return side
 

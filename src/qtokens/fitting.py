@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, astuple, dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -314,52 +314,6 @@ def bootstrap_se(
     return {name: float(v) for name, v in zip(PARAM_NAMES, spread)}
 
 
-def _quality_lookup(quality: Sequence[tuple]) -> dict[tuple[str, int], tuple[float, float]]:
-    """Map (label, percent) to (Dr, S) from quality rows (label, pct, dr, s)."""
-    lookup: dict[tuple[str, int], tuple[float, float]] = {}
-    for label, pct, dr, s in quality:
-        key = (label, int(pct))
-        if key in lookup:
-            raise FittingError(f"duplicate quality row for {key}")
-        lookup[key] = (float(dr), float(s))
-    return lookup
-
-
-def _experiment_point(result: tuple, dr: float, s: float) -> ExperimentPoint:
-    """Point for a result row (size_m, label, pct, n_tokens, train_loss,
-    eval_loss, accuracy_pct) with its quality scores; accuracy percent
-    becomes a fraction and the losses are not read."""
-    size_m, label, pct, n_tokens, _, _, acc_pct = result
-    return ExperimentPoint(
-        n_millions=float(size_m),
-        d_tokens=float(n_tokens),
-        dr=dr,
-        s=s,
-        accuracy=float(acc_pct) / 100.0,
-        label=label,
-        fraction_pct=int(pct),
-    )
-
-
-def join_fixture_tables(
-    results: Sequence[tuple],
-    quality: Sequence[tuple],
-) -> list[ExperimentPoint]:
-    """Join result rows to quality rows on (label, percent).
-
-    Result rows are (size_m, label, pct, n_tokens, train_loss, eval_loss,
-    accuracy_pct); quality rows are (label, pct, dr, s). Accuracy percent
-    is converted to a fraction.
-    """
-    lookup = _quality_lookup(quality)
-    missing = sorted(
-        {(row[1], int(row[2])) for row in results if (row[1], int(row[2])) not in lookup}
-    )
-    if missing:
-        raise FittingError(f"result rows with no quality match: {missing}")
-    return [_experiment_point(row, *lookup[(row[1], int(row[2]))]) for row in results]
-
-
 def load_quality_csv(path: str) -> list[tuple]:
     """Read a quality CSV (data_label, fraction_pct, diversity,
     syntheticity) as (label, pct, dr, s) rows for ``load_experiments_csv``."""
@@ -381,17 +335,62 @@ def load_quality_csv(path: str) -> list[tuple]:
     return rows
 
 
+def experiment_points(
+    rows: Iterable[Mapping], quality: Sequence[tuple] | None = None
+) -> list[ExperimentPoint]:
+    """Experiment points from rows keyed by ``EXPERIMENTS_CSV_HEADER``'s names.
+
+    A row gives its diversity and syntheticity both or neither; a value
+    that is missing, None or "" is not given. A row that gives neither is
+    joined on (data_label, fraction_pct) to the quality rows (label, pct,
+    dr, s). Accuracy percent becomes a fraction and the losses are not
+    read. Errors name the row, counting a CSV header as row 1.
+    """
+    lookup: dict[tuple[str, int], tuple[float, float]] = {}
+    for label, pct, dr, s in quality or ():
+        key = (label, int(pct))
+        if key in lookup:
+            raise FittingError(f"duplicate quality row for {key}")
+        lookup[key] = (float(dr), float(s))
+    points = []
+    for row_no, row in enumerate(rows, start=2):
+        try:
+            key = (row["data_label"], int(row["fraction_pct"]))
+            div, syn = row.get("diversity"), row.get("syntheticity")
+            given = (div not in (None, ""), syn not in (None, ""))
+            if all(given):
+                dr, s = float(div), float(syn)
+            elif any(given):
+                raise FittingError("give diversity and syntheticity both or neither")
+            elif quality is None:
+                raise FittingError("diversity/syntheticity columns empty "
+                                   "and no quality table supplied")
+            elif key not in lookup:
+                raise FittingError(f"no quality row for {key}")
+            else:
+                dr, s = lookup[key]
+            points.append(ExperimentPoint(
+                n_millions=float(row["model_size_m"]),
+                d_tokens=float(row["n_tokens"]),
+                dr=dr,
+                s=s,
+                accuracy=float(row["accuracy_pct"]) / 100.0,
+                label=key[0],
+                fraction_pct=key[1],
+            ))
+        except (FittingError, KeyError, TypeError, ValueError) as exc:
+            raise FittingError(f"row {row_no}: {exc}") from exc
+    return points
+
+
 def load_experiments_csv(
     path: str, quality: Sequence[tuple] | None = None
 ) -> list[ExperimentPoint]:
-    """Read experiment points from CSV.
+    """Read experiment points from CSV with ``experiment_points``.
 
-    The diversity/syntheticity columns may be empty when a separate
-    quality table is supplied; in that case rows are joined on
-    (data_label, fraction_pct).
+    The diversity/syntheticity columns may be absent or empty when a
+    separate quality table is supplied.
     """
-    lookup = _quality_lookup(quality) if quality is not None else None
-    points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         got = reader.fieldnames or []
@@ -400,27 +399,7 @@ def load_experiments_csv(
             raise FittingError(
                 f"experiments CSV missing columns: {sorted(required - set(got))}"
             )
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                label = row["data_label"]
-                pct = int(row["fraction_pct"])
-                div = row.get("diversity") or ""
-                syn = row.get("syntheticity") or ""
-                if div and syn:
-                    dr, s = float(div), float(syn)
-                elif lookup is not None:
-                    if (label, pct) not in lookup:
-                        raise FittingError(f"no quality row for {(label, pct)}")
-                    dr, s = lookup[(label, pct)]
-                else:
-                    raise FittingError("diversity/syntheticity columns empty "
-                                       "and no quality table supplied")
-                result = (row["model_size_m"], label, pct, row["n_tokens"],
-                          None, None, row["accuracy_pct"])
-                points.append(_experiment_point(result, dr, s))
-            except (FittingError, KeyError, TypeError, ValueError) as exc:
-                raise FittingError(f"row {row_no}: {exc}") from exc
-    return points
+        return experiment_points(reader, quality)
 
 
 def fit_report_to_dict(report: FitReport, points: Sequence[ExperimentPoint], seed: int) -> dict:

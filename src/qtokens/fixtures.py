@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 
 from .errors import QTokensError
-from .fitting import ExperimentPoint, join_fixture_tables
+from .fitting import EXPERIMENTS_CSV_HEADER, ExperimentPoint, experiment_points
 
 # (label, percent, diversity Dr, syntheticity S)
 QUALITY_TABLE: tuple[tuple, ...] = (
@@ -288,6 +288,9 @@ def verify_fixtures() -> None:
 
 
 def fixture_points() -> list[ExperimentPoint]:
-    """The embedded experiment points, quality-joined and verified."""
+    """The embedded experiment points, verified and quality-joined. A
+    result row holds the first seven columns of an experiments CSV row."""
     verify_fixtures()
-    return join_fixture_tables(RESULTS_TABLE, QUALITY_TABLE)
+    return experiment_points(
+        (dict(zip(EXPERIMENTS_CSV_HEADER, row)) for row in RESULTS_TABLE), QUALITY_TABLE
+    )

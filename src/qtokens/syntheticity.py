@@ -79,71 +79,60 @@ class SyntheticityResult:
     m_tokens: int
 
 
+@dataclass(eq=False)
 class KgramScorer:
     """Count-based k-gram model with add-alpha smoothing, on integer ids.
 
     Probabilities are normalized over the training vocabulary plus one
-    unknown symbol, so they sum to 1 for every context. Tokens outside
-    the vocabulary (as targets or context) are mapped to the unknown
-    symbol, which keeps every log-probability finite.
+    unknown symbol, ``n_events`` events in all, so they sum to 1 for every
+    context. ``lookup`` maps a token id to its event; tokens outside the
+    vocabulary (as targets or context) are mapped to the unknown symbol,
+    which keeps every log-probability finite.
 
     The counts live in four sorted-key arrays over integer token ids. A
     context of m tokens is keyed by the table index of its first m - 1
     tokens and its last id, so keys stay below the table size times
-    ``len(types) + 1`` whatever k is. The context table holds every
-    context seen in training plus the shorter n-grams that chain to them,
-    with how often each preceded a token; the pair table holds each
-    (context index, token id) with its count.
+    ``n_events`` whatever k is. The context table holds every context seen
+    in training plus the shorter n-grams that chain to them, with how
+    often each preceded a token; the pair table holds each (context index,
+    token id) with its count.
     """
 
-    def __init__(
-        self,
-        k: int,
-        smoothing: float,
-        types: np.ndarray,
-        ctx_keys: np.ndarray,
-        ctx_totals: np.ndarray,
-        pair_keys: np.ndarray,
-        pair_counts: np.ndarray,
-        context_len: int,
-    ):
-        # Lets perfbench tell k-gram scoring time apart in its traces.
-        self.kind = "builtin-kgram"
-        self.k = k
-        self.smoothing = smoothing
-        self.context_len = context_len
-        self._ctx_keys = ctx_keys
-        self._ctx_totals = ctx_totals
-        self._pair_keys = pair_keys
-        self._pair_counts = pair_counts
-        # Event space: vocabulary (``types``, its sorted ids) plus the unknown symbol.
-        self._n_events = len(types) + 1
-        pos, found = _find(types, encode([UNKNOWN_TOKEN]))
-        self._lookup = np.full(types[-1] + 2, pos[0] if found[0] else len(types), dtype=np.int64)
-        self._lookup[types] = np.arange(len(types))
+    # Lets perfbench tell k-gram scoring time apart in its traces.
+    kind = "builtin-kgram"
+
+    k: int
+    smoothing: float
+    context_len: int
+    lookup: np.ndarray
+    n_events: int
+    ctx_keys: np.ndarray
+    ctx_totals: np.ndarray
+    pair_keys: np.ndarray
+    pair_counts: np.ndarray
 
     def _probs(self, windows: Sequence[np.ndarray]) -> np.ndarray:
         """Probability of every token of ``windows``, laid end to end, given
         the tokens before it in its own window."""
         lengths = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
-        ids = np.take(self._lookup, np.concatenate(windows), mode="clip")
+        ids = np.take(self.lookup, np.concatenate(windows), mode="clip")
         # Offset of every position in its window; a position has min(offset, k - 1)
         # tokens of context.
         offset = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        radix = self._n_events
+        radix = self.n_events
         ctx = np.zeros(len(ids), dtype=np.int64)  # every position has the empty context
         for m in range(1, self.k):
             at = np.flatnonzero(offset >= m)
             # Extend the (m-1)-token context of position i - 1 by ids[i - 1],
             # keyed as in training.
             prefix = ctx[at - 1]
-            pos, found = _find(self._ctx_keys, prefix * radix + ids[at - 1] + 1)
+            pos, found = _find(self.ctx_keys, prefix * radix + ids[at - 1] + 1)
             ctx[at] = np.where((prefix >= 0) & found, pos, -1)  # -1: never seen
         seen = ctx >= 0
-        totals = np.where(seen, self._ctx_totals[ctx], 0)
-        pos, found = _find(self._pair_keys, ctx * radix + ids)
-        counts = np.where(seen & found, self._pair_counts[pos], 0)
-        return (counts + self.smoothing) / (totals + self.smoothing * self._n_events)
+        totals = np.where(seen, self.ctx_totals[ctx], 0)
+        pos, found = _find(self.pair_keys, ctx * radix + ids)
+        counts = np.where(seen & found, self.pair_counts[pos], 0)
+        return (counts + self.smoothing) / (totals + self.smoothing * self.n_events)
 
     def score_windows(self, windows: Iterable[np.ndarray]) -> Iterator[list[float]]:
         """Log-probabilities of each id window's tokens, in input order.
@@ -219,8 +208,12 @@ def train_kgram_scorer(
         tables.append(table)
         size += len(table)
     pair_keys, pair_counts = np.unique(ctx * radix + ids, return_counts=True)
-    return KgramScorer(k, smoothing, types, np.concatenate(tables),
-                       np.bincount(ctx, minlength=size), pair_keys, pair_counts, context_len)
+    # Event space: vocabulary (``types``, its sorted ids) plus the unknown symbol.
+    unk, unk_found = _find(types, encode([UNKNOWN_TOKEN]))
+    lookup = np.full(types[-1] + 2, unk[0] if unk_found[0] else len(types), dtype=np.int64)
+    lookup[types] = np.arange(len(types))
+    return KgramScorer(k, smoothing, context_len, lookup, radix, np.concatenate(tables),
+                       np.bincount(ctx, minlength=size), pair_keys, pair_counts)
 
 
 class ExternalScorer:

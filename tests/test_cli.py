@@ -251,7 +251,7 @@ def test_fit_experiments_with_quality_csv_matches_fixture(tmp_path, capsys):
     assert code == 0
     code, fixture_out, _ = run_cli(["fit", "--fixture"], capsys)
     assert code == 0
-    assert json.loads(out) == json.loads(fixture_out)
+    assert out == fixture_out
 
 
 def test_fit_needs_exactly_one_data_source(capsys):

@@ -162,6 +162,10 @@ def test_byte_tokenizer():
     assert doc.byte_len == 3
     assert doc.token_count == 3
     assert len(tok.tokenize("hé")) == 3
+    # UTF-8 bytes, not characters: 3 + 6 + 4 + 0.
+    corpus = Corpus.from_texts(["hé", "日本", "🙂", ""], tok)
+    assert [d.byte_len for d in corpus] == [3, 6, 4, 0]
+    assert corpus.total_bytes == 13
 
 
 def test_vocab_tokenizer(tmp_path):

@@ -8,6 +8,7 @@ from qtokens import fitting, fixtures
 from qtokens.errors import FittingError, QTokensError
 from qtokens.fitting import (
     _SEARCHED,
+    EXPERIMENTS_CSV_HEADER,
     ExperimentPoint,
     _consts_of,
     _levenberg_marquardt,
@@ -15,9 +16,9 @@ from qtokens.fitting import (
     _solve_linear,
     _theta_of,
     bootstrap_se,
+    experiment_points,
     fit_constants,
     fit_report_to_dict,
-    join_fixture_tables,
     load_experiments_csv,
     pearson,
     r_squared,
@@ -479,8 +480,7 @@ def test_bootstrap_se_shrinks_with_more_points():
 
 
 def test_join_row_63():
-    points = join_fixture_tables(RESULTS_TABLE, QUALITY_TABLE)
-    p = points[62]
+    p = fixture_points()[62]
     assert (p.n_millions, p.d_tokens) == (25.0, 10_993_147_242.0)
     assert (p.dr, p.s) == (0.36370, 0.02635)
     assert p.accuracy == pytest.approx(0.3827, rel=1e-12)
@@ -488,24 +488,23 @@ def test_join_row_63():
 
 
 def test_join_row_207():
-    points = join_fixture_tables(RESULTS_TABLE, QUALITY_TABLE)
-    p = points[206]
+    p = fixture_points()[206]
     assert (p.n_millions, p.d_tokens) == (1500.0, 2_507_011_688.0)
     assert (p.dr, p.s) == (0.28578, 0.11902)
     assert p.accuracy == pytest.approx(0.4527, rel=1e-12)
 
 
 def test_join_unknown_label():
-    results = [(25, "Mystery", 10, 1000000, 1.0, 2.0, 40.0)]
-    with pytest.raises(FittingError, match="Mystery"):
-        join_fixture_tables(results, QUALITY_TABLE)
+    result = (25, "Mystery", 10, 1000000, 1.0, 2.0, 40.0)
+    with pytest.raises(FittingError, match=r"^row 2: no quality row for \('Mystery', 10\)$"):
+        experiment_points([dict(zip(EXPERIMENTS_CSV_HEADER, result))], QUALITY_TABLE)
 
 
 def test_join_duplicate_quality():
     quality = [("Random", 10, 0.3, 0.02), ("Random", 10, 0.31, 0.02)]
-    results = [(25, "Random", 10, 1000000, 1.0, 2.0, 40.0)]
-    with pytest.raises(FittingError, match="duplicate"):
-        join_fixture_tables(results, quality)
+    result = (25, "Random", 10, 1000000, 1.0, 2.0, 40.0)
+    with pytest.raises(FittingError, match=r"^duplicate quality row for \('Random', 10\)$"):
+        experiment_points([dict(zip(EXPERIMENTS_CSV_HEADER, result))], quality)
 
 
 EXP_HEADER = (
@@ -552,6 +551,34 @@ def test_load_experiments_csv_without_quality_scores(tmp_path):
         load_experiments_csv(str(path))
     with pytest.raises(FittingError, match=r"^row 2: no quality row for \('Mystery', 10\)$"):
         load_experiments_csv(str(path), quality=QUALITY_TABLE)
+    # A row that gives only one of Dr and S is refused, with or without a
+    # quality table, rather than having the given value replaced.
+    for scores in ("0.99,", ",0.02699"):
+        path.write_text(
+            EXP_HEADER + f"25,Random,10,1083200970,1.36,6.89,37.87,{scores}\n",
+            encoding="utf-8",
+        )
+        for quality in (None, QUALITY_TABLE):
+            with pytest.raises(
+                FittingError,
+                match="^row 2: give diversity and syntheticity both or neither$",
+            ):
+                load_experiments_csv(str(path), quality=quality)
+    # Without a syntheticity column, a diversity value is half a pair too.
+    path.write_text(
+        "model_size_m,data_label,fraction_pct,n_tokens,train_loss,eval_loss,"
+        "accuracy_pct,diversity\n25,Random,10,1083200970,1.36,6.89,37.87,0.99\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FittingError, match="^row 2: give diversity"):
+        load_experiments_csv(str(path), quality=QUALITY_TABLE)
+    # Only a missing key, None or "" counts as not given.
+    result = dict(zip(EXPERIMENTS_CSV_HEADER, (25, "Random", 10, 1e9, 1.0, 2.0, 40.0)))
+    with pytest.raises(FittingError, match="^row 2: give diversity"):
+        experiment_points([{**result, "diversity": 0.0, "syntheticity": None}], QUALITY_TABLE)
+    (point,) = experiment_points([{**result, "diversity": None, "syntheticity": ""}],
+                                 QUALITY_TABLE)
+    assert (point.dr, point.s) == (0.37750, 0.02699)
 
 
 def test_load_experiments_csv_bad_row(tmp_path):
