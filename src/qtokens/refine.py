@@ -11,15 +11,18 @@ wins) and near (one-permutation MinHash signatures banded into an LSH
 index; documents colliding in any band are clustered and one
 representative per cluster survives).
 
-Both hash a whole corpus at once: each distinct token gets one keyed
-blake2b hash, and an n-gram's hash combines its tokens' hashes with a
-64-bit multiply-xor, so no n-gram is hashed from Python.
+Both hash a corpus one block of whole documents at a time, so their
+temporaries stay bounded by the block, not the corpus: each distinct
+token gets one keyed blake2b hash per corpus, and an n-gram's hash
+combines its tokens' hashes with a 64-bit multiply-xor, so no n-gram is
+hashed from Python.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+import math
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +42,10 @@ SHINGLE_N = 3
 N_HASHES = 128
 BANDS = 16
 
+# Documents are hashed in blocks of whole documents of at most this many
+# tokens in all (a longer document is a block alone).
+BLOCK_TOKENS = 1 << 15
+
 # Odd 64-bit multipliers of the n-gram hash combiner (splitmix64's).
 _MIX_LEFT = np.uint64(0x9E3779B97F4A7C15)
 _MIX_OUT = np.uint64(0xBF58476D1CE4E5B9)
@@ -46,17 +53,25 @@ _MIX_OUT = np.uint64(0xBF58476D1CE4E5B9)
 _EMPTY = np.uint64(np.iinfo(np.uint64).max)
 
 
-def _token_hashes(corpus: Corpus, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keyed 64-bit hash of every token of the corpus, and its int32 document index.
+def _blocks(corpus: Corpus, seed: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Keyed 64-bit hashes of the corpus's tokens, one block of whole documents at a time.
 
-    Tokens are laid out document after document. Each distinct token is
-    hashed once: 8-byte blake2b of its UTF-8 bytes, keyed by ``seed``.
+    Yields the index of the block's first document, the hash of each of
+    the block's tokens (laid out document after document), and each
+    token's int32 document index within the block. A block holds whole
+    documents of at most ``BLOCK_TOKENS`` tokens in all, or one longer
+    document alone. Each distinct token of the corpus is hashed once:
+    8-byte blake2b of its UTF-8 bytes, keyed by ``seed``. Lookups go
+    through the corpus's own types, so memory follows the corpus rather
+    than the process vocabulary.
     """
     ids, lengths = corpus.token_ids()
-    types = np.flatnonzero(np.bincount(ids))
-    type_hashes = np.zeros(int(ids.max(initial=-1)) + 1, dtype=np.uint64)
+    types = np.sort(ids)
+    distinct = np.ones(len(types), dtype=bool)
+    np.not_equal(types[1:], types[:-1], out=distinct[1:])
+    types = types[distinct]
     key = seed.to_bytes(8, "big")
-    type_hashes[types] = np.fromiter(
+    type_hashes = np.fromiter(
         (
             int.from_bytes(hashlib.blake2b(t.encode("utf-8"), digest_size=8, key=key).digest(), "big")
             for t in decode(types)
@@ -64,7 +79,26 @@ def _token_hashes(corpus: Corpus, seed: int) -> tuple[np.ndarray, np.ndarray]:
         dtype=np.uint64,
         count=len(types),
     )
-    return type_hashes[ids], np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    if len(types) and types[-1] < len(ids) // 4:
+        # A table spanning every id up to the corpus's largest costs under
+        # 2 bytes per token here, and indexing it is about 20 times faster
+        # than a binary search.
+        table = np.zeros(int(types[-1]) + 1, dtype=np.uint64)
+        table[types] = type_hashes
+        lookup = table.__getitem__
+    else:
+        def lookup(block: np.ndarray) -> np.ndarray:
+            return type_hashes[np.searchsorted(types, block)]
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    first = 0
+    while first < len(lengths):
+        stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + BLOCK_TOKENS, "right")) - 1)
+        yield (
+            first,
+            lookup(ids[offsets[first] : offsets[stop]]),
+            np.repeat(np.arange(stop - first, dtype=np.int32), lengths[first:stop]),
+        )
+        first = stop
 
 
 def _combine(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -98,33 +132,42 @@ def _ngram_hashes(
     return grams[inside], docs[:m][inside]
 
 
-def corpus_features(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket and document index of every uni- and bigram of the corpus.
+def corpus_features(corpus: Corpus) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Bucket and document index of every uni- and bigram, one block of documents at a time.
 
-    Two flat arrays (int64 buckets, int32 document indices) with one entry
-    per n-gram, so memory grows with the corpus's tokens, not with
-    documents times ``N_BUCKETS``. A bigram never spans two documents, so
-    a document's entries are the ones it has alone. A unigram's bucket is
-    its token hash mod ``N_BUCKETS``; a bigram's is the combined hash of
-    its two tokens mod ``N_BUCKETS``.
+    One ``(first document, buckets, document indices)`` triple per block
+    of ``_blocks``: uint16 buckets and int32 indices counted from the
+    block's first document, one entry per n-gram, so memory grows with
+    the corpus's tokens, not with documents times ``N_BUCKETS``. A
+    block's entries are its unigrams, then its bigrams. A bigram never
+    spans two documents, so a document's entries are the ones it has
+    alone. A unigram's bucket is its token hash mod ``N_BUCKETS``; a
+    bigram's is the combined hash of its two tokens mod ``N_BUCKETS``.
     """
-    hashes, docs = _token_hashes(corpus, FEATURE_HASH_SEED)
     lo, hi = N_RANGE
-    grams = [_ngram_hashes(hashes, docs, n) for n in range(lo, hi + 1)]
-    buckets = np.concatenate([h for h, _ in grams])
-    buckets %= np.uint64(N_BUCKETS)
-    # Every bucket is below 2**16, so its bits read the same as an int64.
-    return buckets.view(np.int64), np.concatenate([d for _, d in grams])
+    blocks = []
+    for first, hashes, docs in _blocks(corpus, FEATURE_HASH_SEED):
+        grams = [_ngram_hashes(hashes, docs, n) for n in range(lo, hi + 1)]
+        buckets = np.concatenate([(h % np.uint64(N_BUCKETS)).astype(np.uint16) for h, _ in grams])
+        blocks.append((first, buckets, np.concatenate([d for _, d in grams])))
+    return blocks
 
 
-def _smoothed_log_probs(buckets: np.ndarray, n_docs: int, name: str) -> np.ndarray:
+def _smoothed_log_probs(
+    blocks: list[tuple[int, np.ndarray, np.ndarray]], n_docs: int, name: str
+) -> np.ndarray:
     if n_docs == 0:
         raise RefineError(f"{name} corpus has no documents")
-    total = len(buckets)
+    counts = np.zeros(N_BUCKETS, dtype=np.int64)
+    for _, buckets, _ in blocks:
+        counts += np.bincount(buckets, minlength=N_BUCKETS)
+    total = int(counts.sum())
     if total == 0:
         raise RefineError(f"{name} corpus has no n-grams")
-    counts = np.bincount(buckets, minlength=N_BUCKETS)
-    return np.log((counts + SMOOTHING * total / N_BUCKETS) / (total * (1 + SMOOTHING)))
+    logp = counts.astype(np.float64)
+    logp += SMOOTHING * total / N_BUCKETS
+    logp /= total * (1 + SMOOTHING)
+    return np.log(logp, out=logp)
 
 
 def importance_weights(raw: Corpus, target: Corpus) -> list[float]:
@@ -134,14 +177,19 @@ def importance_weights(raw: Corpus, target: Corpus) -> list[float]:
     its own total (``count + SMOOTHING * total / N_BUCKETS`` per bucket),
     so every bucket has positive probability, weights stay finite, and
     scaling both totals by the same factor leaves the weights unchanged.
-    Only the two corpus distributions are made dense.
+    Only the two corpus distributions are made dense; the target's
+    features are dropped once counted, and each raw block's documents
+    are summed on their own.
     """
-    raw_buckets, raw_docs = corpus_features(raw)
-    raw_logp = _smoothed_log_probs(raw_buckets, len(raw), "raw")
-    target_buckets, _ = corpus_features(target)
-    target_logp = _smoothed_log_probs(target_buckets, len(target), "target")
-    delta = target_logp - raw_logp
-    return np.bincount(raw_docs, weights=delta[raw_buckets], minlength=len(raw)).tolist()
+    raw_blocks = corpus_features(raw)
+    raw_logp = _smoothed_log_probs(raw_blocks, len(raw), "raw")
+    delta = _smoothed_log_probs(corpus_features(target), len(target), "target")
+    delta -= raw_logp
+    weights = np.zeros(len(raw))
+    for first, buckets, docs in raw_blocks:
+        block = np.bincount(docs, weights=delta[buckets])
+        weights[first : first + len(block)] = block
+    return weights.tolist()
 
 
 def select_by_weight(
@@ -156,7 +204,8 @@ def select_by_weight(
     ``topk`` ranks by weight; ``gumbel-sample`` perturbs weights with
     seeded Gumbel noise before ranking. Ties break on document id.
     Accumulation stops at the first document that would exceed the
-    budget, so the output token count never exceeds it.
+    budget, so the output token count never exceeds it. A NaN weight has
+    no rank and is rejected.
 
     Returns the selected corpus and any warnings.
     """
@@ -166,6 +215,9 @@ def select_by_weight(
         raise RefineError(
             f"weights cover {len(log_weights)} documents, corpus has {len(corpus)}"
         )
+    for w, doc in zip(log_weights, corpus.documents):
+        if math.isnan(w):
+            raise RefineError(f"document {doc.id!r} has a NaN weight")
     if mode not in ("topk", "gumbel-sample"):
         raise RefineError(f"unknown selection mode {mode!r}")
     keys = list(log_weights)
@@ -234,11 +286,11 @@ def minhash_signature(corpus: Corpus, seed: int) -> np.ndarray:
     """
     if not 0 <= seed < 1 << 64:
         raise RefineError(f"seed must be in [0, 2**64), got {seed}")
-    hashes, docs = _token_hashes(corpus, seed)
-    shingles, owners = _ngram_hashes(hashes, docs, SHINGLE_N)
-    bins = ((shingles >> np.uint64(32)) * np.uint64(N_HASHES)) >> np.uint64(32)
     sig = np.full((len(corpus), N_HASHES), _EMPTY, dtype=np.uint64)
-    np.minimum.at(sig, (owners, bins.astype(np.intp)), shingles)
+    for first, hashes, docs in _blocks(corpus, seed):
+        shingles, owners = _ngram_hashes(hashes, docs, SHINGLE_N)
+        bins = ((shingles >> np.uint64(32)) * np.uint64(N_HASHES)) >> np.uint64(32)
+        np.minimum.at(sig[first:], (owners, bins.astype(np.intp)), shingles)
     # Column of the next filled bin at or after each bin, over two turns
     # of the circle; 2 * N_HASHES where a row has none.
     filled = np.tile(sig != _EMPTY, 2)

@@ -1,4 +1,5 @@
-"""The README's library example runs as written, and its `score` columns are the real ones."""
+"""The README's library example runs as written, and its `score` columns and
+refinement settings are the real ones."""
 
 import os
 import re
@@ -7,6 +8,7 @@ import sys
 
 import numpy as np
 
+from qtokens import refine
 from qtokens.cli import main
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -32,3 +34,19 @@ def test_readme_lists_the_score_columns(write_corpus, capsys):
     path = write_corpus("c.jsonl", [{"text": "a b c"}, {"text": "c d e"}])
     assert main(["score", path]) == 0
     assert capsys.readouterr().out.splitlines()[0] == columns
+
+
+def test_readme_fixed_refine_settings_are_the_module_constants():
+    with open(README, encoding="utf-8") as fh:
+        (paragraph,) = re.findall(r"^\*\*Fixed settings\.\*\*(.*?)\n\n", fh.read(), re.M | re.S)
+    text = " ".join(paragraph.split())
+
+    def number(pattern):
+        (value,) = re.findall(pattern, text)
+        return value
+
+    assert float(number(r"smooths both bucket distributions by ([\d.e-]+)\.")) == refine.SMOOTHING
+    assert int(number(r"documents of at most ([\d,]+) tokens").replace(",", "")) == refine.BLOCK_TOKENS
+    assert int(number(r"(\d+)-token shingles")) == refine.SHINGLE_N
+    bins, bands, rows = map(int, number(r"MinHash with (\d+) bins in (\d+) bands of (\d+) rows"))
+    assert (bins, bands, rows) == (refine.N_HASHES, refine.BANDS, refine.N_HASHES // refine.BANDS)

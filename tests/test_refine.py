@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qtokens import refine
-from qtokens.corpus import Corpus, Document, Tokenizer
+from qtokens.corpus import Corpus, Document, Tokenizer, decode
 from qtokens.diversity import diversity_score
 from qtokens.errors import RefineError
 from qtokens.refine import (
@@ -92,14 +92,22 @@ def lsh_collision_probability(jaccard_sim: float, n_hashes: int, bands: int) -> 
     return 1.0 - (1.0 - jaccard_sim**rows) ** bands
 
 
+def flat_features(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """corpus_features' blocks laid end to end: every n-gram's bucket and
+    its document index in the corpus."""
+    blocks = corpus_features(corpus)
+    return (np.concatenate([np.zeros(0, np.uint16)] + [b for _, b, _ in blocks]),
+            np.concatenate([np.zeros(0, np.int32)] + [first + d for first, _, d in blocks]))
+
+
 def test_features_empty_document():
-    buckets, docs = corpus_features(Corpus([Document.create("e", "")]))
+    buckets, docs = flat_features(Corpus([Document.create("e", "")]))
     assert len(buckets) == len(docs) == 0
 
 
 def test_features_single_repeated_token():
     # "a" three times and ("a", "a") twice, in two distinct buckets
-    buckets, docs = corpus_features(Corpus([Document.create("a", "a a a")]))
+    buckets, docs = flat_features(Corpus([Document.create("a", "a a a")]))
     assert list(buckets) == [oracle_bucket(("a",))] * 3 + [oracle_bucket(("a", "a"))] * 2
     assert list(docs) == [0] * 5
 
@@ -107,7 +115,7 @@ def test_features_single_repeated_token():
 def test_features_match_brute_force_enumeration():
     rng = np.random.default_rng(14)
     text = " ".join(f"w{v}" for v in rng.integers(0, 9, size=20))
-    buckets, _ = corpus_features(Corpus([Document.create("d", text)]))
+    buckets, _ = flat_features(Corpus([Document.create("d", text)]))
     ids, counts = np.unique(buckets, return_counts=True)
     expected = oracle_counts(text.split())
     assert list(ids) == sorted(expected)
@@ -155,14 +163,38 @@ def test_whole_corpus_equals_each_document_alone():
     rng = np.random.default_rng(23)
     texts = [" ".join(f"w{v}" for v in rng.integers(0, 12, size=n)) for n in (9, 0, 1, 2, 3, 40)]
     corpus = Corpus.from_texts(texts)
-    buckets, docs = corpus_features(corpus)
+    buckets, docs = flat_features(corpus)
     signatures = minhash_signature(corpus, seed=7)
     for i, doc in enumerate(corpus):
-        alone_buckets, alone_docs = corpus_features(Corpus([doc]))
+        alone_buckets, alone_docs = flat_features(Corpus([doc]))
         assert (buckets[docs == i] == alone_buckets).all() and (alone_docs == 0).all()
         assert (signatures[i] == minhash_signature(Corpus([doc]), seed=7)[0]).all()
         assert signatures[i].tolist() == oracle_signature(Tokenizer().tokenize(doc.text), seed=7)
     assert len(buckets) == sum(2 * len(t.split()) - 1 for t in texts if t)
+
+
+def test_id_table_and_binary_search_both_match_the_oracles():
+    # A corpus whose largest token id is under a quarter of its tokens looks
+    # its token hashes up in a table indexed by id; any other searches its
+    # sorted types. The 300 padding tokens give every later token an id
+    # above a quarter of a 54-token corpus; the other corpus repeats ids
+    # 0 to 19, whichever tokens they are.
+    Corpus.from_texts([" ".join(f"lookup-pad{i}" for i in range(300))])
+    rng = np.random.default_rng(37)
+    searched = Corpus.from_texts(
+        [" ".join(f"lookup{v}" for v in rng.integers(0, 20, size=n)) for n in (9, 2, 3, 40)])
+    ids = rng.integers(0, 20, size=200).astype(np.int32)
+    indexed = Corpus([Document("low-ids", "", 0, ids)])
+    assert searched.token_ids()[0].max() >= searched.total_tokens // 4
+    assert indexed.token_ids()[0].max() < indexed.total_tokens // 4
+    for corpus in (searched, indexed):
+        signatures = minhash_signature(corpus, 3)
+        buckets, docs = flat_features(corpus)
+        for i, doc in enumerate(corpus):
+            tokens = decode(doc.ids)
+            assert signatures[i].tolist() == oracle_signature(tokens, 3)
+            counts = dict(zip(*np.unique(buckets[docs == i], return_counts=True)))
+            assert counts == oracle_counts(tokens)
 
 
 @pytest.mark.parametrize("length", [3, 12, 300], ids=lambda length: f"{length}-128")
@@ -282,13 +314,15 @@ def _features_memory(vocabulary: int) -> tuple[int, int]:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        buckets, docs = corpus_features(corpus)
+        blocks = corpus_features(corpus)
         held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert len(buckets) == len(docs) == 200 * (2 * 300 - 1)
-    assert 0 <= buckets.min() and buckets.max() < N_BUCKETS
-    assert set(docs.tolist()) == set(range(200))
+    # 60,000 tokens span two blocks; each block's arrays are its own
+    assert len(blocks) == 2
+    assert sum(len(b) for _, b, _ in blocks) == sum(len(d) for _, _, d in blocks) == 200 * (2 * 300 - 1)
+    assert all(b.dtype == np.uint16 and int(b.max()) < N_BUCKETS for _, b, _ in blocks)
+    assert set(np.concatenate([first + d for first, _, d in blocks]).tolist()) == set(range(200))
     return held, peak
 
 
@@ -301,6 +335,84 @@ def test_corpus_features_memory_is_sparse():
     # to 9.8 MB).
     _, few_ngrams_peak = _features_memory(50)
     assert peak < 1.2 * few_ngrams_peak
+
+
+def peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_per_token():
+    # 200,000 raw tokens, 400 per document, drawn Zipf(1.1) from 20,000
+    # words, against a 40,000-token target. Whole-corpus hashes, n-gram
+    # hashes, int64 buckets and an int64 copy of the document indices
+    # once took importance_weights to 57 B and minhash_signature to 53 B
+    # per token. In blocks they peak at about 21 B and 22 B: the first
+    # holds 12 B per raw token of features, and the second's peak is
+    # nearly all the 8.7 KB per document that densification builds.
+    rng = np.random.default_rng(3)
+    weights = 1.0 / np.arange(1, 20_001) ** 1.1
+    words = np.array([f"z{i}" for i in range(20_000)])
+
+    def corpus(n_docs, prefix):
+        draws = rng.choice(20_000, size=(n_docs, 400), p=weights / weights.sum())
+        return Corpus.from_texts([" ".join(words[row]) for row in draws], id_prefix=prefix)
+
+    raw, target = corpus(500, "raw"), corpus(100, "target")
+    tokens = raw.total_tokens + target.total_tokens
+    assert peak_bytes(importance_weights, raw, target) / tokens <= 26
+    assert peak_bytes(minhash_signature, raw, 0) / raw.total_tokens <= 28
+
+
+def test_memory_does_not_follow_the_process_vocabulary():
+    # Every corpus grows one process-wide vocabulary. A 12-token corpus
+    # after 500k new tokens must peak as it does after 50k: a hash table
+    # or a count indexed by token id would grow 10-fold.
+    def small_corpus_peaks(vocabulary):
+        Corpus.from_texts([" ".join(f"v{vocabulary}-{i}" for i in range(vocabulary))])
+        small = Corpus.from_texts([" ".join(f"s{vocabulary}-{i}" for i in range(j, j + 6))
+                                   for j in (0, 3)])
+        return peak_bytes(importance_weights, small, small), peak_bytes(minhash_signature, small, 0)
+
+    few = small_corpus_peaks(50_000)
+    many = small_corpus_peaks(500_000)
+    assert many[0] < 1.2 * few[0] and many[1] < 1.2 * few[1]
+
+
+@pytest.mark.parametrize("block_tokens", [1, 7, 1_000_000])
+def test_blocks_do_not_change_results(monkeypatch, block_tokens):
+    # Empty documents, documents shorter than a shingle or a bigram, and
+    # one document longer than the default block, against a block of one
+    # token (every document alone), a few documents, and the whole corpus.
+    rng = np.random.default_rng(29)
+
+    def text(n):
+        return " ".join(f"w{v}" for v in rng.integers(0, 60, size=n))
+
+    lengths = [0, 1, 2, 0, 3, 40, refine.BLOCK_TOKENS + 500, 5, 0, 12, 2, 300, 0]
+    raw = Corpus.from_texts([text(n) for n in lengths], id_prefix="raw")
+    target = Corpus.from_texts([text(n) for n in (0, 30, 2, 80)], id_prefix="target")
+    dups = Corpus.from_texts([raw.documents[i].text for i in (5, 11, 9, 5, 1, 11, 0)]
+                             + [raw.documents[11].text + " extra"], id_prefix="dups")
+
+    def results():
+        weights = importance_weights(raw, target)
+        selected, _ = select_by_weight(raw, weights, 400)
+        return (weights, minhash_signature(raw, 7), minhash_signature(dups, 7),
+                [d.id for d in selected], [d.id for d in dedup_near(dups, 7)])
+
+    default = results()
+    monkeypatch.setattr(refine, "BLOCK_TOKENS", block_tokens)
+    blocked = results()
+    assert blocked[0] == default[0]
+    assert (blocked[1] == default[1]).all() and (blocked[2] == default[2]).all()
+    assert blocked[3:] == default[3:]
+    assert len(default[4]) < len(dups)
 
 
 @pytest.mark.parametrize(
@@ -370,6 +482,17 @@ def test_select_budget_respected_exactly():
 def test_select_rejects_bad_arguments(weights, budget, mode, message):
     with pytest.raises(RefineError, match=message):
         select_by_weight(weighted_corpus(), weights, budget, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["topk", "gumbel-sample"])
+@pytest.mark.parametrize("weights, doc_id", [([math.nan, 1.0, 2.0, 3.0], "doc:0"),
+                                             ([1.0, 2.0, math.nan, 3.0], "doc:2")],
+                         ids=["first", "inside"])
+def test_select_rejects_nan_weight(weights, doc_id, mode):
+    # A NaN compares false both ways, so where it sits in the list, not
+    # its value, would decide whether its document is kept.
+    with pytest.raises(RefineError, match=f"^document '{doc_id}' has a NaN weight$"):
+        select_by_weight(weighted_corpus(), weights, 9, mode=mode)
 
 
 def test_select_budget_smaller_than_smallest_doc():
