@@ -51,12 +51,11 @@ def _load_constants(spec: str) -> ScalingConstants:
 
 
 def _make_scorer(spec: str | None, tokenizer: Tokenizer):
-    """A context manager giving the scorer ``spec`` names, or None for
-    ``none``, and closing it on exit."""
+    """A context manager giving the scorer ``spec`` names (``--scorer``,
+    else ``$QTOKENS_SCORER``, else ``none``), or None for ``none``, and
+    closing it on exit."""
     if spec is None:
         spec = os.environ.get(SCORER_ENV) or "none"
-        if spec != "none" and not spec.startswith(("kgram:", "external:")):
-            spec = f"external:{spec}"
     if spec == "none":
         return contextlib.nullcontext()
     if spec.startswith("kgram:"):
@@ -76,14 +75,15 @@ def _fmt_cell(value) -> str:
 
 
 def cmd_score(args) -> int:
-    tokenizer = Tokenizer.from_spec(args.tokenizer)
+    tokenizer = Tokenizer(args.tokenizer)
 
     def score_one(path: str, scorer) -> dict:
         corpus = load_jsonl(path, tokenizer)
         name = os.path.basename(path)
         rep = diversity.score_corpus_diversity(corpus)
-        for warning in rep.warnings:
-            print(f"warning: {name}: {warning}", file=sys.stderr)
+        if rep.cr < 1.0:
+            print(f"warning: {name}: compression ratio {rep.cr:.4f} < 1; input is incompressible",
+                  file=sys.stderr)
         if scorer is None:
             avg_nll = perplexity = s = None
         else:
@@ -124,16 +124,13 @@ def cmd_fit(args) -> int:
         points, init, n_restarts=args.restarts, restart_seed=args.seed
     )
     if args.bootstrap_n:
-        report.se = fitting.bootstrap_se(
+        report.se, report.bootstrap_converged = fitting.bootstrap_se(
             points, report, n_resamples=args.bootstrap_n, seed=args.seed
         )
         if 2 * report.bootstrap_converged < args.bootstrap_n:
-            print(
-                f"warning: only {report.bootstrap_converged} of {args.bootstrap_n} bootstrap "
-                f"refits converged within {fitting.MAX_ITERS} iterations; the standard "
-                f"errors are bounded by the iteration cap",
-                file=sys.stderr,
-            )
+            print(f"warning: only {report.bootstrap_converged} of {args.bootstrap_n} bootstrap "
+                  f"refits converged within {fitting.MAX_ITERS} iterations; the standard "
+                  "errors are bounded by the iteration cap", file=sys.stderr)
     payload = fitting.fit_report_to_dict(report, points, seed=args.seed)
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
@@ -201,21 +198,22 @@ def _write_outputs(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **
 
 
 def cmd_select(args) -> int:
-    tokenizer = Tokenizer.from_spec(args.tokenizer)
+    tokenizer = Tokenizer(args.tokenizer)
     raw = load_jsonl(args.input, tokenizer)
     target = load_jsonl(args.target, tokenizer)
     weights = refine.importance_weights(raw, target)
-    selected, warnings = refine.select_by_weight(
+    selected = refine.select_by_weight(
         raw, weights, args.budget_tokens, mode=args.mode, seed=args.seed
     )
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    if not selected:
+        print("warning: budget smaller than the smallest document; empty selection",
+              file=sys.stderr)
     _write_outputs(args, tokenizer, raw, selected, budget_tokens=args.budget_tokens, mode=args.mode)
     return 0
 
 
 def cmd_dedup(args) -> int:
-    tokenizer = Tokenizer.from_spec(args.tokenizer)
+    tokenizer = Tokenizer(args.tokenizer)
     corpus = load_jsonl(args.input, tokenizer)
     if args.mode == "exact":
         deduped = refine.dedup_exact(corpus)

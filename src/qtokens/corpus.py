@@ -18,10 +18,6 @@ import numpy as np
 
 from .errors import CorpusError
 
-WHITESPACE = "whitespace"
-BYTE = "byte"
-VOCAB = "vocab"
-
 UNKNOWN_TOKEN = "<unk>"
 
 
@@ -47,43 +43,32 @@ def decode(ids: np.ndarray) -> list[str]:
 
 
 class Tokenizer:
-    """Deterministic text-to-token mapping.
+    """Deterministic text-to-token mapping, named by a spec:
 
-    Modes:
         whitespace: split on runs of whitespace (the default; zero assets).
         byte: one token per UTF-8 byte.
-        vocab: whitespace split, then map tokens absent from an external
-            vocabulary file (one token per line) to ``<unk>``.
+        vocab:<path>: whitespace split, then map tokens absent from the
+            vocabulary file at <path> (one token per line) to ``<unk>``.
     """
 
-    def __init__(self, mode: str = WHITESPACE, vocab_path: str | None = None):
-        if mode not in (WHITESPACE, BYTE, VOCAB):
-            raise CorpusError(f"unknown tokenizer mode: {mode!r}")
-        if mode == VOCAB:
-            if vocab_path is None:
-                raise CorpusError("vocab mode requires a vocabulary file path")
-            with open(vocab_path, "r", encoding="utf-8") as fh:
+    def __init__(self, spec: str = "whitespace"):
+        self.mode, _, path = spec.partition(":")
+        if spec not in ("whitespace", "byte") and not (self.mode == "vocab" and path):
+            raise CorpusError(
+                f"unknown tokenizer spec {spec!r}: expected whitespace, byte or vocab:<path>")
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
                 self._vocab = {line.rstrip("\n") for line in fh if line.rstrip("\n")}
-        else:
-            self._vocab = None
-        self.mode = mode
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "Tokenizer":
-        """Parse a CLI-style spec: ``whitespace``, ``byte`` or ``vocab:<path>``."""
-        if spec.startswith("vocab:"):
-            return cls(VOCAB, vocab_path=spec.split(":", 1)[1])
-        return cls(spec)
 
     def tokenize(self, text: str) -> list[str]:
-        if self.mode == WHITESPACE:
+        if self.mode == "whitespace":
             return text.split()
-        if self.mode == BYTE:
+        if self.mode == "byte":
             return [chr(b) for b in text.encode("utf-8")]
         return [t if t in self._vocab else UNKNOWN_TOKEN for t in text.split()]
 
 
-DEFAULT_TOKENIZER = Tokenizer(WHITESPACE)
+DEFAULT_TOKENIZER = Tokenizer()
 
 
 @dataclass(frozen=True)

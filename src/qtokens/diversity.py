@@ -30,7 +30,8 @@ SELF_REPETITION_N = 4
 
 @dataclass
 class DiversityReport:
-    """Per-corpus diversity scores; ``dr`` is exactly ``1 / cr``."""
+    """Per-corpus diversity scores; ``dr`` is exactly ``1 / cr``. A ``cr``
+    below 1 means the text is incompressible, which ``score`` warns of."""
 
     cr: float
     dr: float
@@ -38,7 +39,6 @@ class DiversityReport:
     mattr: float
     ngram_diversity: dict[int, float]
     self_repetition: float | None
-    warnings: tuple[str, ...] = ()
 
     def to_flat_dict(self) -> dict:
         out = {"cr": self.cr, "dr": self.dr, "ttr": self.ttr, "mattr": self.mattr}
@@ -271,23 +271,12 @@ def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
         raise cr
     if isinstance(metrics, DiversityError):
         raise metrics
-    ttr, mattr_value, ngd, sr = metrics
-    warnings = ()
-    if cr < 1.0:
-        warnings = (f"compression ratio {cr:.4f} < 1; input is incompressible",)
-    return DiversityReport(
-        cr=cr,
-        dr=1.0 / cr,
-        ttr=ttr,
-        mattr=mattr_value,
-        ngram_diversity=ngd,
-        self_repetition=sr,
-        warnings=warnings,
-    )
+    return DiversityReport(cr, 1.0 / cr, *metrics)
 
 
 def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None], float | None]:
-    """TTR, MATTR, n-gram diversity and self-repetition of the report."""
+    """TTR, MATTR, n-gram diversity and self-repetition: the report's
+    fields after ``cr`` and ``dr``, in order."""
     ids, lengths = corpus.token_ids()
     total = len(ids)
     if total == 0:

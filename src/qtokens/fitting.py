@@ -90,7 +90,7 @@ class FitReport:
     n_iters: int
     converged: bool
     residuals: list[float]
-    bootstrap_converged: int | None = None
+    bootstrap_converged: int | None = None  # set, like ``se``, from ``bootstrap_se``
 
 
 def _point_arrays(points: Sequence[ExperimentPoint]) -> np.ndarray:
@@ -282,15 +282,14 @@ def bootstrap_se(
     base: FitReport,
     n_resamples: int,
     seed: int,
-) -> dict[str, float]:
-    """Per-parameter standard errors from seeded with-replacement resamples.
+) -> tuple[dict[str, float], int]:
+    """Per-parameter standard errors from seeded with-replacement resamples,
+    and how many of the refits converged within ``MAX_ITERS``.
 
     Each resample's index stream derives from (seed, resample index), so
     results do not depend on evaluation order. Every refit is solved on
-    its own, from the searched parameters of the base fit. How many of
-    them converged within ``MAX_ITERS`` is recorded on
-    ``base.bootstrap_converged``: the spread of a refit that stopped at
-    the cap reflects the cap as much as the data.
+    its own, from the searched parameters of the base fit. The spread of
+    a refit that stopped at the cap reflects the cap as much as the data.
     """
     if n_resamples < 2:
         raise FittingError(f"n_resamples must be >= 2, got {n_resamples}")
@@ -309,9 +308,8 @@ def bootstrap_se(
         )
     if len(fitted) < 2:
         raise FittingError("bootstrap needs at least 2 successful resample fits")
-    base.bootstrap_converged = sum(fit[5] for fit in fits)
     spread = np.std(fitted, axis=0, ddof=1)
-    return {name: float(v) for name, v in zip(PARAM_NAMES, spread)}
+    return {name: float(v) for name, v in zip(PARAM_NAMES, spread)}, sum(fit[5] for fit in fits)
 
 
 def load_quality_csv(path: str) -> list[tuple]:

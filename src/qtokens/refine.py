@@ -198,16 +198,15 @@ def select_by_weight(
     budget_tokens: int,
     mode: str = "topk",
     seed: int = 0,
-) -> tuple[Corpus, list[str]]:
+) -> Corpus:
     """Keep the highest-ranked documents within a token budget.
 
     ``topk`` ranks by weight; ``gumbel-sample`` perturbs weights with
     seeded Gumbel noise before ranking. Ties break on document id.
     Accumulation stops at the first document that would exceed the
     budget, so the output token count never exceeds it. A NaN weight has
-    no rank and is rejected.
-
-    Returns the selected corpus and any warnings.
+    no rank and is rejected. A budget below every document's token count
+    selects nothing.
     """
     if budget_tokens < 1:
         raise RefineError(f"budget_tokens must be >= 1, got {budget_tokens}")
@@ -235,10 +234,7 @@ def select_by_weight(
             break
         selected.append(doc)
         used += doc.token_count
-    warnings = []
-    if not selected:
-        warnings.append("budget smaller than the smallest document; empty selection")
-    return Corpus(selected), warnings
+    return Corpus(selected)
 
 
 def dedup_exact(corpus: Corpus) -> Corpus:

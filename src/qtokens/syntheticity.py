@@ -13,6 +13,7 @@ line, matched by id).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -50,7 +51,8 @@ class LikelihoodScorer(Protocol):
 
     Each window is an int32 array of ids of the process-wide vocabulary, at
     most ``context_len`` long; a scorer that reads tokens turns them back
-    into strings with ``qtokens.corpus.decode``. ``score_windows`` yields one
+    into strings with ``qtokens.corpus.decode``. ``score_windows`` is a
+    generator, which ``score_corpus`` closes when it stops, that yields one
     sequence per window, in input order, holding one number per token: its
     log-probability, finite and <= 0. ``score_corpus`` checks every value
     and raises ``ScorerError``, naming the document, for any that breaks
@@ -238,17 +240,18 @@ class ExternalScorer:
         self.context_len = context_len
         self.timeout = timeout
         self._next_id = 0
+        self._closed = None  # why the scorer was closed, once it is
         self._buffer = bytearray()
         self._efd = None  # a subprocess scorer's stderr, until it ends
         self._stderr_tail = b""
         # Both directions are non-blocking: the duplex loop waits in select,
         # and a write may be partial.
         if target.startswith("tcp://"):
-            host, _, port = target[len("tcp://") :].partition(":")
-            if not port:
+            host, colon, port = target[len("tcp://") :].rpartition(":")
+            if not colon or not port:
                 raise ScorerError(f"endpoint {target!r} is missing a port")
             try:
-                conn = socket.create_connection((host, int(port)), timeout=timeout)
+                conn = socket.create_connection((host.strip("[]"), int(port)), timeout=timeout)
             except (OSError, OverflowError, ValueError) as exc:
                 raise ScorerError(f"cannot connect to scorer {target!r}: {exc}") from exc
             conn.setblocking(False)
@@ -272,6 +275,7 @@ class ExternalScorer:
             os.set_blocking(self._efd, False)
 
     def close(self):
+        self._closed = self._closed or "close() was called"
         if self._proc is not None:
             try:
                 self._proc.stdin.close()
@@ -399,8 +403,11 @@ class ExternalScorer:
         most ``MAX_IN_FLIGHT`` windows are either awaiting a response or
         holding one that is not yet due, so neither the input nor the output
         is held in memory as a whole. The ``timeout`` counts from the peer's
-        last progress, or from when the caller resumes the generator.
+        last progress, or from when the caller resumes the generator. A call
+        that ends with a request unanswered closes the scorer.
         """
+        if self._closed:
+            raise ScorerError(f"scorer is closed: {self._closed}")
         windows = iter(windows)
         pending: dict[str, tuple[int, int]] = {}  # request id -> (window index, tokens)
         ready: dict[int, list[float]] = {}  # responses that arrived ahead of their turn
@@ -409,43 +416,48 @@ class ExternalScorer:
         due = 0
         exhausted = False
         deadline = time.monotonic() + self.timeout
-        while True:
-            if not out and not exhausted and len(pending) + len(ready) < MAX_IN_FLIGHT:
-                window = next(windows, None)
-                if window is None:
-                    exhausted = True
-                else:
-                    req_id = f"q{self._next_id}"
-                    self._next_id += 1
-                    pending[req_id] = (sent, len(window))
-                    sent += 1
-                    request = json.dumps({"id": req_id, "tokens": decode(window)}) + "\n"
-                    out = memoryview(request.encode("utf-8"))
-            if due in ready:
-                yield ready.pop(due)
-                due += 1
-                deadline = time.monotonic() + self.timeout
-                continue
-            if due == sent and exhausted:
-                return
-            readable, writable = self._wait(bool(out), deadline)
-            if not readable and not writable:
-                if out:
-                    raise ProtocolError(f"cannot send to scorer: timed out after {self.timeout}s")
-                raise ProtocolError(f"scorer timed out after {self.timeout}s")
-            if writable:
-                rest = self._write(out)
-                if len(rest) < len(out):
+        try:
+            while True:
+                if not out and not exhausted and len(pending) + len(ready) < MAX_IN_FLIGHT:
+                    window = next(windows, None)
+                    if window is None:
+                        exhausted = True
+                    else:
+                        req_id = f"q{self._next_id}"
+                        self._next_id += 1
+                        pending[req_id] = (sent, len(window))
+                        sent += 1
+                        request = json.dumps({"id": req_id, "tokens": decode(window)}) + "\n"
+                        out = memoryview(request.encode("utf-8"))
+                if due in ready:
+                    yield ready.pop(due)
+                    due += 1
                     deadline = time.monotonic() + self.timeout
-                out = rest
-            if readable:
-                longest = max(n for _, n in pending.values())
-                for line in self._read_lines(LINE_BYTES_PER_TOKEN * longest + LINE_SLACK):
-                    resp_id, logprobs = self._parse_response(line)
-                    if resp_id not in pending:
-                        raise ProtocolError(f"unknown response id {resp_id!r}")
-                    ready[pending.pop(resp_id)[0]] = logprobs
-                    deadline = time.monotonic() + self.timeout
+                    continue
+                if due == sent and exhausted:
+                    return
+                readable, writable = self._wait(bool(out), deadline)
+                if not readable and not writable:
+                    if out:
+                        raise ProtocolError(f"cannot send to scorer: timed out after {self.timeout}s")
+                    raise ProtocolError(f"scorer timed out after {self.timeout}s")
+                if writable:
+                    rest = self._write(out)
+                    if len(rest) < len(out):
+                        deadline = time.monotonic() + self.timeout
+                    out = rest
+                if readable:
+                    longest = max(n for _, n in pending.values())
+                    for line in self._read_lines(LINE_BYTES_PER_TOKEN * longest + LINE_SLACK):
+                        resp_id, logprobs = self._parse_response(line)
+                        if resp_id not in pending:
+                            raise ProtocolError(f"unknown response id {resp_id!r}")
+                        ready[pending.pop(resp_id)[0]] = logprobs
+                        deadline = time.monotonic() + self.timeout
+        finally:
+            if pending:  # the peer may yet answer, and a later call would read it as its own
+                self._closed = f"an earlier call left {len(pending)} of its requests unanswered"
+                self.close()
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
         """The values the scorer returns for one window of tokens, after the
@@ -527,19 +539,21 @@ def score_corpus(
 
     # Windows are sliced only as the scorer asks for them, so an external
     # scorer can keep several in flight without the corpus being copied.
-    results = iter(scorer.score_windows(doc.ids[start : start + ctx] for doc, start in spans()))
+    # Closing the generator tells the scorer when scoring ends, even early.
+    results = scorer.score_windows(doc.ids[start : start + ctx] for doc, start in spans())
     window_sums = []
     m_tokens = 0
-    for doc, start in spans():
-        try:
-            logprobs = next(results)
-        except ProtocolError:
-            raise
-        except Exception as exc:
-            raise ScorerError(f"scorer failed on document {doc.id!r}: {exc}") from exc
-        n_tokens = min(ctx, doc.token_count - start)
-        window_sums.append(_window_sum(logprobs, n_tokens, doc.id))
-        m_tokens += n_tokens
+    with contextlib.closing(results):
+        for doc, start in spans():
+            try:
+                logprobs = next(results)
+            except ProtocolError:
+                raise
+            except Exception as exc:
+                raise ScorerError(f"scorer failed on document {doc.id!r}: {exc}") from exc
+            n_tokens = min(ctx, doc.token_count - start)
+            window_sums.append(_window_sum(logprobs, n_tokens, doc.id))
+            m_tokens += n_tokens
     if m_tokens == 0:
         raise ScorerError("sampled corpus contains no scoreable tokens")
     try:

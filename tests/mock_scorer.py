@@ -25,6 +25,8 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     batch4     hold requests until 4 are unanswered, or stdin has been idle
                for 3 s, then answer the held ones in order
     stubborn   ignore SIGTERM, reply like const, and linger after stdin closes
+    holdsecond reply +0.1 per token to the first request at once, and to the
+               second only when the third arrives; then reply like const
 """
 
 import json
@@ -133,6 +135,16 @@ def main():
             continue
         if mode == "strings":
             reply({"id": req["id"], "logprobs": ["-1.0"] * len(req["tokens"])})
+            continue
+        if mode == "holdsecond":
+            buffered.append(req)
+            if len(buffered) == 1:
+                reply({"id": req["id"], "logprobs": [0.1] * len(req["tokens"])})
+            if len(buffered) < 3:
+                continue
+            for held in buffered[1:]:
+                reply({"id": held["id"], "logprobs": [-1.0] * len(held["tokens"])})
+            mode = "const"
             continue
         if mode == "reorder3" and len(buffered) < 2:
             buffered.append(req)

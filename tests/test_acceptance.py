@@ -249,7 +249,7 @@ def test_criterion_7_refinement_properties():
     weights = list(rng.normal(size=1000))
     budgets_ok = True
     for budget in (100, 1777, 25_000):
-        selected, _ = select_by_weight(corpus, weights, budget)
+        selected = select_by_weight(corpus, weights, budget)
         if selected.total_tokens > budget:
             budgets_ok = False
     assert report(

@@ -93,7 +93,7 @@ def test_score_tokenizes_each_document_once(write_corpus, capsys, monkeypatch, t
 
 def test_score_env_scorer(write_corpus, capsys, monkeypatch, mock_scorer_cmd):
     corpus = write_corpus("c.jsonl", [{"text": "x y z"}])
-    monkeypatch.setenv("QTOKENS_SCORER", mock_scorer_cmd("const"))
+    monkeypatch.setenv("QTOKENS_SCORER", f"external:{mock_scorer_cmd('const')}")
     code, out, _ = run_cli(["score", corpus], capsys)
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
@@ -114,6 +114,26 @@ def test_score_unknown_scorer_spec(write_corpus, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: unknown scorer spec 'bogus'\n"
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [("none", 0), ("kgram:{ref}", 0), ("external:{cmd}", 0), ("tcp://127.0.0.1:9", 1),
+     ("kgram", 1), ("bogus", 1)],
+    ids=["none", "kgram", "external", "bare-endpoint", "kgram-without-path", "bogus"],
+)
+def test_scorer_flag_and_environment_agree(spec, code, write_corpus, capsys, monkeypatch,
+                                           mock_scorer_cmd):
+    ref = write_corpus("ref.jsonl", [{"text": "the cat sat on the mat"}])
+    spec = spec.format(ref=ref, cmd=mock_scorer_cmd("const"))
+    monkeypatch.delenv("QTOKENS_SCORER", raising=False)
+    flag = run_cli(["score", ref, "--scorer", spec], capsys)
+    monkeypatch.setenv("QTOKENS_SCORER", spec)
+    env = run_cli(["score", ref], capsys)
+    assert env == flag
+    assert flag[0] == code
+    if code:
+        assert flag[2] == f"error: unknown scorer spec {spec!r}\n"
 
 
 def test_score_unreadable_input(capsys):
@@ -173,7 +193,8 @@ def test_fit_warns_when_most_bootstrap_refits_hit_the_cap(capsys, monkeypatch):
     points = fixtures.fixture_points()
     report = fitting.fit_constants(points, default_initial_guess("F1"), n_restarts=0,
                                    restart_seed=42)
-    report.se = fitting.bootstrap_se(points, report, n_resamples=6, seed=42)
+    report.se, report.bootstrap_converged = fitting.bootstrap_se(points, report, n_resamples=6,
+                                                                 seed=42)
     assert out == json.dumps(fitting.fit_report_to_dict(report, points, seed=42), indent=2) + "\n"
 
 
@@ -662,7 +683,7 @@ def test_fixed_settings_are_the_library_defaults(write_corpus, tmp_path, capsys)
     code, _, _ = run_cli(["select", raw, "--target", target, "--budget-tokens", "200",
                           "--out", str(selected)], capsys)
     assert code == 0
-    expected, _ = select_by_weight(
+    expected = select_by_weight(
         raw_corpus, importance_weights(raw_corpus, load_jsonl(target)), 200, seed=42
     )
     assert [d.id for d in load_jsonl(str(selected))] == [d.id for d in expected]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,18 +172,26 @@ def test_byte_tokenizer():
 def test_vocab_tokenizer(tmp_path):
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("alpha\nbeta\n", encoding="utf-8")
-    tok = Tokenizer.from_spec(f"vocab:{vocab}")
+    tok = Tokenizer(f"vocab:{vocab}")
     assert tok.tokenize("alpha gamma beta") == ["alpha", "<unk>", "beta"]
 
 
-def test_tokenizer_bad_mode():
-    with pytest.raises(CorpusError):
-        Tokenizer("words")
+def test_tokenizer_accepts_each_spec_form(tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("hé\n", encoding="utf-8")
+    tokens = {spec: Tokenizer(spec).tokenize("hé wo")
+              for spec in ("whitespace", "byte", f"vocab:{vocab}")}
+    assert tokens == {"whitespace": ["hé", "wo"],
+                      "byte": ["h", "\xc3", "\xa9", " ", "w", "o"],
+                      f"vocab:{vocab}": ["hé", "<unk>"]}
+    assert Tokenizer().tokenize("hé wo") == tokens["whitespace"]
 
 
-def test_vocab_tokenizer_requires_path():
-    with pytest.raises(CorpusError, match="vocabulary file"):
-        Tokenizer("vocab")
+@pytest.mark.parametrize("spec", ["vocab", "vocab:", "byte:x", "words"])
+def test_tokenizer_rejects_an_unknown_spec(spec):
+    message = f"unknown tokenizer spec {spec!r}: expected whitespace, byte or vocab:<path>"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        Tokenizer(spec)
 
 
 def test_corpus_total_tokens_invariant():

@@ -497,4 +497,3 @@ def test_report_flat_dict_and_warning():
     tiny_report = score_corpus_diversity(tiny)
     if tiny_report.cr < 1.0:
         assert tiny_report.dr > 1.0
-        assert tiny_report.warnings

@@ -281,9 +281,9 @@ def test_fixture_bootstrap_refits_all_converge(monkeypatch):
     fits = _record_fits(monkeypatch)
     points = fixture_points()
     base = fit_constants(points, default_initial_guess("F1"))
-    bootstrap_se(points, base, n_resamples=24, seed=42)
+    _, converged = bootstrap_se(points, base, n_resamples=24, seed=42)
     assert len(fits) == 1 + 24
-    assert base.bootstrap_converged == 24
+    assert converged == 24
     assert all(fit[5] for _, _, fit in fits)
 
 
@@ -396,7 +396,7 @@ def test_fit_restarts_deterministic_and_no_worse():
 def test_bootstrap_zero_noise():
     points = synthetic_points(TRUTH)
     base = fit_constants(points, PERTURBED)
-    se = bootstrap_se(points, base, n_resamples=8, seed=5)
+    se, _ = bootstrap_se(points, base, n_resamples=8, seed=5)
     assert set(se) == {"E", "A", "alpha", "B", "beta", "c1", "c2"}
     assert all(v < 1e-6 for v in se.values())
 
@@ -404,8 +404,8 @@ def test_bootstrap_zero_noise():
 def test_bootstrap_deterministic():
     points = synthetic_points(TRUTH, noise=0.004, seed=3)
     base = fit_constants(points, PERTURBED)
-    se_a = bootstrap_se(points, base, n_resamples=6, seed=11)
-    se_b = bootstrap_se(points, base, n_resamples=6, seed=11)
+    se_a, _ = bootstrap_se(points, base, n_resamples=6, seed=11)
+    se_b, _ = bootstrap_se(points, base, n_resamples=6, seed=11)
     assert se_a == se_b
 
 
@@ -441,7 +441,7 @@ def test_bootstrap_failure_rules(monkeypatch, n_resamples, failed, message):
         with pytest.raises(FittingError, match=message):
             bootstrap_se(points, base, n_resamples=n_resamples, seed=11)
         return
-    se = bootstrap_se(points, base, n_resamples=n_resamples, seed=11)
+    se, _ = bootstrap_se(points, base, n_resamples=n_resamples, seed=11)
     assert len(solved) == n_resamples
     assert list(se.values()) == np.std(solved[failed:], axis=0, ddof=1).tolist()
 
@@ -468,8 +468,8 @@ def test_bootstrap_se_shrinks_with_more_points():
     large = synthetic_points(truth, n_points=224, seed=21, noise=0.005)
     base_small = fit_constants(small, truth)
     base_large = fit_constants(large, truth)
-    se_small = bootstrap_se(small, base_small, n_resamples=48, seed=9)
-    se_large = bootstrap_se(large, base_large, n_resamples=48, seed=9)
+    se_small, _ = bootstrap_se(small, base_small, n_resamples=48, seed=9)
+    se_large, _ = bootstrap_se(large, base_large, n_resamples=48, seed=9)
     assert all(v > 0 for v in se_small.values())
     assert all(v > 0 for v in se_large.values())
     # quadrupling the data should roughly halve the standard errors

@@ -402,7 +402,7 @@ def test_blocks_do_not_change_results(monkeypatch, block_tokens):
 
     def results():
         weights = importance_weights(raw, target)
-        selected, _ = select_by_weight(raw, weights, 400)
+        selected = select_by_weight(raw, weights, 400)
         return (weights, minhash_signature(raw, 7), minhash_signature(dups, 7),
                 [d.id for d in selected], [d.id for d in dedup_near(dups, 7)])
 
@@ -442,22 +442,21 @@ def weighted_corpus():
 def test_select_full_budget_returns_everything():
     corpus = weighted_corpus()
     weights = [0.5, 1.0, -0.5, 0.0]
-    selected, warnings = select_by_weight(corpus, weights, budget_tokens=10**9)
+    selected = select_by_weight(corpus, weights, budget_tokens=10**9)
     assert {d.id for d in selected} == {d.id for d in corpus}
-    assert not warnings
 
 
 def test_select_uniform_weights_tie_break_by_id():
     corpus = weighted_corpus()
     weights = [0.0, 0.0, 0.0, 0.0]
-    selected, _ = select_by_weight(corpus, weights, budget_tokens=9)
+    selected = select_by_weight(corpus, weights, budget_tokens=9)
     assert [d.id for d in selected] == ["doc:0", "doc:1", "doc:2"]
 
 
 def test_select_topk_highest_weights():
     corpus = weighted_corpus()
     weights = [2.0, 3.0, 1.0, 4.0]
-    selected, _ = select_by_weight(corpus, weights, budget_tokens=12)
+    selected = select_by_weight(corpus, weights, budget_tokens=12)
     assert [d.id for d in selected] == ["doc:3", "doc:1", "doc:0"]
 
 
@@ -468,7 +467,7 @@ def test_select_budget_respected_exactly():
     )
     weights = list(rng.normal(size=50))
     for budget in (10, 57, 200):
-        selected, _ = select_by_weight(corpus, weights, budget)
+        selected = select_by_weight(corpus, weights, budget)
         assert selected.total_tokens <= budget
 
 
@@ -498,21 +497,20 @@ def test_select_rejects_nan_weight(weights, doc_id, mode):
 def test_select_budget_smaller_than_smallest_doc():
     corpus = weighted_corpus()
     weights = [0.0, 0.0, 0.0, 0.0]
-    selected, warnings = select_by_weight(corpus, weights, budget_tokens=1)
+    selected = select_by_weight(corpus, weights, budget_tokens=1)
     assert len(selected) == 0
-    assert warnings
 
 
 def test_select_gumbel_deterministic_per_seed():
     corpus = weighted_corpus()
     weights = [0.1, 0.2, 0.3, 0.4]
-    a, _ = select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=3)
-    b, _ = select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=3)
+    a = select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=3)
+    b = select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=3)
     assert [d.id for d in a] == [d.id for d in b]
     # Two seeds may coincide, but ten seeds all giving one selection would
     # mean the seed is ignored.
     selections = {
-        tuple(d.id for d in select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=s)[0])
+        tuple(d.id for d in select_by_weight(corpus, weights, 9, mode="gumbel-sample", seed=s))
         for s in range(10)
     }
     assert len(selections) > 1

@@ -345,7 +345,7 @@ def _kgram_case(case, tmp_path):
         # w15..w19, absent from the reference, map to <unk> in the scorer too.
         vocab_file = tmp_path / "vocab.txt"
         vocab_file.write_text("".join(f"w{v}\n" for v in range(20)))
-        tokenizer = Tokenizer("vocab", vocab_path=str(vocab_file))
+        tokenizer = Tokenizer(f"vocab:{vocab_file}")
         reference = Corpus.from_texts(_seeded_texts(3, 30, 15, 60) + ["x y z w0 q"], tokenizer)
         probe = Corpus.from_texts(_seeded_texts(4, 20, 30, 60), tokenizer)
         return tokenizer, reference, probe, 3, 1.0, 1024
@@ -721,6 +721,36 @@ def test_external_close_kills_child_that_ignores_sigterm(mock_scorer_cmd):
     assert scorer._proc.returncode == -signal.SIGKILL
 
 
+def test_external_scorer_is_closed_after_a_call_left_a_request_open(mock_scorer_cmd):
+    # The first window's positive value fails score_corpus while the second
+    # window's answer is held back. The peer sends that answer once the next
+    # request arrives, so a scorer kept open would read it as the next call's.
+    corpus = corpus_of(["a b", "c d"])
+    with external_scorer_connect(mock_scorer_cmd("holdsecond")) as scorer:
+        with pytest.raises(ScorerError, match="^log-probability > 0 on document 'doc:0': 0.1$"):
+            score_corpus(scorer, corpus, 1.0, 0)
+        why = "scorer is closed: an earlier call left 1 of its requests unanswered$"
+        with pytest.raises(ScorerError, match=f"^scorer failed on document 'doc:0': {why}"):
+            score_corpus(scorer, corpus, 1.0, 0)
+        with pytest.raises(ScorerError, match=f"^{why}"):
+            scorer.log_probs(["a"])
+        assert scorer._proc.poll() is not None
+
+
+def test_external_scorer_serves_several_calls(mock_scorer_cmd):
+    # A call that has yielded its last window leaves no request open, so the
+    # scorer stays usable; windows of 2 tokens give many requests per call.
+    with external_scorer_connect(mock_scorer_cmd("const"), context_len=2) as scorer:
+        for texts in (["a b c", "d e f g h"], ["i j k l m n o p q r s t"] * 3, ["u"]):
+            result = score_corpus(scorer, corpus_of(texts), 1.0, 0)
+            assert result.avg_nll == 1.0
+            assert result.m_tokens == sum(len(t.split()) for t in texts)
+        assert scorer.log_probs(["a"]) == [-1.0]
+        assert scorer._proc.poll() is None
+    with pytest.raises(ScorerError, match=r"^scorer is closed: close\(\) was called$"):
+        scorer.log_probs(["a"])
+
+
 class _TCPScorerHandler(socketserver.StreamRequestHandler):
     def handle(self):
         import json
@@ -739,6 +769,20 @@ def test_external_tcp_endpoint():
     thread.start()
     try:
         with external_scorer_connect(f"tcp://127.0.0.1:{port}") as scorer:
+            assert scorer.log_probs(["x", "y"]) == [-2.0, -2.0]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_external_tcp_ipv6_endpoint():
+    class Server(socketserver.ThreadingTCPServer):
+        address_family = socket.AF_INET6
+
+    server = Server(("::1", 0), _TCPScorerHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        with external_scorer_connect(f"tcp://[::1]:{server.server_address[1]}") as scorer:
             assert scorer.log_probs(["x", "y"]) == [-2.0, -2.0]
     finally:
         server.shutdown()

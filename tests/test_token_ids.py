@@ -57,14 +57,14 @@ def load_unrelated(directory: str, tokenizer: str) -> None:
     with open(os.path.join(directory, "corpus.jsonl"), encoding="utf-8") as fh:
         words = " ".join(json.loads(line)["text"] for line in fh).split()
     text = " ".join(["unrelated", "ünrelated", *reversed(words)])
-    Corpus.from_texts([text], Tokenizer.from_spec(spec_of(directory, tokenizer)))
+    Corpus.from_texts([text], Tokenizer(spec_of(directory, tokenizer)))
 
 
 def outputs(directory: str, tokenizer: str) -> dict:
     spec = spec_of(directory, tokenizer)
     path = {name: os.path.join(directory, f"{name}.jsonl")
             for name in ("corpus", "reference", "target")}
-    tok = Tokenizer.from_spec(spec)
+    tok = Tokenizer(spec)
     corpus, reference, target = (load_jsonl(path[name], tok)
                                  for name in ("corpus", "reference", "target"))
     result = score_corpus(train_kgram_scorer(reference), corpus, 1.0, 0)
