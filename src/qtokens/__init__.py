@@ -14,11 +14,7 @@ from .diversity import (
     DiversityReport,
     compression_ratio,
     diversity_score,
-    mattr,
     metric_correlation_matrix,
-    ngram_diversity,
-    self_repetition,
-    type_token_ratio,
 )
 from .errors import QTokensError
 from .fitting import (

@@ -55,7 +55,7 @@ def _make_scorer(spec: str | None, tokenizer: Tokenizer):
     else ``$QTOKENS_SCORER``, else ``none``), or None for ``none``, and
     closing it on exit."""
     if spec is None:
-        spec = os.environ.get(SCORER_ENV) or "none"
+        spec = os.environ.get(SCORER_ENV, "none")
     if spec == "none":
         return contextlib.nullcontext()
     if spec.startswith("kgram:"):

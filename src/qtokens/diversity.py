@@ -2,9 +2,9 @@
 
 The headline score is the inverse compression ratio of the concatenated
 corpus text: redundant text compresses well, so a high compression ratio
-means low diversity. The remaining metrics (type-token ratio, MATTR,
+means low diversity. The report's other fields (type-token ratio, MATTR,
 n-gram diversity, self-repetition) are the usual lexical baselines it is
-compared against.
+compared against, each defined once, by ``_token_metrics``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, encode
+from .corpus import Corpus
 from .errors import DiversityError
 
 # Dr is DEFLATE at zlib level 6 over the documents joined by newlines.
@@ -161,8 +161,6 @@ def _self_repetition(rank: np.ndarray, lengths: np.ndarray, n: int) -> float:
     (n-gram, document) pairs come from one sorted int64 key array and a
     neighbour mask.
     """
-    if n < 1:
-        raise DiversityError(f"n must be >= 1, got {n}")
     eligible = lengths >= n
     if np.count_nonzero(eligible) < 2:
         raise DiversityError("self_repetition needs at least 2 documents with >= n tokens")
@@ -187,50 +185,6 @@ def _self_repetition(rank: np.ndarray, lengths: np.ndarray, n: int) -> float:
     del pairs, second
     k = np.bincount(doc[shared[gram]], minlength=n_docs)[eligible]
     return float(np.cumsum(np.log1p(k))[-1] / len(k))
-
-
-def type_token_ratio(tokens: Sequence[str]) -> float:
-    """Unique tokens over total tokens."""
-    if not tokens:
-        raise DiversityError("type_token_ratio of empty sequence")
-    return np.count_nonzero(np.bincount(encode(tokens))) / len(tokens)
-
-
-def mattr(tokens: Sequence[str], window: int) -> float:
-    """Moving-average type-token ratio over every contiguous window.
-
-    Falls back to the plain type-token ratio when the sequence is shorter
-    than the window. Per-window ratios are averaged in window order.
-    """
-    if window < 1:
-        raise DiversityError(f"window must be >= 1, got {window}")
-    if not tokens:
-        raise DiversityError("mattr of empty sequence")
-    if len(tokens) < window:
-        return type_token_ratio(tokens)
-    return _mattr(encode(tokens), window)
-
-
-def ngram_diversity(tokens: Sequence[str], n: int) -> float:
-    """Unique n-grams over total n-grams."""
-    if n < 1:
-        raise DiversityError(f"n must be >= 1, got {n}")
-    if len(tokens) < n:
-        raise DiversityError(f"sequence of {len(tokens)} tokens is shorter than n={n}")
-    _, distinct = _ngram_ranks(encode(tokens), n)
-    return distinct[n - 1] / (len(tokens) - n + 1)
-
-
-def self_repetition(documents: Sequence[Sequence[str]], n: int = SELF_REPETITION_N) -> float:
-    """Average log(1 + k) where k counts a document's n-grams seen elsewhere.
-
-    Every n-gram occurrence in a document contributes to k when that n-gram
-    appears in at least one other document. Documents shorter than n tokens
-    are skipped; at least two must remain.
-    """
-    lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
-    rank, _ = _ngram_ranks(encode([t for doc in documents for t in doc]), n)
-    return _self_repetition(rank, lengths, n)
 
 
 def score_corpus_diversity(corpus: Corpus) -> DiversityReport:

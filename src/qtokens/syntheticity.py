@@ -521,7 +521,9 @@ def score_corpus(
     The windows go to ``scorer.score_windows`` as slices of each
     document's ids. Its output is checked here, for every scorer: one
     number per token, each in (-inf, 0], or ``ScorerError`` names the
-    document.
+    document. A ``ScorerError`` the scorer raises, such as a closed
+    scorer's, passes through as raised; any other exception is wrapped in
+    one that names the document.
     An average NLL above about 709 nats per token (ln of the largest
     float) has no finite perplexity and raises ``ScorerError``.
     """
@@ -547,7 +549,7 @@ def score_corpus(
         for doc, start in spans():
             try:
                 logprobs = next(results)
-            except ProtocolError:
+            except ScorerError:
                 raise
             except Exception as exc:
                 raise ScorerError(f"scorer failed on document {doc.id!r}: {exc}") from exc

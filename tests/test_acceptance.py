@@ -17,8 +17,9 @@ import time
 import numpy as np
 import pytest
 
+from qtokens import diversity
 from qtokens.corpus import Corpus, Document
-from qtokens.diversity import diversity_score, mattr, ngram_diversity, type_token_ratio
+from qtokens.diversity import diversity_score, score_corpus_diversity
 from qtokens.errors import ScalingDomainError
 from qtokens.fitting import ExperimentPoint, fit_constants
 from qtokens.fixtures import fixture_points, verify_fixtures
@@ -150,7 +151,7 @@ def test_criterion_4_inverse_identity_and_exact_recovery():
     )
 
 
-def test_criterion_5_metric_properties():
+def test_criterion_5_metric_properties(monkeypatch):
     repeated = Corpus([Document.create("rep", "x" * (1 << 20))])
     rng = np.random.default_rng(12345)
     raw = rng.integers(0, 256, size=1 << 19, dtype=np.uint8).tobytes()
@@ -192,10 +193,15 @@ def test_criterion_5_metric_properties():
             mattr_oracle = sum(ratios) / len(ratios)
         grams = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
         ngram_oracle = len(set(grams)) / len(grams)
+        # The report reads its window and orders when it is computed.
+        monkeypatch.setattr(diversity, "MATTR_WINDOW", window)
+        monkeypatch.setattr(diversity, "NGRAM_NS", (n,))
+        monkeypatch.setattr(diversity, "SELF_REPETITION_N", n)
+        got = score_corpus_diversity(Corpus.from_texts([" ".join(tokens)]))
         if (
-            type_token_ratio(tokens) != ttr_oracle
-            or mattr(tokens, window) != mattr_oracle
-            or ngram_diversity(tokens, n) != ngram_oracle
+            got.ttr != ttr_oracle
+            or got.mattr != mattr_oracle
+            or got.ngram_diversity[n] != ngram_oracle
         ):
             oracle_ok = False
             break

@@ -119,8 +119,8 @@ def test_score_unknown_scorer_spec(write_corpus, capsys):
 @pytest.mark.parametrize(
     "spec, code",
     [("none", 0), ("kgram:{ref}", 0), ("external:{cmd}", 0), ("tcp://127.0.0.1:9", 1),
-     ("kgram", 1), ("bogus", 1)],
-    ids=["none", "kgram", "external", "bare-endpoint", "kgram-without-path", "bogus"],
+     ("kgram", 1), ("bogus", 1), ("", 1)],
+    ids=["none", "kgram", "external", "bare-endpoint", "kgram-without-path", "bogus", "empty"],
 )
 def test_scorer_flag_and_environment_agree(spec, code, write_corpus, capsys, monkeypatch,
                                            mock_scorer_cmd):

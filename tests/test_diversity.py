@@ -11,12 +11,8 @@ from qtokens.corpus import Corpus, Document, Tokenizer
 from qtokens.diversity import (
     compression_ratio,
     diversity_score,
-    mattr,
     metric_correlation_matrix,
-    ngram_diversity,
     score_corpus_diversity,
-    self_repetition,
-    type_token_ratio,
 )
 from qtokens.errors import DiversityError
 
@@ -24,6 +20,22 @@ from qtokens.errors import DiversityError
 # "\n" separator on exactly these synthetic inputs.
 CR_REPEATED_1MIB = 1009.2165543792108
 CR_RANDOM_HEX_1MIB = 1.7544103868290724
+
+
+@pytest.fixture
+def report_of(monkeypatch):
+    """``score_corpus_diversity`` of token lists, one document each, with the
+    MATTR window and the n-gram order set for the call: the report then
+    holds n-gram diversity for every order from 1 to n, and self-repetition
+    over n-grams."""
+
+    def run(documents, window=diversity.MATTR_WINDOW, n=diversity.SELF_REPETITION_N):
+        monkeypatch.setattr(diversity, "MATTR_WINDOW", window)
+        monkeypatch.setattr(diversity, "NGRAM_NS", tuple(range(1, n + 1)))
+        monkeypatch.setattr(diversity, "SELF_REPETITION_N", n)
+        return score_corpus_diversity(Corpus.from_texts([" ".join(doc) for doc in documents]))
+
+    return run
 
 
 def repeated_corpus(n_bytes=1 << 20) -> Corpus:
@@ -145,12 +157,10 @@ def test_appending_copy_increases_cr():
     assert diversity_score(doubled) < diversity_score(single)
 
 
-def test_ttr_cases():
-    assert type_token_ratio(["a", "b", "c", "d"]) == 1.0
-    assert type_token_ratio(["a", "a", "a", "a"]) == 0.25
-    assert type_token_ratio(["a", "b", "a", "c"]) == 0.75
-    with pytest.raises(DiversityError):
-        type_token_ratio([])
+def test_ttr_cases(report_of):
+    assert report_of([["a", "b", "c", "d"]]).ttr == 1.0
+    assert report_of([["a", "a", "a", "a"]]).ttr == 0.25
+    assert report_of([["a", "b", "a", "c"]]).ttr == 0.75
 
 
 def brute_force_mattr(tokens, window):
@@ -160,94 +170,84 @@ def brute_force_mattr(tokens, window):
     return sum(ratios) / len(ratios)
 
 
-def test_mattr_all_unique():
+def test_mattr_all_unique(report_of):
     tokens = [f"t{i}" for i in range(50)]
     for window in (1, 5, 50):
-        assert mattr(tokens, window) == 1.0
+        assert report_of([tokens], window).mattr == 1.0
 
 
-def test_mattr_constant_token():
+def test_mattr_constant_token(report_of):
     for window in (2, 5, 10):
-        assert mattr(["a"] * 100, window) == pytest.approx(1 / window)
+        assert report_of([["a"] * 100], window).mattr == pytest.approx(1 / window)
 
 
-def test_mattr_alternating():
+def test_mattr_alternating(report_of):
     tokens = ["a", "b"] * 50
-    assert mattr(tokens, 10) == pytest.approx(0.2)
-    assert mattr(tokens, 10) == brute_force_mattr(tokens, 10)
+    report = report_of([tokens], 10)
+    assert report.mattr == pytest.approx(0.2)
+    assert report.mattr == brute_force_mattr(tokens, 10)
 
 
-def test_mattr_window_equals_length_is_ttr():
+def test_mattr_window_equals_length_is_ttr(report_of):
     rng = np.random.default_rng(0)
     tokens = [f"t{v}" for v in rng.integers(0, 8, size=37)]
-    assert mattr(tokens, len(tokens)) == type_token_ratio(tokens)
+    report = report_of([tokens], len(tokens))
+    assert report.mattr == report.ttr
 
 
-def test_mattr_short_sequence_falls_back_to_ttr():
-    assert mattr(["a", "b", "a"], 10) == type_token_ratio(["a", "b", "a"])
+def test_mattr_short_sequence_falls_back_to_ttr(report_of):
+    report = report_of([["a", "b", "a"]], 10)
+    assert report.mattr == report.ttr == 2 / 3
 
 
-def test_mattr_matches_brute_force():
+def test_mattr_matches_brute_force(report_of):
     rng = np.random.default_rng(11)
     for _ in range(30):
         length = int(rng.integers(5, 120))
         vocab = int(rng.integers(2, 20))
         window = int(rng.integers(1, 30))
         tokens = [f"t{v}" for v in rng.integers(0, vocab, size=length)]
-        assert mattr(tokens, window) == brute_force_mattr(tokens, window)
+        assert report_of([tokens], window).mattr == brute_force_mattr(tokens, window)
 
 
-def test_ngram_diversity_unigram_equals_ttr():
+def test_ngram_diversity_unigram_equals_ttr(report_of):
     rng = np.random.default_rng(5)
     tokens = [f"t{v}" for v in rng.integers(0, 9, size=60)]
-    assert ngram_diversity(tokens, 1) == type_token_ratio(tokens)
+    report = report_of([tokens])
+    assert report.ngram_diversity[1] == report.ttr
 
 
-def test_ngram_diversity_constant_sequence():
+def test_ngram_diversity_constant_sequence(report_of):
+    report = report_of([["a"] * 12], n=3)
     for n in (1, 2, 3):
-        tokens = ["a"] * 12
-        assert ngram_diversity(tokens, n) == pytest.approx(1 / (12 - n + 1))
+        assert report.ngram_diversity[n] == pytest.approx(1 / (12 - n + 1))
 
 
-def test_ngram_diversity_random_over_large_vocab():
+def test_ngram_diversity_random_over_large_vocab(report_of):
     rng = np.random.default_rng(9)
     tokens = [f"t{v}" for v in rng.integers(0, 10**9, size=20)]
     grams = {tuple(tokens[i : i + 2]) for i in range(19)}
-    assert ngram_diversity(tokens, 2) == len(grams) / 19
-    assert ngram_diversity(tokens, 2) == 1.0
+    report = report_of([tokens])
+    assert report.ngram_diversity[2] == len(grams) / 19
+    assert report.ngram_diversity[2] == 1.0
 
 
-def test_ngram_diversity_too_short():
-    with pytest.raises(DiversityError):
-        ngram_diversity(["a", "b"], 3)
+def test_ngram_diversity_too_short(report_of):
+    assert report_of([["a", "b"]], n=3).ngram_diversity[3] is None
 
 
-def test_mattr_of_empty_sequence():
-    with pytest.raises(DiversityError, match="^mattr of empty sequence$"):
-        mattr([], 10)
-
-
-def test_window_and_order_lower_bounds():
-    with pytest.raises(DiversityError):
-        mattr(["a", "b"], 0)
-    with pytest.raises(DiversityError):
-        ngram_diversity(["a", "b"], 0)
-    with pytest.raises(DiversityError):
-        self_repetition([["a", "b"], ["a", "b"]], 0)
-
-
-def test_self_repetition_disjoint_vocab():
+def test_self_repetition_disjoint_vocab(report_of):
     docs = [[f"a{i}" for i in range(10)], [f"b{i}" for i in range(10)], [f"c{i}" for i in range(10)]]
-    assert self_repetition(docs, 4) == 0.0
+    assert report_of(docs).self_repetition == 0.0
 
 
-def test_self_repetition_identical_pair():
+def test_self_repetition_identical_pair(report_of):
     k = 10
     doc = [f"t{i}" for i in range(k)]
-    assert self_repetition([doc, list(doc)], 4) == pytest.approx(math.log(1 + (k - 3)))
+    assert report_of([doc, list(doc)]).self_repetition == pytest.approx(math.log(1 + (k - 3)))
 
 
-def test_self_repetition_mixed_fixture_oracle():
+def test_self_repetition_mixed_fixture_oracle(report_of):
     docs = [
         ["the", "cat", "sat", "on", "the", "mat", "today"],
         ["the", "cat", "sat", "on", "a", "rug", "today"],
@@ -264,11 +264,12 @@ def test_self_repetition_mixed_fixture_oracle():
                 k += 1
         expected += math.log1p(k)
     expected /= len(docs)
-    assert self_repetition(docs, n) == pytest.approx(expected, rel=1e-12)
+    assert report_of(docs, n=n).self_repetition == pytest.approx(expected, rel=1e-12)
 
 
 def reference_self_repetition(documents, n):
-    """Loop version of self_repetition: n-gram tuple sets and a Counter of document frequency."""
+    """Loop oracle of the report's self-repetition: n-gram tuple sets and a
+    Counter of document frequency."""
     eligible = [doc for doc in documents if len(doc) >= n]
     gram_sets = [{tuple(doc[i : i + n]) for i in range(len(doc) - n + 1)} for doc in eligible]
     doc_freq = Counter()
@@ -281,7 +282,7 @@ def reference_self_repetition(documents, n):
     return total / len(eligible)
 
 
-def test_self_repetition_matches_reference_exactly():
+def test_self_repetition_matches_reference_exactly(report_of):
     rng = np.random.default_rng(21)
     checked = 0
     for _ in range(200):
@@ -293,7 +294,7 @@ def test_self_repetition_matches_reference_exactly():
         n = int(rng.integers(1, 6))
         if sum(len(d) >= n for d in docs) < 2:
             continue
-        assert self_repetition(docs, n) == reference_self_repetition(docs, n)
+        assert report_of(docs, n=n).self_repetition == reference_self_repetition(docs, n)
         checked += 1
     assert checked > 150
 
@@ -303,7 +304,7 @@ def set_of_tuples_ngram_diversity(tokens, n):
     return len({tuple(tokens[i : i + n]) for i in range(total)}) / total
 
 
-def test_ngram_diversity_beyond_packed_key_range():
+def test_ngram_diversity_beyond_packed_key_range(report_of):
     # 4-grams packed as sum(id * V**j) overflow int64 once V**4 > 2**63 - 1,
     # that is for V > 55,109 distinct tokens.
     rng = np.random.default_rng(8)
@@ -311,9 +312,10 @@ def test_ngram_diversity_beyond_packed_key_range():
     tokens = [f"t{v}" for v in np.concatenate([draws, draws[:5_000], draws[50_000:52_000]])]
     vocab = len(set(tokens))
     assert vocab > 55_109 and vocab**4 > 2**63 - 1
+    report = report_of([tokens])
     for n in (1, 2, 4):
-        assert ngram_diversity(tokens, n) == set_of_tuples_ngram_diversity(tokens, n)
-    assert ngram_diversity(tokens, 4) < 1.0
+        assert report.ngram_diversity[n] == set_of_tuples_ngram_diversity(tokens, n)
+    assert report.ngram_diversity[4] < 1.0
 
 
 def test_report_past_the_int32_key_range_matches_oracles():
@@ -345,7 +347,7 @@ def test_report_past_the_int32_key_range_matches_oracles():
     assert report.self_repetition == reference_self_repetition(docs, 4) > 0
 
 
-def test_self_repetition_pair_keys_past_int32_match_reference():
+def test_self_repetition_pair_keys_past_int32_match_reference(report_of):
     # 25,000 short documents with 4-gram ranks above 100,000: the
     # (n-gram, document) key rank * n_docs + doc passes 2**31, so it would
     # wrap if it were built in the int32 of the ranks. A thousand copied
@@ -358,8 +360,9 @@ def test_self_repetition_pair_keys_past_int32_match_reference():
     # 4-gram ranks run up to the number of distinct 4-grams.
     ranks = len({tuple(stream[i : i + 4]) for i in range(len(stream) - 3)})
     assert ranks > 100_000 and ranks * len(docs) > 2**31
-    assert self_repetition(docs, 4) == reference_self_repetition(docs, 4) > 0
-    assert ngram_diversity(stream, 4) == set_of_tuples_ngram_diversity(stream, 4)
+    report = report_of(docs)
+    assert report.self_repetition == reference_self_repetition(docs, 4) > 0
+    assert report.ngram_diversity[4] == set_of_tuples_ngram_diversity(stream, 4)
 
 
 def test_token_metrics_memory_per_token():
@@ -415,13 +418,13 @@ def test_report_matches_public_functions_across_boundaries():
         stream = [t for doc in docs for t in doc]
         windowed += len(stream) > 100
         report = score_corpus_diversity(corpus)
-        assert report.ttr == type_token_ratio(stream)
-        assert report.mattr == mattr(stream, 100)
+        assert report.ttr == len(set(stream)) / len(stream)
+        assert report.mattr == brute_force_mattr(stream, 100)
         for n in (2, 3, 4):
-            expected = ngram_diversity(stream, n) if len(stream) >= n else None
+            expected = set_of_tuples_ngram_diversity(stream, n) if len(stream) >= n else None
             assert report.ngram_diversity[n] == expected
         if sum(len(d) >= 4 for d in docs) >= 2:
-            assert report.self_repetition == self_repetition(docs, 4)
+            assert report.self_repetition == reference_self_repetition(docs, 4)
         else:
             assert report.self_repetition is None
     assert 0 < windowed < 20
@@ -432,14 +435,12 @@ def test_report_matches_public_functions_across_boundaries():
     report = score_corpus_diversity(corpus)
     assert report.ngram_diversity[4] == 8 / 9
     assert report.self_repetition == 0.0
-    assert self_repetition([Tokenizer().tokenize(doc.text) for doc in corpus], 4) == 0.0
+    assert reference_self_repetition([Tokenizer().tokenize(doc.text) for doc in corpus], 4) == 0.0
 
 
-def test_self_repetition_needs_two_eligible():
-    with pytest.raises(DiversityError):
-        self_repetition([["a", "b", "c", "d", "e"]], 4)
-    with pytest.raises(DiversityError):
-        self_repetition([["a", "b"], ["c", "d"]], 4)
+def test_self_repetition_needs_two_eligible(report_of):
+    assert report_of([["a", "b", "c", "d", "e"]]).self_repetition is None
+    assert report_of([["a", "b"], ["c", "d"]]).self_repetition is None
 
 
 def _graded_corpora(n=6):

@@ -18,6 +18,7 @@ import functools
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -310,6 +311,52 @@ def _option_strings(parser: argparse.ArgumentParser):
             yield from ((parser.prog, option) for option in action.option_strings)
 
 
+def _options_given(parser: argparse.ArgumentParser, words) -> set[tuple[str, str]]:
+    """(command, option string) for each option in the command-line ``words``
+    that follow the program name: an option after a subcommand's name is that
+    subcommand's, one before it the program's."""
+    subcommands = next(a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    command, given = parser.prog, set()
+    for word in words:
+        if command == parser.prog and word in subcommands:
+            command = subcommands[word].prog
+        elif word.startswith("-"):
+            given.add((command, word.split("=")[0]))
+    return given
+
+
+def unset_options(parser: argparse.ArgumentParser, shell: str, python: list[str]) -> list[str]:
+    """``command option`` for each option of ``parser`` that no command line
+    sets: a ``qtokens`` line of the shell text ``shell``, or a list of string
+    literals in one of the ``python`` sources, such as a ``cli.main`` argv."""
+    given = set()
+    for line in shell.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if parser.prog in words:
+            given |= _options_given(parser, words[words.index(parser.prog) + 1:])
+    for source in python:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.List):
+                words = [e.value for e in node.elts
+                         if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+                given |= _options_given(parser, words)
+    return [f"{command} {option}" for command, option in _option_strings(parser)
+            if (command, option) not in given]
+
+
+def test_option_scan_keys_on_the_subcommand():
+    parser = argparse.ArgumentParser(prog="qtokens")
+    parser.add_argument("--seed")
+    sub = parser.add_subparsers()
+    for name in ("score", "select", "dedup"):
+        sub.add_parser(name).add_argument("--mode")
+    shell = "pip install qtokens\nqtokens --seed 1 score in.jsonl \\\n    --mode x  # --mode y\n"
+    python = ['cli.main(["select", path, "--mode=y"])\nrun(["dedup", "--out", out])\n']
+    # Only dedup's --mode is unset, though "--mode" is in every line.
+    assert unset_options(parser, shell, python) == ["qtokens dedup --mode"]
+
+
 # Options that no README example or benchmark job sets, and why each stays an option.
 TEST_ONLY_OPTIONS = (
     ("qtokens --tokenizer", "the token unit depends on the data, such as byte tokens for "
@@ -337,17 +384,16 @@ def _texts(directory: str) -> str:
 
 
 def test_every_cli_option_is_set_somewhere():
-    """An option that no README example or benchmark job sets is a setting
-    with one value in use; it belongs in the code as a constant. Tests do
-    not count, since a test may set any option it checks; the few that
-    only tests set are listed with their reasons, and a test must set them."""
+    """An option that no README example or benchmark job sets, on its own
+    subcommand's command line, is a setting with one value in use; it
+    belongs in the code as a constant. Tests do not count, since a test may
+    set any option it checks; the few that only tests set are listed with
+    their reasons, and a test must set them."""
     with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
-        setters = "\n".join(re.findall(r"^```.*?^```", fh.read(), re.M | re.S))
-    setters += "\n" + _texts(os.path.join(REPO_DIR, "perfbench"))
-    unset = [
-        f"{command} {option}" for command, option in _option_strings(build_parser())
-        if not _sets(option, setters)
-    ]
+        shell = "\n".join(re.findall(r"^```bash\n(.*?)^```", fh.read(), re.M | re.S))
+    perfbench = [text for path, text in _reference_sources().items()
+                 if path.startswith(os.path.join(REPO_DIR, "perfbench"))]
+    unset = unset_options(build_parser(), shell, perfbench)
     assert sorted(unset) == sorted(name for name, _ in TEST_ONLY_OPTIONS)
     tests = _texts(TESTS_DIR)
     assert [name for name, _ in TEST_ONLY_OPTIONS if not _sets(name.split()[-1], tests)] == []
@@ -440,7 +486,6 @@ def test_scan_finds_an_unpassed_parameter():
 TEST_ONLY_PARAMETERS = (
     ("from_texts(tokenizer)", "tests build corpora from literal texts under each tokenizer"),
     ("from_texts(id_prefix)", "tests combine corpora built from texts, whose ids must differ"),
-    ("self_repetition(n)", "its reference-loop test sweeps n from 1 to 5"),
     ("train_kgram_scorer(smoothing)", "the oracle tests check add-alpha smoothing at several alphas"),
     ("train_kgram_scorer(context_len)", "the oracle tests score windows shorter than a document"),
     ("external_scorer_connect(timeout)", "the tests of a peer that stalls need a short timeout"),

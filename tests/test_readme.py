@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from qtokens import refine
+from qtokens import diversity, refine
 from qtokens.cli import main
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -36,17 +36,28 @@ def test_readme_lists_the_score_columns(write_corpus, capsys):
     assert capsys.readouterr().out.splitlines()[0] == columns
 
 
-def test_readme_fixed_refine_settings_are_the_module_constants():
+def fixed_setting(pattern):
+    """The one match of ``pattern`` in README's "Fixed settings" paragraph."""
     with open(README, encoding="utf-8") as fh:
         (paragraph,) = re.findall(r"^\*\*Fixed settings\.\*\*(.*?)\n\n", fh.read(), re.M | re.S)
-    text = " ".join(paragraph.split())
+    (value,) = re.findall(pattern, " ".join(paragraph.split()))
+    return value
 
-    def number(pattern):
-        (value,) = re.findall(pattern, text)
-        return value
 
-    assert float(number(r"smooths both bucket distributions by ([\d.e-]+)\.")) == refine.SMOOTHING
-    assert int(number(r"documents of at most ([\d,]+) tokens").replace(",", "")) == refine.BLOCK_TOKENS
-    assert int(number(r"(\d+)-token shingles")) == refine.SHINGLE_N
-    bins, bands, rows = map(int, number(r"MinHash with (\d+) bins in (\d+) bands of (\d+) rows"))
+def test_readme_fixed_diversity_settings_are_the_module_constants():
+    assert int(fixed_setting(r"zlib level (\d+) ")) == diversity.LEVEL
+    assert int(fixed_setting(r"MATTR window of (\d+) tokens")) == diversity.MATTR_WINDOW
+    orders = fixed_setting(r"n-gram diversity for n = (\d+(?:, \d+)* and \d+),")
+    assert tuple(map(int, re.findall(r"\d+", orders))) == diversity.NGRAM_NS
+    assert int(fixed_setting(r"self-repetition over (\d+)-grams")) == diversity.SELF_REPETITION_N
+
+
+def test_readme_fixed_refine_settings_are_the_module_constants():
+    smoothing = fixed_setting(r"smooths both bucket distributions by ([\d.e-]+)\.")
+    assert float(smoothing) == refine.SMOOTHING
+    block = fixed_setting(r"documents of at most ([\d,]+) tokens")
+    assert int(block.replace(",", "")) == refine.BLOCK_TOKENS
+    assert int(fixed_setting(r"(\d+)-token shingles")) == refine.SHINGLE_N
+    minhash = fixed_setting(r"MinHash with (\d+) bins in (\d+) bands of (\d+) rows")
+    bins, bands, rows = map(int, minhash)
     assert (bins, bands, rows) == (refine.N_HASHES, refine.BANDS, refine.N_HASHES // refine.BANDS)

@@ -730,7 +730,7 @@ def test_external_scorer_is_closed_after_a_call_left_a_request_open(mock_scorer_
         with pytest.raises(ScorerError, match="^log-probability > 0 on document 'doc:0': 0.1$"):
             score_corpus(scorer, corpus, 1.0, 0)
         why = "scorer is closed: an earlier call left 1 of its requests unanswered$"
-        with pytest.raises(ScorerError, match=f"^scorer failed on document 'doc:0': {why}"):
+        with pytest.raises(ScorerError, match=f"^{why}"):
             score_corpus(scorer, corpus, 1.0, 0)
         with pytest.raises(ScorerError, match=f"^{why}"):
             scorer.log_probs(["a"])
