@@ -19,6 +19,7 @@ from . import diversity, fitting, fixtures, refine, report as report_mod
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
 from .errors import DiversityError, QTokensError
 from .scaling_law import (
+    FORMS,
     PRESETS,
     QualityInputs,
     ScalingConstants,
@@ -50,20 +51,24 @@ def _load_constants(spec: str) -> ScalingConstants:
     )
 
 
-def _make_scorer(spec: str | None, tokenizer: Tokenizer):
-    """A context manager giving the scorer ``spec`` names (``--scorer``,
-    else ``$QTOKENS_SCORER``, else ``none``), or None for ``none``, and
-    closing it on exit."""
-    if spec is None:
-        spec = os.environ.get(SCORER_ENV, "none")
-    if spec == "none":
-        return contextlib.nullcontext()
-    if spec.startswith("kgram:"):
-        reference = load_jsonl(spec.split(":", 1)[1], tokenizer)
-        return contextlib.nullcontext(train_kgram_scorer(reference))
-    if spec.startswith("external:"):
-        return external_scorer_connect(spec.split(":", 1)[1])
-    raise QTokensError(f"unknown scorer spec {spec!r}")
+def _scorer_spec(spec: str) -> str:
+    """``--scorer``, else ``$QTOKENS_SCORER``: ``none``, ``kgram:<ref.jsonl>``
+    or ``external:<target>``. Nothing is opened until S is computed."""
+    kind, colon, _ = spec.partition(":")
+    if spec != "none" and not (colon and kind in ("kgram", "external")):
+        raise QTokensError(f"unknown scorer spec {spec!r}")
+    return spec
+
+
+def _make_scorer(args):
+    """A context manager giving the scorer ``--scorer`` names, or None for
+    ``none``, and closing it on exit."""
+    kind, _, target = args.scorer.partition(":")
+    if kind == "kgram":
+        return contextlib.nullcontext(train_kgram_scorer(load_jsonl(target, args.tokenizer)))
+    if kind == "external":
+        return external_scorer_connect(target)
+    return contextlib.nullcontext()
 
 
 def _fmt_cell(value) -> str:
@@ -75,10 +80,8 @@ def _fmt_cell(value) -> str:
 
 
 def cmd_score(args) -> int:
-    tokenizer = Tokenizer(args.tokenizer)
-
     def score_one(path: str, scorer) -> dict:
-        corpus = load_jsonl(path, tokenizer)
+        corpus = load_jsonl(path, args.tokenizer)
         name = os.path.basename(path)
         rep = diversity.score_corpus_diversity(corpus)
         if rep.cr < 1.0:
@@ -98,7 +101,7 @@ def cmd_score(args) -> int:
             "syntheticity": s,
         }
 
-    with _make_scorer(args.scorer, tokenizer) as scorer:
+    with _make_scorer(args) as scorer:
         rows = [score_one(path, scorer) for path in args.inputs]
 
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
@@ -117,7 +120,7 @@ def cmd_fit(args) -> int:
         quality = fitting.load_quality_csv(args.quality) if args.quality else None
         points = fitting.load_experiments_csv(args.experiments, quality)
     if args.init:
-        init = replace(_load_constants(args.init), form=args.form)
+        init = replace(args.init, form=args.form)
     else:
         init = default_initial_guess(args.form)
     report = fitting.fit_constants(
@@ -142,65 +145,48 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    consts = _load_constants(args.constants)
     q_in = QualityInputs(d=args.d_tokens, dr=args.dr, s=args.s, n_millions=args.n_millions)
-    dq = effective_tokens(q_in, consts)
-    acc = predict_accuracy(q_in, consts)
+    dq = effective_tokens(q_in, args.constants)
+    acc = predict_accuracy(q_in, args.constants)
     sys.stdout.write(f"accuracy {acc:.6f}\n")
     sys.stdout.write(f"effective_tokens {dq:.6e}\n")
     return 0
 
 
 def cmd_invert(args) -> int:
-    consts = _load_constants(args.constants)
-    dq = invert_effective_tokens(consts, args.n_millions, args.loss)
+    dq = invert_effective_tokens(args.constants, args.n_millions, args.loss)
     sys.stdout.write(f"effective_tokens {dq:.6e}\n")
     return 0
 
 
-def _sidecar(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra) -> dict | None:
-    """The ``--report`` sidecar, or None if none was asked for: seed,
-    document and token counts, Dr and S before and after refinement, then
-    ``extra``.
+def _write_outputs(args, before: Corpus, after: Corpus, **extra) -> None:
+    """Write ``after`` to ``--out``, then the ``--report`` sidecar if one
+    was asked for: seed, document and token counts, Dr and S before and
+    after refinement, then ``extra``.
 
     Dr is null for a corpus with no text, and S for one with no tokens or
-    when no scorer is set; a scorer that fails fails the command, as in
-    ``score``."""
-    if not args.report:
-        return None
-    side = {
-        "seed": args.seed,
-        "before": {"documents": len(before), "tokens": before.total_tokens},
-        "after": {"documents": len(after), "tokens": after.total_tokens},
-    }
-    with _make_scorer(args.scorer, tokenizer) as scorer:
-        for key, corpus in (("before", before), ("after", after)):
-            try:
-                side[key]["dr"] = diversity.diversity_score(corpus)
-            except DiversityError:
-                side[key]["dr"] = None
-            side[key]["syntheticity"] = None
-            if scorer is not None and corpus.total_tokens > 0:
-                side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
-    side.update(extra)
-    return side
-
-
-def _write_outputs(args, tokenizer: Tokenizer, before: Corpus, after: Corpus, **extra) -> None:
-    """Write ``after`` to ``--out``, then the sidecar. The sidecar is
-    computed first, so a command whose sidecar fails writes neither file."""
-    side = _sidecar(args, tokenizer, before, after, **extra)
+    when no scorer is set. The sidecar is computed first, so a scorer that
+    fails fails the command, as in ``score``, and writes neither file."""
+    if args.report:
+        side = {"seed": args.seed}
+        with _make_scorer(args) as scorer:
+            for key, corpus in (("before", before), ("after", after)):
+                side[key] = {"documents": len(corpus), "tokens": corpus.total_tokens,
+                             "dr": None, "syntheticity": None}
+                with contextlib.suppress(DiversityError):
+                    side[key]["dr"] = diversity.diversity_score(corpus)
+                if scorer is not None and corpus.total_tokens > 0:
+                    side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
     write_jsonl(after, args.out)
-    if side is not None:
+    if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(side, fh, indent=2)
+            json.dump({**side, **extra}, fh, indent=2)
             fh.write("\n")
 
 
 def cmd_select(args) -> int:
-    tokenizer = Tokenizer(args.tokenizer)
-    raw = load_jsonl(args.input, tokenizer)
-    target = load_jsonl(args.target, tokenizer)
+    raw = load_jsonl(args.input, args.tokenizer)
+    target = load_jsonl(args.target, args.tokenizer)
     weights = refine.importance_weights(raw, target)
     selected = refine.select_by_weight(
         raw, weights, args.budget_tokens, mode=args.mode, seed=args.seed
@@ -208,18 +194,17 @@ def cmd_select(args) -> int:
     if not selected:
         print("warning: budget smaller than the smallest document; empty selection",
               file=sys.stderr)
-    _write_outputs(args, tokenizer, raw, selected, budget_tokens=args.budget_tokens, mode=args.mode)
+    _write_outputs(args, raw, selected, budget_tokens=args.budget_tokens, mode=args.mode)
     return 0
 
 
 def cmd_dedup(args) -> int:
-    tokenizer = Tokenizer(args.tokenizer)
-    corpus = load_jsonl(args.input, tokenizer)
+    corpus = load_jsonl(args.input, args.tokenizer)
     if args.mode == "exact":
         deduped = refine.dedup_exact(corpus)
     else:
         deduped = refine.dedup_near(corpus, seed=args.seed)
-    _write_outputs(args, tokenizer, corpus, deduped, mode=args.mode)
+    _write_outputs(args, corpus, deduped, mode=args.mode)
     return 0
 
 
@@ -248,16 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corpus quality metrics and the effective-token scaling law.",
     )
     parser.add_argument("--seed", type=_seed, default=42, help="global random seed")
-    parser.add_argument(
-        "--tokenizer",
-        default="whitespace",
-        help="whitespace | byte | vocab:<path>",
-    )
+    parser.add_argument("--tokenizer", type=Tokenizer, default="whitespace",
+                        help="whitespace | byte | vocab:<path>")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # The syntheticity scorer: score's S columns, select's and dedup's sidecar.
     scoring = argparse.ArgumentParser(add_help=False)
-    scoring.add_argument("--scorer", default=None,
+    scoring.add_argument("--scorer", type=_scorer_spec,
+                         default=os.environ.get(SCORER_ENV, "none"),
                          help=f"none | kgram:<ref.jsonl> | external:<target> "
                               f"(default from ${SCORER_ENV} if set)")
 
@@ -272,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--fixture", action="store_true", help="use the embedded dataset")
     p.add_argument("--quality", help="separate quality CSV (label, pct, dr, s); "
                                      "needs --experiments")
-    p.add_argument("--form", default="F1", choices=["F1", "F2", "F3", "F4"])
-    p.add_argument("--init", help="initial constants: preset name or JSON path")
+    p.add_argument("--form", default="F1", choices=FORMS)
+    p.add_argument("--init", type=_load_constants,
+                   help="initial constants: preset name or JSON path")
     p.add_argument("--restarts", type=int, default=0,
                    help="extra fits from perturbed initial guesses; best SSE wins")
     p.add_argument("--bootstrap-n", type=int, default=0)
@@ -281,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="predict accuracy and effective tokens")
-    p.add_argument("--constants", required=True, help="preset name or JSON path")
+    p.add_argument("--constants", type=_load_constants, required=True,
+                   help="preset name or JSON path")
     p.add_argument("--n-millions", type=float, required=True)
     p.add_argument("--d-tokens", type=float, required=True)
     p.add_argument("--dr", type=float, required=True)
@@ -289,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("invert", help="effective tokens needed for a target score")
-    p.add_argument("--constants", required=True)
+    p.add_argument("--constants", type=_load_constants, required=True)
     p.add_argument("--n-millions", type=float, required=True)
     p.add_argument("--loss", type=float, required=True, help="unclamped model score")
     p.set_defaults(func=cmd_invert)
@@ -299,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="raw corpus JSONL")
     p.add_argument("--target", required=True, help="target corpus JSONL")
     p.add_argument("--budget-tokens", type=int, required=True)
-    p.add_argument("--mode", default="topk", choices=["topk", "gumbel-sample"])
+    p.add_argument("--mode", default="topk", choices=refine.SELECT_MODES)
     p.add_argument("--out", required=True, help="selected corpus JSONL")
     p.add_argument("--report", help="sidecar JSON with before/after stats")
     p.set_defaults(func=cmd_select)
@@ -320,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (QTokensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,11 +73,10 @@ DEFAULT_TOKENIZER = Tokenizer()
 
 @dataclass(frozen=True)
 class Document:
-    """One unit of UTF-8 text with its byte count and its token ids."""
+    """One unit of UTF-8 text with its token ids."""
 
     id: str
     text: str
-    byte_len: int
     ids: np.ndarray = field(repr=False, compare=False)  # an array has no == or hash()
 
     @property
@@ -86,8 +85,7 @@ class Document:
 
     @classmethod
     def create(cls, id: str, text: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "Document":
-        return cls(id=id, text=text, byte_len=len(text.encode("utf-8")),
-                   ids=encode(tokenizer.tokenize(text)))
+        return cls(id=id, text=text, ids=encode(tokenizer.tokenize(text)))
 
 
 @dataclass
@@ -114,7 +112,7 @@ class Corpus:
 
     @property
     def total_bytes(self) -> int:
-        return sum(doc.byte_len for doc in self.documents)
+        return sum(len(doc.text.encode("utf-8")) for doc in self.documents)
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -36,6 +36,8 @@ N_RANGE = (1, 2)
 N_BUCKETS = 1 << 16
 # Add-smoothing of both bucket distributions, relative to each one's total.
 SMOOTHING = 1e-4
+# select_by_weight's modes: rank by weight, or by weight plus Gumbel noise.
+SELECT_MODES = ("topk", "gumbel-sample")
 
 # Near dedup: 3-token shingles, 128 MinHash bins in 16 bands of 8 rows.
 SHINGLE_N = 3
@@ -217,7 +219,7 @@ def select_by_weight(
     for w, doc in zip(log_weights, corpus.documents):
         if math.isnan(w):
             raise RefineError(f"document {doc.id!r} has a NaN weight")
-    if mode not in ("topk", "gumbel-sample"):
+    if mode not in SELECT_MODES:
         raise RefineError(f"unknown selection mode {mode!r}")
     keys = list(log_weights)
     if mode == "gumbel-sample":

@@ -642,6 +642,53 @@ def test_seed_bounds_are_accepted(write_corpus, tmp_path, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("command, setting, report", [
+    *[(command, "--tokenizer", False)
+      for command in ("score", "fit", "predict", "invert", "select", "dedup", "report")],
+    *[(command, setting, report) for command in ("select", "dedup")
+      for setting in ("--scorer", "QTOKENS_SCORER") for report in (False, True)],
+])
+def test_each_setting_is_checked_in_every_command(command, setting, report, write_corpus,
+                                                  tmp_path, capsys, monkeypatch):
+    """A bad ``--tokenizer``, ``--scorer`` or ``$QTOKENS_SCORER`` is the same
+    error in every command that takes it, whether or not the run would use
+    it, and the command writes nothing."""
+    src = write_corpus("c.jsonl", [{"id": "a", "text": "a b c d e"}, {"id": "b", "text": "a b c d f"}])
+    fit_report = tmp_path / "fit.json"
+    if command == "report":
+        assert main(["fit", "--fixture", "--out", str(fit_report)]) == 0
+
+    def argv(out_dir):
+        out_dir.mkdir()
+        out = ["--out", str(out_dir / "out.jsonl")]
+        line = {
+            "score": ["score", src],
+            "fit": ["fit", "--fixture"],
+            "predict": ["predict", "--constants", "paper-ours", "--n-millions", "25",
+                        "--d-tokens", "1e9", "--dr", "0.3", "--s", "0.2"],
+            "invert": ["invert", "--constants", "paper-ours", "--n-millions", "25",
+                       "--loss", "0.38"],
+            "select": ["select", src, "--target", src, "--budget-tokens", "5", *out],
+            "dedup": ["dedup", src, *out],
+            "report": ["report", "--fit-report", str(fit_report), "--out-dir", str(out_dir)],
+        }[command]
+        return line + ["--report", str(out_dir / "side.json")] * report
+
+    monkeypatch.delenv("QTOKENS_SCORER", raising=False)
+    assert run_cli(argv(tmp_path / "good"), capsys)[0] == 0
+    bad = argv(tmp_path / "bad")
+    error = "error: unknown scorer spec 'bogus'\n"
+    if setting == "--tokenizer":
+        bad = [setting, "bogus", *bad]
+        error = "error: unknown tokenizer spec 'bogus': expected whitespace, byte or vocab:<path>\n"
+    elif setting == "--scorer":
+        bad = [*bad, setting, "bogus"]
+    else:
+        monkeypatch.setenv(setting, "bogus")
+    assert run_cli(bad, capsys) == (1, "", error)
+    assert list((tmp_path / "bad").iterdir()) == []
+
+
 def test_fixed_settings_are_the_library_defaults(write_corpus, tmp_path, capsys):
     from qtokens.corpus import load_jsonl
     from qtokens.diversity import score_corpus_diversity

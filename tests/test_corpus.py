@@ -26,7 +26,7 @@ def test_load_jsonl_three_lines(write_corpus):
     assert corpus.documents[0].id == "c.jsonl:1"
     assert corpus.documents[1].id == "x"
     assert corpus.documents[0].token_count == 2
-    assert corpus.documents[0].byte_len == 3
+    assert corpus.total_bytes == 3 + 1 + 5
 
 
 def test_load_jsonl_missing_text(write_corpus):
@@ -160,12 +160,12 @@ def test_count_tokens_matches_independent_count():
 def test_byte_tokenizer():
     tok = Tokenizer("byte")
     doc = Document.create("a", "hé", tok)
-    assert doc.byte_len == 3
+    assert Corpus([doc]).total_bytes == 3
     assert doc.token_count == 3
     assert len(tok.tokenize("hé")) == 3
     # UTF-8 bytes, not characters: 3 + 6 + 4 + 0.
     corpus = Corpus.from_texts(["hé", "日本", "🙂", ""], tok)
-    assert [d.byte_len for d in corpus] == [3, 6, 4, 0]
+    assert [d.token_count for d in corpus] == [3, 6, 4, 0]
     assert corpus.total_bytes == 13
 
 

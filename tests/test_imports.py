@@ -427,22 +427,29 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]
     return found
 
 
+def _name(node: ast.expr) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
 def _calls(tree: ast.Module) -> list[tuple[str, float, set]]:
     """(callee, positional argument count, keyword names) of every call.
     ``cls(...)`` inside a class calls that class; a ``*`` argument counts
-    as every positional argument, and ``**`` gives the keyword name None."""
+    as every positional argument, and ``**`` gives the keyword name None.
+    ``add_argument(..., type=f)`` also calls ``f`` with one argument, the
+    command-line string."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
-                func = child.func
-                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                callee = _name(child.func)
                 if callee == "cls" and owner is not None:
                     callee = owner
                 starred = any(isinstance(a, ast.Starred) for a in child.args)
                 found.append((callee, math.inf if starred else len(child.args),
                               {k.arg for k in child.keywords}))
+                found.extend((_name(k.value), 1, set()) for k in child.keywords
+                             if callee == "add_argument" and k.arg == "type")
             visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
 
     visit(tree, None)
@@ -480,6 +487,9 @@ def test_scan_finds_an_unpassed_parameter():
     caller = "f(0, 1)\nf(*args)\nK.make()\nK().m(1)\n"
     assert unpassed_parameters(module, [module, caller]) == ["f(d)", "K(x)", "make(z)"]
     assert unpassed_parameters(module, [module, caller, "f(**kw)\nK.make(2)"]) == ["K(x)"]
+    # An argparse type is called with the option's string; other keywords are not calls.
+    parser = "p.add_argument('--k', type=K, default='0')\np.add_argument('--m', action=m)\n"
+    assert unpassed_parameters(module, [module, caller, parser]) == ["f(d)", "make(z)"]
 
 
 # Defaulted parameters that only tests pass, and why each stays a parameter.

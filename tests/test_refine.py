@@ -184,7 +184,7 @@ def test_id_table_and_binary_search_both_match_the_oracles():
     searched = Corpus.from_texts(
         [" ".join(f"lookup{v}" for v in rng.integers(0, 20, size=n)) for n in (9, 2, 3, 40)])
     ids = rng.integers(0, 20, size=200).astype(np.int32)
-    indexed = Corpus([Document("low-ids", "", 0, ids)])
+    indexed = Corpus([Document("low-ids", "", ids)])
     assert searched.token_ids()[0].max() >= searched.total_tokens // 4
     assert indexed.token_ids()[0].max() < indexed.total_tokens // 4
     for corpus in (searched, indexed):
