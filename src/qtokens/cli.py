@@ -117,7 +117,8 @@ def cmd_fit(args) -> int:
             raise QTokensError("--quality needs --experiments, not --fixture")
         points = fixtures.fixture_points()
     else:
-        quality = fitting.load_quality_csv(args.quality) if args.quality else None
+        quality = (fitting.read_csv(args.quality, fitting.QUALITY_CSV_HEADER)
+                   if args.quality else None)
         points = fitting.load_experiments_csv(args.experiments, quality)
     if args.init:
         init = replace(args.init, form=args.form)
@@ -253,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     data = p.add_mutually_exclusive_group(required=True)
     data.add_argument("--experiments", help="experiments CSV path")
     data.add_argument("--fixture", action="store_true", help="use the embedded dataset")
-    p.add_argument("--quality", help="separate quality CSV (label, pct, dr, s); "
-                                     "needs --experiments")
+    p.add_argument("--quality", help="separate quality CSV (data_label, fraction_pct, "
+                                     "diversity, syntheticity); needs --experiments")
     p.add_argument("--form", default="F1", choices=FORMS)
     p.add_argument("--init", type=_load_constants,
                    help="initial constants: preset name or JSON path")

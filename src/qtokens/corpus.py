@@ -57,8 +57,11 @@ class Tokenizer:
             raise CorpusError(
                 f"unknown tokenizer spec {spec!r}: expected whitespace, byte or vocab:<path>")
         if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                self._vocab = {line.rstrip("\n") for line in fh if line.rstrip("\n")}
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    self._vocab = {line.rstrip("\n") for line in fh if line.rstrip("\n")}
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from exc
 
     def tokenize(self, text: str) -> list[str]:
         if self.mode == "whitespace":
@@ -140,21 +143,24 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
     """
     name = os.path.basename(path)
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "text" not in obj:
-                raise CorpusError(f"line {lineno}: missing field text")
-            text = obj["text"]
-            if not isinstance(text, str):
-                raise CorpusError(f"line {lineno}: field text is not a string")
-            doc_id = str(obj.get("id", f"{name}:{lineno}"))
-            docs.append(Document.create(doc_id, text, tokenizer))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(obj, dict) or "text" not in obj:
+                    raise CorpusError(f"line {lineno}: missing field text")
+                text = obj["text"]
+                if not isinstance(text, str):
+                    raise CorpusError(f"line {lineno}: field text is not a string")
+                doc_id = str(obj.get("id", f"{name}:{lineno}"))
+                docs.append(Document.create(doc_id, text, tokenizer))
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from exc
     return Corpus(docs)
 
 

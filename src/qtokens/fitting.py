@@ -53,6 +53,7 @@ EXPERIMENTS_CSV_HEADER = [
     "diversity",
     "syntheticity",
 ]
+QUALITY_CSV_HEADER = ["data_label", "fraction_pct", "diversity", "syntheticity"]
 
 
 @dataclass(frozen=True)
@@ -312,44 +313,41 @@ def bootstrap_se(
     return {name: float(v) for name, v in zip(PARAM_NAMES, spread)}, sum(fit[5] for fit in fits)
 
 
-def load_quality_csv(path: str) -> list[tuple]:
-    """Read a quality CSV (data_label, fraction_pct, diversity,
-    syntheticity) as (label, pct, dr, s) rows for ``load_experiments_csv``."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    (
-                        row["data_label"],
-                        int(row["fraction_pct"]),
-                        float(row["diversity"]),
-                        float(row["syntheticity"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FittingError(f"quality CSV row {row_no}: {exc}") from exc
-    return rows
+def read_csv(path: str, required: Sequence[str]) -> list[dict]:
+    """The rows of a UTF-8 CSV file as dicts keyed by its header, after
+    checking that the header names every ``required`` column."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [name for name in required if name not in (reader.fieldnames or ())]
+            if missing:
+                raise FittingError(f"{path}: missing columns {missing}")
+            return list(reader)
+    except UnicodeDecodeError as exc:
+        raise FittingError(f"{path}: not UTF-8 ({exc.reason})") from exc
 
 
 def experiment_points(
-    rows: Iterable[Mapping], quality: Sequence[tuple] | None = None
+    rows: Iterable[Mapping], quality: Iterable[Mapping] | None = None
 ) -> list[ExperimentPoint]:
     """Experiment points from rows keyed by ``EXPERIMENTS_CSV_HEADER``'s names.
 
     A row gives its diversity and syntheticity both or neither; a value
     that is missing, None or "" is not given. A row that gives neither is
-    joined on (data_label, fraction_pct) to the quality rows (label, pct,
-    dr, s). Accuracy percent becomes a fraction and the losses are not
-    read. Errors name the row, counting a CSV header as row 1.
+    joined on (data_label, fraction_pct) to the quality rows, keyed by
+    ``QUALITY_CSV_HEADER``'s names. Accuracy percent becomes a fraction
+    and the losses are not read. Errors name the row, counting a CSV
+    header as row 1.
     """
     lookup: dict[tuple[str, int], tuple[float, float]] = {}
-    for label, pct, dr, s in quality or ():
-        key = (label, int(pct))
-        if key in lookup:
-            raise FittingError(f"duplicate quality row for {key}")
-        lookup[key] = (float(dr), float(s))
+    for row_no, row in enumerate(quality or (), start=2):
+        try:
+            key = (row["data_label"], int(row["fraction_pct"]))
+            if key in lookup:
+                raise FittingError(f"duplicate key {key}")
+            lookup[key] = (float(row["diversity"]), float(row["syntheticity"]))
+        except (FittingError, KeyError, TypeError, ValueError) as exc:
+            raise FittingError(f"quality row {row_no}: {exc}") from exc
     points = []
     for row_no, row in enumerate(rows, start=2):
         try:
@@ -382,22 +380,11 @@ def experiment_points(
 
 
 def load_experiments_csv(
-    path: str, quality: Sequence[tuple] | None = None
+    path: str, quality: Iterable[Mapping] | None = None
 ) -> list[ExperimentPoint]:
-    """Read experiment points from CSV with ``experiment_points``.
-
-    The diversity/syntheticity columns may be absent or empty when a
-    separate quality table is supplied.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        got = reader.fieldnames or []
-        required = set(EXPERIMENTS_CSV_HEADER) - {"diversity", "syntheticity"}
-        if not required.issubset(got):
-            raise FittingError(
-                f"experiments CSV missing columns: {sorted(required - set(got))}"
-            )
-        return experiment_points(reader, quality)
+    """Read experiment points from CSV with ``experiment_points``. Every
+    column but diversity and syntheticity is required."""
+    return experiment_points(read_csv(path, EXPERIMENTS_CSV_HEADER[:-2]), quality)
 
 
 def fit_report_to_dict(report: FitReport, points: Sequence[ExperimentPoint], seed: int) -> dict:

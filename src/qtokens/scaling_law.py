@@ -55,6 +55,8 @@ class ScalingConstants:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScalingConstants":
+        if not isinstance(data, Mapping):
+            raise ScalingDomainError(f"constants JSON is a {type(data).__name__}, not an object")
         try:
             return cls(*(float(data[name]) for name in PARAM_NAMES),
                        form=str(data.get("form", "F1")))

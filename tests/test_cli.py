@@ -143,6 +143,23 @@ def test_score_unreadable_input(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["score", "{bad}"],
+    ["--tokenizer", "vocab:{bad}", "score", "{corpus}"],
+    ["fit", "--experiments", "{bad}"],
+    ["fit", "--experiments", "{exp}", "--quality", "{bad}"],
+], ids=["corpus", "vocab", "experiments", "quality"])
+def test_input_that_is_not_utf8_is_an_error_naming_the_file(argv, write_corpus, tmp_path,
+                                                            capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"a,b\n\xff\xfe\n")
+    exp = tmp_path / "exp.csv"
+    exp.write_text(",".join(fitting.EXPERIMENTS_CSV_HEADER) + "\n")
+    paths = {"bad": bad, "exp": exp, "corpus": write_corpus("c.jsonl", [{"text": "a b"}])}
+    code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+    assert (code, out, err) == (1, "", f"error: {bad}: not UTF-8 (invalid start byte)\n")
+
+
 def test_score_warns_on_incompressible_input(write_corpus, capsys):
     # 9 bytes of text compress to 17, so CR < 1.
     path = write_corpus("tiny.jsonl", [{"text": "a b c d e"}])
@@ -309,6 +326,22 @@ def test_fit_malformed_quality_row(tmp_path, capsys, bad_row):
     assert err.startswith("error: ") and "row 3" in err
 
 
+def test_fit_quality_csv_is_checked_like_the_experiments_csv(tmp_path, capsys):
+    """A quality CSV lacking a column fails once, naming the file and the
+    column, and a repeated (data_label, fraction_pct) names its row."""
+    exp = tmp_path / "exp.csv"
+    exp.write_text(",".join(fitting.EXPERIMENTS_CSV_HEADER)
+                   + "\n25,Random,10,1083200970,1.36,6.89,37.87,,\n")
+    quality = tmp_path / "q.csv"
+    quality.write_text("data_label,fraction_pct,diversity\nRandom,10,0.3775\n")
+    argv = ["fit", "--experiments", str(exp), "--quality", str(quality)]
+    assert run_cli(argv, capsys) == (1, "", f"error: {quality}: missing columns "
+                                            "['syntheticity']\n")
+    _write_quality_csv(quality, [("Random", 10, 0.3775, 0.02699)] * 2)
+    assert run_cli(argv, capsys) == (1, "", "error: quality row 3: duplicate key "
+                                            "('Random', 10)\n")
+
+
 def test_fit_with_bootstrap(capsys, tmp_path):
     # small synthetic set so the bootstrap stays quick
     truth = ScalingConstants(e=0.2, a=1.0, alpha=0.3, b=50.0, beta=0.35, c1=-2.0, c2=1.5)
@@ -432,6 +465,23 @@ def test_invert_constants_invalid_json(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "fit", "report"])
+def test_constants_that_are_not_an_object_are_an_error(command, tmp_path, capsys):
+    path = tmp_path / "l.json"
+    path.write_text("[1]")
+    if command == "report":
+        assert main(["fit", "--fixture", "--out", str(path)]) == 0
+        path.write_text(json.dumps({**json.loads(path.read_text()), "constants": [1]}))
+    argv = {
+        "predict": ["predict", "--constants", str(path), "--n-millions", "10",
+                    "--d-tokens", "1e9", "--dr", "0.3", "--s", "0.1"],
+        "fit": ["fit", "--fixture", "--init", str(path)],
+        "report": ["report", "--fit-report", str(path), "--out-dir", str(tmp_path / "o")],
+    }[command]
+    assert run_cli(argv, capsys) == (1, "", "error: constants JSON is a list, not an object\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_invert_out_of_domain(capsys, tmp_path):

@@ -9,6 +9,7 @@ from qtokens.errors import FittingError, QTokensError
 from qtokens.fitting import (
     _SEARCHED,
     EXPERIMENTS_CSV_HEADER,
+    QUALITY_CSV_HEADER,
     ExperimentPoint,
     _consts_of,
     _levenberg_marquardt,
@@ -479,6 +480,10 @@ def test_bootstrap_se_shrinks_with_more_points():
     assert 1.5 <= float(np.median(stable)) <= 4.5
 
 
+# The embedded quality table as the rows a quality CSV reads to.
+QUALITY_ROWS = [dict(zip(QUALITY_CSV_HEADER, row)) for row in QUALITY_TABLE]
+
+
 def test_join_row_63():
     p = fixture_points()[62]
     assert (p.n_millions, p.d_tokens) == (25.0, 10_993_147_242.0)
@@ -497,13 +502,15 @@ def test_join_row_207():
 def test_join_unknown_label():
     result = (25, "Mystery", 10, 1000000, 1.0, 2.0, 40.0)
     with pytest.raises(FittingError, match=r"^row 2: no quality row for \('Mystery', 10\)$"):
-        experiment_points([dict(zip(EXPERIMENTS_CSV_HEADER, result))], QUALITY_TABLE)
+        experiment_points([dict(zip(EXPERIMENTS_CSV_HEADER, result))], QUALITY_ROWS)
 
 
 def test_join_duplicate_quality():
-    quality = [("Random", 10, 0.3, 0.02), ("Random", 10, 0.31, 0.02)]
+    quality = [dict(zip(QUALITY_CSV_HEADER, row))
+               for row in (("Random", 10, 0.3, 0.02), ("Random", 10, 0.31, 0.02))]
     result = (25, "Random", 10, 1000000, 1.0, 2.0, 40.0)
-    with pytest.raises(FittingError, match=r"^duplicate quality row for \('Random', 10\)$"):
+    with pytest.raises(FittingError,
+                       match=r"^quality row 3: duplicate key \('Random', 10\)$"):
         experiment_points([dict(zip(EXPERIMENTS_CSV_HEADER, result))], quality)
 
 
@@ -535,7 +542,7 @@ def test_load_experiments_csv_with_quality_table(tmp_path):
     path.write_text(
         EXP_HEADER + "25,Random,10,1083200970,1.36,6.89,37.87,,\n", encoding="utf-8"
     )
-    points = load_experiments_csv(str(path), quality=QUALITY_TABLE)
+    points = load_experiments_csv(str(path), quality=QUALITY_ROWS)
     assert points[0].dr == 0.37750
 
 
@@ -550,7 +557,7 @@ def test_load_experiments_csv_without_quality_scores(tmp_path):
     ):
         load_experiments_csv(str(path))
     with pytest.raises(FittingError, match=r"^row 2: no quality row for \('Mystery', 10\)$"):
-        load_experiments_csv(str(path), quality=QUALITY_TABLE)
+        load_experiments_csv(str(path), quality=QUALITY_ROWS)
     # A row that gives only one of Dr and S is refused, with or without a
     # quality table, rather than having the given value replaced.
     for scores in ("0.99,", ",0.02699"):
@@ -558,7 +565,7 @@ def test_load_experiments_csv_without_quality_scores(tmp_path):
             EXP_HEADER + f"25,Random,10,1083200970,1.36,6.89,37.87,{scores}\n",
             encoding="utf-8",
         )
-        for quality in (None, QUALITY_TABLE):
+        for quality in (None, QUALITY_ROWS):
             with pytest.raises(
                 FittingError,
                 match="^row 2: give diversity and syntheticity both or neither$",
@@ -571,13 +578,13 @@ def test_load_experiments_csv_without_quality_scores(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(FittingError, match="^row 2: give diversity"):
-        load_experiments_csv(str(path), quality=QUALITY_TABLE)
+        load_experiments_csv(str(path), quality=QUALITY_ROWS)
     # Only a missing key, None or "" counts as not given.
     result = dict(zip(EXPERIMENTS_CSV_HEADER, (25, "Random", 10, 1e9, 1.0, 2.0, 40.0)))
     with pytest.raises(FittingError, match="^row 2: give diversity"):
-        experiment_points([{**result, "diversity": 0.0, "syntheticity": None}], QUALITY_TABLE)
+        experiment_points([{**result, "diversity": 0.0, "syntheticity": None}], QUALITY_ROWS)
     (point,) = experiment_points([{**result, "diversity": None, "syntheticity": ""}],
-                                 QUALITY_TABLE)
+                                 QUALITY_ROWS)
     assert (point.dr, point.s) == (0.37750, 0.02699)
 
 

@@ -1,5 +1,5 @@
-"""The README's library example runs as written, and its `score` columns and
-refinement settings are the real ones."""
+"""The README's library example runs as written, and its `score` columns,
+`fit` CSV headers and refinement settings are the real ones."""
 
 import os
 import re
@@ -10,6 +10,7 @@ import numpy as np
 
 from qtokens import diversity, refine
 from qtokens.cli import main
+from qtokens.fitting import EXPERIMENTS_CSV_HEADER, QUALITY_CSV_HEADER
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
@@ -34,6 +35,13 @@ def test_readme_lists_the_score_columns(write_corpus, capsys):
     path = write_corpus("c.jsonl", [{"text": "a b c"}, {"text": "c d e"}])
     assert main(["score", path]) == 0
     assert capsys.readouterr().out.splitlines()[0] == columns
+
+
+def test_readme_gives_the_fit_csv_headers():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    assert re.findall(r"^`(model_size_m,[^`]*)`", text, re.M) == [",".join(EXPERIMENTS_CSV_HEADER)]
+    assert re.findall(r"^`(data_label,[^`]*)`", text, re.M) == [",".join(QUALITY_CSV_HEADER)]
 
 
 def fixed_setting(pattern):
