@@ -139,7 +139,8 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
 
     Each line must be a JSON object with a ``text`` string field. Missing
     ids are assigned ``<filename>:<line>``. An empty file yields an empty
-    corpus; malformed lines raise with their line number.
+    corpus; malformed lines, and a text or id holding a lone surrogate
+    escape (which UTF-8 cannot encode), raise with their line number.
     """
     name = os.path.basename(path)
     docs = []
@@ -158,6 +159,15 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
                 if not isinstance(text, str):
                     raise CorpusError(f"line {lineno}: field text is not a string")
                 doc_id = str(obj.get("id", f"{name}:{lineno}"))
+                # JSON can escape a lone surrogate, which no UTF-8 encode takes;
+                # an ASCII string (an O(1) check) cannot hold one.
+                if not (text.isascii() and doc_id.isascii()):
+                    for key, value in (("text", text), ("id", doc_id)):
+                        try:
+                            value.encode("utf-8")
+                        except UnicodeEncodeError as exc:
+                            raise CorpusError(f"line {lineno}: field {key} cannot be encoded "
+                                              f"as UTF-8 ({exc.reason})") from None
                 docs.append(Document.create(doc_id, text, tokenizer))
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from exc

@@ -213,8 +213,12 @@ def _check_points(points) -> None:
             if key not in point:
                 raise QTokensError(f"point {i} has no {key!r}")
             value = point[key]
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            try:
+                number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                          and math.isfinite(value))
+            except OverflowError:  # an int beyond the float range
+                number = False
+            if not number:
                 raise QTokensError(f"point {i}: {key!r} is not a finite number: {value!r}")
             if key in POSITIVE_POINT_KEYS and value <= 0:
                 raise QTokensError(f"point {i}: {key!r} must be > 0, got {value!r}")

@@ -62,7 +62,7 @@ class ScalingConstants:
                        form=str(data.get("form", "F1")))
         except KeyError as exc:
             raise ScalingDomainError(f"constants JSON missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # Overflow: int beyond float range
             raise ScalingDomainError(f"constants JSON has a bad value: {exc}") from exc
 
 
@@ -99,9 +99,12 @@ class QualityInputs:
 
     def __post_init__(self):
         for name in ("d", "dr", "s", "n_millions"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ScalingDomainError(f"{name} must be finite and > 0, got {value}")
+            _check_positive(name, getattr(self, name))
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ScalingDomainError(f"{name} must be finite and > 0, got {value}")
 
 
 def _dq(d, dr, s, c1, c2, form, exp=math.exp):
@@ -135,12 +138,12 @@ def _score(n, dq, e, a, alpha, b, beta):
         raise ScalingDomainError(f"score is undefined at N={n}, Dq={dq}: {exc}") from exc
 
 
-def scaling_factor_q(dr: float, s: float, c1: float, c2: float) -> float:
-    """Multiplicative quality adjustment ``exp(c1 * dr + c2 * s)``."""
-    for name, value in (("dr", dr), ("s", s), ("c1", c1), ("c2", c2)):
-        if not math.isfinite(value):
-            raise ScalingDomainError(f"{name} is not finite: {value}")
-    return _dq(1.0, dr, s, c1, c2, "F1")
+def scaling_factor_q(dr: float, s: float, consts: ScalingConstants) -> float:
+    """Quality factor ``Q = Dq / D`` under the form of ``consts``, such as
+    ``exp(c1 * dr + c2 * s)`` for F1; ``dr`` and ``s`` must be finite and > 0."""
+    _check_positive("dr", dr)
+    _check_positive("s", s)
+    return _dq(1.0, dr, s, consts.c1, consts.c2, consts.form)
 
 
 def effective_tokens(q_in: QualityInputs, consts: ScalingConstants) -> float:

@@ -14,6 +14,7 @@ line, matched by id).
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import math
 import os
@@ -34,8 +35,13 @@ from .errors import ProtocolError, ScorerError
 DEFAULT_CONTEXT_LEN = 1024
 DEFAULT_KGRAM_K = 3
 DEFAULT_SAMPLE_FRACTION = 0.25
-# Requests an external scorer may have outstanding at a time.
-MAX_IN_FLIGHT = 8
+# Tokens an external scorer may have outstanding at a time, counting those
+# awaiting an answer and those answered ahead of their turn; one window is
+# always let go, so a larger window still goes through.
+MAX_IN_FLIGHT_TOKENS = 1 << 16
+# Bytes a subprocess scorer's stdin and stdout pipes are grown to, where the
+# OS allows: a default 64 KiB pipe holds only a few requests.
+PIPE_BYTES = 1 << 20
 # Bytes of a subprocess scorer's stderr kept to explain its death.
 STDERR_TAIL = 4096
 # An unfinished response line may hold this many bytes per token of the
@@ -223,13 +229,17 @@ class ExternalScorer:
 
     The peer must answer each ``{"id": ..., "tokens": [...]}`` request line
     with a ``{"id": ..., "logprobs": [...]}`` line; responses may arrive in
-    any order and are matched back by id. Up to ``MAX_IN_FLIGHT`` requests
-    are outstanding at a time. The peer must make progress, by accepting
-    request bytes or completing a response line, within ``timeout`` seconds
-    of its last progress, and a response line may not outgrow
-    ``LINE_BYTES_PER_TOKEN`` bytes per token of the longest window awaiting
-    an answer plus ``LINE_SLACK``; either failure is a ``ProtocolError``. A
-    target that cannot be reached or started raises ``ScorerError``.
+    any order and are matched back by id. Requests are pipelined, so a
+    batching peer sees many at once: up to ``MAX_IN_FLIGHT_TOKENS`` tokens
+    are outstanding at a time, plus one window, and a subprocess scorer's
+    stdin and stdout pipes are grown to ``PIPE_BYTES`` where the OS allows
+    (the default size is kept otherwise). The peer must make progress, by
+    accepting request bytes or completing a response line, within
+    ``timeout`` seconds of its last progress, and a response line may not
+    outgrow ``LINE_BYTES_PER_TOKEN`` bytes per token of the longest window
+    awaiting an answer plus ``LINE_SLACK``; either failure is a
+    ``ProtocolError``. A target that cannot be reached or started raises
+    ``ScorerError``.
 
     A subprocess scorer's stderr is read while its responses are awaited,
     so a chatty child never blocks on a full pipe; only the last
@@ -271,6 +281,9 @@ class ExternalScorer:
             self._rfd = self._proc.stdout.fileno()
             self._wfd = self._proc.stdin.fileno()
             self._efd = self._proc.stderr.fileno()
+            for fd in (self._wfd, self._rfd):
+                with contextlib.suppress(AttributeError, OSError):  # no such call, or refused
+                    fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
             os.set_blocking(self._wfd, False)
             os.set_blocking(self._efd, False)
 
@@ -399,18 +412,22 @@ class ExternalScorer:
         """Score id windows, yielding their log-probabilities in input order.
 
         Each window's ids are decoded to tokens as its request is built.
-        Windows are drawn from ``windows`` only as requests are sent, and at
-        most ``MAX_IN_FLIGHT`` windows are either awaiting a response or
-        holding one that is not yet due, so neither the input nor the output
-        is held in memory as a whole. The ``timeout`` counts from the peer's
-        last progress, or from when the caller resumes the generator. A call
-        that ends with a request unanswered closes the scorer.
+        Windows are drawn from ``windows`` only as requests are sent, and
+        only while fewer than ``MAX_IN_FLIGHT_TOKENS`` tokens are awaiting a
+        response or holding one that is not yet due; the first window is
+        always drawn. So at most that many tokens plus one window are
+        outstanding, and neither the input nor the output is held in memory
+        as a whole. The ``timeout`` counts from the peer's last progress, or
+        from when the caller resumes the generator. A call that ends with a
+        request unanswered closes the scorer.
         """
         if self._closed:
             raise ScorerError(f"scorer is closed: {self._closed}")
         windows = iter(windows)
         pending: dict[str, tuple[int, int]] = {}  # request id -> (window index, tokens)
-        ready: dict[int, list[float]] = {}  # responses that arrived ahead of their turn
+        # Responses that arrived ahead of their turn: window index -> (tokens, logprobs).
+        ready: dict[int, tuple[int, list[float]]] = {}
+        held = 0  # tokens of the windows in pending and ready
         out = memoryview(b"")
         sent = 0
         due = 0
@@ -418,19 +435,24 @@ class ExternalScorer:
         deadline = time.monotonic() + self.timeout
         try:
             while True:
-                if not out and not exhausted and len(pending) + len(ready) < MAX_IN_FLIGHT:
+                if not out and not exhausted and held < MAX_IN_FLIGHT_TOKENS:
                     window = next(windows, None)
                     if window is None:
                         exhausted = True
                     else:
                         req_id = f"q{self._next_id}"
                         self._next_id += 1
-                        pending[req_id] = (sent, len(window))
+                        # An empty window counts as one token, so the budget bounds them too.
+                        n_tokens = max(len(window), 1)
+                        pending[req_id] = (sent, n_tokens)
+                        held += n_tokens
                         sent += 1
                         request = json.dumps({"id": req_id, "tokens": decode(window)}) + "\n"
                         out = memoryview(request.encode("utf-8"))
                 if due in ready:
-                    yield ready.pop(due)
+                    n_tokens, logprobs = ready.pop(due)
+                    held -= n_tokens
+                    yield logprobs
                     due += 1
                     deadline = time.monotonic() + self.timeout
                     continue
@@ -452,7 +474,8 @@ class ExternalScorer:
                         resp_id, logprobs = self._parse_response(line)
                         if resp_id not in pending:
                             raise ProtocolError(f"unknown response id {resp_id!r}")
-                        ready[pending.pop(resp_id)[0]] = logprobs
+                        index, n_tokens = pending.pop(resp_id)
+                        ready[index] = (n_tokens, logprobs)
                         deadline = time.monotonic() + self.timeout
         finally:
             if pending:  # the peer may yet answer, and a later call would read it as its own

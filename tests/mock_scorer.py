@@ -22,8 +22,8 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     die        exit with status 3 after reading one request
     noisy      after reading one request, write about 1 MB to stderr ending
                in the line "fatal: out of memory", then exit with status 3
-    batch4     hold requests until 4 are unanswered, or stdin has been idle
-               for 3 s, then answer the held ones in order
+    batchN     hold requests until N are unanswered (batch4, batch32, ...), or
+               stdin has been idle for 3 s, then answer the held ones in order
     stubborn   ignore SIGTERM, reply like const, and linger after stdin closes
     holdsecond reply +0.1 per token to the first request at once, and to the
                second only when the third arrives; then reply like const
@@ -42,7 +42,7 @@ def reply(obj):
     sys.stdout.flush()
 
 
-def batch4():
+def batch(size):
     # Reads raw bytes, so select sees every request that has arrived.
     fd = sys.stdin.fileno()
     buffer = b""
@@ -58,7 +58,7 @@ def batch4():
         for line in lines:
             if line.strip():
                 held.append(json.loads(line))
-                if len(held) == 4:
+                if len(held) == size:
                     answer(held)
 
 
@@ -70,8 +70,8 @@ def answer(held):
 
 def main():
     mode = sys.argv[1] if len(sys.argv) > 1 else "const"
-    if mode == "batch4":
-        batch4()
+    if mode.startswith("batch"):
+        batch(int(mode[len("batch"):]))
         return
     stubborn = mode == "stubborn"
     if stubborn:

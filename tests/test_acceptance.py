@@ -222,10 +222,10 @@ def test_criterion_6_quality_direction():
         dr = float(rng.uniform(0.2, 0.6))
         s = float(rng.uniform(0.01, 0.2))
         h = 1e-7
-        q = scaling_factor_q(dr, s, ours.c1, ours.c2)
+        q = scaling_factor_q(dr, s, ours)
         if not (
-            scaling_factor_q(dr, s + h, ours.c1, ours.c2) > q
-            and scaling_factor_q(dr - h, s, ours.c1, ours.c2) > q
+            scaling_factor_q(dr, s + h, ours) > q
+            and scaling_factor_q(dr - h, s, ours) > q
         ):
             ok = False
             break

@@ -14,6 +14,7 @@ from qtokens.cli import main
 from qtokens.corpus import Tokenizer
 from qtokens.fixtures import QUALITY_TABLE, RESULTS_TABLE
 from qtokens.scaling_law import (
+    PRESETS,
     QualityInputs,
     ScalingConstants,
     default_initial_guess,
@@ -158,6 +159,28 @@ def test_input_that_is_not_utf8_is_an_error_naming_the_file(argv, write_corpus, 
     paths = {"bad": bad, "exp": exp, "corpus": write_corpus("c.jsonl", [{"text": "a b"}])}
     code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
     assert (code, out, err) == (1, "", f"error: {bad}: not UTF-8 (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("field", ["text", "id"])
+@pytest.mark.parametrize("argv", [
+    ["score", "{bad}"],
+    ["score", "{good}", "--scorer", "kgram:{bad}"],
+    ["select", "{bad}", "--target", "{good}", "--budget-tokens", "4", "--out", "{out}",
+     "--report", "{report}"],
+    ["select", "{good}", "--target", "{bad}", "--budget-tokens", "4", "--out", "{out}"],
+    ["dedup", "{bad}", "--mode", "exact", "--out", "{out}"],
+    ["dedup", "{bad}", "--mode", "near", "--out", "{out}", "--report", "{report}"],
+], ids=["score", "kgram-reference", "select-input", "select-target", "dedup-exact", "dedup-near"])
+def test_a_lone_surrogate_in_a_corpus_is_an_error(argv, field, write_corpus, tmp_path, capsys):
+    # json.dumps writes the lone surrogate as the escape \ud800: valid JSON that
+    # parses to a string no UTF-8 encode takes.
+    bad_row = {"text": "x \ud800 y"} if field == "text" else {"id": "d\udfff", "text": "x y"}
+    paths = {"bad": write_corpus("bad.jsonl", [{"text": "a b c"}, bad_row]),
+             "good": write_corpus("good.jsonl", [{"text": "a b c"}, {"text": "d e f"}]),
+             "out": tmp_path / "o.jsonl", "report": tmp_path / "r.json"}
+    message = f"error: line 2: field {field} cannot be encoded as UTF-8 (surrogates not allowed)\n"
+    assert run_cli([arg.format(**paths) for arg in argv], capsys) == (1, "", message)
+    assert not paths["out"].exists() and not paths["report"].exists()
 
 
 def test_score_warns_on_incompressible_input(write_corpus, capsys):
@@ -481,6 +504,31 @@ def test_constants_that_are_not_an_object_are_an_error(command, tmp_path, capsys
         "report": ["report", "--fit-report", str(path), "--out-dir", str(tmp_path / "o")],
     }[command]
     assert run_cli(argv, capsys) == (1, "", "error: constants JSON is a list, not an object\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["predict", "fit", "report-constants", "report-points"])
+def test_an_integer_beyond_the_float_range_is_an_error(where, tmp_path, capsys):
+    # JSON parses 1 followed by 400 zeros as an int, which float() cannot hold.
+    big = 10**400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**PRESETS["paper-ours"].to_dict(), "E": big}))
+    message = "error: constants JSON has a bad value: int too large to convert to float\n"
+    if where.startswith("report"):
+        assert main(["fit", "--fixture", "--out", str(path)]) == 0
+        fit = json.loads(path.read_text())
+        if where == "report-constants":
+            fit["constants"]["E"] = big
+        else:
+            fit["points"][0]["observed"] = big
+            message = f"error: point 0: 'observed' is not a finite number: {big}\n"
+        path.write_text(json.dumps(fit))
+    argv = {
+        "predict": ["predict", "--constants", str(path), "--n-millions", "25",
+                    "--d-tokens", "1e10", "--dr", "0.36", "--s", "0.02"],
+        "fit": ["fit", "--fixture", "--init", str(path)],
+    }.get(where, ["report", "--fit-report", str(path), "--out-dir", str(tmp_path / "o")])
+    assert run_cli(argv, capsys) == (1, "", message)
     assert not (tmp_path / "o").exists()
 
 

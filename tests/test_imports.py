@@ -218,8 +218,9 @@ def test_scan_does_not_count_a_reexport_as_a_use():
 PUBLIC_ONLY_DEFINITIONS = (
     ("metric_correlation_matrix", "the paper weighs Dr against the baseline diversity metrics "
                                   "by their correlation across corpora; no subcommand does"),
-    ("scaling_factor_q", "the quality factor Q = exp(c1 Dr + c2 S) on its own, for library "
-                         "users; acceptance criterion 6 checks that it rises with quality"),
+    ("scaling_factor_q", "the quality factor Q = Dq / D of a constants' form (exp(c1 Dr + c2 S) "
+                         "for F1) on its own, for library users; acceptance criterion 6 checks "
+                         "that it rises with quality"),
 )
 PACKAGE_MODULES = [path for path in _modules() if path.startswith(PACKAGE_DIR)]
 

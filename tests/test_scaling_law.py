@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qtokens.errors import ScalingDomainError
 from qtokens.scaling_law import (
+    FORMS,
     PRESETS,
     QualityInputs,
     ScalingConstants,
@@ -66,31 +68,55 @@ def test_presets():
 
 
 def test_q_identity_when_coefficients_zero():
-    for dr, s in ((0.1, 0.9), (3.0, 0.001)):
-        assert scaling_factor_q(dr, s, 0.0, 0.0) == 1.0
+    for form in FORMS:
+        consts = replace(PRESETS["paper-ours"], c1=0.0, c2=0.0, form=form)
+        for dr, s in ((0.1, 0.9), (3.0, 0.001)):
+            assert scaling_factor_q(dr, s, consts) == 1.0
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_q_is_effective_tokens_per_token_under_each_form(form):
+    # Q = Dq / D of the constants' own form, which differs from F1's factor.
+    consts = replace(PRESETS["paper-ours"], form=form)
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        dr = float(rng.uniform(0.2, 0.6))
+        s = float(rng.uniform(0.01, 0.2))
+        q = scaling_factor_q(dr, s, consts)
+        assert q == effective_tokens(QualityInputs(d=1.0, dr=dr, s=s, n_millions=1.0), consts)
+        if form != "F1":
+            assert q != scaling_factor_q(dr, s, replace(consts, form="F1"))
+    # Outside the law's domain, where F2-F4 would raise 0 to a negative power.
+    for dr, s, name in ((0.0, 0.1, "dr"), (0.3, 0.0, "s")):
+        with pytest.raises(ScalingDomainError, match=f"^{name} must be finite and > 0, got 0.0$"):
+            scaling_factor_q(dr, s, consts)
 
 
 def test_q_hand_evaluation_random_100():
     ours = PRESETS["paper-ours"]
-    q = scaling_factor_q(RANDOM_100["dr"], RANDOM_100["s"], ours.c1, ours.c2)
+    q = scaling_factor_q(RANDOM_100["dr"], RANDOM_100["s"], ours)
     assert q == math.exp(-12.7756 * 0.36370 + 0.6369 * 0.02635)
     assert q == pytest.approx(9.756e-3, rel=5e-4)
 
 
 def test_q_hand_evaluation_selsyn_100():
     ours = PRESETS["paper-ours"]
-    q_selsyn = scaling_factor_q(SELSYN_100["dr"], SELSYN_100["s"], ours.c1, ours.c2)
-    q_random = scaling_factor_q(RANDOM_100["dr"], RANDOM_100["s"], ours.c1, ours.c2)
+    q_selsyn = scaling_factor_q(SELSYN_100["dr"], SELSYN_100["s"], ours)
+    q_random = scaling_factor_q(RANDOM_100["dr"], RANDOM_100["s"], ours)
     assert q_selsyn == math.exp(-12.7756 * 0.28578 + 0.6369 * 0.11902)
     assert q_selsyn == pytest.approx(2.80e-2, rel=1e-3)
     assert q_selsyn > q_random
 
 
 def test_q_rejects_non_finite():
-    with pytest.raises(ScalingDomainError):
-        scaling_factor_q(math.inf, 0.1, 1.0, 1.0)
-    with pytest.raises(ScalingDomainError):
-        scaling_factor_q(0.1, 0.1, math.nan, 1.0)
+    ours = PRESETS["paper-ours"]
+    with pytest.raises(ScalingDomainError, match="^dr must be finite and > 0, got inf$"):
+        scaling_factor_q(math.inf, 0.1, ours)
+    with pytest.raises(ScalingDomainError, match="^s must be finite and > 0, got nan$"):
+        scaling_factor_q(0.1, math.nan, ours)
+    # A non-finite constant cannot be built, so it never reaches Q.
+    with pytest.raises(ScalingDomainError, match="^constant c1 is not finite$"):
+        scaling_factor_q(0.1, 0.1, replace(ours, c1=math.nan))
 
 
 def test_effective_tokens_f1_identity():
@@ -270,9 +296,9 @@ def test_fitted_constants_quality_direction():
     for _ in range(100):
         dr = float(rng.uniform(0.2, 0.6))
         s = float(rng.uniform(0.01, 0.2))
-        q = scaling_factor_q(dr, s, ours.c1, ours.c2)
-        assert scaling_factor_q(dr, s + 1e-6, ours.c1, ours.c2) > q
-        assert scaling_factor_q(dr - 1e-6, s, ours.c1, ours.c2) > q
+        q = scaling_factor_q(dr, s, ours)
+        assert scaling_factor_q(dr, s + 1e-6, ours) > q
+        assert scaling_factor_q(dr - 1e-6, s, ours) > q
 
 
 # Every form's Dq is only defined on this domain; F2-F4 raise Dr or S to a power.

@@ -1,3 +1,4 @@
+import fcntl
 import math
 import re
 import shlex
@@ -684,6 +685,43 @@ def test_external_requests_are_pipelined(mock_scorer_cmd):
         result = score_corpus(scorer, corpus, 1.0, 0)
     assert result.m_tokens == 36
     assert result.avg_nll == 1.0
+
+
+def test_external_batching_peer_gets_full_batches(mock_scorer_cmd):
+    # batch32 answers only when it holds 32 requests, so a client that keeps
+    # fewer in flight times out; 64 windows of 3 tokens fill two batches.
+    corpus = corpus_of([f"w{i} x{i} y{i}" for i in range(64)])
+    with external_scorer_connect(mock_scorer_cmd("batch32"), timeout=2.0) as scorer:
+        result = score_corpus(scorer, corpus, 1.0, 0)
+    assert result.m_tokens == 192
+    assert result.avg_nll == 1.0
+
+
+@pytest.mark.parametrize("length, sent", [(30, 4), (0, 100)])
+def test_external_in_flight_tokens_are_bounded(length, sent, mock_scorer_cmd, monkeypatch):
+    # A silent peer answers nothing, so the client sends windows until 100
+    # tokens are outstanding: the fourth window of 30 takes it past the
+    # budget, and an empty window counts as one token.
+    monkeypatch.setattr(syntheticity, "MAX_IN_FLIGHT_TOKENS", 100)
+    drawn = []
+
+    def windows():
+        for i in range(200):
+            drawn.append(i)
+            yield encode(["x"] * length)
+
+    with external_scorer_connect(mock_scorer_cmd("silent"), timeout=0.3) as scorer:
+        with pytest.raises(ProtocolError, match="^scorer timed out after 0.3s$"):
+            list(scorer.score_windows(windows()))
+    assert len(drawn) == sent
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="pipe size cannot be read here")
+def test_external_subprocess_pipes_are_grown(mock_scorer_cmd):
+    with external_scorer_connect(mock_scorer_cmd("const")) as scorer:
+        for fd in (scorer._wfd, scorer._rfd):
+            assert fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) >= syntheticity.PIPE_BYTES
+        assert scorer.log_probs(["a"]) == [-1.0]
 
 
 def test_external_closed_output_of_a_running_child_is_named(mock_scorer_cmd):
