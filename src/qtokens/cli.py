@@ -36,6 +36,8 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise QTokensError(f"{path}: not UTF-8 ({exc.reason})") from exc
         except ValueError as exc:
             raise QTokensError(f"{path}: not valid JSON: {exc}") from exc
 

@@ -140,7 +140,7 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
     Each line must be a JSON object with a ``text`` string field. Missing
     ids are assigned ``<filename>:<line>``. An empty file yields an empty
     corpus; malformed lines, and a text or id holding a lone surrogate
-    escape (which UTF-8 cannot encode), raise with their line number.
+    escape (which UTF-8 cannot encode), raise with the path and line number.
     """
     name = os.path.basename(path)
     docs = []
@@ -152,12 +152,12 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                    raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
                 if not isinstance(obj, dict) or "text" not in obj:
-                    raise CorpusError(f"line {lineno}: missing field text")
+                    raise CorpusError(f"{path}: line {lineno}: missing field text")
                 text = obj["text"]
                 if not isinstance(text, str):
-                    raise CorpusError(f"line {lineno}: field text is not a string")
+                    raise CorpusError(f"{path}: line {lineno}: field text is not a string")
                 doc_id = str(obj.get("id", f"{name}:{lineno}"))
                 # JSON can escape a lone surrogate, which no UTF-8 encode takes;
                 # an ASCII string (an O(1) check) cannot hold one.
@@ -166,8 +166,8 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
                         try:
                             value.encode("utf-8")
                         except UnicodeEncodeError as exc:
-                            raise CorpusError(f"line {lineno}: field {key} cannot be encoded "
-                                              f"as UTF-8 ({exc.reason})") from None
+                            raise CorpusError(f"{path}: line {lineno}: field {key} cannot be "
+                                              f"encoded as UTF-8 ({exc.reason})") from None
                 docs.append(Document.create(doc_id, text, tokenizer))
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from exc

@@ -30,8 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FittingError
-from .scaling_law import PARAM_NAMES, ScalingConstants, _dq, _score
+from .errors import FittingError, ScalingDomainError
+from .scaling_law import PARAM_NAMES, ScalingConstants, _check_positive, _dq, _score
 
 N_PARAMS = len(PARAM_NAMES)
 MAX_ITERS = 200
@@ -58,7 +58,8 @@ QUALITY_CSV_HEADER = ["data_label", "fraction_pct", "diversity", "syntheticity"]
 
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """One observed training run joined with its corpus quality scores."""
+    """One observed training run joined with its corpus quality scores; an N,
+    D, Dr or S outside the law's domain raises ``ScalingDomainError``."""
 
     n_millions: float
     d_tokens: float
@@ -70,9 +71,7 @@ class ExperimentPoint:
 
     def __post_init__(self):
         for name in ("n_millions", "d_tokens", "dr", "s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise FittingError(f"{name} must be finite and > 0, got {value}")
+            _check_positive(name, getattr(self, name))
         if not (0.0 <= self.accuracy <= 1.0):
             raise FittingError(f"accuracy must be in [0, 1], got {self.accuracy}")
 
@@ -374,7 +373,7 @@ def experiment_points(
                 label=key[0],
                 fraction_pct=key[1],
             ))
-        except (FittingError, KeyError, TypeError, ValueError) as exc:
+        except (FittingError, ScalingDomainError, KeyError, TypeError, ValueError) as exc:
             raise FittingError(f"row {row_no}: {exc}") from exc
     return points
 

@@ -58,11 +58,14 @@ class ScalingConstants:
         if not isinstance(data, Mapping):
             raise ScalingDomainError(f"constants JSON is a {type(data).__name__}, not an object")
         try:
-            return cls(*(float(data[name]) for name in PARAM_NAMES),
-                       form=str(data.get("form", "F1")))
+            values = [data[name] for name in PARAM_NAMES]
+            for name, value in zip(PARAM_NAMES, values):  # JSON numbers only, as in a fit's points
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ScalingDomainError(f"constant {name} is not a number: {value!r}")
+            return cls(*map(float, values), form=str(data.get("form", "F1")))
         except KeyError as exc:
             raise ScalingDomainError(f"constants JSON missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:  # Overflow: int beyond float range
+        except OverflowError as exc:  # an int beyond the float range
             raise ScalingDomainError(f"constants JSON has a bad value: {exc}") from exc
 
 
@@ -177,8 +180,7 @@ def invert_effective_tokens(consts: ScalingConstants, n_millions: float, score: 
     root, or where Dq is beyond the float range, this raises
     ``ScalingDomainError``.
     """
-    if not (math.isfinite(n_millions) and n_millions > 0):
-        raise ScalingDomainError(f"n_millions must be finite and > 0, got {n_millions}")
+    _check_positive("n_millions", n_millions)
     if not math.isfinite(score):
         raise ScalingDomainError(f"score is not finite: {score}")
     try:

@@ -23,7 +23,6 @@ import shlex
 import socket
 import subprocess
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
@@ -60,9 +59,9 @@ class LikelihoodScorer(Protocol):
     into strings with ``qtokens.corpus.decode``. ``score_windows`` is a
     generator, which ``score_corpus`` closes when it stops, that yields one
     sequence per window, in input order, holding one number per token: its
-    log-probability, finite and <= 0. ``score_corpus`` checks every value
-    and raises ``ScorerError``, naming the document, for any that breaks
-    this contract; a scorer need not check its own output.
+    log-probability, a finite number <= 0 (not a bool). ``score_corpus``
+    checks every value and raises ``ScorerError``, naming the document, for
+    any that breaks this contract; a scorer need not check its own output.
     """
 
     context_len: int
@@ -358,25 +357,17 @@ class ExternalScorer:
                 return self._rfd in readable, bool(writable)
         return False, False
 
-    def _parse_response(self, line: bytes) -> tuple[str, list[float]]:
-        """Check one response line's format; its values are checked by
-        ``score_corpus``."""
+    def _parse_response(self, line: bytes) -> tuple[str, object]:
+        """Check one response line's wire format, a JSON object with ``id``
+        and ``logprobs``; return the id and ``logprobs`` as sent, for
+        ``score_corpus`` to check."""
         try:
             obj = json.loads(line)
         except ValueError as exc:  # not JSON, or bytes that are not UTF-8
             raise ProtocolError(f"invalid JSON from scorer: {exc}") from exc
         if not isinstance(obj, dict) or "id" not in obj or "logprobs" not in obj:
             raise ProtocolError("response missing id or logprobs")
-        logprobs = obj["logprobs"]
-        # JSON numbers parse to float or int, and an int must fit a float;
-        # true and false parse to bool, which is not a number here.
-        if isinstance(logprobs, list) and {float, int}.issuperset(map(type, logprobs)):
-            try:
-                deque(map(float, logprobs), maxlen=0)  # converts every value, keeps none
-                return str(obj["id"]), logprobs
-            except OverflowError:
-                pass
-        raise ProtocolError("logprobs is not a list of numbers")
+        return str(obj["id"]), obj["logprobs"]
 
     def _read_lines(self, cap: int) -> list[bytes]:
         """Read what the peer has sent; return the complete lines in it. An
@@ -483,16 +474,16 @@ class ExternalScorer:
                 self.close()
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:
-        """The values the scorer returns for one window of tokens, after the
-        format check only: their count and range are not checked."""
+        """The values the scorer returns for one window of tokens, as sent:
+        only the line's format is checked, not their type, count or range."""
         (logprobs,) = self.score_windows([encode(tokens)])
         return logprobs
 
 
 def _window_sum(logprobs: Sequence[float], n_tokens: int, doc_id: str) -> float:
     """The sum of one window's log-probabilities, which must be ``n_tokens``
-    numbers, each finite and <= 0, with a sum within the float range;
-    otherwise a ``ScorerError`` naming the document."""
+    numbers (not bools), each finite and <= 0, with a sum within the float
+    range; otherwise a ``ScorerError`` naming the document."""
     try:
         n_values = len(logprobs)
     except TypeError:  # an iterator or None: not a sequence
@@ -502,22 +493,27 @@ def _window_sum(logprobs: Sequence[float], n_tokens: int, doc_id: str) -> float:
         raise ScorerError(
             f"scorer returned {n_values} values for {n_tokens} tokens (document {doc_id!r})"
         )
-    # In C first: a finite sum means every value is a finite number.
+    # In C first: a finite sum of values that are all below 0 means every
+    # value is a finite number. A bool is never below 0.
     try:
         total = math.fsum(logprobs)
-        if math.isfinite(total) and max(logprobs) <= 0:
+        if math.isfinite(total) and max(logprobs) < 0:
             return total
     except (TypeError, ValueError, OverflowError):  # a non-number, inf + -inf, or too large a sum
-        pass
-    # Otherwise find the first bad value, to name it.
+        total = math.nan
+    # Otherwise check each value, to name the first bad one.
     for lp in logprobs:
         try:
+            if isinstance(lp, (bool, np.bool_)):  # ordered like 0 and 1, but not a number
+                raise TypeError
             if -math.inf < lp <= 0:  # false for NaN
                 continue
         except TypeError:
             raise ScorerError(f"value that is not a number on document {doc_id!r}: {lp!r}") from None
         problem = "log-probability > 0" if lp > 0 else "non-finite log-probability"
         raise ScorerError(f"{problem} on document {doc_id!r}: {lp}")
+    if math.isfinite(total):  # every value is valid, and the largest is 0
+        return total
     raise ScorerError(f"log-probabilities on document {doc_id!r} sum beyond the float range")
 
 

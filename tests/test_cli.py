@@ -149,16 +149,21 @@ def test_score_unreadable_input(capsys):
     ["--tokenizer", "vocab:{bad}", "score", "{corpus}"],
     ["fit", "--experiments", "{bad}"],
     ["fit", "--experiments", "{exp}", "--quality", "{bad}"],
-], ids=["corpus", "vocab", "experiments", "quality"])
+    ["predict", "--constants", "{bad}", "--n-millions", "10", "--d-tokens", "1e9", "--dr", "0.3",
+     "--s", "0.1"],
+    ["report", "--fit-report", "{bad}", "--out-dir", "{out}"],
+], ids=["corpus", "vocab", "experiments", "quality", "constants", "fit-report"])
 def test_input_that_is_not_utf8_is_an_error_naming_the_file(argv, write_corpus, tmp_path,
                                                             capsys):
     bad = tmp_path / "bad"
     bad.write_bytes(b"a,b\n\xff\xfe\n")
     exp = tmp_path / "exp.csv"
     exp.write_text(",".join(fitting.EXPERIMENTS_CSV_HEADER) + "\n")
-    paths = {"bad": bad, "exp": exp, "corpus": write_corpus("c.jsonl", [{"text": "a b"}])}
+    paths = {"bad": bad, "exp": exp, "corpus": write_corpus("c.jsonl", [{"text": "a b"}]),
+             "out": tmp_path / "o"}
     code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
     assert (code, out, err) == (1, "", f"error: {bad}: not UTF-8 (invalid start byte)\n")
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("field", ["text", "id"])
@@ -178,9 +183,17 @@ def test_a_lone_surrogate_in_a_corpus_is_an_error(argv, field, write_corpus, tmp
     paths = {"bad": write_corpus("bad.jsonl", [{"text": "a b c"}, bad_row]),
              "good": write_corpus("good.jsonl", [{"text": "a b c"}, {"text": "d e f"}]),
              "out": tmp_path / "o.jsonl", "report": tmp_path / "r.json"}
-    message = f"error: line 2: field {field} cannot be encoded as UTF-8 (surrogates not allowed)\n"
+    message = (f"error: {paths['bad']}: line 2: field {field} cannot be encoded as UTF-8 "
+               "(surrogates not allowed)\n")
     assert run_cli([arg.format(**paths) for arg in argv], capsys) == (1, "", message)
     assert not paths["out"].exists() and not paths["report"].exists()
+
+
+def test_score_names_the_corpus_a_bad_line_is_in(write_corpus, capsys):
+    good = write_corpus("good.jsonl", [{"text": "the cat sat on the mat " * 10}])
+    bad = write_corpus("bad.jsonl", [{"text": "a b c"}, {"text": 5}])
+    message = f"error: {bad}: line 2: field text is not a string\n"
+    assert run_cli(["score", good, bad], capsys) == (1, "", message)
 
 
 def test_score_warns_on_incompressible_input(write_corpus, capsys):
@@ -528,6 +541,28 @@ def test_an_integer_beyond_the_float_range_is_an_error(where, tmp_path, capsys):
                     "--d-tokens", "1e10", "--dr", "0.36", "--s", "0.02"],
         "fit": ["fit", "--fixture", "--init", str(path)],
     }.get(where, ["report", "--fit-report", str(path), "--out-dir", str(tmp_path / "o")])
+    assert run_cli(argv, capsys) == (1, "", message)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, value", [("A", True), ("E", "1.14")], ids=["bool", "string"])
+@pytest.mark.parametrize("where", ["predict", "fit", "report"])
+def test_a_constant_that_is_not_a_json_number_is_an_error(where, name, value, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    if where == "report":
+        assert main(["fit", "--fixture", "--out", str(path)]) == 0
+        fit = json.loads(path.read_text())
+        fit["constants"][name] = value
+        path.write_text(json.dumps(fit))
+    else:
+        path.write_text(json.dumps({**PRESETS["paper-ours"].to_dict(), name: value}))
+    argv = {
+        "predict": ["predict", "--constants", str(path), "--n-millions", "25",
+                    "--d-tokens", "1e10", "--dr", "0.36", "--s", "0.02"],
+        "fit": ["fit", "--fixture", "--init", str(path)],
+        "report": ["report", "--fit-report", str(path), "--out-dir", str(tmp_path / "o")],
+    }[where]
+    message = f"error: constant {name} is not a number: {value!r}\n"
     assert run_cli(argv, capsys) == (1, "", message)
     assert not (tmp_path / "o").exists()
 

@@ -37,7 +37,8 @@ def test_load_jsonl_missing_text(write_corpus):
 
 def test_load_jsonl_non_string_text(write_corpus):
     path = write_corpus("c.jsonl", [{"text": "ok"}, {"text": 7}])
-    with pytest.raises(CorpusError, match="^line 2: field text is not a string$"):
+    message = f"^{re.escape(path)}: line 2: field text is not a string$"
+    with pytest.raises(CorpusError, match=message):
         load_jsonl(path)
 
 
@@ -53,7 +54,7 @@ def test_load_jsonl_skips_blank_lines_but_counts_them(tmp_path):
     path.write_text('{"text": "a"}\n\n   \n{"text": "b"}\n', encoding="utf-8")
     assert [doc.id for doc in load_jsonl(str(path))] == ["blank.jsonl:1", "blank.jsonl:4"]
     path.write_text('{"text": "a"}\n\n \t\n{"text": "b"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(CorpusError, match="^line 5: invalid JSON"):
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 5: invalid JSON"):
         load_jsonl(str(path))
 
 

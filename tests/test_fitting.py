@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qtokens import fitting, fixtures
-from qtokens.errors import FittingError, QTokensError
+from qtokens.errors import FittingError, QTokensError, ScalingDomainError
 from qtokens.fitting import (
     _SEARCHED,
     EXPERIMENTS_CSV_HEADER,
@@ -597,6 +597,12 @@ def test_load_experiments_csv_bad_row(tmp_path):
         load_experiments_csv(str(path))
 
 
+def test_experiment_points_name_the_row_of_a_value_outside_the_domain():
+    row = dict(zip(EXPERIMENTS_CSV_HEADER, (0, "Random", 10, 1e9, 1.0, 2.0, 40.0, 0.3, 0.1)))
+    with pytest.raises(FittingError, match="^row 2: n_millions must be finite and > 0, got 0.0$"):
+        experiment_points([row])
+
+
 def test_load_experiments_csv_missing_columns(tmp_path):
     path = tmp_path / "exp.csv"
     path.write_text("model_size_m,n_tokens\n25,100\n", encoding="utf-8")
@@ -616,7 +622,8 @@ def test_fit_report_dict_roundtrips_predictions():
 
 
 def test_experiment_point_validation():
-    with pytest.raises(FittingError):
+    # The law's own domain check, with its class and message.
+    with pytest.raises(ScalingDomainError, match="^n_millions must be finite and > 0, got 0.0$"):
         ExperimentPoint(0.0, 1e9, 0.3, 0.1, 0.5)
     with pytest.raises(FittingError):
         ExperimentPoint(25, 1e9, 0.3, 0.1, 1.5)

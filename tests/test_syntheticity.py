@@ -1,4 +1,5 @@
 import fcntl
+import json
 import math
 import re
 import shlex
@@ -101,8 +102,10 @@ class BadTokenScorer:
      (-math.inf, "non-finite log-probability on document 'doc:1': -inf"),
      (0.5, "log-probability > 0 on document 'doc:1': 0.5"),
      (None, "value that is not a number on document 'doc:1': None"),
-     ("0.5", "value that is not a number on document 'doc:1': '0.5'")],
-    ids=["nan", "-inf", "positive", "none", "numeric-string"],
+     ("0.5", "value that is not a number on document 'doc:1': '0.5'"),
+     (False, "value that is not a number on document 'doc:1': False"),
+     (np.False_, f"value that is not a number on document 'doc:1': {np.False_!r}")],
+    ids=["nan", "-inf", "positive", "none", "numeric-string", "false", "np-false"],
 )
 def test_invalid_log_prob_rejected(value, message):
     corpus = corpus_of(["a b", "c bad d"])
@@ -566,35 +569,54 @@ def test_external_short_response_rejected(mock_scorer_cmd):
 
 
 @pytest.mark.parametrize(
-    "mode, message",
-    [("wrongid", "^unknown response id 'never-sent'$"),
-     ("noid", "^response missing id or logprobs$"),
-     ("strings", "^logprobs is not a list of numbers$")],
+    "mode, error, message",
+    [("wrongid", ProtocolError, "^unknown response id 'never-sent'$"),
+     ("noid", ProtocolError, "^response missing id or logprobs$"),
+     ("strings", ScorerError, "^value that is not a number on document 'doc:0': '-1.0'$")],
     ids=["wrongid", "noid", "strings"],
 )
-def test_external_malformed_response_rejected(mock_scorer_cmd, mode, message):
+def test_external_malformed_response_rejected(mock_scorer_cmd, mode, error, message):
+    # The client checks the line's format; score_corpus checks the values.
     with external_scorer_connect(mock_scorer_cmd(mode)) as scorer:
-        with pytest.raises(ProtocolError, match=message):
-            scorer.log_probs(["a", "b"])
+        with pytest.raises(ScorerError, match=message) as info:
+            score_corpus(scorer, corpus_of(["a b"]), 1.0, 0)
+    assert type(info.value) is error
+
+
+NOT_A_NUMBER = "value that is not a number on document 'doc:0': "
 
 
 @pytest.mark.parametrize(
-    "logprobs",
-    ['["0.5"]', '["-1.0"]', "[null]", "[[-1.0]]", "-1.0", '{"a": -1.0}', "[-1e308, -1e308, \"-1\"]",
-     f"[{-(10**400)}]", "[false, false, false]"],
+    "logprobs, n_tokens, message",
+    [('["0.5"]', 1, NOT_A_NUMBER + "'0.5'"),
+     ('["-1.0"]', 1, NOT_A_NUMBER + "'-1.0'"),
+     ("[null]", 1, NOT_A_NUMBER + "None"),
+     ("[[-1.0]]", 1, NOT_A_NUMBER + "[-1.0]"),
+     ("-1.0", 1, "scorer returned 'float', not a sequence, for document 'doc:0'"),
+     ('{"a": -1.0}', 1, NOT_A_NUMBER + "'a'"),
+     ('[-1e308, -1e308, "-1"]', 3, NOT_A_NUMBER + "'-1'"),
+     (f"[{-(10**400)}]", 1, "log-probabilities on document 'doc:0' sum beyond the float range"),
+     ("[false, false, false]", 3, NOT_A_NUMBER + "False")],
     ids=["numeric-string", "string", "null", "nested", "number", "object", "after-overflow",
          "huge-int", "bool"],
 )
-def test_external_non_numbers_rejected(mock_scorer_cmd, logprobs):
+def test_external_non_numbers_rejected(mock_scorer_cmd, logprobs, n_tokens, message):
+    # The client returns the values as sent, and score_corpus names the document.
     with external_scorer_connect(mock_scorer_cmd(f"logprobs {shlex.quote(logprobs)}")) as scorer:
-        with pytest.raises(ProtocolError, match="^logprobs is not a list of numbers$"):
-            scorer.log_probs(["a"] * 3)
+        assert scorer.log_probs(["a"]) == json.loads(logprobs)
+        with pytest.raises(ScorerError, match=f"^{re.escape(message)}$") as info:
+            score_corpus(scorer, corpus_of([" ".join(["a"] * n_tokens)]), 1.0, 0)
+    assert type(info.value) is ScorerError
 
 
 def test_external_huge_integer_through_score_corpus(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd(f"logprobs '[{-(10**400)}]'")) as scorer:
-        with pytest.raises(ProtocolError, match="^logprobs is not a list of numbers$"):
+        with pytest.raises(
+            ScorerError,
+            match="^log-probabilities on document 'doc:0' sum beyond the float range$",
+        ) as info:
             score_corpus(scorer, corpus_of(["a"]), 1.0, 0)
+    assert type(info.value) is ScorerError
 
 
 def test_external_bad_json_rejected(mock_scorer_cmd):
