@@ -55,9 +55,10 @@ def _load_constants(spec: str) -> ScalingConstants:
 
 def _scorer_spec(spec: str) -> str:
     """``--scorer``, else ``$QTOKENS_SCORER``: ``none``, ``kgram:<ref.jsonl>``
-    or ``external:<target>``. Nothing is opened until S is computed."""
-    kind, colon, _ = spec.partition(":")
-    if spec != "none" and not (colon and kind in ("kgram", "external")):
+    or ``external:<target>``, with a target that is not empty. Nothing is
+    opened until S is computed."""
+    kind, _, target = spec.partition(":")
+    if spec != "none" and not (target and kind in ("kgram", "external")):
         raise QTokensError(f"unknown scorer spec {spec!r}")
     return spec
 
@@ -169,7 +170,8 @@ def _write_outputs(args, before: Corpus, after: Corpus, **extra) -> None:
 
     Dr is null for a corpus with no text, and S for one with no tokens or
     when no scorer is set. The sidecar is computed first, so a scorer that
-    fails fails the command, as in ``score``, and writes neither file."""
+    fails fails the command, as in ``score``, and writes neither file; a
+    sidecar that cannot be written removes the ``--out`` file."""
     if args.report:
         side = {"seed": args.seed}
         with _make_scorer(args) as scorer:
@@ -182,9 +184,14 @@ def _write_outputs(args, before: Corpus, after: Corpus, **extra) -> None:
                     side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
     write_jsonl(after, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump({**side, **extra}, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump({**side, **extra}, fh, indent=2)
+                fh.write("\n")
+        except BaseException:
+            if os.path.isfile(args.out):  # not a device such as /dev/stdout
+                os.remove(args.out)
+            raise
 
 
 def cmd_select(args) -> int:

@@ -200,9 +200,9 @@ def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
 
     The compression ratio is computed on one background thread while this
     thread computes the token metrics; zlib releases the GIL while it
-    compresses, so the two overlap on a second core. The thread is joined
-    before this returns or raises, and a failed compression is raised
-    ahead of any token-metric error, as if it had run first.
+    compresses, so the two overlap on a second core. The thread leaves the
+    ratio, or the exception it raised, in a list read once it is joined; a
+    failed compression is raised ahead of any token-metric error.
     """
     deflated: list = []
 
@@ -216,15 +216,11 @@ def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
     thread.start()
     try:
         metrics = _token_metrics(corpus)
-    except DiversityError as exc:
-        metrics = exc
     finally:
         thread.join()
-    (cr,) = deflated
-    if isinstance(cr, BaseException):
-        raise cr
-    if isinstance(metrics, DiversityError):
-        raise metrics
+        (cr,) = deflated
+        if isinstance(cr, BaseException):
+            raise cr
     return DiversityReport(cr, 1.0 / cr, *metrics)
 
 

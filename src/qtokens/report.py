@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import QTokensError, ScalingDomainError
 from .fitting import pearson
-from .scaling_law import ScalingConstants, _dq, _score, clamp_unit
+from .scaling_law import ScalingConstants, _check_number, _check_positive, _dq, _score, clamp_unit
 
 WIDTH = 640
 HEIGHT = 480
@@ -212,16 +212,10 @@ def _check_points(points) -> None:
         for key in POINT_KEYS:
             if key not in point:
                 raise QTokensError(f"point {i} has no {key!r}")
-            value = point[key]
-            try:
-                number = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                          and math.isfinite(value))
-            except OverflowError:  # an int beyond the float range
-                number = False
-            if not number:
-                raise QTokensError(f"point {i}: {key!r} is not a finite number: {value!r}")
-            if key in POSITIVE_POINT_KEYS and value <= 0:
-                raise QTokensError(f"point {i}: {key!r} must be > 0, got {value!r}")
+            name = f"point {i}: {key!r}"
+            value = _check_number(name, point[key])
+            if key in POSITIVE_POINT_KEYS:
+                _check_positive(name, value)
 
 
 def write_report(report_dict: dict, out_dir: str) -> list[str]:

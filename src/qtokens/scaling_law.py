@@ -58,15 +58,10 @@ class ScalingConstants:
         if not isinstance(data, Mapping):
             raise ScalingDomainError(f"constants JSON is a {type(data).__name__}, not an object")
         try:
-            values = [data[name] for name in PARAM_NAMES]
-            for name, value in zip(PARAM_NAMES, values):  # JSON numbers only, as in a fit's points
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ScalingDomainError(f"constant {name} is not a number: {value!r}")
-            return cls(*map(float, values), form=str(data.get("form", "F1")))
+            values = [_check_number(f"constant {name}", data[name]) for name in PARAM_NAMES]
         except KeyError as exc:
             raise ScalingDomainError(f"constants JSON missing key {exc}") from exc
-        except OverflowError as exc:  # an int beyond the float range
-            raise ScalingDomainError(f"constants JSON has a bad value: {exc}") from exc
+        return cls(*values, form=str(data.get("form", "F1")))
 
 
 # Shipped presets: the fitted constants for this model, and the published
@@ -108,6 +103,19 @@ class QualityInputs:
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ScalingDomainError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_number(name: str, value) -> float:
+    """``value``, read from JSON, as a float: it must be a finite JSON number,
+    an int or a float but not a bool; an int beyond the float range is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScalingDomainError(f"{name} is not a number: {value!r}")
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ScalingDomainError(f"{name} is not finite")
 
 
 def _dq(d, dr, s, c1, c2, form, exp=math.exp):

@@ -404,24 +404,21 @@ class ExternalScorer:
 
         Each window's ids are decoded to tokens as its request is built.
         Windows are drawn from ``windows`` only as requests are sent, and
-        only while fewer than ``MAX_IN_FLIGHT_TOKENS`` tokens are awaiting a
-        response or holding one that is not yet due; the first window is
-        always drawn. So at most that many tokens plus one window are
-        outstanding, and neither the input nor the output is held in memory
-        as a whole. The ``timeout`` counts from the peer's last progress, or
-        from when the caller resumes the generator. A call that ends with a
-        request unanswered closes the scorer.
+        only while fewer than ``MAX_IN_FLIGHT_TOKENS`` tokens are
+        outstanding, sent but not yet yielded; the first window is always
+        drawn. So at most that many tokens plus one window are outstanding,
+        and neither the input nor the output is held in memory as a whole.
+        The ``timeout`` counts from the peer's last progress, or from when
+        the caller resumes the generator. A call that ends with a request
+        unanswered closes the scorer.
         """
         if self._closed:
             raise ScorerError(f"scorer is closed: {self._closed}")
         windows = iter(windows)
-        pending: dict[str, tuple[int, int]] = {}  # request id -> (window index, tokens)
-        # Responses that arrived ahead of their turn: window index -> (tokens, logprobs).
-        ready: dict[int, tuple[int, list[float]]] = {}
-        held = 0  # tokens of the windows in pending and ready
+        pending: dict[str, int] = {}  # request id -> tokens, in the order sent: first is due next
+        answered: dict[str, list[float]] = {}  # request id -> logprobs, until yielded
+        held = 0  # tokens of the windows in pending
         out = memoryview(b"")
-        sent = 0
-        due = 0
         exhausted = False
         deadline = time.monotonic() + self.timeout
         try:
@@ -434,20 +431,17 @@ class ExternalScorer:
                         req_id = f"q{self._next_id}"
                         self._next_id += 1
                         # An empty window counts as one token, so the budget bounds them too.
-                        n_tokens = max(len(window), 1)
-                        pending[req_id] = (sent, n_tokens)
-                        held += n_tokens
-                        sent += 1
+                        pending[req_id] = max(len(window), 1)
+                        held += pending[req_id]
                         request = json.dumps({"id": req_id, "tokens": decode(window)}) + "\n"
                         out = memoryview(request.encode("utf-8"))
-                if due in ready:
-                    n_tokens, logprobs = ready.pop(due)
-                    held -= n_tokens
-                    yield logprobs
-                    due += 1
+                due = next(iter(pending), None)
+                if due in answered:
+                    held -= pending.pop(due)
+                    yield answered.pop(due)
                     deadline = time.monotonic() + self.timeout
                     continue
-                if due == sent and exhausted:
+                if due is None and exhausted:
                     return
                 readable, writable = self._wait(bool(out), deadline)
                 if not readable and not writable:
@@ -460,17 +454,16 @@ class ExternalScorer:
                         deadline = time.monotonic() + self.timeout
                     out = rest
                 if readable:
-                    longest = max(n for _, n in pending.values())
+                    longest = max(n for i, n in pending.items() if i not in answered)
                     for line in self._read_lines(LINE_BYTES_PER_TOKEN * longest + LINE_SLACK):
                         resp_id, logprobs = self._parse_response(line)
-                        if resp_id not in pending:
+                        if resp_id not in pending or resp_id in answered:
                             raise ProtocolError(f"unknown response id {resp_id!r}")
-                        index, n_tokens = pending.pop(resp_id)
-                        ready[index] = (n_tokens, logprobs)
+                        answered[resp_id] = logprobs
                         deadline = time.monotonic() + self.timeout
         finally:
-            if pending:  # the peer may yet answer, and a later call would read it as its own
-                self._closed = f"an earlier call left {len(pending)} of its requests unanswered"
+            if unanswered := len(pending) - len(answered):  # a later call would read its answer
+                self._closed = f"an earlier call left {unanswered} of its requests unanswered"
                 self.close()
 
     def log_probs(self, tokens: Sequence[str]) -> list[float]:

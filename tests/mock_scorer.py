@@ -7,6 +7,7 @@ Speaks the newline-delimited JSON protocol on stdin/stdout. Modes:
     reorder3   buffer the first 3 requests, answer them in reverse order
     short      reply with one fewer logprob than requested
     wrongid    reply under an id that was never requested
+    twice      reply to every request twice
     noid       reply with logprobs but no id
     strings    reply with logprobs that are strings, not numbers
     logprobs J reply with the JSON text J as logprobs, whatever the request
@@ -122,6 +123,10 @@ def main():
             continue
         if mode == "short":
             reply({"id": req["id"], "logprobs": [-1.0] * (len(req["tokens"]) - 1)})
+            continue
+        if mode == "twice":
+            reply({"id": req["id"], "logprobs": [-1.0] * len(req["tokens"])})
+            reply({"id": req["id"], "logprobs": [-1.0] * len(req["tokens"])})
             continue
         if mode == "wrongid":
             reply({"id": "never-sent", "logprobs": [-1.0] * len(req["tokens"])})

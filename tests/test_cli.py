@@ -120,8 +120,9 @@ def test_score_unknown_scorer_spec(write_corpus, capsys):
 @pytest.mark.parametrize(
     "spec, code",
     [("none", 0), ("kgram:{ref}", 0), ("external:{cmd}", 0), ("tcp://127.0.0.1:9", 1),
-     ("kgram", 1), ("bogus", 1), ("", 1)],
-    ids=["none", "kgram", "external", "bare-endpoint", "kgram-without-path", "bogus", "empty"],
+     ("kgram", 1), ("kgram:", 1), ("external:", 1), ("bogus", 1), ("", 1)],
+    ids=["none", "kgram", "external", "bare-endpoint", "kgram-without-path", "kgram-empty-path",
+         "external-empty-target", "bogus", "empty"],
 )
 def test_scorer_flag_and_environment_agree(spec, code, write_corpus, capsys, monkeypatch,
                                            mock_scorer_cmd):
@@ -526,7 +527,7 @@ def test_an_integer_beyond_the_float_range_is_an_error(where, tmp_path, capsys):
     big = 10**400
     path = tmp_path / "big.json"
     path.write_text(json.dumps({**PRESETS["paper-ours"].to_dict(), "E": big}))
-    message = "error: constants JSON has a bad value: int too large to convert to float\n"
+    message = "error: constant E is not finite\n"
     if where.startswith("report"):
         assert main(["fit", "--fixture", "--out", str(path)]) == 0
         fit = json.loads(path.read_text())
@@ -534,7 +535,7 @@ def test_an_integer_beyond_the_float_range_is_an_error(where, tmp_path, capsys):
             fit["constants"]["E"] = big
         else:
             fit["points"][0]["observed"] = big
-            message = f"error: point 0: 'observed' is not a finite number: {big}\n"
+            message = "error: point 0: 'observed' is not finite\n"
         path.write_text(json.dumps(fit))
     argv = {
         "predict": ["predict", "--constants", str(path), "--n-millions", "25",
@@ -745,6 +746,26 @@ def test_dedup_end_to_end(write_corpus, tmp_path, capsys):
     assert side["after"]["dr"] > side["before"]["dr"]
 
 
+@pytest.mark.parametrize("command", ["select", "dedup"])
+def test_a_sidecar_that_cannot_be_written_leaves_no_output(command, write_corpus, tmp_path,
+                                                           capsys):
+    # The sidecar is written after the corpus; its failure removes the corpus.
+    src = write_corpus("c.jsonl", [{"id": "a", "text": "a b c d e"}, {"id": "b", "text": "a b"}])
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    argv = {
+        "select": ["select", src, "--target", src, "--budget-tokens", "5"],
+        "dedup": ["dedup", src],
+    }[command]
+    report = tmp_path / "missing" / "side.json"
+    code, out, err = run_cli(
+        [*argv, "--out", str(out_dir / "out.jsonl"), "--report", str(report)], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{report}'\n"
+    assert list(out_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
 @pytest.mark.parametrize("command", ["dedup", "select"])
 def test_seed_out_of_range_is_a_usage_error(write_corpus, tmp_path, capsys, command, seed):
@@ -809,17 +830,21 @@ def test_each_setting_is_checked_in_every_command(command, setting, report, writ
 
     monkeypatch.delenv("QTOKENS_SCORER", raising=False)
     assert run_cli(argv(tmp_path / "good"), capsys)[0] == 0
-    bad = argv(tmp_path / "bad")
-    error = "error: unknown scorer spec 'bogus'\n"
-    if setting == "--tokenizer":
-        bad = [setting, "bogus", *bad]
-        error = "error: unknown tokenizer spec 'bogus': expected whitespace, byte or vocab:<path>\n"
-    elif setting == "--scorer":
-        bad = [*bad, setting, "bogus"]
-    else:
-        monkeypatch.setenv(setting, "bogus")
-    assert run_cli(bad, capsys) == (1, "", error)
-    assert list((tmp_path / "bad").iterdir()) == []
+    # A scorer spec with an empty target is as bad as an unknown one.
+    specs = ["bogus"] if setting == "--tokenizer" else ["bogus", "kgram:", "external:"]
+    for i, spec in enumerate(specs):
+        bad = argv(tmp_path / f"bad{i}")
+        error = f"error: unknown scorer spec {spec!r}\n"
+        if setting == "--tokenizer":
+            bad = [setting, spec, *bad]
+            error = (f"error: unknown tokenizer spec {spec!r}: "
+                     "expected whitespace, byte or vocab:<path>\n")
+        elif setting == "--scorer":
+            bad = [*bad, setting, spec]
+        else:
+            monkeypatch.setenv(setting, spec)
+        assert run_cli(bad, capsys) == (1, "", error)
+        assert list((tmp_path / f"bad{i}").iterdir()) == []
 
 
 def test_fixed_settings_are_the_library_defaults(write_corpus, tmp_path, capsys):
@@ -1120,9 +1145,9 @@ def _zero_s(points):
     "break_points, message",
     [(_drop_dr, "point 1 has no 'dr'"),
      (_number_for_point, "point 0 is not a JSON object"),
-     (_string_observed, "point 2: 'observed' is not a finite number: 'x'"),
-     (_zero_dr, "point 3: 'dr' must be > 0, got 0"),
-     (_zero_s, "point 5: 's' must be > 0, got 0.0")],
+     (_string_observed, "point 2: 'observed' is not a number: 'x'"),
+     (_zero_dr, "point 3: 'dr' must be finite and > 0, got 0.0"),
+     (_zero_s, "point 5: 's' must be finite and > 0, got 0.0")],
     ids=["missing-key", "number", "string-value", "zero-dr", "zero-s"],
 )
 def test_report_malformed_point_rejected(tmp_path, capsys, break_points, message):

@@ -1,6 +1,8 @@
 """The README's library example runs as written, and its `score` columns,
-`fit` CSV headers and refinement settings are the real ones."""
+`fit` CSV headers, refinement settings and external-scorer figures are the
+real ones."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -8,7 +10,7 @@ import sys
 
 import numpy as np
 
-from qtokens import diversity, refine
+from qtokens import diversity, refine, syntheticity
 from qtokens.cli import main
 from qtokens.fitting import EXPERIMENTS_CSV_HEADER, QUALITY_CSV_HEADER
 
@@ -69,3 +71,27 @@ def test_readme_fixed_refine_settings_are_the_module_constants():
     minhash = fixed_setting(r"MinHash with (\d+) bins in (\d+) bands of (\d+) rows")
     bins, bands, rows = map(int, minhash)
     assert (bins, bands, rows) == (refine.N_HASHES, refine.BANDS, refine.N_HASHES // refine.BANDS)
+
+
+def protocol_figure(pattern):
+    """The one match of ``pattern`` in README's "External scorer protocol"
+    section."""
+    with open(README, encoding="utf-8") as fh:
+        (section,) = re.findall(r"^## External scorer protocol\n(.*?)^## ", fh.read(), re.M | re.S)
+    (value,) = re.findall(pattern, " ".join(section.split()))
+    return value
+
+
+def test_readme_external_scorer_settings_are_the_module_constants():
+    budget = protocol_figure(r"fewer than ([\d,]+) tokens \(`MAX_IN_FLIGHT_TOKENS`\)")
+    assert int(budget.replace(",", "")) == syntheticity.MAX_IN_FLIGHT_TOKENS
+    assert int(protocol_figure(r"pipes are grown to (\d+) MiB")) << 20 == syntheticity.PIPE_BYTES
+    line_bytes = protocol_figure(r"at most (\d+) bytes per token")
+    assert int(line_bytes) == syntheticity.LINE_BYTES_PER_TOKEN
+    slack = protocol_figure(r"awaiting an answer, plus (\d+) KiB")
+    assert int(slack) << 10 == syntheticity.LINE_SLACK
+    tail = protocol_figure(r"keeping only the last (\d+) KiB")
+    assert int(tail) << 10 == syntheticity.STDERR_TAIL
+    timeout = protocol_figure(r"within `timeout` \((\d+) s by default\)")
+    default = inspect.signature(syntheticity.external_scorer_connect).parameters["timeout"].default
+    assert float(timeout) == default

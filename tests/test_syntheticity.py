@@ -583,6 +583,14 @@ def test_external_malformed_response_rejected(mock_scorer_cmd, mode, error, mess
     assert type(info.value) is error
 
 
+def test_external_second_answer_to_a_request_is_an_unknown_id(mock_scorer_cmd):
+    # The repeat of q0's answer comes before q1's, which the client still
+    # awaits; whether q0 has been yielded yet or not, the id is spent.
+    with external_scorer_connect(mock_scorer_cmd("twice")) as scorer:
+        with pytest.raises(ProtocolError, match="^unknown response id 'q0'$"):
+            score_corpus(scorer, corpus_of(["a b", "c d"]), 1.0, 0)
+
+
 NOT_A_NUMBER = "value that is not a number on document 'doc:0': "
 
 
