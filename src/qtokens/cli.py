@@ -169,29 +169,33 @@ def _write_outputs(args, before: Corpus, after: Corpus, **extra) -> None:
     after refinement, then ``extra``.
 
     Dr is null for a corpus with no text, and S for one with no tokens or
-    when no scorer is set. The sidecar is computed first, so a scorer that
-    fails fails the command, as in ``score``, and writes neither file; a
-    sidecar that cannot be written removes the ``--out`` file."""
-    if args.report:
-        side = {"seed": args.seed}
-        with _make_scorer(args) as scorer:
-            for key, corpus in (("before", before), ("after", after)):
-                side[key] = {"documents": len(corpus), "tokens": corpus.total_tokens,
-                             "dr": None, "syntheticity": None}
-                with contextlib.suppress(DiversityError):
-                    side[key]["dr"] = diversity.diversity_score(corpus)
-                if scorer is not None and corpus.total_tokens > 0:
-                    side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
-    write_jsonl(after, args.out)
-    if args.report:
+    when no scorer is set. A failing command leaves both files as they
+    were: the sidecar is computed first, as in ``score``, and the report is
+    opened, not truncated, before ``--out`` is written (and removed if this
+    command created it and ``--out`` fails)."""
+    if not args.report:
+        write_jsonl(after, args.out)
+        return
+    side = {"seed": args.seed}
+    with _make_scorer(args) as scorer:
+        for key, corpus in (("before", before), ("after", after)):
+            side[key] = {"documents": len(corpus), "tokens": corpus.total_tokens,
+                         "dr": None, "syntheticity": None}
+            with contextlib.suppress(DiversityError):
+                side[key]["dr"] = diversity.diversity_score(corpus)
+            if scorer is not None and corpus.total_tokens > 0:
+                side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
+    created = not os.path.lexists(args.report)
+    with open(args.report, "a", encoding="utf-8") as fh:
         try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump({**side, **extra}, fh, indent=2)
-                fh.write("\n")
+            write_jsonl(after, args.out)
         except BaseException:
-            if os.path.isfile(args.out):  # not a device such as /dev/stdout
-                os.remove(args.out)
+            if created:
+                os.remove(args.report)
             raise
+        if fh.seekable():  # not a pipe such as /dev/stdout
+            fh.truncate(0)
+        fh.write(json.dumps({**side, **extra}, indent=2) + "\n")
 
 
 def cmd_select(args) -> int:

@@ -410,7 +410,9 @@ class ExternalScorer:
         and neither the input nor the output is held in memory as a whole.
         The ``timeout`` counts from the peer's last progress, or from when
         the caller resumes the generator. A call that ends with a request
-        unanswered closes the scorer.
+        unanswered closes the scorer. Finding the request due next skips the
+        slots that earlier yields left in ``pending``, so it is linear in the
+        requests outstanding, as the line cap's scan over them already is.
         """
         if self._closed:
             raise ScorerError(f"scorer is closed: {self._closed}")

@@ -749,7 +749,7 @@ def test_dedup_end_to_end(write_corpus, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["select", "dedup"])
 def test_a_sidecar_that_cannot_be_written_leaves_no_output(command, write_corpus, tmp_path,
                                                            capsys):
-    # The sidecar is written after the corpus; its failure removes the corpus.
+    # The report is opened before the corpus is written, so its failure writes nothing.
     src = write_corpus("c.jsonl", [{"id": "a", "text": "a b c d e"}, {"id": "b", "text": "a b"}])
     out_dir = tmp_path / "o"
     out_dir.mkdir()
@@ -764,6 +764,37 @@ def test_a_sidecar_that_cannot_be_written_leaves_no_output(command, write_corpus
     assert (code, out) == (1, "")
     assert err == f"error: [Errno 2] No such file or directory: '{report}'\n"
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["select", "dedup"])
+def test_a_failing_output_leaves_existing_files_as_they_were(command, write_corpus, tmp_path,
+                                                             capsys):
+    # Written in place, --out is the input; a failure must neither remove nor truncate it.
+    src = write_corpus("c.jsonl", [{"id": "a", "text": "a b c d e"}, {"id": "b", "text": "a b"},
+                                   {"id": "c", "text": "a b"}])
+    with open(src, "rb") as fh:
+        corpus = fh.read()
+    argv = {
+        "select": ["select", src, "--target", src, "--budget-tokens", "5"],
+        "dedup": ["dedup", src],
+    }[command]
+    missing = tmp_path / "missing"
+    code, out, err = run_cli([*argv, "--out", src, "--report", str(missing / "side.json")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    with open(src, "rb") as fh:
+        assert fh.read() == corpus
+    # An --out that cannot be written leaves an existing report as it was and removes a new one.
+    old = tmp_path / "old.json"
+    old.write_text("old\n")
+    for report in (old, tmp_path / "new.json"):
+        code, out, err = run_cli(
+            [*argv, "--out", str(missing / "o.jsonl"), "--report", str(report)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing / 'o.jsonl'}'\n"
+    assert old.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "old.json"]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
