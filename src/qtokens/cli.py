@@ -38,7 +38,7 @@ def _read_json(path: str):
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise QTokensError(f"{path}: not UTF-8 ({exc.reason})") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise QTokensError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -55,10 +55,10 @@ def _load_constants(spec: str) -> ScalingConstants:
 
 def _scorer_spec(spec: str) -> str:
     """``--scorer``, else ``$QTOKENS_SCORER``: ``none``, ``kgram:<ref.jsonl>``
-    or ``external:<target>``, with a target that is not empty. Nothing is
+    or ``external:<target>``, with a target that is not blank. Nothing is
     opened until S is computed."""
     kind, _, target = spec.partition(":")
-    if spec != "none" and not (target and kind in ("kgram", "external")):
+    if spec != "none" and not (target.strip() and kind in ("kgram", "external")):
         raise QTokensError(f"unknown scorer spec {spec!r}")
     return spec
 

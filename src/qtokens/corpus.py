@@ -153,6 +153,8 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                except (ValueError, RecursionError) as exc:  # an integer int() refuses, or too deep
+                    raise CorpusError(f"{path}: line {lineno}: cannot parse JSON ({exc})") from exc
                 if not isinstance(obj, dict) or "text" not in obj:
                     raise CorpusError(f"{path}: line {lineno}: missing field text")
                 text = obj["text"]

@@ -324,6 +324,8 @@ def read_csv(path: str, required: Sequence[str]) -> list[dict]:
             return list(reader)
     except UnicodeDecodeError as exc:
         raise FittingError(f"{path}: not UTF-8 ({exc.reason})") from exc
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise FittingError(f"{path}: {exc}") from exc
 
 
 def experiment_points(

@@ -289,16 +289,22 @@ def minhash_signature(corpus: Corpus, seed: int) -> np.ndarray:
         shingles, owners = _ngram_hashes(hashes, docs, SHINGLE_N)
         bins = ((shingles >> np.uint64(32)) * np.uint64(N_HASHES)) >> np.uint64(32)
         np.minimum.at(sig[first:], (owners, bins.astype(np.intp)), shingles)
-    # Column of the next filled bin at or after each bin, over two turns
-    # of the circle; 2 * N_HASHES where a row has none.
-    filled = np.tile(sig != _EMPTY, 2)
-    turns = np.where(filled, np.arange(2 * N_HASHES), 2 * N_HASHES)
-    nearest = np.minimum.accumulate(turns[:, ::-1], axis=1)[:, ::-1][:, :N_HASHES]
-    distance = (nearest - np.arange(N_HASHES)).astype(np.uint64)
-    # Offsets are distance times an odd constant, so a borrowed value
-    # differs from the one it came from and from those at other distances.
-    dense = np.take_along_axis(sig, nearest % N_HASHES, axis=1) + distance * _MIX_LEFT
-    return np.where(nearest < 2 * N_HASHES, dense, _EMPTY)
+    # A row's densification reads only that row, so it runs in place on
+    # chunks of rows, and its temporaries stay near a block's size.
+    chunk = max(1, BLOCK_TOKENS // N_HASHES)
+    for start in range(0, len(sig), chunk):
+        rows = sig[start : start + chunk]
+        # Column of the next filled bin at or after each bin, over two turns
+        # of the circle; 2 * N_HASHES where a row has none.
+        filled = np.tile(rows != _EMPTY, 2)
+        turns = np.where(filled, np.arange(2 * N_HASHES), 2 * N_HASHES)
+        nearest = np.minimum.accumulate(turns[:, ::-1], axis=1)[:, ::-1][:, :N_HASHES]
+        distance = (nearest - np.arange(N_HASHES)).astype(np.uint64)
+        # Offsets are distance times an odd constant, so a borrowed value
+        # differs from the one it came from and from those at other distances.
+        dense = np.take_along_axis(rows, nearest % N_HASHES, axis=1) + distance * _MIX_LEFT
+        rows[...] = np.where(nearest < 2 * N_HASHES, dense, _EMPTY)
+    return sig
 
 
 def dedup_near(corpus: Corpus, seed: int = 0) -> Corpus:

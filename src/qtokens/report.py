@@ -34,22 +34,42 @@ POSITIVE_POINT_KEYS = ("n_millions", "d_tokens", "dr", "s")
 POINT_KEYS = POSITIVE_POINT_KEYS + ("observed", "predicted")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+def _lerp(lo: float, hi: float, i: int, n: int) -> float:
+    """Step ``i`` of ``n`` even steps from ``lo`` to ``hi``."""
+    return lo + (hi - lo) * i / n
+
+
+def _px(v) -> str:
+    """A computed (float) pixel position to 0.1 px; a fixed (int) one as is."""
+    return f"{v:.1f}" if isinstance(v, float) else str(v)
+
+
+def _text(x, y, label, size: int, anchor: str = "middle", attrs: str = "") -> str:
+    return (f'<text x="{_px(x)}" y="{_px(y)}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="{size}"{attrs}>{label}</text>')
+
+
+def _line(x1, y1, x2, y2, style: str = 'stroke="black"') -> str:
+    return f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" {style}/>'
+
+
+def _circle(cx: float, cy: float, fill: str) -> str:
+    return f'<circle cx="{_px(cx)}" cy="{_px(cy)}" r="3" fill="{fill}" fill-opacity="0.6"/>'
 
 
 class _Axes:
     """Linear or log-x mapping from data space to pixel space."""
 
     def __init__(self, xlim, ylim, log_x=False):
-        self.xlim = xlim
         self.ylim = ylim
         self.log_x = log_x
+        # The x limits in the space the axis is linear in.
+        self._xspan = (math.log10(xlim[0]), math.log10(xlim[1])) if log_x else xlim
 
     def x(self, v: float) -> float:
-        lo, hi = self.xlim
+        lo, hi = self._xspan
         if self.log_x:
-            v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
+            v = math.log10(v)
         frac = (v - lo) / (hi - lo)
         return MARGIN + frac * (WIDTH - 2 * MARGIN)
 
@@ -58,6 +78,11 @@ class _Axes:
         frac = (v - lo) / (hi - lo)
         return HEIGHT - MARGIN - frac * (HEIGHT - 2 * MARGIN)
 
+    def x_at(self, i: int, n: int) -> float:
+        """The data x at step ``i`` of ``n`` even steps along the axis."""
+        v = _lerp(*self._xspan, i, n)
+        return 10 ** v if self.log_x else v
+
 
 def _pad_limits(values: Sequence[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
@@ -65,56 +90,31 @@ def _pad_limits(values: Sequence[float]) -> tuple[float, float]:
     return lo - PAD_FRAC * span, hi + PAD_FRAC * span
 
 
-def _svg_document(body: list[str], title: str, xlabel: str, ylabel: str) -> str:
+def _svg_document(axes: _Axes, body: list[str], title: str, xlabel: str, ylabel: str) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
-        f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
-        f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{ylabel}</text>',
+        _text(WIDTH / 2, 24, title, 16),
+        _text(WIDTH / 2, HEIGHT - 12, xlabel, 12),
+        _text(16, HEIGHT / 2, ylabel, 12, attrs=f' transform="rotate(-90 16 {_px(HEIGHT / 2)})"'),
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
         f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>',
     ]
+    for i in range(TICKS + 1):
+        xf = axes.x_at(i, TICKS)
+        px = axes.x(xf)
+        yf = _lerp(*axes.ylim, i, TICKS)
+        py = axes.y(yf)
+        parts += [
+            _line(px, HEIGHT - MARGIN, px, HEIGHT - MARGIN + 5),
+            _text(px, HEIGHT - MARGIN + 18, f"{xf:.2g}" if axes.log_x else f"{xf:.2f}", 10),
+            _line(MARGIN - 5, py, MARGIN, py),
+            _text(MARGIN - 8, py + 3, f"{yf:.2f}", 10, anchor="end"),
+        ]
     parts.extend(body)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _ticks(axes: _Axes) -> list[str]:
-    parts = []
-    for i in range(TICKS + 1):
-        xf = axes.xlim[0] + (axes.xlim[1] - axes.xlim[0]) * i / TICKS
-        if axes.log_x:
-            lg0, lg1 = math.log10(axes.xlim[0]), math.log10(axes.xlim[1])
-            xf = 10 ** (lg0 + (lg1 - lg0) * i / TICKS)
-            label = f"{xf:.2g}"
-        else:
-            label = _fmt(xf)
-        px = axes.x(xf)
-        parts.append(
-            f'<line x1="{px:.1f}" y1="{HEIGHT - MARGIN}" x2="{px:.1f}" '
-            f'y2="{HEIGHT - MARGIN + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{HEIGHT - MARGIN + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{label}</text>'
-        )
-        yf = axes.ylim[0] + (axes.ylim[1] - axes.ylim[0]) * i / TICKS
-        py = axes.y(yf)
-        parts.append(
-            f'<line x1="{MARGIN - 5}" y1="{py:.1f}" x2="{MARGIN}" y2="{py:.1f}" '
-            f'stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN - 8}" y="{py + 3:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{_fmt(yf)}</text>'
-        )
-    return parts
 
 
 def pred_vs_true_svg(observed: Sequence[float], predicted: Sequence[float]) -> str:
@@ -122,22 +122,12 @@ def pred_vs_true_svg(observed: Sequence[float], predicted: Sequence[float]) -> s
     r = pearson(predicted, observed)
     lim = _pad_limits(list(observed) + list(predicted))
     axes = _Axes(lim, lim)
-    body = _ticks(axes)
-    body.append(
-        f'<line x1="{axes.x(lim[0]):.1f}" y1="{axes.y(lim[0]):.1f}" '
-        f'x2="{axes.x(lim[1]):.1f}" y2="{axes.y(lim[1]):.1f}" '
-        f'stroke="gray" stroke-dasharray="4 3"/>'
-    )
-    for obs, pred in zip(observed, predicted):
-        body.append(
-            f'<circle cx="{axes.x(obs):.1f}" cy="{axes.y(pred):.1f}" r="3" '
-            f'fill="steelblue" fill-opacity="0.6"/>'
-        )
-    body.append(
-        f'<text x="{WIDTH - MARGIN - 8}" y="{MARGIN + 18}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">pearson r = {r:.4f}</text>'
-    )
-    return _svg_document(body, "Predicted vs observed accuracy", "observed", "predicted")
+    body = [_line(axes.x(lim[0]), axes.y(lim[0]), axes.x(lim[1]), axes.y(lim[1]),
+                  'stroke="gray" stroke-dasharray="4 3"')]
+    body += [_circle(axes.x(obs), axes.y(pred), "steelblue")
+             for obs, pred in zip(observed, predicted)]
+    body.append(_text(WIDTH - MARGIN - 8, MARGIN + 18, f"pearson r = {r:.4f}", 12, anchor="end"))
+    return _svg_document(axes, body, "Predicted vs observed accuracy", "observed", "predicted")
 
 
 def acc_vs_dq_svg(points: Sequence[dict], constants: ScalingConstants) -> str:
@@ -148,40 +138,28 @@ def acc_vs_dq_svg(points: Sequence[dict], constants: ScalingConstants) -> str:
     for i, dq in enumerate(dqs):
         if not 0 < dq < math.inf:  # a log axis, and a float product can overflow to inf
             raise ScalingDomainError(f"point {i}: effective tokens {dq} cannot be plotted")
-    accs = [p["observed"] for p in points]
-    xlim = (min(dqs) / 1.5, max(dqs) * 1.5)
-    ylim = _pad_limits(accs)
-    axes = _Axes(xlim, ylim, log_x=True)
-    body = _ticks(axes)
+    ylim = _pad_limits([p["observed"] for p in points])
+    axes = _Axes((min(dqs) / 1.5, max(dqs) * 1.5), ylim, log_x=True)
+    steps = 64  # points on each model size's curve
+    curve_dqs = [axes.x_at(i, steps) for i in range(steps + 1)]
     palette = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377", "#bbbbbb")
-    sizes = sorted({p["n_millions"] for p in points})
-    for k, size in enumerate(sizes):
+    body = []
+    for k, size in enumerate(sorted({p["n_millions"] for p in points})):
         color = palette[k % len(palette)]
-        steps = 64
-        lg0, lg1 = math.log10(xlim[0]), math.log10(xlim[1])
         coords = []
-        for i in range(steps + 1):
-            dq = 10 ** (lg0 + (lg1 - lg0) * i / steps)
+        for dq in curve_dqs:
             score = clamp_unit(_score(size, dq, constants.e, constants.a, constants.alpha,
                                       constants.b, constants.beta))
             if ylim[0] <= score <= ylim[1]:
                 coords.append(f"{axes.x(dq):.1f},{axes.y(score):.1f}")
         if len(coords) >= 2:
-            body.append(
-                f'<polyline points="{" ".join(coords)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-        body.append(
-            f'<text x="{WIDTH - MARGIN - 8}" y="{MARGIN + 16 + 14 * k}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10" fill="{color}">N = {size:g}M</text>'
-        )
-        for p, dq in zip(points, dqs):
-            if p["n_millions"] == size:
-                body.append(
-                    f'<circle cx="{axes.x(dq):.1f}" cy="{axes.y(p["observed"]):.1f}" '
-                    f'r="3" fill="{color}" fill-opacity="0.6"/>'
-                )
-    return _svg_document(body, "Accuracy vs effective tokens", "effective tokens", "accuracy")
+            body.append(f'<polyline points="{" ".join(coords)}" fill="none" '
+                        f'stroke="{color}" stroke-width="1.5"/>')
+        body.append(_text(WIDTH - MARGIN - 8, MARGIN + 16 + 14 * k, f"N = {size:g}M", 10,
+                          anchor="end", attrs=f' fill="{color}"'))
+        body += [_circle(axes.x(dq), axes.y(p["observed"]), color)
+                 for p, dq in zip(points, dqs) if p["n_millions"] == size]
+    return _svg_document(axes, body, "Accuracy vs effective tokens", "effective tokens", "accuracy")
 
 
 def q_surface_csv(
@@ -194,9 +172,9 @@ def q_surface_csv(
     both ranges must lie above 0."""
     lines = ["diversity,syntheticity,q"]
     for i in range(SURFACE_STEPS):
-        dr = dr_range[0] + (dr_range[1] - dr_range[0]) * i / (SURFACE_STEPS - 1)
+        dr = _lerp(*dr_range, i, SURFACE_STEPS - 1)
         for j in range(SURFACE_STEPS):
-            s = s_range[0] + (s_range[1] - s_range[0]) * j / (SURFACE_STEPS - 1)
+            s = _lerp(*s_range, j, SURFACE_STEPS - 1)
             q = _dq(1.0, dr, s, constants.c1, constants.c2, constants.form)
             lines.append(f"{dr:.6f},{s:.6f},{q:.8e}")
     return "\n".join(lines) + "\n"

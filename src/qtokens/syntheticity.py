@@ -363,15 +363,15 @@ class ExternalScorer:
         ``score_corpus`` to check."""
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ProtocolError(f"invalid JSON from scorer: {exc}") from exc
         if not isinstance(obj, dict) or "id" not in obj or "logprobs" not in obj:
             raise ProtocolError("response missing id or logprobs")
         return str(obj["id"]), obj["logprobs"]
 
-    def _read_lines(self, cap: int) -> list[bytes]:
-        """Read what the peer has sent; return the complete lines in it. An
-        unfinished line longer than ``cap`` bytes is a ``ProtocolError``."""
+    def _read_lines(self) -> list[bytes]:
+        """Read what the peer has sent; return the complete lines in it and
+        keep the unfinished rest in ``_buffer``."""
         try:
             chunk = os.read(self._rfd, 1 << 16)
         except BlockingIOError:  # select may report a socket ready spuriously
@@ -384,8 +384,6 @@ class ExternalScorer:
         lines = []
         if b"\n" in chunk:
             *lines, self._buffer = self._buffer.split(b"\n")
-        if len(self._buffer) > cap:
-            raise ProtocolError(f"scorer response line is longer than {cap} bytes")
         return [bytes(line) for line in lines]
 
     def _write(self, data: memoryview) -> memoryview:
@@ -412,7 +410,8 @@ class ExternalScorer:
         the caller resumes the generator. A call that ends with a request
         unanswered closes the scorer. Finding the request due next skips the
         slots that earlier yields left in ``pending``, so it is linear in the
-        requests outstanding, as the line cap's scan over them already is.
+        requests outstanding. The line cap, never below ``LINE_SLACK``, scans
+        them too, but only once an unfinished line is longer than that.
         """
         if self._closed:
             raise ScorerError(f"scorer is closed: {self._closed}")
@@ -456,8 +455,13 @@ class ExternalScorer:
                         deadline = time.monotonic() + self.timeout
                     out = rest
                 if readable:
-                    longest = max(n for i, n in pending.items() if i not in answered)
-                    for line in self._read_lines(LINE_BYTES_PER_TOKEN * longest + LINE_SLACK):
+                    lines = self._read_lines()
+                    if len(self._buffer) > LINE_SLACK:
+                        longest = max(n for i, n in pending.items() if i not in answered)
+                        cap = LINE_BYTES_PER_TOKEN * longest + LINE_SLACK
+                        if len(self._buffer) > cap:
+                            raise ProtocolError(f"scorer response line is longer than {cap} bytes")
+                    for line in lines:
                         resp_id, logprobs = self._parse_response(line)
                         if resp_id not in pending or resp_id in answered:
                             raise ProtocolError(f"unknown response id {resp_id!r}")

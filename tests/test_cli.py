@@ -120,9 +120,10 @@ def test_score_unknown_scorer_spec(write_corpus, capsys):
 @pytest.mark.parametrize(
     "spec, code",
     [("none", 0), ("kgram:{ref}", 0), ("external:{cmd}", 0), ("tcp://127.0.0.1:9", 1),
-     ("kgram", 1), ("kgram:", 1), ("external:", 1), ("bogus", 1), ("", 1)],
+     ("kgram", 1), ("kgram:", 1), ("kgram: ", 1), ("external:", 1), ("external: \t", 1),
+     ("bogus", 1), ("", 1)],
     ids=["none", "kgram", "external", "bare-endpoint", "kgram-without-path", "kgram-empty-path",
-         "external-empty-target", "bogus", "empty"],
+         "kgram-blank-path", "external-empty-target", "external-blank-target", "bogus", "empty"],
 )
 def test_scorer_flag_and_environment_agree(spec, code, write_corpus, capsys, monkeypatch,
                                            mock_scorer_cmd):
@@ -164,6 +165,53 @@ def test_input_that_is_not_utf8_is_an_error_naming_the_file(argv, write_corpus, 
              "out": tmp_path / "o"}
     code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
     assert (code, out, err) == (1, "", f"error: {bad}: not UTF-8 (invalid start byte)\n")
+    assert not paths["out"].exists()
+
+
+def _reason(parse, text) -> str:
+    """The message of the exception ``parse(text)`` raises."""
+    with pytest.raises(Exception) as info:
+        parse(text)
+    return str(info.value)
+
+
+_DEEP = "[" * 5000 + "]" * 5000
+_LONG_CELL = "x" * 200_000
+
+
+def _read_csv(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+@pytest.mark.parametrize("argv, bad_text, parse, message", [
+    (["score", "{bad}"], '{"text": "a", "id": ' + "9" * 5000 + "}", json.loads,
+     "{bad}: line 1: cannot parse JSON ({reason})"),
+    (["score", "{bad}"], '{"text": "a", "x": ' + _DEEP + "}", json.loads,
+     "{bad}: line 1: cannot parse JSON ({reason})"),
+    (["predict", "--constants", "{bad}", "--n-millions", "10", "--d-tokens", "1e9", "--dr", "0.3",
+      "--s", "0.1"], _DEEP, json.loads, "{bad}: not valid JSON: {reason}"),
+    (["fit", "--fixture", "--init", "{bad}"], _DEEP, json.loads, "{bad}: not valid JSON: {reason}"),
+    (["report", "--fit-report", "{bad}", "--out-dir", "{out}"], _DEEP, json.loads,
+     "{bad}: not valid JSON: {reason}"),
+    (["fit", "--experiments", "{bad}", "--out", "{out}"],
+     ",".join(fitting.EXPERIMENTS_CSV_HEADER) + "\n" + _LONG_CELL, _read_csv, "{bad}: {reason}"),
+    (["fit", "--experiments", "{exp}", "--quality", "{bad}"],
+     ",".join(fitting.QUALITY_CSV_HEADER) + "\n" + _LONG_CELL, _read_csv, "{bad}: {reason}"),
+], ids=["corpus-long-integer", "corpus-deep", "constants", "init", "fit-report", "experiments",
+        "quality"])
+def test_input_python_cannot_parse_is_an_error_naming_the_file(argv, bad_text, parse, message,
+                                                               tmp_path, capsys):
+    """An integer longer than int() parses, JSON nested deeper than the
+    parser recurses, or a CSV field over the csv module's limit is one
+    error line naming the file, not a traceback."""
+    bad = tmp_path / "bad"
+    bad.write_text(bad_text + "\n")
+    exp = tmp_path / "exp.csv"
+    exp.write_text(",".join(fitting.EXPERIMENTS_CSV_HEADER) + "\n")
+    paths = {"bad": bad, "exp": exp, "out": tmp_path / "o"}
+    message = message.format(bad=bad, reason=_reason(parse, bad_text))
+    code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not paths["out"].exists()
 
 
@@ -861,8 +909,9 @@ def test_each_setting_is_checked_in_every_command(command, setting, report, writ
 
     monkeypatch.delenv("QTOKENS_SCORER", raising=False)
     assert run_cli(argv(tmp_path / "good"), capsys)[0] == 0
-    # A scorer spec with an empty target is as bad as an unknown one.
-    specs = ["bogus"] if setting == "--tokenizer" else ["bogus", "kgram:", "external:"]
+    # A scorer spec with an empty or blank target is as bad as an unknown one.
+    specs = (["bogus"] if setting == "--tokenizer"
+             else ["bogus", "kgram:", "external:", "kgram: ", "external: "])
     for i, spec in enumerate(specs):
         bad = argv(tmp_path / f"bad{i}")
         error = f"error: unknown scorer spec {spec!r}\n"

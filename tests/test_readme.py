@@ -46,6 +46,15 @@ def test_readme_gives_the_fit_csv_headers():
     assert re.findall(r"^`(data_label,[^`]*)`", text, re.M) == [",".join(QUALITY_CSV_HEADER)]
 
 
+def test_readme_gives_the_fuzz_case_count():
+    from test_fuzz import CASES
+
+    with open(README, encoding="utf-8") as fh:
+        (count,) = re.findall(r"`tests/test_fuzz.py` runs the CLI in-process on (\d+) seeded",
+                              fh.read())
+    assert int(count) == sum(n_cases for _, n_cases, _ in CASES.values())
+
+
 def fixed_setting(pattern):
     """The one match of ``pattern`` in README's "Fixed settings" paragraph."""
     with open(README, encoding="utf-8") as fh:
@@ -71,6 +80,8 @@ def test_readme_fixed_refine_settings_are_the_module_constants():
     minhash = fixed_setting(r"MinHash with (\d+) bins in (\d+) bands of (\d+) rows")
     bins, bands, rows = map(int, minhash)
     assert (bins, bands, rows) == (refine.N_HASHES, refine.BANDS, refine.N_HASHES // refine.BANDS)
+    densify = fixed_setting(r"densifies the signatures (\d+) rows at a time")
+    assert int(densify) == refine.BLOCK_TOKENS // refine.N_HASHES
 
 
 def protocol_figure(pattern):

@@ -352,9 +352,9 @@ def test_memory_per_token():
     # words, against a 40,000-token target. Whole-corpus hashes, n-gram
     # hashes, int64 buckets and an int64 copy of the document indices
     # once took importance_weights to 57 B and minhash_signature to 53 B
-    # per token. In blocks they peak at about 21 B and 22 B: the first
-    # holds 12 B per raw token of features, and the second's peak is
-    # nearly all the 8.7 KB per document that densification builds.
+    # per token. In blocks they peak at about 21 B and 18 B: the first
+    # holds 12 B per raw token of features, and the second densifies
+    # 256 signature rows at a time (22 B when it densified all at once).
     rng = np.random.default_rng(3)
     weights = 1.0 / np.arange(1, 20_001) ** 1.1
     words = np.array([f"z{i}" for i in range(20_000)])
@@ -367,6 +367,17 @@ def test_memory_per_token():
     tokens = raw.total_tokens + target.total_tokens
     assert peak_bytes(importance_weights, raw, target) / tokens <= 26
     assert peak_bytes(minhash_signature, raw, 0) / raw.total_tokens <= 28
+
+
+def test_signature_memory_per_document():
+    # 5,000 documents of 4 tokens: the 1 KB signature row is nearly all a
+    # document holds. Densifying every row at once peaked at about 8.7 KB
+    # per document; in chunks of rows it stays near 1.5 KB.
+    rng = np.random.default_rng(31)
+    corpus = Corpus.from_texts(
+        [" ".join(f"w{v}" for v in row) for row in rng.integers(0, 3000, size=(5000, 4))]
+    )
+    assert peak_bytes(minhash_signature, corpus, 0) / len(corpus) <= 2500
 
 
 def test_memory_does_not_follow_the_process_vocabulary():

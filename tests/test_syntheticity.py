@@ -633,6 +633,16 @@ def test_external_bad_json_rejected(mock_scorer_cmd):
             scorer.log_probs(["a"])
 
 
+def test_external_json_nested_too_deep_rejected(mock_scorer_cmd):
+    deep = "[" * 5000 + "]" * 5000
+    with pytest.raises(RecursionError) as info:
+        json.loads(deep)
+    with external_scorer_connect(mock_scorer_cmd(f"logprobs '{deep}'")) as scorer:
+        message = f"^invalid JSON from scorer: {re.escape(str(info.value))}$"
+        with pytest.raises(ProtocolError, match=message):
+            scorer.log_probs(["a"])
+
+
 def test_external_non_utf8_rejected(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("garbage")) as scorer:
         with pytest.raises(ProtocolError, match="invalid JSON"):
