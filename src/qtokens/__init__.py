@@ -15,6 +15,7 @@ from .diversity import (
     compression_ratio,
     diversity_score,
     metric_correlation_matrix,
+    score_corpus_diversity,
 )
 from .errors import QTokensError
 from .fitting import (

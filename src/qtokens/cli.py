@@ -53,25 +53,21 @@ def _load_constants(spec: str) -> ScalingConstants:
     )
 
 
-def _scorer_spec(spec: str) -> str:
+def _scorer_spec(spec: str):
     """``--scorer``, else ``$QTOKENS_SCORER``: ``none``, ``kgram:<ref.jsonl>``
-    or ``external:<target>``, with a target that is not blank. Nothing is
-    opened until S is computed."""
+    or ``external:<target>``, with a target that is not blank. Return a
+    function of the tokenizer giving a context manager that opens the scorer
+    (None for ``none``) and closes it on exit, so nothing is opened until S
+    is computed."""
     kind, _, target = spec.partition(":")
-    if spec != "none" and not (target.strip() and kind in ("kgram", "external")):
-        raise QTokensError(f"unknown scorer spec {spec!r}")
-    return spec
-
-
-def _make_scorer(args):
-    """A context manager giving the scorer ``--scorer`` names, or None for
-    ``none``, and closing it on exit."""
-    kind, _, target = args.scorer.partition(":")
-    if kind == "kgram":
-        return contextlib.nullcontext(train_kgram_scorer(load_jsonl(target, args.tokenizer)))
-    if kind == "external":
-        return external_scorer_connect(target)
-    return contextlib.nullcontext()
+    if spec == "none":
+        return lambda tokenizer: contextlib.nullcontext()
+    if target.strip() and kind == "kgram":
+        return lambda tokenizer: contextlib.nullcontext(
+            train_kgram_scorer(load_jsonl(target, tokenizer)))
+    if target.strip() and kind == "external":
+        return lambda tokenizer: external_scorer_connect(target)
+    raise QTokensError(f"unknown scorer spec {spec!r}")
 
 
 def _fmt_cell(value) -> str:
@@ -104,7 +100,7 @@ def cmd_score(args) -> int:
             "syntheticity": s,
         }
 
-    with _make_scorer(args) as scorer:
+    with args.scorer(args.tokenizer) as scorer:
         rows = [score_one(path, scorer) for path in args.inputs]
 
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
@@ -177,7 +173,7 @@ def _write_outputs(args, before: Corpus, after: Corpus, **extra) -> None:
         write_jsonl(after, args.out)
         return
     side = {"seed": args.seed}
-    with _make_scorer(args) as scorer:
+    with args.scorer(args.tokenizer) as scorer:
         for key, corpus in (("before", before), ("after", after)):
             side[key] = {"documents": len(corpus), "tokens": corpus.total_tokens,
                          "dr": None, "syntheticity": None}

@@ -314,14 +314,25 @@ def bootstrap_se(
 
 def read_csv(path: str, required: Sequence[str]) -> list[dict]:
     """The rows of a UTF-8 CSV file as dicts keyed by its header, after
-    checking that the header names every ``required`` column."""
+    checking that the header names every ``required`` column. A row may
+    stop before a column that is not required; one with more cells than
+    the header, or none for a required column, is an error naming its
+    row, counting the header as row 1."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [name for name in required if name not in (reader.fieldnames or ())]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [name for name in required if name not in header]
             if missing:
                 raise FittingError(f"{path}: missing columns {missing}")
-            return list(reader)
+            least = max((header.index(name) + 1 for name in required), default=0)
+            rows = []
+            for row_no, cells in enumerate(filter(None, reader), start=2):  # blank lines skipped
+                if not least <= len(cells) <= len(header):
+                    raise FittingError(f"{path}: row {row_no} has {len(cells)} cells; "
+                                       f"the header has {len(header)}")
+                rows.append(dict(zip(header, cells)))
+            return rows
     except UnicodeDecodeError as exc:
         raise FittingError(f"{path}: not UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:  # a field longer than csv.field_size_limit()

@@ -13,6 +13,7 @@ line, matched by id).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import fcntl
 import json
@@ -253,7 +254,7 @@ class ExternalScorer:
         self._buffer = bytearray()
         self._efd = None  # a subprocess scorer's stderr, until it ends
         self._stderr_tail = b""
-        # Both directions are non-blocking: the duplex loop waits in select,
+        # Both directions are non-blocking: the duplex loop waits in poll,
         # and a write may be partial.
         if target.startswith("tcp://"):
             host, colon, port = target[len("tcp://") :].rpartition(":")
@@ -349,12 +350,20 @@ class ExternalScorer:
         deadline passed."""
         while (left := deadline - time.monotonic()) > 0:
             watched = [self._rfd] if self._efd is None else [self._rfd, self._efd]
-            readable, writable, _ = select.select(
-                watched, [self._wfd] if writing else [], [], left)
-            if self._efd is not None and self._efd in readable:
+            masks = dict.fromkeys(watched, select.POLLIN)
+            if writing:
+                masks[self._wfd] = masks.get(self._wfd, 0) | select.POLLOUT
+            poller = select.poll()
+            for fd, mask in masks.items():
+                poller.register(fd, mask)
+            # A hang-up or error counts as ready: the read or write that follows reports it.
+            ready = dict(poller.poll(left * 1000))
+            if ready.get(self._efd):
                 self._drain_stderr()
-            if self._rfd in readable or writable:
-                return self._rfd in readable, bool(writable)
+            readable = bool(ready.get(self._rfd, 0) & ~select.POLLOUT)
+            writable = writing and bool(ready.get(self._wfd, 0) & ~select.POLLIN)
+            if readable or writable:
+                return readable, writable
         return False, False
 
     def _parse_response(self, line: bytes) -> tuple[str, object]:
@@ -374,7 +383,7 @@ class ExternalScorer:
         keep the unfinished rest in ``_buffer``."""
         try:
             chunk = os.read(self._rfd, 1 << 16)
-        except BlockingIOError:  # select may report a socket ready spuriously
+        except BlockingIOError:  # poll may report a socket ready spuriously
             return []
         except OSError as exc:
             raise ProtocolError(f"cannot read from scorer: {exc}") from exc
@@ -408,15 +417,16 @@ class ExternalScorer:
         and neither the input nor the output is held in memory as a whole.
         The ``timeout`` counts from the peer's last progress, or from when
         the caller resumes the generator. A call that ends with a request
-        unanswered closes the scorer. Finding the request due next skips the
-        slots that earlier yields left in ``pending``, so it is linear in the
-        requests outstanding. The line cap, never below ``LINE_SLACK``, scans
-        them too, but only once an unfinished line is longer than that.
+        unanswered closes the scorer. The line cap, never below ``LINE_SLACK``,
+        scans the requests outstanding, but only once an unfinished line is
+        longer than that.
         """
         if self._closed:
             raise ScorerError(f"scorer is closed: {self._closed}")
         windows = iter(windows)
-        pending: dict[str, int] = {}  # request id -> tokens, in the order sent: first is due next
+        # request id -> tokens, in the order sent: first is due next, found without
+        # passing the slots that a plain dict's pops leave at its front
+        pending: collections.OrderedDict[str, int] = collections.OrderedDict()
         answered: dict[str, list[float]] = {}  # request id -> logprobs, until yielded
         held = 0  # tokens of the windows in pending
         out = memoryview(b"")

@@ -610,6 +610,40 @@ def test_load_experiments_csv_missing_columns(tmp_path):
         load_experiments_csv(str(path))
 
 
+@pytest.mark.parametrize("row, cells", [
+    ("25,Random,10,1083200970,1.36,,6.89,37.87,0.3775,0.02699", 10),
+    ('25,"Random,10,1083200970,1.36,6.89,37.87,0.3775,0.02699', 2),  # the quote runs to EOF
+    ("25,Random,10", 3),
+], ids=["stray-comma", "unclosed-quote", "three-cells"])
+def test_load_experiments_csv_row_of_the_wrong_length(tmp_path, row, cells):
+    # A shifted row is not read as other columns' values, and a short one
+    # is not reported as a missing quality score.
+    path = tmp_path / "exp.csv"
+    path.write_text(EXP_HEADER + "50,Random,10,1083200970,3.26,4.00,35.30,0.3775,0.02699\n"
+                    + row + "\n", encoding="utf-8")
+    with pytest.raises(FittingError) as err:
+        load_experiments_csv(str(path), quality=QUALITY_ROWS)
+    assert str(err.value) == f"{path}: row 3 has {cells} cells; the header has 9"
+
+
+def test_read_csv_checks_the_quality_rows_too(tmp_path):
+    path = tmp_path / "quality.csv"
+    path.write_text("data_label,fraction_pct,diversity,syntheticity\n"
+                    "Random,10,0,37750,0.02699\n", encoding="utf-8")
+    with pytest.raises(FittingError) as err:
+        fitting.read_csv(str(path), QUALITY_CSV_HEADER)
+    assert str(err.value) == f"{path}: row 2 has 5 cells; the header has 4"
+
+
+def test_load_experiments_csv_row_may_stop_before_the_scores(tmp_path):
+    path = tmp_path / "exp.csv"
+    path.write_text(EXP_HEADER + "25,Random,10,1083200970,1.36,6.89,37.87\n"
+                    "50,Random,10,1083200970,3.26,4.00,35.30,\n", encoding="utf-8")
+    points = load_experiments_csv(str(path), quality=QUALITY_ROWS)
+    assert [(p.n_millions, p.dr, p.s) for p in points] == [(25.0, 0.37750, 0.02699),
+                                                          (50.0, 0.37750, 0.02699)]
+
+
 def test_fit_report_dict_roundtrips_predictions():
     points = synthetic_points(TRUTH, n_points=10)
     report = fit_constants(points, PERTURBED)

@@ -1,6 +1,6 @@
 """The README's library example runs as written, and its `score` columns,
-`fit` CSV headers, refinement settings and external-scorer figures are the
-real ones."""
+`fit` CSV headers, refinement settings and memory, and external-scorer
+figures are the real ones."""
 
 import inspect
 import os
@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+import qtokens
 from qtokens import diversity, refine, syntheticity
 from qtokens.cli import main
 from qtokens.fitting import EXPERIMENTS_CSV_HEADER, QUALITY_CSV_HEADER
@@ -29,6 +30,28 @@ def test_readme_library_example_runs(tmp_path, write_corpus):
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert 0.0 <= float(run.stdout) <= 1.0
+    # The calls the section names beside the example import from the package too.
+    with open(README, encoding="utf-8") as fh:
+        (returns,) = re.findall(r"^Library calls return (.*?)\n\n", fh.read(), re.M | re.S)
+    names = re.findall(r"`(\w+)` returns", returns)
+    assert names == ["score_corpus_diversity", "select_by_weight", "bootstrap_se"]
+    assert [name for name in names if not hasattr(qtokens, name)] == []
+
+
+def test_readme_gives_the_refinement_memory_measured():
+    from test_refine import peak_bytes, zipf_corpora
+
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    ((weights, signatures),) = re.findall(
+        r"selection weights peak at about (\d+) bytes per token of the two corpora and "
+        r"MinHash signatures at about (\d+) bytes per raw token", text)
+    # Each peak moves by about half a byte with what the process ran before.
+    raw, target = zipf_corpora()
+    tokens = raw.total_tokens + target.total_tokens
+    assert abs(peak_bytes(refine.importance_weights, raw, target) / tokens - int(weights)) < 1
+    assert abs(peak_bytes(refine.minhash_signature, raw, 0) / raw.total_tokens
+               - int(signatures)) < 1
 
 
 def test_readme_lists_the_score_columns(write_corpus, capsys):

@@ -347,14 +347,9 @@ def peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_memory_per_token():
-    # 200,000 raw tokens, 400 per document, drawn Zipf(1.1) from 20,000
-    # words, against a 40,000-token target. Whole-corpus hashes, n-gram
-    # hashes, int64 buckets and an int64 copy of the document indices
-    # once took importance_weights to 57 B and minhash_signature to 53 B
-    # per token. In blocks they peak at about 21 B and 18 B: the first
-    # holds 12 B per raw token of features, and the second densifies
-    # 256 signature rows at a time (22 B when it densified all at once).
+def zipf_corpora() -> tuple[Corpus, Corpus]:
+    """200,000 raw tokens, 400 per document, drawn Zipf(1.1) from 20,000
+    words, and a 40,000-token target drawn the same way."""
     rng = np.random.default_rng(3)
     weights = 1.0 / np.arange(1, 20_001) ** 1.1
     words = np.array([f"z{i}" for i in range(20_000)])
@@ -363,7 +358,17 @@ def test_memory_per_token():
         draws = rng.choice(20_000, size=(n_docs, 400), p=weights / weights.sum())
         return Corpus.from_texts([" ".join(words[row]) for row in draws], id_prefix=prefix)
 
-    raw, target = corpus(500, "raw"), corpus(100, "target")
+    return corpus(500, "raw"), corpus(100, "target")
+
+
+def test_memory_per_token():
+    # Whole-corpus hashes, n-gram hashes, int64 buckets and an int64 copy
+    # of the document indices once took importance_weights to 57 B and
+    # minhash_signature to 53 B per token. In blocks they peak at about
+    # 21 B and 18 B: the first holds 12 B per raw token of features, and
+    # the second densifies 256 signature rows at a time (22 B when it
+    # densified all at once).
+    raw, target = zipf_corpora()
     tokens = raw.total_tokens + target.total_tokens
     assert peak_bytes(importance_weights, raw, target) / tokens <= 26
     assert peak_bytes(minhash_signature, raw, 0) / raw.total_tokens <= 28

@@ -1,7 +1,9 @@
 import fcntl
 import json
 import math
+import os
 import re
+import resource
 import shlex
 import signal
 import socket
@@ -777,6 +779,26 @@ def test_external_dead_child_reports_exit_status(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("die")) as scorer:
         with pytest.raises(ProtocolError, match="exited with status 3"):
             scorer.log_probs(["a"])
+
+
+def test_external_scorer_takes_descriptors_above_1023(mock_scorer_cmd):
+    # select() cannot watch a descriptor numbered 1024 or more. With every
+    # lower one taken, the scorer's pipes are numbered above that.
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+        pytest.skip("the descriptor limit is below 1100")
+    fds = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        while fds[-1] < 1023:
+            fds.append(os.dup(fds[0]))
+        with external_scorer_connect(mock_scorer_cmd("const")) as scorer:
+            assert min(scorer._rfd, scorer._wfd, scorer._efd) > 1023
+            assert scorer.log_probs(["a", "b"]) == [-1.0, -1.0]
+        with external_scorer_connect(mock_scorer_cmd("die")) as scorer:
+            with pytest.raises(ProtocolError, match="exited with status 3"):
+                scorer.log_probs(["a"])
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def test_external_dead_child_reports_stderr_tail(mock_scorer_cmd):
