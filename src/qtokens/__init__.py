@@ -14,7 +14,6 @@ from .diversity import (
     DiversityReport,
     compression_ratio,
     diversity_score,
-    metric_correlation_matrix,
     score_corpus_diversity,
 )
 from .errors import QTokensError

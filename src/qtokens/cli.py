@@ -33,7 +33,7 @@ from .syntheticity import external_scorer_connect, score_corpus, train_kgram_sco
 SCORER_ENV = "QTOKENS_SCORER"
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
@@ -159,6 +159,13 @@ def cmd_invert(args) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them is yet to be written
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _write_outputs(args, before: Corpus, after: Corpus, **extra) -> None:
     """Write ``after`` to ``--out``, then the ``--report`` sidecar if one
     was asked for: seed, document and token counts, Dr and S before and
@@ -168,7 +175,10 @@ def _write_outputs(args, before: Corpus, after: Corpus, **extra) -> None:
     when no scorer is set. A failing command leaves both files as they
     were: the sidecar is computed first, as in ``score``, and the report is
     opened, not truncated, before ``--out`` is written (and removed if this
-    command created it and ``--out`` fails)."""
+    command created it and ``--out`` fails). Both flags naming one file is
+    an error, raised before either is opened."""
+    if args.report and _same_file(args.report, args.out):
+        raise QTokensError(f"--out and --report name the same file: {args.report}")
     if not args.report:
         write_jsonl(after, args.out)
         return

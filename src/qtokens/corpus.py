@@ -58,7 +58,7 @@ class Tokenizer:
                 f"unknown tokenizer spec {spec!r}: expected whitespace, byte or vocab:<path>")
         if path:
             try:
-                with open(path, "r", encoding="utf-8") as fh:
+                with open(path, "r", encoding="utf-8-sig") as fh:
                     self._vocab = {line.rstrip("\n") for line in fh if line.rstrip("\n")}
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from exc
@@ -145,7 +145,7 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
     name = os.path.basename(path)
     docs = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

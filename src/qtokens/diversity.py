@@ -12,7 +12,6 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -241,40 +240,3 @@ def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None
     del rank
     ttr = distinct[0] / total
     return ttr, _mattr(ids, MATTR_WINDOW) if total >= MATTR_WINDOW else ttr, ngd, sr
-
-
-@dataclass
-class CorrelationMatrix:
-    """Pairwise Pearson correlations between metric score vectors.
-
-    ``undefined`` lists metrics that were constant across the corpora (or
-    unavailable); their rows and columns hold None instead of NaN.
-    """
-
-    metrics: tuple[str, ...]
-    values: list[list[float | None]]
-    undefined: tuple[str, ...] = ()
-
-
-def metric_correlation_matrix(corpora: Sequence[Corpus]) -> CorrelationMatrix:
-    """Correlate the diversity metrics of ``score_corpus_diversity``
-    across a set of corpora; the n-gram diversity is the bigram one."""
-    if len(corpora) < 3:
-        raise DiversityError("metric correlation needs at least 3 corpora")
-    metrics = ("dr", "ttr", "mattr", "ngram_diversity", "self_repetition")
-    columns = list(zip(*(
-        (r.dr, r.ttr, r.mattr, r.ngram_diversity[2], r.self_repetition)
-        for r in map(score_corpus_diversity, corpora)
-    )))
-    defined = [None not in col and min(col) != max(col) for col in columns]
-    keep = np.flatnonzero(defined)
-    corr = np.zeros((len(metrics), len(metrics)))
-    if keep.size:
-        corr[np.ix_(keep, keep)] = np.corrcoef([columns[i] for i in keep])
-    np.fill_diagonal(corr, 1.0)
-    values = [
-        [v if defined[i] and defined[j] else None for j, v in enumerate(row)]
-        for i, row in enumerate(corr.tolist())
-    ]
-    undefined = tuple(m for m, ok in zip(metrics, defined) if not ok)
-    return CorrelationMatrix(metrics=metrics, values=values, undefined=undefined)

@@ -319,7 +319,7 @@ def read_csv(path: str, required: Sequence[str]) -> list[dict]:
     the header, or none for a required column, is an error naming its
     row, counting the header as row 1."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             missing = [name for name in required if name not in header]

@@ -14,7 +14,15 @@ from typing import Sequence
 
 from .errors import QTokensError, ScalingDomainError
 from .fitting import pearson
-from .scaling_law import ScalingConstants, _check_number, _check_positive, _dq, _score, clamp_unit
+from .scaling_law import (
+    ScalingConstants,
+    _check_number,
+    _check_positive,
+    _dq,
+    _score,
+    clamp_unit,
+    scaling_factor_q,
+)
 
 WIDTH = 640
 HEIGHT = 480
@@ -175,8 +183,7 @@ def q_surface_csv(
         dr = _lerp(*dr_range, i, SURFACE_STEPS - 1)
         for j in range(SURFACE_STEPS):
             s = _lerp(*s_range, j, SURFACE_STEPS - 1)
-            q = _dq(1.0, dr, s, constants.c1, constants.c2, constants.form)
-            lines.append(f"{dr:.6f},{s:.6f},{q:.8e}")
+            lines.append(f"{dr:.6f},{s:.6f},{scaling_factor_q(dr, s, constants):.8e}")
     return "\n".join(lines) + "\n"
 
 

@@ -146,15 +146,19 @@ def test_score_unreadable_input(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["score", "{bad}"],
-    ["--tokenizer", "vocab:{bad}", "score", "{corpus}"],
-    ["fit", "--experiments", "{bad}"],
-    ["fit", "--experiments", "{exp}", "--quality", "{bad}"],
-    ["predict", "--constants", "{bad}", "--n-millions", "10", "--d-tokens", "1e9", "--dr", "0.3",
-     "--s", "0.1"],
-    ["report", "--fit-report", "{bad}", "--out-dir", "{out}"],
-], ids=["corpus", "vocab", "experiments", "quality", "constants", "fit-report"])
+# One command for each kind of input file, reading it from {bad}.
+_INPUT_KINDS = {
+    "corpus": ["score", "{bad}"],
+    "vocab": ["--tokenizer", "vocab:{bad}", "score", "{corpus}"],
+    "experiments": ["fit", "--experiments", "{bad}"],
+    "quality": ["fit", "--experiments", "{exp}", "--quality", "{bad}"],
+    "constants": ["predict", "--constants", "{bad}", "--n-millions", "10", "--d-tokens", "1e9",
+                  "--dr", "0.3", "--s", "0.1"],
+    "fit-report": ["report", "--fit-report", "{bad}", "--out-dir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("argv", _INPUT_KINDS.values(), ids=_INPUT_KINDS)
 def test_input_that_is_not_utf8_is_an_error_naming_the_file(argv, write_corpus, tmp_path,
                                                             capsys):
     bad = tmp_path / "bad"
@@ -166,6 +170,47 @@ def test_input_that_is_not_utf8_is_an_error_naming_the_file(argv, write_corpus, 
     code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
     assert (code, out, err) == (1, "", f"error: {bad}: not UTF-8 (invalid start byte)\n")
     assert not paths["out"].exists()
+
+
+def _csv_text(header, rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    return buffer.getvalue()
+
+
+_QUALITY = {(label, pct): (dr, s) for label, pct, dr, s in QUALITY_TABLE}
+# A valid file of each kind; the quality one joins to the {exp} experiments.
+_VALID_INPUTS = {
+    "corpus": '{"text": "a b c a"}\n{"text": "b c d"}\n',
+    "vocab": "a\nb\n",
+    "experiments": _csv_text(fitting.EXPERIMENTS_CSV_HEADER,
+                             [[*row, *_QUALITY[row[1], row[2]]] for row in RESULTS_TABLE]),
+    "quality": _csv_text(fitting.QUALITY_CSV_HEADER, QUALITY_TABLE),
+    "constants": json.dumps(PRESETS["paper-ours"].to_dict()),
+    "fit-report": json.dumps({
+        "constants": PRESETS["paper-ours"].to_dict(),
+        "points": [{"n_millions": n, "d_tokens": 1e9, "dr": dr, "s": s, "observed": acc,
+                    "predicted": acc + 0.01}
+                   for n, dr, s, acc in ((25, 0.3, 0.05, 0.38), (350, 0.4, 0.1, 0.44))],
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", _INPUT_KINDS)
+def test_a_leading_bom_is_ignored(kind, write_corpus, tmp_path, capsys):
+    exp = tmp_path / "exp.csv"
+    exp.write_text(_csv_text(fitting.EXPERIMENTS_CSV_HEADER,
+                             [[*row, "", ""] for row in RESULTS_TABLE]))
+    paths = {"bad": tmp_path / "input", "exp": exp, "out": tmp_path / "o",
+             "corpus": write_corpus("c.jsonl", [{"text": "a b c"}])}
+    argv = [arg.format(**paths) for arg in _INPUT_KINDS[kind]]
+    runs = []
+    for bom in ("", "\ufeff"):
+        paths["bad"].write_text(bom + _VALID_INPUTS[kind], encoding="utf-8")
+        runs.append((*run_cli(argv, capsys),
+                     {p.name: p.read_bytes() for p in paths["out"].glob("*")}))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
 
 
 def _reason(parse, text) -> str:
@@ -843,6 +888,29 @@ def test_a_failing_output_leaves_existing_files_as_they_were(command, write_corp
         assert err == f"error: [Errno 2] No such file or directory: '{missing / 'o.jsonl'}'\n"
     assert old.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "old.json"]
+
+
+@pytest.mark.parametrize("out, report", [("o.jsonl", "o.jsonl"), ("o.jsonl", "./o.jsonl"),
+                                         ("c.jsonl", "c.jsonl")],
+                         ids=["same-path", "two-spellings", "the-input"])
+@pytest.mark.parametrize("command", ["select", "dedup"])
+def test_out_and_report_naming_one_file_is_an_error(command, out, report, write_corpus, tmp_path,
+                                                    capsys, monkeypatch):
+    # The sidecar would overwrite the corpus written to --out, even when that is the input.
+    src = write_corpus("c.jsonl", [{"id": "a", "text": "a b c d e"}, {"id": "b", "text": "a b"}])
+    with open(src, "rb") as fh:
+        corpus = fh.read()
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "select": ["select", "c.jsonl", "--target", "c.jsonl", "--budget-tokens", "5"],
+        "dedup": ["dedup", "c.jsonl"],
+    }[command]
+    code, stdout, err = run_cli([*argv, "--out", out, "--report", report], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: --out and --report name the same file: {report}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+    with open(src, "rb") as fh:
+        assert fh.read() == corpus
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])

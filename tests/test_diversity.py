@@ -8,12 +8,7 @@ import pytest
 
 from qtokens import diversity
 from qtokens.corpus import Corpus, Document, Tokenizer
-from qtokens.diversity import (
-    compression_ratio,
-    diversity_score,
-    metric_correlation_matrix,
-    score_corpus_diversity,
-)
+from qtokens.diversity import compression_ratio, diversity_score, score_corpus_diversity
 from qtokens.errors import DiversityError
 
 # Golden values frozen from a pre-build run of DEFLATE level 6 with the
@@ -441,50 +436,6 @@ def test_report_matches_public_functions_across_boundaries():
 def test_self_repetition_needs_two_eligible(report_of):
     assert report_of([["a", "b", "c", "d", "e"]]).self_repetition is None
     assert report_of([["a", "b"], ["c", "d"]]).self_repetition is None
-
-
-def _graded_corpora(n=6):
-    # Vocabulary shrinks corpus by corpus, so dr and ttr fall together.
-    rng = np.random.default_rng(123)
-    corpora = []
-    for level in range(n):
-        vocab = 2000 // (2**level)
-        texts = []
-        for _ in range(20):
-            words = rng.integers(0, vocab, size=80)
-            texts.append(" ".join(f"w{w}" for w in words))
-        corpora.append(Corpus.from_texts(texts, id_prefix=f"c{level}"))
-    return corpora
-
-
-def test_metric_correlation_covarying():
-    matrix = metric_correlation_matrix(_graded_corpora())
-    i_dr = matrix.metrics.index("dr")
-    i_ttr = matrix.metrics.index("ttr")
-    assert matrix.values[i_dr][i_ttr] > 0.8
-    assert matrix.values[i_dr][i_dr] == 1.0
-    # symmetry
-    for i in range(len(matrix.metrics)):
-        for j in range(len(matrix.metrics)):
-            a, b = matrix.values[i][j], matrix.values[j][i]
-            if a is None or b is None:
-                assert a == b
-            else:
-                assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_metric_correlation_flags_undefined():
-    # Single-document corpora have no self-repetition score.
-    corpora = [Corpus.from_texts([f"w{i} x y z a b c d"], id_prefix=f"c{i}") for i in range(4)]
-    matrix = metric_correlation_matrix(corpora)
-    assert "self_repetition" in matrix.undefined
-    i = matrix.metrics.index("self_repetition")
-    assert all(v is None for v in matrix.values[i])
-
-
-def test_metric_correlation_needs_three():
-    with pytest.raises(DiversityError):
-        metric_correlation_matrix(_graded_corpora(2))
 
 
 def test_report_flat_dict_and_warning():

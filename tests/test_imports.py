@@ -6,10 +6,8 @@ option and defaulted library parameter is set somewhere outside the tests.
 ``__init__.py`` is left out of the import and definition scans: its
 imports are the package's public names. Those exports do not count as
 references, and neither does a reference from a test, since a function
-that only tests call is code the program does not run; the few public
-functions kept for library users alone are listed with their reasons. The
-dotted names the benchmark in ``perfbench/`` looks functions up by do
-count.
+that only tests call is code the program does not run. The dotted names
+the benchmark in ``perfbench/`` looks functions up by do count.
 """
 
 import argparse
@@ -214,14 +212,6 @@ def test_scan_does_not_count_a_reexport_as_a_use():
     assert dead_definitions(sources, "mod.py") == ["exported (line 1)"]
 
 
-# Public functions that no program code calls, only tests, and why each stays.
-PUBLIC_ONLY_DEFINITIONS = (
-    ("metric_correlation_matrix", "the paper weighs Dr against the baseline diversity metrics "
-                                  "by their correlation across corpora; no subcommand does"),
-    ("scaling_factor_q", "the quality factor Q = Dq / D of a constants' form (exp(c1 Dr + c2 S) "
-                         "for F1) on its own, for library users; acceptance criterion 6 checks "
-                         "that it rises with quality"),
-)
 PACKAGE_MODULES = [path for path in _modules() if path.startswith(PACKAGE_DIR)]
 
 
@@ -231,18 +221,7 @@ def _program_sources() -> dict[str, str]:
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: os.path.relpath(p, REPO_DIR))
 def test_no_dead_definitions(path):
-    public = {name for name, _ in PUBLIC_ONLY_DEFINITIONS}
-    dead = dead_definitions(_program_sources(), path)
-    assert [d for d in dead if d.split()[0] not in public] == []
-
-
-def test_public_only_definitions_are_listed_exactly():
-    """Each listed function is public, tested and called by no program code."""
-    dead = [d.split()[0] for path in PACKAGE_MODULES
-            for d in dead_definitions(_program_sources(), path)]
-    assert sorted(dead) == sorted(name for name, _ in PUBLIC_ONLY_DEFINITIONS)
-    tests = _texts(TESTS_DIR)
-    assert [name for name in dead if not hasattr(qtokens, name) or not _sets(name, tests)] == []
+    assert dead_definitions(_program_sources(), path) == []
 
 
 def unread_attributes(sources: dict[str, str], paths: list[str]) -> list[str]:
