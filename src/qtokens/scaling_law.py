@@ -18,6 +18,7 @@ convention reproduces the shipped preset's accuracy predictions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, replace
 from typing import Mapping
 
@@ -26,6 +27,16 @@ from .errors import ScalingDomainError
 FORMS = ("F1", "F2", "F3", "F4")
 # The seven constants by their JSON names, in ``ScalingConstants`` field order.
 PARAM_NAMES = ("E", "A", "alpha", "B", "beta", "c1", "c2")
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(value) -> bool:
+    """``math.isfinite``, except that an int beyond the float range is not
+    finite rather than an ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -47,7 +58,7 @@ class ScalingConstants:
         if self.beta == 0:
             raise ScalingDomainError("beta must be nonzero")
         for name, value in zip(PARAM_NAMES, astuple(self)):  # stops before form
-            if not math.isfinite(value):
+            if not _finite(value):
                 raise ScalingDomainError(f"constant {name} is not finite")
 
     def to_dict(self) -> dict:
@@ -86,22 +97,36 @@ def default_initial_guess(form: str = "F1") -> ScalingConstants:
     return replace(base, c1=0.5, c2=0.5, form=form)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QualityInputs:
-    """One prediction query: token count, quality scores, model size."""
+    """One prediction query: token count, quality scores, model size.
+
+    Each of the four values must be finite and > 0. They are checked once,
+    here, and the instance is immutable, so the scalar functions take it as
+    checked. One chained comparison accepts a valid query; anything else
+    goes to ``_check_positive`` field by field, in field order, which names
+    the first bad value in its ``ScalingDomainError``.
+    """
 
     d: float
     dr: float
     s: float
     n_millions: float
 
-    def __post_init__(self):
-        for name in ("d", "dr", "s", "n_millions"):
-            _check_positive(name, getattr(self, name))
+    def __init__(self, d: float, dr: float, s: float, n_millions: float):
+        try:
+            valid = (0.0 < d <= _FLOAT_MAX and 0.0 < dr <= _FLOAT_MAX
+                     and 0.0 < s <= _FLOAT_MAX and 0.0 < n_millions <= _FLOAT_MAX)
+        except (TypeError, ValueError):  # not a real number: _check_positive raises math's error
+            valid = False
+        if not valid:
+            for name, value in zip(("d", "dr", "s", "n_millions"), (d, dr, s, n_millions)):
+                _check_positive(name, value)
+        self.__dict__.update(d=d, dr=dr, s=s, n_millions=n_millions)
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
+    if not (_finite(value) and value > 0):
         raise ScalingDomainError(f"{name} must be finite and > 0, got {value}")
 
 
@@ -110,12 +135,9 @@ def _check_number(name: str, value) -> float:
     an int or a float but not a bool; an int beyond the float range is not finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScalingDomainError(f"{name} is not a number: {value!r}")
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise ScalingDomainError(f"{name} is not finite")
+    if not _finite(value):
+        raise ScalingDomainError(f"{name} is not finite")
+    return float(value)
 
 
 def _dq(d, dr, s, c1, c2, form, exp=math.exp):
@@ -163,20 +185,22 @@ def effective_tokens(q_in: QualityInputs, consts: ScalingConstants) -> float:
 
 
 def clamp_unit(x: float) -> float:
-    """Restrict a score to [0, 1]."""
-    return min(max(x, 0.0), 1.0)
+    """Restrict a score to [0, 1]; NaN and -0.0 pass through unchanged."""
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
 def predict_accuracy_unclamped(q_in: QualityInputs, consts: ScalingConstants) -> float:
     """Model score before clamping; the quantity the fit and the
     inversion operate on."""
-    return _score(q_in.n_millions, effective_tokens(q_in, consts),
+    return _score(q_in.n_millions, _dq(q_in.d, q_in.dr, q_in.s, consts.c1, consts.c2, consts.form),
                   consts.e, consts.a, consts.alpha, consts.b, consts.beta)
 
 
 def predict_accuracy(q_in: QualityInputs, consts: ScalingConstants) -> float:
-    """Predicted average zero-shot accuracy, clamped to [0, 1]."""
-    return clamp_unit(predict_accuracy_unclamped(q_in, consts))
+    """Predicted average zero-shot accuracy, clamped to [0, 1] as by
+    ``clamp_unit``."""
+    x = predict_accuracy_unclamped(q_in, consts)
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
 def invert_effective_tokens(consts: ScalingConstants, n_millions: float, score: float) -> float:
@@ -188,9 +212,14 @@ def invert_effective_tokens(consts: ScalingConstants, n_millions: float, score: 
     root, or where Dq is beyond the float range, this raises
     ``ScalingDomainError``.
     """
-    _check_positive("n_millions", n_millions)
-    if not math.isfinite(score):
-        raise ScalingDomainError(f"score is not finite: {score}")
+    try:
+        valid = 0.0 < n_millions <= _FLOAT_MAX and -_FLOAT_MAX <= score <= _FLOAT_MAX
+    except (TypeError, ValueError):  # not a real number: the checks below raise math's error
+        valid = False
+    if not valid:
+        _check_positive("n_millions", n_millions)
+        if not _finite(score):
+            raise ScalingDomainError(f"score is not finite: {score}")
     try:
         n_alpha = n_millions**consts.alpha
         denom = (score - consts.e) * n_alpha - consts.a

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qtokens.errors import ScalingDomainError
+from qtokens.fitting import ExperimentPoint
 from qtokens.scaling_law import (
     FORMS,
     PRESETS,
@@ -161,6 +164,10 @@ def test_clamp_unit():
     assert clamp_unit(-0.3) == 0.0
     assert clamp_unit(0.42) == 0.42
     assert clamp_unit(1.7) == 1.0
+    # The same float as min(max(x, 0.0), 1.0), bit for bit: -0.0 keeps its sign, NaN stays NaN.
+    for x in (-0.3, -0.0, 0.0, 0.42, 1.0, 1.7, math.nan):
+        assert same_float(clamp_unit(x), min(max(x, 0.0), 1.0))
+    assert math.copysign(1.0, clamp_unit(-0.0)) == -1.0
 
 
 def test_predict_constant_model():
@@ -318,3 +325,97 @@ def test_effective_tokens_overflow_is_a_domain_error(form):
     consts = ScalingConstants(e=1.0, a=0.0, alpha=0.5, b=1.0, beta=0.5, c1=1e6, c2=1e6, form=form)
     with pytest.raises(ScalingDomainError, match=f"overflow under form {form}"):
         effective_tokens(QualityInputs(d=1e9, dr=2.0, s=2.0, n_millions=1.0), consts)
+
+
+HUGE = 10**400  # an int beyond the float range
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: QualityInputs(d=HUGE, dr=0.3, s=0.05, n_millions=125.0),
+      f"^d must be finite and > 0, got {HUGE}$"),
+     (lambda: invert_effective_tokens(PRESETS["paper-ours"], HUGE, 0.5),
+      f"^n_millions must be finite and > 0, got {HUGE}$"),
+     (lambda: invert_effective_tokens(PRESETS["paper-ours"], 125.0, HUGE),
+      f"^score is not finite: {HUGE}$"),
+     (lambda: invert_effective_tokens(PRESETS["paper-ours"], 125.0, -HUGE),
+      f"^score is not finite: {-HUGE}$"),
+     (lambda: scaling_factor_q(HUGE, 0.1, PRESETS["paper-ours"]),
+      f"^dr must be finite and > 0, got {HUGE}$"),
+     (lambda: ExperimentPoint(n_millions=125.0, d_tokens=HUGE, dr=0.3, s=0.05, accuracy=0.5),
+      f"^d_tokens must be finite and > 0, got {HUGE}$"),
+     (lambda: ScalingConstants(e=HUGE, a=1, alpha=0.5, b=1, beta=0.5, c1=0, c2=0),
+      "^constant E is not finite$")],
+    ids=["quality-inputs", "invert-n", "invert-score", "invert-negative-score",
+         "scaling-factor-q", "experiment-point", "constants"],
+)
+def test_an_int_beyond_the_float_range_is_a_domain_error(call, message):
+    with pytest.raises(ScalingDomainError, match=message):
+        call()
+
+
+def test_quality_inputs_keeps_its_dataclass_contract():
+    q = QualityInputs(1e9, 0.3, 0.05, 125.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.d = 2e9
+    same = QualityInputs(d=1e9, dr=0.3, s=0.05, n_millions=125.0)
+    assert q == same and hash(q) == hash(same)
+    assert q != QualityInputs(1e9, 0.3, 0.05, 126.0)
+    assert repr(q) == "QualityInputs(d=1000000000.0, dr=0.3, s=0.05, n_millions=125.0)"
+    assert (q.d, q.dr, q.s, q.n_millions) == (1e9, 0.3, 0.05, 125.0)
+    assert [f.name for f in dataclasses.fields(QualityInputs)] == ["d", "dr", "s", "n_millions"]
+    assert replace(q, s=0.1) == QualityInputs(1e9, 0.3, 0.1, 125.0)
+    with pytest.raises(ScalingDomainError, match="^d must be finite and > 0, got 0.0$"):
+        replace(q, d=0.0)
+    # With two bad fields, the first in field order is named.
+    with pytest.raises(ScalingDomainError, match="^dr must be finite and > 0, got nan$"):
+        QualityInputs(d=1e9, dr=math.nan, s=-1.0, n_millions=125.0)
+    with pytest.raises(ScalingDomainError, match="^s must be finite and > 0, got -1.0$"):
+        QualityInputs(d=1e9, dr=0.3, s=-1.0, n_millions=math.inf)
+
+
+# The law written out from the module docstring, in the operation order of
+# ``_dq``, ``_score`` and ``invert_effective_tokens``.
+def reference_dq(d, dr, s, c):
+    if c.form == "F1":
+        return d * math.exp(c.c1 * dr + c.c2 * s)
+    if c.form == "F2":
+        return d * dr**c.c1 * math.exp(c.c2 * s)
+    if c.form == "F3":
+        return d * math.exp(c.c1 * dr) * s**c.c2
+    return d * dr**c.c1 * s**c.c2
+
+
+def reference_score(n, dq, c):
+    return c.e + c.a / n**c.alpha + c.b / dq**c.beta
+
+
+def reference_invert(c, n, score):
+    n_alpha = n**c.alpha
+    return (c.b * n_alpha / ((score - c.e) * n_alpha - c.a)) ** (1.0 / c.beta)
+
+
+def same_float(x, y):
+    """Bit-for-bit equality, so -0.0 differs from 0.0 and NaN equals NaN."""
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+@pytest.mark.parametrize(
+    "consts",
+    [PRESETS["paper-ours"], PRESETS["besiroglu-chinchilla"]]
+    + [replace(PRESETS["paper-ours"], form=form) for form in FORMS[1:]],
+    ids=["paper-ours", "besiroglu-chinchilla", "F2", "F3", "F4"],
+)
+def test_scalar_api_matches_the_reference_law_bit_for_bit(consts):
+    rng = np.random.default_rng(37)
+    for n, d, dr, s in zip((10 ** rng.uniform(0, 4, 2000)).tolist(),
+                           (10 ** rng.uniform(6, 12, 2000)).tolist(),
+                           rng.uniform(0.05, 0.9, 2000).tolist(),
+                           rng.uniform(0.01, 0.5, 2000).tolist()):
+        q_in = QualityInputs(d=d, dr=dr, s=s, n_millions=n)
+        dq = reference_dq(d, dr, s, consts)
+        score = reference_score(n, dq, consts)
+        assert effective_tokens(q_in, consts) == dq
+        assert predict_accuracy_unclamped(q_in, consts) == score
+        assert same_float(predict_accuracy(q_in, consts), min(max(score, 0.0), 1.0))
+        assert invert_effective_tokens(consts, n, score) == reference_invert(consts, n, score)
