@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import diversity, fitting, fixtures, refine, report as report_mod
+from . import diversity, refine
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
 from .errors import DiversityError, QTokensError
 from .scaling_law import (
@@ -111,6 +111,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import fitting, fixtures
+
     if args.fixture:
         if args.quality:
             raise QTokensError("--quality needs --experiments, not --fixture")
@@ -229,7 +231,9 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_report(args) -> int:
-    paths = report_mod.write_report(_read_json(args.fit_report), args.out_dir)
+    from .report import write_report
+
+    paths = write_report(_read_json(args.fit_report), args.out_dir)
     for path in paths:
         sys.stdout.write(path + "\n")
     return 0

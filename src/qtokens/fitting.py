@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FittingError, ScalingDomainError
-from .scaling_law import PARAM_NAMES, ScalingConstants, _check_positive, _dq, _score
+from .scaling_law import PARAM_NAMES, ScalingConstants, _check_positive, _dq, _score, _shown
 
 N_PARAMS = len(PARAM_NAMES)
 MAX_ITERS = 200
@@ -73,7 +73,7 @@ class ExperimentPoint:
         for name in ("n_millions", "d_tokens", "dr", "s"):
             _check_positive(name, getattr(self, name))
         if not (0.0 <= self.accuracy <= 1.0):
-            raise FittingError(f"accuracy must be in [0, 1], got {self.accuracy}")
+            raise FittingError(f"accuracy must be in [0, 1], got {_shown(self.accuracy)}")
 
 
 @dataclass

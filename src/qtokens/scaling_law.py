@@ -125,9 +125,18 @@ class QualityInputs:
         self.__dict__.update(d=d, dr=dr, s=s, n_millions=n_millions)
 
 
+def _shown(value) -> str:
+    """``value`` as an error message names it: as ``str`` gives it, except
+    an int with too many digits for that, which is named by its size."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def _check_positive(name: str, value: float) -> None:
     if not (_finite(value) and value > 0):
-        raise ScalingDomainError(f"{name} must be finite and > 0, got {value}")
+        raise ScalingDomainError(f"{name} must be finite and > 0, got {_shown(value)}")
 
 
 def _check_number(name: str, value) -> float:
@@ -219,7 +228,7 @@ def invert_effective_tokens(consts: ScalingConstants, n_millions: float, score: 
     if not valid:
         _check_positive("n_millions", n_millions)
         if not _finite(score):
-            raise ScalingDomainError(f"score is not finite: {score}")
+            raise ScalingDomainError(f"score is not finite: {_shown(score)}")
     try:
         n_alpha = n_millions**consts.alpha
         denom = (score - consts.e) * n_alpha - consts.a

@@ -4,15 +4,17 @@ the package sets on ``self`` is read somewhere, and every command-line
 option and defaulted library parameter is set somewhere outside the tests.
 
 ``__init__.py`` is left out of the import and definition scans: its
-imports are the package's public names. Those exports do not count as
-references, and neither does a reference from a test, since a function
-that only tests call is code the program does not run. The dotted names
-the benchmark in ``perfbench/`` looks functions up by do count.
+table of public names, each mapped to the module it is imported from on
+first use, is the package's API. Those names do not count as references,
+and neither does a reference from a test, since a function that only tests
+call is code the program does not run. The dotted names the benchmark in
+``perfbench/`` looks functions up by do count.
 """
 
 import argparse
 import ast
 import functools
+import importlib
 import math
 import os
 import re
@@ -54,14 +56,52 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def test_cli_import_leaves_decimal_out():
-    """``fractions`` imports ``decimal``, which costs every run about 3 ms
-    and 0.3 MB; ``sample_fraction`` takes its exact size from the digits of
-    the fraction instead."""
-    code = "import sys, qtokens.cli; print(sorted({'decimal', 'fractions'} & set(sys.modules)))"
+# What importing each module loads and leaves out; a name ending in "."
+# stands for every module under it. ``import qtokens`` loads a module only
+# when one of its names is used, and the scalar law needs no numpy. The CLI
+# leaves out the fit, the report and the external client, which only their
+# own commands run, and ``decimal`` (through ``fractions``), which costs
+# every run about 3 ms and 0.3 MB: ``sample_fraction`` takes its exact size
+# from the digits of the fraction instead. It keeps numpy and the corpus
+# commands' modules, since loading them later only moves their cost into
+# the first command.
+IMPORT_WEIGHT = [
+    ("qtokens", (), ("qtokens.", "numpy")),
+    ("qtokens.scaling_law", (), ("numpy",)),
+    ("qtokens.cli", ("numpy", "qtokens.diversity", "qtokens.refine", "qtokens.syntheticity"),
+     ("qtokens.fitting", "qtokens.fixtures", "qtokens.report", "qtokens.external", "socket",
+      "subprocess", "select", "shlex", "fcntl", "decimal", "fractions")),
+    ("qtokens.syntheticity", (), ("socket", "subprocess")),
+]
+
+
+@pytest.mark.parametrize("module, kept, left_out", IMPORT_WEIGHT,
+                         ids=[m for m, *_ in IMPORT_WEIGHT])
+def test_import_loads_only_what_it_runs(module, kept, left_out):
+    code = f"import sys, {module}; print(*sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    loaded = result.stdout.split()
+    assert [name for name in kept if name not in loaded] == []
+    assert [name for name in loaded if name in left_out
+            or name.startswith(tuple(n for n in left_out if n.endswith(".")))] == []
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in qtokens.__all__:
+        module = importlib.import_module(f"qtokens.{qtokens._MODULE_OF[name]}")
+        value = getattr(qtokens, name)
+        assert value is vars(module)[name]
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def test_an_unknown_public_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'qtokens' has no attribute 'nothing'$"):
+        qtokens.nothing
+
+
+def test_dir_lists_the_public_names():
+    assert set(qtokens.__all__) <= set(dir(qtokens))
 
 
 def test_scan_finds_an_unused_import():

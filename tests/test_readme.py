@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 import qtokens
-from qtokens import diversity, refine, syntheticity
+from qtokens import diversity, external, refine, syntheticity
 from qtokens.cli import main
 from qtokens.fitting import EXPERIMENTS_CSV_HEADER, QUALITY_CSV_HEADER
 
@@ -118,14 +118,14 @@ def protocol_figure(pattern):
 
 def test_readme_external_scorer_settings_are_the_module_constants():
     budget = protocol_figure(r"fewer than ([\d,]+) tokens \(`MAX_IN_FLIGHT_TOKENS`\)")
-    assert int(budget.replace(",", "")) == syntheticity.MAX_IN_FLIGHT_TOKENS
-    assert int(protocol_figure(r"pipes are grown to (\d+) MiB")) << 20 == syntheticity.PIPE_BYTES
+    assert int(budget.replace(",", "")) == external.MAX_IN_FLIGHT_TOKENS
+    assert int(protocol_figure(r"pipes are grown to (\d+) MiB")) << 20 == external.PIPE_BYTES
     line_bytes = protocol_figure(r"at most (\d+) bytes per token")
-    assert int(line_bytes) == syntheticity.LINE_BYTES_PER_TOKEN
+    assert int(line_bytes) == external.LINE_BYTES_PER_TOKEN
     slack = protocol_figure(r"awaiting an answer, plus (\d+) KiB")
-    assert int(slack) << 10 == syntheticity.LINE_SLACK
+    assert int(slack) << 10 == external.LINE_SLACK
     tail = protocol_figure(r"keeping only the last (\d+) KiB")
-    assert int(tail) << 10 == syntheticity.STDERR_TAIL
+    assert int(tail) << 10 == external.STDERR_TAIL
     timeout = protocol_figure(r"within `timeout` \((\d+) s by default\)")
     default = inspect.signature(syntheticity.external_scorer_connect).parameters["timeout"].default
     assert float(timeout) == default

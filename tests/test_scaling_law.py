@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qtokens.errors import ScalingDomainError
+from qtokens.errors import FittingError, ScalingDomainError
 from qtokens.fitting import ExperimentPoint
 from qtokens.scaling_law import (
     FORMS,
@@ -328,6 +328,10 @@ def test_effective_tokens_overflow_is_a_domain_error(form):
 
 
 HUGE = 10**400  # an int beyond the float range
+# An int with more digits than str() converts by default (4,300); messages
+# name it by its size.
+GIANT = 10**5000
+GIANT_SHOWN = f"an int of {GIANT.bit_length()} bits"
 
 
 @pytest.mark.parametrize(
@@ -345,13 +349,32 @@ HUGE = 10**400  # an int beyond the float range
      (lambda: ExperimentPoint(n_millions=125.0, d_tokens=HUGE, dr=0.3, s=0.05, accuracy=0.5),
       f"^d_tokens must be finite and > 0, got {HUGE}$"),
      (lambda: ScalingConstants(e=HUGE, a=1, alpha=0.5, b=1, beta=0.5, c1=0, c2=0),
-      "^constant E is not finite$")],
+      "^constant E is not finite$"),
+     (lambda: QualityInputs(d=GIANT, dr=0.3, s=0.05, n_millions=125.0),
+      f"^d must be finite and > 0, got {GIANT_SHOWN}$"),
+     (lambda: invert_effective_tokens(PRESETS["paper-ours"], GIANT, 0.5),
+      f"^n_millions must be finite and > 0, got {GIANT_SHOWN}$"),
+     (lambda: invert_effective_tokens(PRESETS["paper-ours"], 125.0, GIANT),
+      f"^score is not finite: {GIANT_SHOWN}$"),
+     (lambda: invert_effective_tokens(PRESETS["paper-ours"], 125.0, -GIANT),
+      f"^score is not finite: a negative int of {GIANT.bit_length()} bits$"),
+     (lambda: scaling_factor_q(GIANT, 0.1, PRESETS["paper-ours"]),
+      f"^dr must be finite and > 0, got {GIANT_SHOWN}$"),
+     (lambda: ExperimentPoint(GIANT, 1e9, 0.3, 0.05, 0.5),
+      f"^n_millions must be finite and > 0, got {GIANT_SHOWN}$")],
     ids=["quality-inputs", "invert-n", "invert-score", "invert-negative-score",
-         "scaling-factor-q", "experiment-point", "constants"],
+         "scaling-factor-q", "experiment-point", "constants",
+         "giant-quality-inputs", "giant-invert-n", "giant-invert-score",
+         "giant-invert-negative-score", "giant-scaling-factor-q", "giant-experiment-point"],
 )
 def test_an_int_beyond_the_float_range_is_a_domain_error(call, message):
     with pytest.raises(ScalingDomainError, match=message):
         call()
+
+
+def test_a_giant_accuracy_is_named_by_its_size():
+    with pytest.raises(FittingError, match=f"^accuracy must be in \\[0, 1\\], got {GIANT_SHOWN}$"):
+        ExperimentPoint(125.0, 1e9, 0.3, 0.05, GIANT)
 
 
 def test_quality_inputs_keeps_its_dataclass_contract():

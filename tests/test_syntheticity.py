@@ -18,15 +18,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qtokens import syntheticity
+from qtokens import external, syntheticity
 from qtokens.corpus import Corpus, Document, Tokenizer, decode, encode
 from qtokens.errors import ProtocolError, ScorerError
-from qtokens.syntheticity import (
-    STDERR_TAIL,
-    external_scorer_connect,
-    score_corpus,
-    train_kgram_scorer,
-)
+from qtokens.syntheticity import external_scorer_connect, score_corpus, train_kgram_scorer
 
 
 class UniformScorer:
@@ -524,7 +519,8 @@ def test_score_corpus_scores_ids_without_decoding_or_encoding(monkeypatch):
     def refuse(_):
         raise AssertionError("the ids were converted on the scoring path")
 
-    monkeypatch.setattr(syntheticity, "decode", refuse)
+    # Only the external client decodes; this module has no decode to call.
+    assert not hasattr(syntheticity, "decode")
     monkeypatch.setattr(syntheticity, "encode", refuse)
     assert score_corpus(scorer, corpus, 1.0, 0) == expected
 
@@ -744,7 +740,7 @@ def test_external_in_flight_tokens_are_bounded(length, sent, mock_scorer_cmd, mo
     # A silent peer answers nothing, so the client sends windows until 100
     # tokens are outstanding: the fourth window of 30 takes it past the
     # budget, and an empty window counts as one token.
-    monkeypatch.setattr(syntheticity, "MAX_IN_FLIGHT_TOKENS", 100)
+    monkeypatch.setattr(external, "MAX_IN_FLIGHT_TOKENS", 100)
     drawn = []
 
     def windows():
@@ -762,7 +758,7 @@ def test_external_in_flight_tokens_are_bounded(length, sent, mock_scorer_cmd, mo
 def test_external_subprocess_pipes_are_grown(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("const")) as scorer:
         for fd in (scorer._wfd, scorer._rfd):
-            assert fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) >= syntheticity.PIPE_BYTES
+            assert fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) >= external.PIPE_BYTES
         assert scorer.log_probs(["a"]) == [-1.0]
 
 
@@ -808,7 +804,7 @@ def test_external_dead_child_reports_stderr_tail(mock_scorer_cmd):
         with pytest.raises(ProtocolError, match="exited with status 3 before responding; "
                            "its stderr ends: 'fatal: out of memory'$"):
             scorer.log_probs(["a"])
-        assert len(scorer._stderr_tail) <= STDERR_TAIL
+        assert len(scorer._stderr_tail) <= external.STDERR_TAIL
 
 
 def test_external_close_kills_child_that_ignores_sigterm(mock_scorer_cmd):
