@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import diversity, refine
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
-from .errors import DiversityError, QTokensError
+from .errors import DiversityError, QTokensError, ScorerError
 from .scaling_law import (
     FORMS,
     PRESETS,
@@ -58,13 +58,19 @@ def _scorer_spec(spec: str):
     or ``external:<target>``, with a target that is not blank. Return a
     function of the tokenizer giving a context manager that opens the scorer
     (None for ``none``) and closes it on exit, so nothing is opened until S
-    is computed."""
+    is computed. A k-gram reference that cannot be trained on is named in
+    the error."""
     kind, _, target = spec.partition(":")
     if spec == "none":
         return lambda tokenizer: contextlib.nullcontext()
     if target.strip() and kind == "kgram":
-        return lambda tokenizer: contextlib.nullcontext(
-            train_kgram_scorer(load_jsonl(target, tokenizer)))
+        def open_kgram(tokenizer):
+            reference = load_jsonl(target, tokenizer)
+            try:
+                return contextlib.nullcontext(train_kgram_scorer(reference))
+            except ScorerError as exc:
+                raise ScorerError(f"{target}: {exc}") from exc
+        return open_kgram
     if target.strip() and kind == "external":
         return lambda tokenizer: external_scorer_connect(target)
     raise QTokensError(f"unknown scorer spec {spec!r}")
@@ -82,7 +88,10 @@ def cmd_score(args) -> int:
     def score_one(path: str, scorer) -> dict:
         corpus = load_jsonl(path, args.tokenizer)
         name = os.path.basename(path)
-        rep = diversity.score_corpus_diversity(corpus)
+        try:
+            rep = diversity.score_corpus_diversity(corpus)
+        except DiversityError as exc:
+            raise DiversityError(f"{path}: {exc}") from exc
         if rep.cr < 1.0:
             print(f"warning: {name}: compression ratio {rep.cr:.4f} < 1; input is incompressible",
                   file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorpusError
+from .errors import CorpusError, _shown
 
 UNKNOWN_TOKEN = "<unk>"
 
@@ -140,7 +140,8 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
     Each line must be a JSON object with a ``text`` string field. Missing
     ids are assigned ``<filename>:<line>``. An empty file yields an empty
     corpus; malformed lines, and a text or id holding a lone surrogate
-    escape (which UTF-8 cannot encode), raise with the path and line number.
+    escape (which UTF-8 cannot encode), raise with the path and line number,
+    and a repeated id with the path.
     """
     name = os.path.basename(path)
     docs = []
@@ -173,7 +174,10 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
                 docs.append(Document.create(doc_id, text, tokenizer))
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from exc
-    return Corpus(docs)
+    try:
+        return Corpus(docs)
+    except CorpusError as exc:  # a repeated id
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 def write_jsonl(corpus: Corpus, path: str) -> None:
@@ -203,7 +207,7 @@ def sample_fraction(corpus: Corpus, fraction: float, seed: int = 0) -> Corpus:
     original document order.
     """
     if not (0.0 < fraction <= 1.0):
-        raise CorpusError(f"fraction must be in (0, 1], got {fraction}")
+        raise CorpusError(f"fraction must be in (0, 1], got {_shown(fraction)}")
     n = len(corpus)
     mantissa, _, exponent = str(fraction).partition("e")
     whole, _, decimals = mantissa.partition(".")

@@ -9,7 +9,6 @@ compared against, each defined once, by ``_token_metrics``.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -53,8 +52,6 @@ def compression_ratio(corpus: Corpus) -> float:
     Documents are joined with newlines and measured on UTF-8 bytes, and
     compressed at zlib level ``LEVEL`` (6). Compression is streamed
     document by document, so the concatenation is never materialized.
-    zlib releases the GIL inside each ``compress`` call, which is what
-    lets ``score_corpus_diversity`` run this on a background thread.
     """
     if len(corpus) == 0:
         raise DiversityError("cannot compress empty corpus")
@@ -195,32 +192,11 @@ def score_corpus_diversity(corpus: Corpus) -> DiversityReport:
     ``SELF_REPETITION_N``, 4) counts within-document n-grams only. The
     compression metric reads the UTF-8 text instead. Metrics whose
     preconditions fail on this corpus (e.g. self-repetition with a single
-    document) are reported as None.
-
-    The compression ratio is computed on one background thread while this
-    thread computes the token metrics; zlib releases the GIL while it
-    compresses, so the two overlap on a second core. The thread leaves the
-    ratio, or the exception it raised, in a list read once it is joined; a
-    failed compression is raised ahead of any token-metric error.
+    document) are reported as None. The compression ratio is computed
+    first, so a failed compression is raised ahead of any token-metric error.
     """
-    deflated: list = []
-
-    def deflate() -> None:
-        try:
-            deflated.append(compression_ratio(corpus))
-        except BaseException as exc:
-            deflated.append(exc)
-
-    thread = threading.Thread(target=deflate, name="qtokens-deflate")
-    thread.start()
-    try:
-        metrics = _token_metrics(corpus)
-    finally:
-        thread.join()
-        (cr,) = deflated
-        if isinstance(cr, BaseException):
-            raise cr
-    return DiversityReport(cr, 1.0 / cr, *metrics)
+    cr = compression_ratio(corpus)
+    return DiversityReport(cr, 1.0 / cr, *_token_metrics(corpus))
 
 
 def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None], float | None]:

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and how its messages name a value."""
+
+
+def _shown(value) -> str:
+    """``value`` as an error message names it: as ``str`` gives it, except
+    an int with too many digits for that, which is named by its size."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
 class QTokensError(Exception):

@@ -30,8 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FittingError, ScalingDomainError
-from .scaling_law import PARAM_NAMES, ScalingConstants, _check_positive, _dq, _score, _shown
+from .errors import FittingError, ScalingDomainError, _shown
+from .scaling_law import PARAM_NAMES, ScalingConstants, _check_positive, _dq, _score
 
 N_PARAMS = len(PARAM_NAMES)
 MAX_ITERS = 200
@@ -211,7 +211,7 @@ def fit_constants(
     finite at its start is skipped. Off by default.
     """
     if n_restarts < 0:
-        raise FittingError(f"n_restarts must be >= 0, got {n_restarts}")
+        raise FittingError(f"n_restarts must be >= 0, got {_shown(n_restarts)}")
     form = init.form
     if len(points) < N_PARAMS + 1:
         raise FittingError(
@@ -292,7 +292,7 @@ def bootstrap_se(
     a refit that stopped at the cap reflects the cap as much as the data.
     """
     if n_resamples < 2:
-        raise FittingError(f"n_resamples must be >= 2, got {n_resamples}")
+        raise FittingError(f"n_resamples must be >= 2, got {_shown(n_resamples)}")
     data = _point_arrays(points)
     n = len(points)
     start, form = _theta_of(base.constants)[_SEARCHED], base.constants.form

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus, decode
-from .errors import RefineError
+from .errors import RefineError, _shown
 
 # Fixed, published hash seed: selections must be reproducible across machines.
 FEATURE_HASH_SEED = 0x9E3779B1
@@ -211,7 +211,7 @@ def select_by_weight(
     selects nothing.
     """
     if budget_tokens < 1:
-        raise RefineError(f"budget_tokens must be >= 1, got {budget_tokens}")
+        raise RefineError(f"budget_tokens must be >= 1, got {_shown(budget_tokens)}")
     if len(log_weights) != len(corpus):
         raise RefineError(
             f"weights cover {len(log_weights)} documents, corpus has {len(corpus)}"
@@ -283,7 +283,7 @@ def minhash_signature(corpus: Corpus, seed: int) -> np.ndarray:
     tokens has no shingles; every entry of its row is the largest uint64.
     """
     if not 0 <= seed < 1 << 64:
-        raise RefineError(f"seed must be in [0, 2**64), got {seed}")
+        raise RefineError(f"seed must be in [0, 2**64), got {_shown(seed)}")
     sig = np.full((len(corpus), N_HASHES), _EMPTY, dtype=np.uint64)
     for first, hashes, docs in _blocks(corpus, seed):
         shingles, owners = _ngram_hashes(hashes, docs, SHINGLE_N)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import astuple, dataclass, replace
 from typing import Mapping
 
-from .errors import ScalingDomainError
+from .errors import ScalingDomainError, _shown
 
 FORMS = ("F1", "F2", "F3", "F4")
 # The seven constants by their JSON names, in ``ScalingConstants`` field order.
@@ -123,15 +123,6 @@ class QualityInputs:
             for name, value in zip(("d", "dr", "s", "n_millions"), (d, dr, s, n_millions)):
                 _check_positive(name, value)
         self.__dict__.update(d=d, dr=dr, s=s, n_millions=n_millions)
-
-
-def _shown(value) -> str:
-    """``value`` as an error message names it: as ``str`` gives it, except
-    an int with too many digits for that, which is named by its size."""
-    try:
-        return str(value)
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
 def _check_positive(name: str, value: float) -> None:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .corpus import Corpus, UNKNOWN_TOKEN, encode, sample_fraction
-from .errors import ScorerError
+from .errors import ScorerError, _shown
 
 if TYPE_CHECKING:
     from .external import ExternalScorer
@@ -170,15 +170,15 @@ def train_kgram_scorer(
     the first tokens of a document are scored against truncated contexts.
     """
     if k < 1:
-        raise ScorerError(f"k must be >= 1, got {k}")
+        raise ScorerError(f"k must be >= 1, got {_shown(k)}")
     if smoothing <= 0:
-        raise ScorerError(f"smoothing must be > 0, got {smoothing}")
+        raise ScorerError(f"smoothing must be > 0, got {_shown(smoothing)}")
     if len(reference) == 0:
         raise ScorerError("reference corpus is empty")
     ids, lengths = reference.token_ids()
     longest = int(lengths.max())
     if k > longest:
-        raise ScorerError(f"k={k} exceeds longest reference document ({longest} tokens)")
+        raise ScorerError(f"k={_shown(k)} exceeds longest reference document ({longest} tokens)")
     types, ids = np.unique(ids, return_inverse=True)
     radix = len(types) + 1
     # Position of every token within its document.
@@ -279,7 +279,7 @@ def score_corpus(
         raise ScorerError("cannot score an empty corpus")
     ctx = scorer.context_len
     if ctx < 1:
-        raise ScorerError(f"context_len must be >= 1, got {ctx}")
+        raise ScorerError(f"context_len must be >= 1, got {_shown(ctx)}")
     sampled = sorted(sample_fraction(corpus, sample_frac, seed), key=lambda d: d.id)
 
     def spans():

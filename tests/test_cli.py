@@ -290,6 +290,21 @@ def test_score_names_the_corpus_a_bad_line_is_in(write_corpus, capsys):
     assert run_cli(["score", good, bad], capsys) == (1, "", message)
 
 
+@pytest.mark.parametrize("role, rows, message", [
+    ("input", [], "cannot compress empty corpus"),
+    ("input", [{"text": " \t "}], "corpus has no tokens"),
+    ("input", [{"id": "d0", "text": "a b"}, {"id": "d0", "text": "c d"}],
+     "duplicate document id: 'd0'"),
+    ("kgram", [], "reference corpus is empty"),
+    ("kgram", [{"text": "a b"}], "k=3 exceeds longest reference document (2 tokens)"),
+], ids=["empty", "no-tokens", "repeated-id", "empty-reference", "short-reference"])
+def test_score_names_the_file_it_cannot_use(role, rows, message, write_corpus, capsys):
+    good = write_corpus("good.jsonl", [{"text": "the cat sat on the mat " * 10}])
+    bad = write_corpus("bad.jsonl", rows)
+    argv = ["score", good, bad] if role == "input" else ["score", good, "--scorer", f"kgram:{bad}"]
+    assert run_cli(argv, capsys) == (1, "", f"error: {bad}: {message}\n")
+
+
 def test_score_warns_on_incompressible_input(write_corpus, capsys):
     # 9 bytes of text compress to 17, so CR < 1.
     path = write_corpus("tiny.jsonl", [{"text": "a b c d e"}])

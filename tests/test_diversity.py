@@ -86,15 +86,13 @@ def test_cr_empty_corpus():
     ids=["no-documents", "one-empty-text", "two-empty-texts", "whitespace-only"],
 )
 def test_report_errors_and_deflate_thread_is_joined(documents, message):
-    before = threading.active_count()
     with pytest.raises(DiversityError, match=f"^{message}$"):
         score_corpus_diversity(Corpus(documents))
-    assert threading.active_count() == before
 
 
 def test_report_raises_a_failed_compression_first(monkeypatch):
-    # Compression fails on the thread and the token metrics fail on the
-    # caller's; the compression error is raised, as when it ran first.
+    # Compression and the token metrics both fail; compression runs first,
+    # so its error is raised.
     def failed_compression(corpus):
         raise OSError("deflate failed")
 
@@ -104,21 +102,17 @@ def test_report_raises_a_failed_compression_first(monkeypatch):
     monkeypatch.setattr(diversity, "compression_ratio", failed_compression)
     monkeypatch.setattr(diversity, "_token_metrics", failed_metrics)
     corpus = repeated_corpus(4096)
-    before = threading.active_count()
     with pytest.raises(OSError, match="deflate failed"):
         score_corpus_diversity(corpus)
-    assert threading.active_count() == before
     monkeypatch.undo()
 
-    # The thread is joined, and its result dropped, when the token metrics
-    # raise anything else.
+    # Any other token-metric error passes through.
     def broken(corpus):
         raise RuntimeError("token metrics failed")
 
     monkeypatch.setattr(diversity, "_token_metrics", broken)
     with pytest.raises(RuntimeError, match="token metrics failed"):
         score_corpus_diversity(corpus)
-    assert threading.active_count() == before
 
 
 def test_report_cr_equals_compression_ratio_exactly():
@@ -126,11 +120,21 @@ def test_report_cr_equals_compression_ratio_exactly():
     texts = [" ".join(f"w{w}" for w in rng.integers(0, 3000, size=int(rng.integers(1, 400))))
              for _ in range(300)]
     corpus = Corpus.from_texts(texts)
-    before = threading.active_count()
     report = score_corpus_diversity(corpus)
-    assert threading.active_count() == before
     assert report.cr == compression_ratio(corpus)
     assert report.dr == 1.0 / report.cr
+
+
+def test_report_compresses_on_the_callers_thread(monkeypatch):
+    threads = []
+
+    def recorded(corpus):
+        threads.append(threading.current_thread())
+        return compression_ratio(corpus)
+
+    monkeypatch.setattr(diversity, "compression_ratio", recorded)
+    score_corpus_diversity(repeated_corpus(4096))
+    assert threads == [threading.current_thread()]
 
 
 def test_dr_is_exact_inverse_of_cr():

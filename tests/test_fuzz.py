@@ -4,8 +4,10 @@ Each case writes a mutation of a valid input file, drawn from a
 ``random.Random`` with a fixed seed, and runs ``main`` on it in-process.
 A case must exit 0, or exit 1 with one ``error:`` line after any
 ``warning:`` lines; exit 2 is argparse's usage error, which ends in its
-own ``qtokens: error:`` line. A failing case writes nothing to stdout and
-leaves none of its ``--out``, ``--report`` or ``--out-dir`` files behind.
+own ``qtokens: error:`` line. When ``score`` fails on a mutated corpus or
+k-gram reference, its error line names that file. A failing case writes
+nothing to stdout and leaves none of its ``--out``, ``--report`` or
+``--out-dir`` files behind.
 A failure names the input, the case and the mutated file, which stays in
 pytest's temporary directory.
 """
@@ -181,6 +183,8 @@ CASES = {
     "fit-report": ("fit", 50, lambda p: ["report", "--fit-report", p["mut"],
                                          "--out-dir", p["out_dir"]]),
 }
+# Cases whose every exit-1 error must name the mutated file's path.
+NAMES_THE_FILE = {"corpus-whitespace", "corpus-byte", "corpus-vocab", "kgram-reference"}
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -225,6 +229,8 @@ def test_every_mutated_input_ends_in_a_result_or_one_error_line(case, inputs, tm
         if code == 1:
             assert all(line.startswith("warning: ") for line in warnings), (label, err)
             assert last.startswith("error: "), (label, err)
+            if case in NAMES_THE_FILE:
+                assert paths["mut"] in last, (label, err)
         else:
             assert last.startswith("qtokens: error: ") and "Traceback" not in err, (label, err)
         assert not [path for path in outputs if os.path.lexists(path)], label

@@ -1,14 +1,19 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qtokens.errors import FittingError, ScalingDomainError
-from qtokens.fitting import ExperimentPoint
+from qtokens.corpus import Corpus, sample_fraction
+from qtokens.errors import CorpusError, FittingError, RefineError, ScalingDomainError, ScorerError
+from qtokens.fitting import ExperimentPoint, bootstrap_se, fit_constants
+from qtokens.fixtures import fixture_points
+from qtokens.refine import minhash_signature, select_by_weight
 from qtokens.scaling_law import (
     FORMS,
     PRESETS,
@@ -22,6 +27,7 @@ from qtokens.scaling_law import (
     predict_accuracy_unclamped,
     scaling_factor_q,
 )
+from qtokens.syntheticity import score_corpus, train_kgram_scorer
 
 # Reference inputs: the 100% slice of the randomly sampled pipeline and of
 # the selection+synthesis pipeline, from the embedded quality table.
@@ -375,6 +381,44 @@ def test_an_int_beyond_the_float_range_is_a_domain_error(call, message):
 def test_a_giant_accuracy_is_named_by_its_size():
     with pytest.raises(FittingError, match=f"^accuracy must be in \\[0, 1\\], got {GIANT_SHOWN}$"):
         ExperimentPoint(125.0, 1e9, 0.3, 0.05, GIANT)
+
+
+NEGATIVE_GIANT_SHOWN = f"a negative int of {GIANT.bit_length()} bits"
+TWO_DOCS = Corpus.from_texts(["a b", "c d"])
+
+
+def _fixture_fit():
+    points = fixture_points()
+    return points, fit_constants(points, default_initial_guess("F1"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda: sample_fraction(TWO_DOCS, GIANT), CorpusError,
+      f"fraction must be in (0, 1], got {GIANT_SHOWN}"),
+     (lambda: select_by_weight(TWO_DOCS, [0.0, 0.0], -GIANT), RefineError,
+      f"budget_tokens must be >= 1, got {NEGATIVE_GIANT_SHOWN}"),
+     (lambda: minhash_signature(TWO_DOCS, GIANT), RefineError,
+      f"seed must be in [0, 2**64), got {GIANT_SHOWN}"),
+     (lambda: fit_constants(fixture_points(), default_initial_guess("F1"), n_restarts=-GIANT),
+      FittingError, f"n_restarts must be >= 0, got {NEGATIVE_GIANT_SHOWN}"),
+     (lambda: bootstrap_se(*_fixture_fit(), n_resamples=-GIANT, seed=0), FittingError,
+      f"n_resamples must be >= 2, got {NEGATIVE_GIANT_SHOWN}"),
+     (lambda: train_kgram_scorer(TWO_DOCS, k=-GIANT), ScorerError,
+      f"k must be >= 1, got {NEGATIVE_GIANT_SHOWN}"),
+     (lambda: train_kgram_scorer(TWO_DOCS, smoothing=-GIANT), ScorerError,
+      f"smoothing must be > 0, got {NEGATIVE_GIANT_SHOWN}"),
+     (lambda: train_kgram_scorer(TWO_DOCS, k=GIANT), ScorerError,
+      f"k={GIANT_SHOWN} exceeds longest reference document (2 tokens)"),
+     (lambda: score_corpus(SimpleNamespace(context_len=-GIANT), TWO_DOCS), ScorerError,
+      f"context_len must be >= 1, got {NEGATIVE_GIANT_SHOWN}")],
+    ids=["sample-fraction", "select-budget", "minhash-seed", "fit-restarts",
+         "bootstrap-resamples", "kgram-k", "kgram-smoothing", "kgram-k-too-long",
+         "context-len"],
+)
+def test_a_giant_int_is_named_by_its_size_in_each_modules_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_quality_inputs_keeps_its_dataclass_contract():
