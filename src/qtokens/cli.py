@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import diversity, refine
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
-from .errors import DiversityError, QTokensError, ScorerError
+from .errors import DiversityError, QTokensError
 from .scaling_law import (
     FORMS,
     PRESETS,
@@ -53,6 +53,16 @@ def _load_constants(spec: str) -> ScalingConstants:
     )
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Put ``path`` in front of the message of a ``QTokensError`` raised in
+    the block, keeping its type."""
+    try:
+        yield
+    except QTokensError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _scorer_spec(spec: str):
     """``--scorer``, else ``$QTOKENS_SCORER``: ``none``, ``kgram:<ref.jsonl>``
     or ``external:<target>``, with a target that is not blank. Return a
@@ -66,10 +76,8 @@ def _scorer_spec(spec: str):
     if target.strip() and kind == "kgram":
         def open_kgram(tokenizer):
             reference = load_jsonl(target, tokenizer)
-            try:
+            with _naming(target):
                 return contextlib.nullcontext(train_kgram_scorer(reference))
-            except ScorerError as exc:
-                raise ScorerError(f"{target}: {exc}") from exc
         return open_kgram
     if target.strip() and kind == "external":
         return lambda tokenizer: external_scorer_connect(target)
@@ -88,18 +96,16 @@ def cmd_score(args) -> int:
     def score_one(path: str, scorer) -> dict:
         corpus = load_jsonl(path, args.tokenizer)
         name = os.path.basename(path)
-        try:
+        with _naming(path):
             rep = diversity.score_corpus_diversity(corpus)
-        except DiversityError as exc:
-            raise DiversityError(f"{path}: {exc}") from exc
-        if rep.cr < 1.0:
-            print(f"warning: {name}: compression ratio {rep.cr:.4f} < 1; input is incompressible",
-                  file=sys.stderr)
-        if scorer is None:
-            avg_nll = perplexity = s = None
-        else:
-            result = score_corpus(scorer, corpus, seed=args.seed)
-            avg_nll, perplexity, s = result.avg_nll, result.perplexity, result.s
+            if rep.cr < 1.0:
+                print(f"warning: {name}: compression ratio {rep.cr:.4f} < 1; "
+                      "input is incompressible", file=sys.stderr)
+            if scorer is None:
+                avg_nll = perplexity = s = None
+            else:
+                result = score_corpus(scorer, corpus, seed=args.seed)
+                avg_nll, perplexity, s = result.avg_nll, result.perplexity, result.s
         return {
             "corpus": name,
             "tokens": corpus.total_tokens,
@@ -201,7 +207,9 @@ def _write_outputs(args, before: Corpus, after: Corpus, **extra) -> None:
             with contextlib.suppress(DiversityError):
                 side[key]["dr"] = diversity.diversity_score(corpus)
             if scorer is not None and corpus.total_tokens > 0:
-                side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
+                # Both corpora are subsets of --input, so its path names them.
+                with _naming(args.input):
+                    side[key]["syntheticity"] = score_corpus(scorer, corpus, seed=args.seed).s
     created = not os.path.lexists(args.report)
     with open(args.report, "a", encoding="utf-8") as fh:
         try:

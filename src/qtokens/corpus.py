@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -122,16 +122,6 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self.documents)
-
-    @classmethod
-    def from_texts(
-        cls,
-        texts: Iterable[str],
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-        id_prefix: str = "doc",
-    ) -> "Corpus":
-        docs = [Document.create(f"{id_prefix}:{i}", t, tokenizer) for i, t in enumerate(texts)]
-        return cls(docs)
 
 
 def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:

@@ -53,8 +53,6 @@ def compression_ratio(corpus: Corpus) -> float:
     compressed at zlib level ``LEVEL`` (6). Compression is streamed
     document by document, so the concatenation is never materialized.
     """
-    if len(corpus) == 0:
-        raise DiversityError("cannot compress empty corpus")
     comp = zlib.compressobj(LEVEL)
     raw = 0
     compressed = 0

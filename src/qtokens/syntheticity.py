@@ -28,7 +28,9 @@ if TYPE_CHECKING:
     from .external import ExternalScorer
 
 DEFAULT_CONTEXT_LEN = 1024
-DEFAULT_KGRAM_K = 3
+# The k-gram teacher, fixed so that S means the same in every run.
+KGRAM_K = 3
+KGRAM_SMOOTHING = 1.0
 DEFAULT_SAMPLE_FRACTION = 0.25
 # Tokens the k-gram scorer scores in one numpy pass.
 SCORE_BATCH_TOKENS = 1 << 14
@@ -158,27 +160,20 @@ def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, table[pos] == keys
 
 
-def train_kgram_scorer(
-    reference: Corpus,
-    k: int = DEFAULT_KGRAM_K,
-    smoothing: float = 1.0,
-    context_len: int = DEFAULT_CONTEXT_LEN,
-) -> KgramScorer:
-    """Fit a k-gram scorer on a reference corpus.
+def train_kgram_scorer(reference: Corpus) -> KgramScorer:
+    """Fit the k-gram teacher (``KGRAM_K``, ``KGRAM_SMOOTHING``,
+    ``DEFAULT_CONTEXT_LEN``) on a reference corpus.
 
     Counts every k-gram (shorter contexts at document starts included), so
     the first tokens of a document are scored against truncated contexts.
     """
-    if k < 1:
-        raise ScorerError(f"k must be >= 1, got {_shown(k)}")
-    if smoothing <= 0:
-        raise ScorerError(f"smoothing must be > 0, got {_shown(smoothing)}")
+    k = KGRAM_K
     if len(reference) == 0:
         raise ScorerError("reference corpus is empty")
     ids, lengths = reference.token_ids()
     longest = int(lengths.max())
     if k > longest:
-        raise ScorerError(f"k={_shown(k)} exceeds longest reference document ({longest} tokens)")
+        raise ScorerError(f"k={k} exceeds longest reference document ({longest} tokens)")
     types, ids = np.unique(ids, return_inverse=True)
     radix = len(types) + 1
     # Position of every token within its document.
@@ -202,8 +197,9 @@ def train_kgram_scorer(
     unk, unk_found = _find(types, encode([UNKNOWN_TOKEN]))
     lookup = np.full(types[-1] + 2, unk[0] if unk_found[0] else len(types), dtype=np.int64)
     lookup[types] = np.arange(len(types))
-    return KgramScorer(k, smoothing, context_len, lookup, radix, np.concatenate(tables),
-                       np.bincount(ctx, minlength=size), pair_keys, pair_counts)
+    return KgramScorer(k, KGRAM_SMOOTHING, DEFAULT_CONTEXT_LEN, lookup, radix,
+                       np.concatenate(tables), np.bincount(ctx, minlength=size),
+                       pair_keys, pair_counts)
 
 
 def _window_sum(logprobs: Sequence[float], n_tokens: int, doc_id: str) -> float:

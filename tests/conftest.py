@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 import qtokens
-from qtokens.corpus import Corpus
+from qtokens.corpus import DEFAULT_TOKENIZER, Corpus, Document
 
 
 MOCK_SCORER = os.path.join(os.path.dirname(__file__), "mock_scorer.py")
@@ -43,5 +43,7 @@ def write_corpus(tmp_path):
     return write
 
 
-def make_corpus(texts, id_prefix="doc") -> Corpus:
-    return Corpus.from_texts(texts, id_prefix=id_prefix)
+def make_corpus(texts, tokenizer=DEFAULT_TOKENIZER, id_prefix="doc") -> Corpus:
+    """A corpus of ``texts`` with ids ``<id_prefix>:<index>``."""
+    return Corpus([Document.create(f"{id_prefix}:{i}", text, tokenizer)
+                   for i, text in enumerate(texts)])

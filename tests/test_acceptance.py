@@ -36,6 +36,8 @@ from qtokens.scaling_law import (
 )
 from qtokens.syntheticity import score_corpus
 
+from conftest import make_corpus
+
 
 def report(criterion, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -168,7 +170,7 @@ def test_criterion_5_metric_properties(monkeypatch):
             for window in windows:
                 yield [-math.log(self.v)] * len(window)
 
-    corpus16 = Corpus.from_texts(["a b c d e f g h", "i j k l m n o p"])  # 16 tokens
+    corpus16 = make_corpus(["a b c d e f g h", "i j k l m n o p"])  # 16 tokens
     uniform_ok = all(
         score_corpus(UniformScorer(v), corpus16, 1.0, 0).perplexity == float(v)
         for v in (2, 4, 32)
@@ -197,7 +199,7 @@ def test_criterion_5_metric_properties(monkeypatch):
         monkeypatch.setattr(diversity, "MATTR_WINDOW", window)
         monkeypatch.setattr(diversity, "NGRAM_NS", (n,))
         monkeypatch.setattr(diversity, "SELF_REPETITION_N", n)
-        got = score_corpus_diversity(Corpus.from_texts([" ".join(tokens)]))
+        got = score_corpus_diversity(make_corpus([" ".join(tokens)]))
         if (
             got.ttr != ttr_oracle
             or got.mattr != mattr_oracle
@@ -240,7 +242,7 @@ def test_criterion_7_refinement_properties():
         " ".join(f"w{v}" for v in rng.integers(0, 4000, size=int(rng.integers(30, 90))))
         for _ in range(1000)
     ]
-    corpus = Corpus.from_texts(base)
+    corpus = make_corpus(base)
     exact_once = dedup_exact(corpus)
     near_once = dedup_near(corpus)
     idempotent = (
@@ -249,7 +251,7 @@ def test_criterion_7_refinement_properties():
     )
 
     dup_idx = rng.integers(0, 1000, size=300)  # 30% exact duplicates injected
-    padded = Corpus.from_texts(base + [base[i] for i in dup_idx], id_prefix="pad")
+    padded = make_corpus(base + [base[i] for i in dup_idx], id_prefix="pad")
     dr_up = diversity_score(dedup_exact(padded)) > diversity_score(padded)
 
     weights = list(rng.normal(size=1000))

@@ -305,6 +305,27 @@ def test_score_names_the_file_it_cannot_use(role, rows, message, write_corpus, c
     assert run_cli(argv, capsys) == (1, "", f"error: {bad}: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["score", "select", "dedup"])
+def test_a_scorer_error_names_the_corpus_once(command, write_corpus, tmp_path, capsys,
+                                              mock_scorer_cmd):
+    # Both inputs hold document d0, so only the path tells them apart.
+    first = write_corpus("x1.jsonl", [{"id": "d0", "text": "a b c"}])
+    second = write_corpus("x2.jsonl", [{"id": "d0", "text": "a b c"}])
+    scorer = ["--scorer", f"external:{mock_scorer_cmd('positive')}"]
+    out, report = tmp_path / "out.jsonl", tmp_path / "side.json"
+    outputs = ["--out", str(out), "--report", str(report)]
+    named, argv = {
+        "score": (first, ["score", first, second, *scorer]),
+        "select": (second, ["select", second, "--target", first, "--budget-tokens", "8",
+                            *outputs, *scorer]),
+        "dedup": (second, ["dedup", second, *outputs, *scorer]),
+    }[command]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines()[-1] == f"error: {named}: log-probability > 0 on document 'd0': 0.1"
+    assert not out.exists() and not report.exists()
+
+
 def test_score_warns_on_incompressible_input(write_corpus, capsys):
     # 9 bytes of text compress to 17, so CR < 1.
     path = write_corpus("tiny.jsonl", [{"text": "a b c d e"}])
@@ -697,7 +718,7 @@ def test_score_average_nll_beyond_perplexity_range(write_corpus, capsys, mock_sc
     )
     assert code == 1
     assert out == ""
-    assert err == ("error: average NLL is too large for a finite perplexity "
+    assert err == (f"error: {corpus}: average NLL is too large for a finite perplexity "
                    "(above about 709 nats per token)\n")
 
 
@@ -796,7 +817,7 @@ def test_sidecar_fails_on_a_failing_scorer(command, write_corpus, tmp_path, caps
         argv += ["--target", target, "--budget-tokens", "6"]
     code, _, err = run_cli(argv, capsys)
     assert code == 1
-    assert err == "error: scorer exited with status 3 before responding\n"
+    assert err == f"error: {raw}: scorer exited with status 3 before responding\n"
     assert not report_path.exists()
     assert not (tmp_path / "out.jsonl").exists()
 

@@ -17,6 +17,8 @@ from qtokens.corpus import (
 from qtokens.errors import CorpusError
 from qtokens.fixtures import RESULTS_TABLE
 
+from conftest import make_corpus
+
 
 def test_load_jsonl_three_lines(write_corpus):
     path = write_corpus("c.jsonl", [{"text": "a b"}, {"id": "x", "text": "c"}, {"text": "d e f"}])
@@ -90,13 +92,13 @@ def test_duplicate_ids_rejected():
 
 
 def test_sample_full_fraction_is_identity():
-    corpus = Corpus.from_texts([f"t {i}" for i in range(20)])
+    corpus = make_corpus([f"t {i}" for i in range(20)])
     sampled = sample_fraction(corpus, 1.0, seed=3)
     assert [d.id for d in sampled] == [d.id for d in corpus]
 
 
 def test_sample_cardinality_and_repeatability():
-    corpus = Corpus.from_texts([f"t {i}" for i in range(100)])
+    corpus = make_corpus([f"t {i}" for i in range(100)])
     first = sample_fraction(corpus, 0.1, seed=7)
     second = sample_fraction(corpus, 0.1, seed=7)
     assert len(first) == 10
@@ -106,7 +108,7 @@ def test_sample_cardinality_and_repeatability():
 
 
 def test_sample_nesting():
-    corpus = Corpus.from_texts([f"t {i}" for i in range(1000)])
+    corpus = make_corpus([f"t {i}" for i in range(1000)])
     for seed in (0, 7, 42):
         previous = set()
         for fraction in (0.1, 0.2, 0.5, 1.0):
@@ -119,7 +121,7 @@ def test_sample_size_takes_the_fraction_as_written(monkeypatch):
     # In floating point 0.55 * 100 and 0.07 * 100 both lie just above an
     # integer. Equal ranks leave the size alone and skip the per-id hashing.
     monkeypatch.setattr(corpus_mod, "_rank_hash", lambda seed, doc_id: 0)
-    docs = Corpus.from_texts([f"t {i}" for i in range(500)]).documents
+    docs = make_corpus([f"t {i}" for i in range(500)]).documents
     for n in range(1, 501):
         corpus = Corpus(docs[:n])
         for fraction in (0.01, 0.07, 0.1, 0.25, 0.29, 0.55, 0.57, 0.99, 1.0):
@@ -130,14 +132,14 @@ def test_sample_size_takes_the_fraction_as_written(monkeypatch):
 @pytest.mark.parametrize("fraction", [1e-05, 2.5e-06, 1.5e-07, 0.000123, 5e-324, 1])
 def test_sample_size_of_exponent_and_integer_forms(monkeypatch, fraction):
     monkeypatch.setattr(corpus_mod, "_rank_hash", lambda seed, doc_id: 0)
-    docs = Corpus.from_texts([f"t {i}" for i in range(40)]).documents
+    docs = make_corpus([f"t {i}" for i in range(40)]).documents
     for n in range(1, 41):
         expected = math.ceil(Fraction(str(fraction)) * n)
         assert len(sample_fraction(Corpus(docs[:n]), fraction, seed=0)) == expected
 
 
 def test_sample_fraction_out_of_range():
-    corpus = Corpus.from_texts(["a"])
+    corpus = make_corpus(["a"])
     for bad in (0.0, -0.1, 1.2):
         with pytest.raises(CorpusError, match="fraction"):
             sample_fraction(corpus, bad, seed=0)
@@ -148,13 +150,13 @@ def test_count_tokens_empty():
 
 
 def test_count_tokens_whitespace():
-    corpus = Corpus.from_texts(["a b c"])
+    corpus = make_corpus(["a b c"])
     assert corpus.total_tokens == 3
 
 
 def test_count_tokens_matches_independent_count():
     texts = ["one two three", "four", "five six", ""]
-    corpus = Corpus.from_texts(texts)
+    corpus = make_corpus(texts)
     assert corpus.total_tokens == sum(len(t.split()) for t in texts)
 
 
@@ -165,7 +167,7 @@ def test_byte_tokenizer():
     assert doc.token_count == 3
     assert len(tok.tokenize("hé")) == 3
     # UTF-8 bytes, not characters: 3 + 6 + 4 + 0.
-    corpus = Corpus.from_texts(["hé", "日本", "🙂", ""], tok)
+    corpus = make_corpus(["hé", "日本", "🙂", ""], tok)
     assert [d.token_count for d in corpus] == [3, 6, 4, 0]
     assert corpus.total_bytes == 13
 
@@ -196,5 +198,5 @@ def test_tokenizer_rejects_an_unknown_spec(spec):
 
 
 def test_corpus_total_tokens_invariant():
-    corpus = Corpus.from_texts(["a b", "c d e"])
+    corpus = make_corpus(["a b", "c d e"])
     assert corpus.total_tokens == sum(d.token_count for d in corpus)

@@ -11,6 +11,8 @@ from qtokens.corpus import Corpus, Document, Tokenizer
 from qtokens.diversity import compression_ratio, diversity_score, score_corpus_diversity
 from qtokens.errors import DiversityError
 
+from conftest import make_corpus
+
 # Golden values frozen from a pre-build run of DEFLATE level 6 with the
 # "\n" separator on exactly these synthetic inputs.
 CR_REPEATED_1MIB = 1009.2165543792108
@@ -28,7 +30,7 @@ def report_of(monkeypatch):
         monkeypatch.setattr(diversity, "MATTR_WINDOW", window)
         monkeypatch.setattr(diversity, "NGRAM_NS", tuple(range(1, n + 1)))
         monkeypatch.setattr(diversity, "SELF_REPETITION_N", n)
-        return score_corpus_diversity(Corpus.from_texts([" ".join(doc) for doc in documents]))
+        return score_corpus_diversity(make_corpus([" ".join(doc) for doc in documents]))
 
     return run
 
@@ -62,8 +64,8 @@ def test_cr_document_order_insensitive():
         n = int(rng.integers(50, 200))
         texts.append(" ".join(f"w{w}" for w in rng.integers(0, 5000, size=n)))
     order = rng.permutation(len(texts))
-    cr_a = compression_ratio(Corpus.from_texts(texts, id_prefix="a"))
-    cr_b = compression_ratio(Corpus.from_texts([texts[i] for i in order], id_prefix="b"))
+    cr_a = compression_ratio(make_corpus(texts, id_prefix="a"))
+    cr_b = compression_ratio(make_corpus([texts[i] for i in order], id_prefix="b"))
     assert abs(cr_a - cr_b) / cr_a < 0.01
 
 
@@ -119,7 +121,7 @@ def test_report_cr_equals_compression_ratio_exactly():
     rng = np.random.default_rng(31)
     texts = [" ".join(f"w{w}" for w in rng.integers(0, 3000, size=int(rng.integers(1, 400))))
              for _ in range(300)]
-    corpus = Corpus.from_texts(texts)
+    corpus = make_corpus(texts)
     report = score_corpus_diversity(corpus)
     assert report.cr == compression_ratio(corpus)
     assert report.dr == 1.0 / report.cr
@@ -323,7 +325,7 @@ def test_report_past_the_int32_key_range_matches_oracles():
     # differ by exactly 2**32 would be counted as one if keys wrapped in the
     # int32 of the ids.
     words = [f"ov{v}" for v in range(70_000)]
-    ids, _ = Corpus.from_texts([" ".join(words)]).token_ids()
+    ids, _ = make_corpus([" ".join(words)]).token_ids()
     low = int(ids.min())
     assert ids.tolist() == list(range(low, low + len(words)))
     q = -(-(2**32) // (low + len(words)))
@@ -333,7 +335,7 @@ def test_report_past_the_int32_key_range_matches_oracles():
     words = words[: radix - low]
     texts = [" ".join(words[i : i + 400]) for i in range(0, len(words), 400)]
     texts += [f"{words[q]} {words[r]} " * 2, f"{words[0]} {words[0]} " * 2] + texts[:5]
-    corpus = Corpus.from_texts(texts)
+    corpus = make_corpus(texts)
     assert int(corpus.token_ids()[0].max()) + 1 == radix
     docs = [Tokenizer().tokenize(doc.text) for doc in corpus]
     stream = [t for doc in docs for t in doc]
@@ -372,7 +374,7 @@ def test_token_metrics_memory_per_token():
     weights = 1.0 / np.arange(1, 20_001) ** 1.1
     words = np.array([f"z{i}" for i in range(20_000)])
     draws = rng.choice(20_000, size=(500, 400), p=weights / weights.sum())
-    corpus = Corpus.from_texts([" ".join(words[row]) for row in draws])
+    corpus = make_corpus([" ".join(words[row]) for row in draws])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -412,7 +414,7 @@ def test_report_matches_public_functions_across_boundaries():
             " ".join(f"w{v}" for v in rng.integers(0, 6, size=int(rng.integers(1, 9))))
             for _ in range(int(rng.integers(2, 40)))
         ]
-        corpus = Corpus.from_texts(texts)
+        corpus = make_corpus(texts)
         docs = [Tokenizer().tokenize(doc.text) for doc in corpus]
         stream = [t for doc in docs for t in doc]
         windowed += len(stream) > 100
@@ -430,7 +432,7 @@ def test_report_matches_public_functions_across_boundaries():
     # "a b c d" appears inside the first document and again only across the
     # boundary of the last two: n-gram diversity sees the repeat,
     # self-repetition does not.
-    corpus = Corpus.from_texts(["a b c d", "e a b c", "d f g h"])
+    corpus = make_corpus(["a b c d", "e a b c", "d f g h"])
     report = score_corpus_diversity(corpus)
     assert report.ngram_diversity[4] == 8 / 9
     assert report.self_repetition == 0.0

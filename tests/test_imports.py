@@ -1,5 +1,5 @@
 """Every import in the package and the tests is used, every module-level
-definition in the package is referenced outside the tests, every attribute
+definition and method in the package is referenced outside the tests, every attribute
 the package sets on ``self`` is read somewhere, and every command-line
 option and defaulted library parameter is set somewhere outside the tests.
 
@@ -159,19 +159,26 @@ _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
 
 
 def _definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
-    """Module-level functions, classes and constants: (name, first line, last line)."""
+    """Module-level functions, classes and constants, and the methods of
+    module-level classes as ``Class.method``: (name, first line, last line)."""
     found = []
+
+    def add(node, names, prefix=""):
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        found.extend((prefix + name, first, node.end_lineno)
+                     for name in names if not name.startswith("__"))
+
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            add(node, [node.name])
         elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            add(node, [t.id for t in node.targets if isinstance(t, ast.Name)])
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-        found += [(name, first, node.end_lineno) for name in names if not name.startswith("__")]
+            add(node, [node.target.id])
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    add(method, [method.name], f"{node.name}.")
     return found
 
 
@@ -196,8 +203,9 @@ def _references(tree: ast.Module) -> list[tuple[str, int]]:
 
 
 def dead_definitions(sources: dict[str, str], path: str) -> list[str]:
-    """Module-level definitions in ``sources[path]`` that no source in
-    ``sources`` references outside the definition itself."""
+    """Module-level definitions and methods in ``sources[path]`` that no
+    source in ``sources`` references outside the definition itself. A method
+    counts as referenced where its name is, whatever object it is read on."""
     trees = {p: ast.parse(text) for p, text in sources.items()}
     elsewhere = {
         name for p, tree in trees.items()
@@ -206,8 +214,9 @@ def dead_definitions(sources: dict[str, str], path: str) -> list[str]:
     }
     here = _references(trees[path])
     return [
-        f"{name} (line {first})"
-        for name, first, last in _definitions(trees[path])
+        f"{shown} (line {first})"
+        for shown, first, last in _definitions(trees[path])
+        for name in [shown.rpartition(".")[2]]
         if name not in elsewhere
         and not any(ref == name and not first <= line <= last for ref, line in here)
     ]
@@ -238,10 +247,22 @@ def test_scan_finds_a_dead_definition():
         "    pass\n"
         "def by_name():\n"
         "    pass\n"
+        "class Box:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def opened(self):\n"
+        "        return self.shut()\n"
+        "    def shut(self):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def made(cls):\n"
+        "        return cls()\n"
     )
-    caller = "from mod import used\nprint(used(), 'Ghost is a word', 'mod.by_name')\n"
+    caller = "from mod import Box, used\nprint(used(), 'Ghost is a word', 'mod.by_name')\n"
+    caller += "Box().opened()\n"
+    # A dunder runs without being named; a method called from another one is used.
     assert dead_definitions({"mod.py": module, "caller.py": caller}, "mod.py") == [
-        "UNUSED (line 2)", "recursive (line 5)", "Ghost (line 7)",
+        "UNUSED (line 2)", "recursive (line 5)", "Ghost (line 7)", "Box.made (line 18)",
     ]
 
 
@@ -514,10 +535,6 @@ def test_scan_finds_an_unpassed_parameter():
 
 # Defaulted parameters that only tests pass, and why each stays a parameter.
 TEST_ONLY_PARAMETERS = (
-    ("from_texts(tokenizer)", "tests build corpora from literal texts under each tokenizer"),
-    ("from_texts(id_prefix)", "tests combine corpora built from texts, whose ids must differ"),
-    ("train_kgram_scorer(smoothing)", "the oracle tests check add-alpha smoothing at several alphas"),
-    ("train_kgram_scorer(context_len)", "the oracle tests score windows shorter than a document"),
     ("external_scorer_connect(timeout)", "the tests of a peer that stalls need a short timeout"),
 )
 

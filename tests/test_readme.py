@@ -107,6 +107,15 @@ def test_readme_fixed_refine_settings_are_the_module_constants():
     assert int(densify) == refine.BLOCK_TOKENS // refine.N_HASHES
 
 
+def test_readme_fixed_kgram_settings_are_the_module_constants():
+    k, smoothing, window = fixed_setting(
+        r"k-gram teacher, in the library as in the CLI, is a k = (\d+) model with "
+        r"add-([\d.]+) smoothing that scores windows of ([\d,]+) tokens")
+    assert int(k) == syntheticity.KGRAM_K
+    assert float(smoothing) == syntheticity.KGRAM_SMOOTHING
+    assert int(window.replace(",", "")) == syntheticity.DEFAULT_CONTEXT_LEN
+
+
 def protocol_figure(pattern):
     """The one match of ``pattern`` in README's "External scorer protocol"
     section."""

@@ -21,6 +21,8 @@ from qtokens.refine import (
     select_by_weight,
 )
 
+from conftest import make_corpus
+
 MASK64 = (1 << 64) - 1
 
 
@@ -141,7 +143,7 @@ def test_combined_hash_has_no_collisions():
 
 
 def test_each_distinct_token_hashed_once_per_corpus(monkeypatch):
-    corpus = Corpus.from_texts(["a b a b a b", "b a b a c", "a b c a b c d"])
+    corpus = make_corpus(["a b a b a b", "b a b a c", "a b c a b c d"])
     calls = []
     real = hashlib.blake2b
 
@@ -162,7 +164,7 @@ def test_whole_corpus_equals_each_document_alone():
     # pass over the corpus changes no document's features or signature
     rng = np.random.default_rng(23)
     texts = [" ".join(f"w{v}" for v in rng.integers(0, 12, size=n)) for n in (9, 0, 1, 2, 3, 40)]
-    corpus = Corpus.from_texts(texts)
+    corpus = make_corpus(texts)
     buckets, docs = flat_features(corpus)
     signatures = minhash_signature(corpus, seed=7)
     for i, doc in enumerate(corpus):
@@ -179,9 +181,9 @@ def test_id_table_and_binary_search_both_match_the_oracles():
     # sorted types. The 300 padding tokens give every later token an id
     # above a quarter of a 54-token corpus; the other corpus repeats ids
     # 0 to 19, whichever tokens they are.
-    Corpus.from_texts([" ".join(f"lookup-pad{i}" for i in range(300))])
+    make_corpus([" ".join(f"lookup-pad{i}" for i in range(300))])
     rng = np.random.default_rng(37)
-    searched = Corpus.from_texts(
+    searched = make_corpus(
         [" ".join(f"lookup{v}" for v in rng.integers(0, 20, size=n)) for n in (9, 2, 3, 40)])
     ids = rng.integers(0, 20, size=200).astype(np.int32)
     indexed = Corpus([Document("low-ids", "", ids)])
@@ -208,7 +210,7 @@ def test_minhash_signature_matches_pure_python_oracle(length):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_minhash_signature_rejects_seed_out_of_range(seed):
-    corpus = Corpus.from_texts(["a b c d e", "a b c d f"])
+    corpus = make_corpus(["a b c d e", "a b c d f"])
     with pytest.raises(RefineError, match=r"seed must be in \[0, 2\*\*64\)"):
         minhash_signature(corpus, seed)
     with pytest.raises(RefineError, match="seed must be in"):
@@ -216,7 +218,7 @@ def test_minhash_signature_rejects_seed_out_of_range(seed):
 
 
 def test_weights_zero_when_distributions_match():
-    corpus = Corpus.from_texts(["a b c", "d e f", "a b c"])
+    corpus = make_corpus(["a b c", "d e f", "a b c"])
     weights = importance_weights(corpus, corpus)
     assert weights == [0.0, 0.0, 0.0]
 
@@ -224,20 +226,20 @@ def test_weights_zero_when_distributions_match():
 def test_weights_scale_invariant():
     raw_texts = ["a b c d", "e f g h"]
     target_texts = ["a b a b", "c d c d"]
-    w1 = importance_weights(Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts))
+    w1 = importance_weights(make_corpus(raw_texts), make_corpus(target_texts))
     # Each corpus three times over, under fresh ids, triples every count
     # and leaves every document's weight as it was.
     w3 = importance_weights(
-        Corpus.from_texts(raw_texts * 3, id_prefix="raw3"),
-        Corpus.from_texts(target_texts * 3, id_prefix="target3"),
+        make_corpus(raw_texts * 3, id_prefix="raw3"),
+        make_corpus(target_texts * 3, id_prefix="target3"),
     )
     assert w3 == pytest.approx(w1 * 3, rel=1e-12)
 
 
 def test_weights_positive_when_target_dominates():
     # target has much more of the probe's vocabulary than raw does
-    raw = Corpus.from_texts(["x y z w q r s t u v", "a b a b"])
-    target = Corpus.from_texts(["a b a b a b", "a b x y"])
+    raw = make_corpus(["x y z w q r s t u v", "a b a b"])
+    target = make_corpus(["a b a b a b", "a b x y"])
     weights = importance_weights(raw, target)
     assert weights[1] > 0
     assert weights[0] < 0
@@ -268,7 +270,7 @@ def test_weights_hand_computed_small_fixture():
         )
         for text in raw_texts
     ]
-    weights = importance_weights(Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts))
+    weights = importance_weights(make_corpus(raw_texts), make_corpus(target_texts))
     # every weight is far from 0, so rel=1e-12 is a real bound
     assert min(abs(w) for w in expected) > 1.0
     assert weights == pytest.approx(expected, rel=1e-12)
@@ -285,8 +287,8 @@ def test_weights_read_features_through_corpus_features(monkeypatch):
         return real(corpus)
 
     monkeypatch.setattr(refine, "corpus_features", recording)
-    raw = Corpus.from_texts(["a b c", "c d e"], id_prefix="raw")
-    target = Corpus.from_texts(["a b"], id_prefix="target")
+    raw = make_corpus(["a b c", "c d e"], id_prefix="raw")
+    target = make_corpus(["a b"], id_prefix="target")
     importance_weights(raw, target)
     assert seen == [["raw:0", "raw:1"], ["target:0"]]
 
@@ -301,14 +303,14 @@ def test_dedup_near_reads_signatures_through_minhash_signature(monkeypatch):
         return real(corpus, *args)
 
     monkeypatch.setattr(refine, "minhash_signature", recording)
-    dedup_near(Corpus.from_texts(["a b c d", "a b c d", "e f"]))
+    dedup_near(make_corpus(["a b c d", "a b c d", "e f"]))
     assert seen == [["doc:0", "doc:1", "doc:2"]]
 
 
 def _features_memory(vocabulary: int) -> tuple[int, int]:
     """Bytes held after, and peak bytes during, corpus_features on 200 x 300 tokens."""
     rng = np.random.default_rng(19)
-    corpus = Corpus.from_texts(
+    corpus = make_corpus(
         [" ".join(f"w{v}" for v in rng.integers(0, vocabulary, size=300)) for _ in range(200)]
     )
     tracemalloc.start()
@@ -356,7 +358,7 @@ def zipf_corpora() -> tuple[Corpus, Corpus]:
 
     def corpus(n_docs, prefix):
         draws = rng.choice(20_000, size=(n_docs, 400), p=weights / weights.sum())
-        return Corpus.from_texts([" ".join(words[row]) for row in draws], id_prefix=prefix)
+        return make_corpus([" ".join(words[row]) for row in draws], id_prefix=prefix)
 
     return corpus(500, "raw"), corpus(100, "target")
 
@@ -379,7 +381,7 @@ def test_signature_memory_per_document():
     # document holds. Densifying every row at once peaked at about 8.7 KB
     # per document; in chunks of rows it stays near 1.5 KB.
     rng = np.random.default_rng(31)
-    corpus = Corpus.from_texts(
+    corpus = make_corpus(
         [" ".join(f"w{v}" for v in row) for row in rng.integers(0, 3000, size=(5000, 4))]
     )
     assert peak_bytes(minhash_signature, corpus, 0) / len(corpus) <= 2500
@@ -390,8 +392,8 @@ def test_memory_does_not_follow_the_process_vocabulary():
     # after 500k new tokens must peak as it does after 50k: a hash table
     # or a count indexed by token id would grow 10-fold.
     def small_corpus_peaks(vocabulary):
-        Corpus.from_texts([" ".join(f"v{vocabulary}-{i}" for i in range(vocabulary))])
-        small = Corpus.from_texts([" ".join(f"s{vocabulary}-{i}" for i in range(j, j + 6))
+        make_corpus([" ".join(f"v{vocabulary}-{i}" for i in range(vocabulary))])
+        small = make_corpus([" ".join(f"s{vocabulary}-{i}" for i in range(j, j + 6))
                                    for j in (0, 3)])
         return peak_bytes(importance_weights, small, small), peak_bytes(minhash_signature, small, 0)
 
@@ -411,9 +413,9 @@ def test_blocks_do_not_change_results(monkeypatch, block_tokens):
         return " ".join(f"w{v}" for v in rng.integers(0, 60, size=n))
 
     lengths = [0, 1, 2, 0, 3, 40, refine.BLOCK_TOKENS + 500, 5, 0, 12, 2, 300, 0]
-    raw = Corpus.from_texts([text(n) for n in lengths], id_prefix="raw")
-    target = Corpus.from_texts([text(n) for n in (0, 30, 2, 80)], id_prefix="target")
-    dups = Corpus.from_texts([raw.documents[i].text for i in (5, 11, 9, 5, 1, 11, 0)]
+    raw = make_corpus([text(n) for n in lengths], id_prefix="raw")
+    target = make_corpus([text(n) for n in (0, 30, 2, 80)], id_prefix="target")
+    dups = make_corpus([raw.documents[i].text for i in (5, 11, 9, 5, 1, 11, 0)]
                              + [raw.documents[11].text + " extra"], id_prefix="dups")
 
     def results():
@@ -442,7 +444,7 @@ def test_blocks_do_not_change_results(monkeypatch, block_tokens):
 )
 def test_weights_name_the_corpus_without_ngrams(raw_texts, target_texts, message):
     with pytest.raises(RefineError, match=message):
-        importance_weights(Corpus.from_texts(raw_texts), Corpus.from_texts(target_texts))
+        importance_weights(make_corpus(raw_texts), make_corpus(target_texts))
 
 
 def weighted_corpus():
@@ -478,7 +480,7 @@ def test_select_topk_highest_weights():
 
 def test_select_budget_respected_exactly():
     rng = np.random.default_rng(6)
-    corpus = Corpus.from_texts(
+    corpus = make_corpus(
         [" ".join(["w"] * int(rng.integers(1, 30))) for _ in range(50)]
     )
     weights = list(rng.normal(size=50))
@@ -533,7 +535,7 @@ def test_select_gumbel_deterministic_per_seed():
 
 
 def test_dedup_exact_no_duplicates_identity():
-    corpus = Corpus.from_texts(["a", "b", "c"])
+    corpus = make_corpus(["a", "b", "c"])
     assert [d.id for d in dedup_exact(corpus)] == [d.id for d in corpus]
 
 
@@ -551,13 +553,13 @@ def test_dedup_exact_matches_hash_set_oracle():
     base = [" ".join(f"w{v}" for v in rng.integers(0, 100, size=12)) for _ in range(900)]
     dup_idx = rng.integers(0, 900, size=100)
     texts = base + [base[i] for i in dup_idx]
-    corpus = Corpus.from_texts(texts)
+    corpus = make_corpus(texts)
     survivors = dedup_exact(corpus)
     assert len(survivors) == len(set(texts))
 
 
 def test_dedup_near_disjoint_vocab_identity():
-    corpus = Corpus.from_texts(
+    corpus = make_corpus(
         [" ".join(f"a{i}_{j}" for j in range(30)) for i in range(5)]
     )
     assert len(dedup_near(corpus)) == 5
@@ -650,7 +652,7 @@ def test_dedup_near_idempotent():
             mutated = list(words)
             mutated[10] = "CHANGED"
             texts.append(" ".join(mutated))
-    corpus = Corpus.from_texts(texts)
+    corpus = make_corpus(texts)
     once = dedup_near(corpus)
     twice = dedup_near(once)
     assert [d.id for d in twice] == [d.id for d in once]
@@ -671,7 +673,7 @@ def test_dedup_increases_diversity_score():
     rng = np.random.default_rng(12)
     base = [" ".join(f"w{v}" for v in rng.integers(0, 3000, size=60)) for _ in range(200)]
     dup_idx = rng.integers(0, 200, size=60)  # 30% duplicates injected
-    corpus = Corpus.from_texts(base + [base[i] for i in dup_idx])
+    corpus = make_corpus(base + [base[i] for i in dup_idx])
     deduped = dedup_exact(corpus)
     assert len(deduped) == 200
     assert diversity_score(deduped) > diversity_score(corpus)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qtokens.corpus import Corpus, sample_fraction
+from qtokens.corpus import sample_fraction
 from qtokens.errors import CorpusError, FittingError, RefineError, ScalingDomainError, ScorerError
 from qtokens.fitting import ExperimentPoint, bootstrap_se, fit_constants
 from qtokens.fixtures import fixture_points
@@ -27,7 +27,9 @@ from qtokens.scaling_law import (
     predict_accuracy_unclamped,
     scaling_factor_q,
 )
-from qtokens.syntheticity import score_corpus, train_kgram_scorer
+from qtokens.syntheticity import score_corpus
+
+from conftest import make_corpus
 
 # Reference inputs: the 100% slice of the randomly sampled pipeline and of
 # the selection+synthesis pipeline, from the embedded quality table.
@@ -384,7 +386,7 @@ def test_a_giant_accuracy_is_named_by_its_size():
 
 
 NEGATIVE_GIANT_SHOWN = f"a negative int of {GIANT.bit_length()} bits"
-TWO_DOCS = Corpus.from_texts(["a b", "c d"])
+TWO_DOCS = make_corpus(["a b", "c d"])
 
 
 def _fixture_fit():
@@ -404,17 +406,10 @@ def _fixture_fit():
       FittingError, f"n_restarts must be >= 0, got {NEGATIVE_GIANT_SHOWN}"),
      (lambda: bootstrap_se(*_fixture_fit(), n_resamples=-GIANT, seed=0), FittingError,
       f"n_resamples must be >= 2, got {NEGATIVE_GIANT_SHOWN}"),
-     (lambda: train_kgram_scorer(TWO_DOCS, k=-GIANT), ScorerError,
-      f"k must be >= 1, got {NEGATIVE_GIANT_SHOWN}"),
-     (lambda: train_kgram_scorer(TWO_DOCS, smoothing=-GIANT), ScorerError,
-      f"smoothing must be > 0, got {NEGATIVE_GIANT_SHOWN}"),
-     (lambda: train_kgram_scorer(TWO_DOCS, k=GIANT), ScorerError,
-      f"k={GIANT_SHOWN} exceeds longest reference document (2 tokens)"),
      (lambda: score_corpus(SimpleNamespace(context_len=-GIANT), TWO_DOCS), ScorerError,
       f"context_len must be >= 1, got {NEGATIVE_GIANT_SHOWN}")],
     ids=["sample-fraction", "select-budget", "minhash-seed", "fit-restarts",
-         "bootstrap-resamples", "kgram-k", "kgram-smoothing", "kgram-k-too-long",
-         "context-len"],
+         "bootstrap-resamples", "context-len"],
 )
 def test_a_giant_int_is_named_by_its_size_in_each_modules_error(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

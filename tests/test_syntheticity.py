@@ -1,4 +1,5 @@
 import fcntl
+import inspect
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from qtokens import external, syntheticity
 from qtokens.corpus import Corpus, Document, Tokenizer, decode, encode
 from qtokens.errors import ProtocolError, ScorerError
 from qtokens.syntheticity import external_scorer_connect, score_corpus, train_kgram_scorer
+
+from conftest import make_corpus
 
 
 class UniformScorer:
@@ -44,12 +48,8 @@ class CertaintyScorer:
             yield [0.0] * len(window)
 
 
-def corpus_of(texts):
-    return Corpus.from_texts(texts)
-
-
 def test_uniform_scorer_perplexity_equals_vocab_size():
-    corpus = corpus_of(["a b c d e f g h", "a b c d e f g h"])  # 16 tokens
+    corpus = make_corpus(["a b c d e f g h", "a b c d e f g h"])  # 16 tokens
     result = score_corpus(UniformScorer(2), corpus, sample_frac=1.0, seed=0)
     assert result.m_tokens == 16
     assert result.perplexity == 2.0
@@ -61,14 +61,14 @@ def test_uniform_scorer_perplexity_equals_vocab_size():
 
 
 def test_certainty_scorer():
-    result = score_corpus(CertaintyScorer(), corpus_of(["x y z"]), sample_frac=1.0, seed=0)
+    result = score_corpus(CertaintyScorer(), make_corpus(["x y z"]), sample_frac=1.0, seed=0)
     assert result.avg_nll == 0.0
     assert result.perplexity == 1.0
     assert result.s == 1.0
 
 
 def test_result_invariants():
-    corpus = corpus_of(["a b c d", "e f g h i"])
+    corpus = make_corpus(["a b c d", "e f g h i"])
     result = score_corpus(UniformScorer(11), corpus, sample_frac=1.0, seed=0)
     assert result.perplexity == pytest.approx(math.exp(result.avg_nll), rel=1e-15)
     assert result.s == pytest.approx(1 / result.perplexity, rel=1e-15)
@@ -105,7 +105,7 @@ class BadTokenScorer:
     ids=["nan", "-inf", "positive", "none", "numeric-string", "false", "np-false"],
 )
 def test_invalid_log_prob_rejected(value, message):
-    corpus = corpus_of(["a b", "c bad d"])
+    corpus = make_corpus(["a b", "c bad d"])
     with pytest.raises(ScorerError, match=f"^{re.escape(message)}$") as info:
         score_corpus(BadTokenScorer(value), corpus, 1.0, 0)
     assert type(info.value) is ScorerError
@@ -127,7 +127,7 @@ class RaisingScorer:
 
 def test_score_corpus_names_the_document_a_custom_scorer_failed_on():
     with pytest.raises(ScorerError, match="^scorer failed on document 'doc:0': boom$") as info:
-        score_corpus(RaisingScorer(ValueError("boom")), corpus_of(["a b", "c d"]), 1.0, 0)
+        score_corpus(RaisingScorer(ValueError("boom")), make_corpus(["a b", "c d"]), 1.0, 0)
     assert type(info.value) is ScorerError
     assert isinstance(info.value.__cause__, ValueError)
 
@@ -135,7 +135,7 @@ def test_score_corpus_names_the_document_a_custom_scorer_failed_on():
 def test_score_corpus_passes_a_protocol_error_through():
     error = ProtocolError("scorer timed out after 1s")
     with pytest.raises(ProtocolError) as info:
-        score_corpus(RaisingScorer(error), corpus_of(["a b", "c d"]), 1.0, 0)
+        score_corpus(RaisingScorer(error), make_corpus(["a b", "c d"]), 1.0, 0)
     assert info.value is error
 
 
@@ -153,7 +153,7 @@ def test_score_corpus_rejects_a_wrong_number_of_values():
     with pytest.raises(
         ScorerError, match=r"^scorer returned 1 values for 2 tokens \(document 'doc:0'\)$"
     ):
-        score_corpus(DroppingScorer(), corpus_of(["a b", "c d e"]), 1.0, 0)
+        score_corpus(DroppingScorer(), make_corpus(["a b", "c d e"]), 1.0, 0)
 
 
 class YieldingScorer:
@@ -178,7 +178,7 @@ def test_score_corpus_rejects_a_window_that_is_not_a_sequence(make, kind):
     with pytest.raises(
         ScorerError, match=f"^scorer returned '{kind}', not a sequence, for document 'doc:0'$"
     ) as info:
-        score_corpus(YieldingScorer(make), corpus_of(["a b", "c d e"]), 1.0, 0)
+        score_corpus(YieldingScorer(make), make_corpus(["a b", "c d e"]), 1.0, 0)
     assert type(info.value) is ScorerError
 
 
@@ -197,7 +197,7 @@ class ValueScorer:
 
 def test_score_corpus_rejects_a_window_sum_beyond_the_float_range():
     # Each value is a legal log-probability; only their sum overflows.
-    corpus = corpus_of(["c d", "a b"])
+    corpus = make_corpus(["c d", "a b"])
     with pytest.raises(
         ScorerError, match="^log-probabilities on document 'doc:0' sum beyond the float range$"
     ):
@@ -205,15 +205,15 @@ def test_score_corpus_rejects_a_window_sum_beyond_the_float_range():
 
 
 def test_score_corpus_rejects_an_average_nll_with_no_finite_perplexity():
-    assert score_corpus(ValueScorer(-709.0), corpus_of(["a b"]), 1.0, 0).perplexity < math.inf
+    assert score_corpus(ValueScorer(-709.0), make_corpus(["a b"]), 1.0, 0).perplexity < math.inf
     with pytest.raises(ScorerError, match="^average NLL is too large for a finite perplexity"):
-        score_corpus(ValueScorer(-1000.0), corpus_of(["a b", "c"]), 1.0, 0)
+        score_corpus(ValueScorer(-1000.0), make_corpus(["a b", "c"]), 1.0, 0)
 
 
 @pytest.mark.parametrize("context_len", [0, -1])
 def test_score_corpus_rejects_a_context_len_below_one(context_len):
     with pytest.raises(ScorerError, match=f"^context_len must be >= 1, got {context_len}$"):
-        score_corpus(UniformScorer(4, context_len), corpus_of(["a b", "c d"]), 1.0, 0)
+        score_corpus(UniformScorer(4, context_len), make_corpus(["a b", "c d"]), 1.0, 0)
 
 
 def test_zero_scoreable_tokens():
@@ -233,41 +233,56 @@ def _prob(scorer, token, context):
     return math.exp(kgram_log_probs(scorer, [*context, token])[-1])
 
 
-def test_kgram_unigram_closed_form():
+def kgram_teacher(monkeypatch, reference, k, smoothing=syntheticity.KGRAM_SMOOTHING,
+                  context_len=syntheticity.DEFAULT_CONTEXT_LEN):
+    """The k-gram teacher trained on ``reference`` with settings other than
+    its fixed ones, to check it against count oracles."""
+    monkeypatch.setattr(syntheticity, "KGRAM_K", k)
+    monkeypatch.setattr(syntheticity, "KGRAM_SMOOTHING", smoothing)
+    return replace(train_kgram_scorer(reference), context_len=context_len)
+
+
+def test_kgram_teacher_is_fixed():
+    scorer = train_kgram_scorer(make_corpus(["a b c d"]))
+    assert (scorer.k, scorer.smoothing, scorer.context_len) == (3, 1.0, 1024)
+    assert list(inspect.signature(train_kgram_scorer).parameters) == ["reference"]
+
+
+def test_kgram_unigram_closed_form(monkeypatch):
     # add-alpha over vocab {a, b} plus the unknown symbol: 3 events
-    scorer = train_kgram_scorer(corpus_of(["a a a b"]), k=1, smoothing=1.0)
+    scorer = kgram_teacher(monkeypatch, make_corpus(["a a a b"]), k=1, smoothing=1.0)
     assert _prob(scorer, "a", []) == pytest.approx((3 + 1.0) / (4 + 3 * 1.0), rel=1e-15)
     assert _prob(scorer, "b", []) == pytest.approx((1 + 1.0) / (4 + 3 * 1.0), rel=1e-15)
     alpha = 0.25
-    scorer = train_kgram_scorer(corpus_of(["a a a b"]), k=1, smoothing=alpha)
+    scorer = kgram_teacher(monkeypatch, make_corpus(["a a a b"]), k=1, smoothing=alpha)
     assert _prob(scorer, "a", []) == pytest.approx((3 + alpha) / (4 + 3 * alpha), rel=1e-15)
 
 
-def test_kgram_probabilities_sum_to_one():
-    reference = corpus_of(["the cat sat on the mat", "the dog sat on the rug"])
-    scorer = train_kgram_scorer(reference, k=3, smoothing=0.5)
+def test_kgram_probabilities_sum_to_one(monkeypatch):
+    reference = make_corpus(["the cat sat on the mat", "the dog sat on the rug"])
+    scorer = kgram_teacher(monkeypatch, reference, k=3, smoothing=0.5)
     events = sorted({t for doc in reference for t in Tokenizer().tokenize(doc.text)}) + ["<unk>"]
     for context in ([], ["the"], ["the", "cat"], ["nope", "nope"], ["sat", "on"]):
         total = sum(_prob(scorer, w, context) for w in events)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_kgram_training_text_scores_better():
-    train = corpus_of(["alpha beta gamma delta alpha beta gamma delta"])
-    scorer = train_kgram_scorer(train, k=2, smoothing=0.1)
+def test_kgram_training_text_scores_better(monkeypatch):
+    train = make_corpus(["alpha beta gamma delta alpha beta gamma delta"])
+    scorer = kgram_teacher(monkeypatch, train, k=2, smoothing=0.1)
     seen = score_corpus(scorer, train, 1.0, 0)
-    unseen = score_corpus(scorer, corpus_of(["zeta eta theta iota kappa"]), 1.0, 0)
+    unseen = score_corpus(scorer, make_corpus(["zeta eta theta iota kappa"]), 1.0, 0)
     assert seen.avg_nll < unseen.avg_nll
     assert seen.s > unseen.s
 
 
-def test_kgram_matches_count_oracle():
+def test_kgram_matches_count_oracle(monkeypatch):
     rng = np.random.default_rng(77)
     words = [f"w{v}" for v in rng.integers(0, 12, size=10_000)]
     text = " ".join(words)
-    reference = corpus_of([text])
+    reference = make_corpus([text])
     k, alpha = 3, 0.5
-    scorer = train_kgram_scorer(reference, k=k, smoothing=alpha)
+    scorer = kgram_teacher(monkeypatch, reference, k=k, smoothing=alpha)
 
     # independent count tables
     from collections import Counter, defaultdict
@@ -339,35 +354,35 @@ def _kgram_case(case, tmp_path):
     """(tokenizer, reference, probe, k, smoothing, context_len) for one oracle case."""
     if case == "oov":
         # The probe draws from 40 types, the reference from 30.
-        return (Tokenizer(), corpus_of(_seeded_texts(1, 30, 30, 60)),
-                corpus_of(_seeded_texts(2, 20, 40, 60)), 3, 0.5, 1024)
+        return (Tokenizer(), make_corpus(_seeded_texts(1, 30, 30, 60)),
+                make_corpus(_seeded_texts(2, 20, 40, 60)), 3, 0.5, 1024)
     if case == "unk-in-vocab":
         # w0..w19 are in the vocabulary file, so the reference holds <unk> and
         # w15..w19, absent from the reference, map to <unk> in the scorer too.
         vocab_file = tmp_path / "vocab.txt"
         vocab_file.write_text("".join(f"w{v}\n" for v in range(20)))
         tokenizer = Tokenizer(f"vocab:{vocab_file}")
-        reference = Corpus.from_texts(_seeded_texts(3, 30, 15, 60) + ["x y z w0 q"], tokenizer)
-        probe = Corpus.from_texts(_seeded_texts(4, 20, 30, 60), tokenizer)
+        reference = make_corpus(_seeded_texts(3, 30, 15, 60) + ["x y z w0 q"], tokenizer)
+        probe = make_corpus(_seeded_texts(4, 20, 30, 60), tokenizer)
         return tokenizer, reference, probe, 3, 1.0, 1024
     if case == "bytes":
         tokenizer = Tokenizer("byte")
         words = ["ab", "é", "中", "c d", "ü", "x"]
-        reference = Corpus.from_texts(_seeded_texts(5, 20, 0, 40, words), tokenizer)
-        probe = Corpus.from_texts(_seeded_texts(6, 20, 0, 40, words + ["ø", "z"]), tokenizer)
+        reference = make_corpus(_seeded_texts(5, 20, 0, 40, words), tokenizer)
+        probe = make_corpus(_seeded_texts(6, 20, 0, 40, words + ["ø", "z"]), tokenizer)
         return tokenizer, reference, probe, 4, 0.25, 1024
     if case == "k1":
-        return (Tokenizer(), corpus_of(_seeded_texts(7, 20, 25, 50)),
-                corpus_of(_seeded_texts(8, 20, 30, 50)), 1, 1.0, 1024)
+        return (Tokenizer(), make_corpus(_seeded_texts(7, 20, 25, 50)),
+                make_corpus(_seeded_texts(8, 20, 30, 50)), 1, 1.0, 1024)
     # k beyond the window: contexts stop at the window start.
-    return (Tokenizer(), corpus_of(_seeded_texts(9, 20, 8, 80)),
-            corpus_of(_seeded_texts(10, 20, 10, 80)), 7, 0.1, 5)
+    return (Tokenizer(), make_corpus(_seeded_texts(9, 20, 8, 80)),
+            make_corpus(_seeded_texts(10, 20, 10, 80)), 7, 0.1, 5)
 
 
 @pytest.mark.parametrize("case", ["oov", "unk-in-vocab", "bytes", "k1", "k-beyond-context"])
-def test_kgram_matches_string_tuple_oracle_exactly(case, tmp_path):
+def test_kgram_matches_string_tuple_oracle_exactly(case, tmp_path, monkeypatch):
     tokenizer, reference, probe, k, smoothing, context_len = _kgram_case(case, tmp_path)
-    scorer = train_kgram_scorer(reference, k=k, smoothing=smoothing, context_len=context_len)
+    scorer = kgram_teacher(monkeypatch, reference, k, smoothing, context_len)
     windows = [tokens[start : start + context_len]
                for tokens in (tokenizer.tokenize(doc.text) for doc in probe)
                for start in range(0, len(tokens), context_len)]
@@ -379,7 +394,7 @@ def test_kgram_matches_string_tuple_oracle_exactly(case, tmp_path):
     assert got == reference_kgram_log_probs(reference, k, smoothing, windows, tokenizer)
 
 
-def test_kgram_keys_do_not_overflow_with_large_vocab_and_k():
+def test_kgram_keys_do_not_overflow_with_large_vocab_and_k(monkeypatch):
     # Every one of 60,000 types occurs, so a mixed-radix key over k - 1 = 5
     # context ids would exceed 2^63; repeated chunks give seen 6-grams.
     rng = np.random.default_rng(11)
@@ -388,8 +403,8 @@ def test_kgram_keys_do_not_overflow_with_large_vocab_and_k():
     chunks = [order[i : i + 300] for i in range(0, n_types, 300)]
     texts = [" ".join(f"w{v}" for v in chunk) for chunk in chunks]
     texts += texts[:20]
-    reference = corpus_of(texts)
-    scorer = train_kgram_scorer(reference, k=k, smoothing=0.5)
+    reference = make_corpus(texts)
+    scorer = kgram_teacher(monkeypatch, reference, k=k, smoothing=0.5)
     assert (len({t for text in texts for t in text.split()}) + 1) ** (k - 1) > 2**63
     windows = [Tokenizer().tokenize(doc.text) for doc in reference.documents[:25]]
     windows += [[f"w{v}" for v in rng.integers(0, n_types + 50, size=200)] for _ in range(5)]
@@ -401,13 +416,13 @@ def test_kgram_keys_do_not_overflow_with_large_vocab_and_k():
 
 def test_kgram_scorer_memory_is_compact():
     rng = np.random.default_rng(23)
-    reference = corpus_of(
+    reference = make_corpus(
         [" ".join(f"w{v}" for v in rng.integers(0, 5000, size=300)) for _ in range(200)]
     )
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        scorer = train_kgram_scorer(reference, k=3)
+        scorer = train_kgram_scorer(reference)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -417,43 +432,40 @@ def test_kgram_scorer_memory_is_compact():
 
 
 def test_kgram_k_longer_than_documents():
-    with pytest.raises(ScorerError, match="longest reference document"):
-        train_kgram_scorer(corpus_of(["a b", "c"]), k=5)
+    message = "k=3 exceeds longest reference document (2 tokens)"
+    with pytest.raises(ScorerError, match=f"^{re.escape(message)}$"):
+        train_kgram_scorer(make_corpus(["a b", "c"]))
 
 
 def test_kgram_invalid_params():
-    with pytest.raises(ScorerError):
-        train_kgram_scorer(corpus_of(["a b"]), k=0)
-    with pytest.raises(ScorerError):
-        train_kgram_scorer(corpus_of(["a b"]), k=1, smoothing=0.0)
     with pytest.raises(ScorerError, match="reference corpus is empty"):
         train_kgram_scorer(Corpus([]))
 
 
-def test_score_corpus_order_invariant():
+def test_score_corpus_order_invariant(monkeypatch):
     texts = [f"tok{i} tok{i + 1} tok{i + 2} filler words here" for i in range(30)]
-    forward = Corpus.from_texts(texts)
+    forward = make_corpus(texts)
     backward = Corpus([forward.documents[i] for i in reversed(range(30))])
-    scorer = train_kgram_scorer(forward, k=2)
+    scorer = kgram_teacher(monkeypatch, forward, k=2)
     a = score_corpus(scorer, forward, 0.5, seed=4)
     b = score_corpus(scorer, backward, 0.5, seed=4)
     assert a == b
 
 
-def test_doubled_documents_within_window_bound():
+def test_doubled_documents_within_window_bound(monkeypatch):
     rng = np.random.default_rng(5)
     texts = [" ".join(f"w{v}" for v in rng.integers(0, 50, size=200)) for _ in range(5)]
-    single = Corpus.from_texts(texts)
-    doubled = Corpus.from_texts([f"{t} {t}" for t in texts])
+    single = make_corpus(texts)
+    doubled = make_corpus([f"{t} {t}" for t in texts])
     k, context_len = 3, 64
-    scorer = train_kgram_scorer(single, k=k, smoothing=0.5, context_len=context_len)
+    scorer = kgram_teacher(monkeypatch, single, k, 0.5, context_len)
     a = score_corpus(scorer, single, 1.0, 0)
     b = score_corpus(scorer, doubled, 1.0, 0)
     assert abs(a.avg_nll - b.avg_nll) / a.avg_nll <= k / context_len
 
 
 def test_sample_fraction_default_quarter():
-    corpus = corpus_of([f"word{i} extra text" for i in range(100)])
+    corpus = make_corpus([f"word{i} extra text" for i in range(100)])
     result = score_corpus(UniformScorer(10), corpus, seed=1)
     assert result.m_tokens == 25 * 3
 
@@ -471,8 +483,8 @@ def _window_kinds(k, rng):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_kgram_score_windows_equals_log_probs_and_oracle(k, monkeypatch):
-    reference = corpus_of(_seeded_texts(12 + k, 30, 30, 40))
-    scorer = train_kgram_scorer(reference, k=k, smoothing=0.5)
+    reference = make_corpus(_seeded_texts(12 + k, 30, 30, 40))
+    scorer = kgram_teacher(monkeypatch, reference, k=k, smoothing=0.5)
     windows = _window_kinds(k, np.random.default_rng(k))
     # Batches of 7 tokens: most windows longer than one token straddle a
     # batch boundary.
@@ -484,8 +496,8 @@ def test_kgram_score_windows_equals_log_probs_and_oracle(k, monkeypatch):
 
 
 def test_kgram_score_windows_closes_a_batch_with_the_window_that_fills_it(monkeypatch):
-    reference = corpus_of(_seeded_texts(3, 70, 10, 400))
-    scorer = train_kgram_scorer(reference, k=3)
+    reference = make_corpus(_seeded_texts(3, 70, 10, 400))
+    scorer = train_kgram_scorer(reference)
     batches = []
     real = scorer._probs
 
@@ -511,9 +523,9 @@ def test_kgram_score_windows_closes_a_batch_with_the_window_that_fills_it(monkey
 
 
 def test_score_corpus_scores_ids_without_decoding_or_encoding(monkeypatch):
-    reference = corpus_of(_seeded_texts(17, 40, 50, 120))
-    corpus = corpus_of(_seeded_texts(18, 60, 60, 90))
-    scorer = train_kgram_scorer(reference, k=3, smoothing=0.5, context_len=32)
+    reference = make_corpus(_seeded_texts(17, 40, 50, 120))
+    corpus = make_corpus(_seeded_texts(18, 60, 60, 90))
+    scorer = kgram_teacher(monkeypatch, reference, k=3, smoothing=0.5, context_len=32)
     expected = score_corpus(scorer, corpus, 1.0, 0)
 
     def refuse(_):
@@ -530,7 +542,7 @@ def test_score_corpus_scores_ids_without_decoding_or_encoding(monkeypatch):
 
 def test_external_const_scorer(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("const")) as scorer:
-        result = score_corpus(scorer, corpus_of(["a b c", "d e"]), 1.0, 0)
+        result = score_corpus(scorer, make_corpus(["a b c", "d e"]), 1.0, 0)
     assert result.avg_nll == pytest.approx(1.0, rel=1e-15)
     assert result.perplexity == pytest.approx(math.e, rel=1e-12)
 
@@ -538,7 +550,7 @@ def test_external_const_scorer(mock_scorer_cmd):
 def test_external_positive_logprob_rejected(mock_scorer_cmd):
     with external_scorer_connect(mock_scorer_cmd("positive")) as scorer:
         with pytest.raises(ScorerError, match="^log-probability > 0 on document 'doc:0': 0.1$"):
-            score_corpus(scorer, corpus_of(["a b"]), 1.0, 0)
+            score_corpus(scorer, make_corpus(["a b"]), 1.0, 0)
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf"])
@@ -547,7 +559,7 @@ def test_external_non_finite_logprob_rejected(mock_scorer_cmd, value):
         with pytest.raises(
             ScorerError, match=f"^non-finite log-probability on document 'doc:0': {value}$"
         ):
-            score_corpus(scorer, corpus_of(["a b"]), 1.0, 0)
+            score_corpus(scorer, make_corpus(["a b"]), 1.0, 0)
 
 
 def test_external_out_of_order_responses(mock_scorer_cmd):
@@ -563,7 +575,7 @@ def test_external_short_response_rejected(mock_scorer_cmd):
         with pytest.raises(
             ScorerError, match=r"^scorer returned 2 values for 3 tokens \(document 'doc:0'\)$"
         ):
-            score_corpus(scorer, corpus_of(["a b c"]), 1.0, 0)
+            score_corpus(scorer, make_corpus(["a b c"]), 1.0, 0)
 
 
 @pytest.mark.parametrize(
@@ -577,7 +589,7 @@ def test_external_malformed_response_rejected(mock_scorer_cmd, mode, error, mess
     # The client checks the line's format; score_corpus checks the values.
     with external_scorer_connect(mock_scorer_cmd(mode)) as scorer:
         with pytest.raises(ScorerError, match=message) as info:
-            score_corpus(scorer, corpus_of(["a b"]), 1.0, 0)
+            score_corpus(scorer, make_corpus(["a b"]), 1.0, 0)
     assert type(info.value) is error
 
 
@@ -586,7 +598,7 @@ def test_external_second_answer_to_a_request_is_an_unknown_id(mock_scorer_cmd):
     # awaits; whether q0 has been yielded yet or not, the id is spent.
     with external_scorer_connect(mock_scorer_cmd("twice")) as scorer:
         with pytest.raises(ProtocolError, match="^unknown response id 'q0'$"):
-            score_corpus(scorer, corpus_of(["a b", "c d"]), 1.0, 0)
+            score_corpus(scorer, make_corpus(["a b", "c d"]), 1.0, 0)
 
 
 NOT_A_NUMBER = "value that is not a number on document 'doc:0': "
@@ -611,7 +623,7 @@ def test_external_non_numbers_rejected(mock_scorer_cmd, logprobs, n_tokens, mess
     with external_scorer_connect(mock_scorer_cmd(f"logprobs {shlex.quote(logprobs)}")) as scorer:
         assert scorer.log_probs(["a"]) == json.loads(logprobs)
         with pytest.raises(ScorerError, match=f"^{re.escape(message)}$") as info:
-            score_corpus(scorer, corpus_of([" ".join(["a"] * n_tokens)]), 1.0, 0)
+            score_corpus(scorer, make_corpus([" ".join(["a"] * n_tokens)]), 1.0, 0)
     assert type(info.value) is ScorerError
 
 
@@ -621,7 +633,7 @@ def test_external_huge_integer_through_score_corpus(mock_scorer_cmd):
             ScorerError,
             match="^log-probabilities on document 'doc:0' sum beyond the float range$",
         ) as info:
-            score_corpus(scorer, corpus_of(["a"]), 1.0, 0)
+            score_corpus(scorer, make_corpus(["a"]), 1.0, 0)
     assert type(info.value) is ScorerError
 
 
@@ -718,7 +730,7 @@ def test_external_write_error_is_a_protocol_error(mock_scorer_cmd, tmp_path):
 def test_external_requests_are_pipelined(mock_scorer_cmd):
     # batch4 answers only when it holds 4 requests (or after 3 s idle), so a
     # client with one request in flight times out.
-    corpus = corpus_of([f"w{i} x{i} y{i}" for i in range(12)])
+    corpus = make_corpus([f"w{i} x{i} y{i}" for i in range(12)])
     with external_scorer_connect(mock_scorer_cmd("batch4"), timeout=2.0) as scorer:
         result = score_corpus(scorer, corpus, 1.0, 0)
     assert result.m_tokens == 36
@@ -728,7 +740,7 @@ def test_external_requests_are_pipelined(mock_scorer_cmd):
 def test_external_batching_peer_gets_full_batches(mock_scorer_cmd):
     # batch32 answers only when it holds 32 requests, so a client that keeps
     # fewer in flight times out; 64 windows of 3 tokens fill two batches.
-    corpus = corpus_of([f"w{i} x{i} y{i}" for i in range(64)])
+    corpus = make_corpus([f"w{i} x{i} y{i}" for i in range(64)])
     with external_scorer_connect(mock_scorer_cmd("batch32"), timeout=2.0) as scorer:
         result = score_corpus(scorer, corpus, 1.0, 0)
     assert result.m_tokens == 192
@@ -821,7 +833,7 @@ def test_external_scorer_is_closed_after_a_call_left_a_request_open(mock_scorer_
     # The first window's positive value fails score_corpus while the second
     # window's answer is held back. The peer sends that answer once the next
     # request arrives, so a scorer kept open would read it as the next call's.
-    corpus = corpus_of(["a b", "c d"])
+    corpus = make_corpus(["a b", "c d"])
     with external_scorer_connect(mock_scorer_cmd("holdsecond")) as scorer:
         with pytest.raises(ScorerError, match="^log-probability > 0 on document 'doc:0': 0.1$"):
             score_corpus(scorer, corpus, 1.0, 0)
@@ -838,7 +850,7 @@ def test_external_scorer_serves_several_calls(mock_scorer_cmd):
     # scorer stays usable; windows of 2 tokens give many requests per call.
     with external_scorer_connect(mock_scorer_cmd("const"), context_len=2) as scorer:
         for texts in (["a b c", "d e f g h"], ["i j k l m n o p q r s t"] * 3, ["u"]):
-            result = score_corpus(scorer, corpus_of(texts), 1.0, 0)
+            result = score_corpus(scorer, make_corpus(texts), 1.0, 0)
             assert result.avg_nll == 1.0
             assert result.m_tokens == sum(len(t.split()) for t in texts)
         assert scorer.log_probs(["a"]) == [-1.0]

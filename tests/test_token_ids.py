@@ -18,10 +18,12 @@ import sys
 import numpy as np
 
 from qtokens import cli
-from qtokens.corpus import Corpus, Tokenizer, load_jsonl
+from qtokens.corpus import Tokenizer, load_jsonl
 from qtokens.diversity import score_corpus_diversity
 from qtokens.refine import dedup_near, importance_weights
 from qtokens.syntheticity import score_corpus, train_kgram_scorer
+
+from conftest import make_corpus
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 WORDS = [f"w{v}" for v in range(200)] + ["é", "日本", "straße", "ø"]
@@ -57,7 +59,7 @@ def load_unrelated(directory: str, tokenizer: str) -> None:
     with open(os.path.join(directory, "corpus.jsonl"), encoding="utf-8") as fh:
         words = " ".join(json.loads(line)["text"] for line in fh).split()
     text = " ".join(["unrelated", "ünrelated", *reversed(words)])
-    Corpus.from_texts([text], Tokenizer(spec_of(directory, tokenizer)))
+    make_corpus([text], Tokenizer(spec_of(directory, tokenizer)))
 
 
 def outputs(directory: str, tokenizer: str) -> dict:
