@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import diversity, refine
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
-from .errors import DiversityError, QTokensError
+from .errors import DiversityError, QTokensError, _naming
 from .scaling_law import (
     FORMS,
     PRESETS,
@@ -33,34 +33,26 @@ from .syntheticity import external_scorer_connect, score_corpus, train_kgram_sco
 SCORER_ENV = "QTOKENS_SCORER"
 
 def _read_json(path: str):
+    """The JSON value in the file at ``path``; its errors name no file, so
+    a caller reads it inside ``_naming(path)``."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise QTokensError(f"{path}: not UTF-8 ({exc.reason})") from exc
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise QTokensError(f"{path}: not valid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise QTokensError(f"not valid JSON: {exc}") from exc
 
 
 def _load_constants(spec: str) -> ScalingConstants:
     if spec in PRESETS:
         return PRESETS[spec]
     if os.path.exists(spec):
-        return ScalingConstants.from_dict(_read_json(spec))
+        with _naming(spec):
+            return ScalingConstants.from_dict(_read_json(spec))
     raise QTokensError(
         f"unknown constants {spec!r}: not a preset ({', '.join(sorted(PRESETS))}) "
         f"or a JSON file"
     )
-
-
-@contextlib.contextmanager
-def _naming(path: str):
-    """Put ``path`` in front of the message of a ``QTokensError`` raised in
-    the block, keeping its type."""
-    try:
-        yield
-    except QTokensError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _scorer_spec(spec: str):
@@ -250,7 +242,8 @@ def cmd_dedup(args) -> int:
 def cmd_report(args) -> int:
     from .report import write_report
 
-    paths = write_report(_read_json(args.fit_report), args.out_dir)
+    with _naming(args.fit_report):
+        paths = write_report(_read_json(args.fit_report), args.out_dir)
     for path in paths:
         sys.stdout.write(path + "\n")
     return 0

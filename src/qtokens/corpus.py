@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorpusError, _shown
+from .errors import CorpusError, _naming, _shown
 
 UNKNOWN_TOKEN = "<unk>"
 
@@ -57,11 +57,8 @@ class Tokenizer:
             raise CorpusError(
                 f"unknown tokenizer spec {spec!r}: expected whitespace, byte or vocab:<path>")
         if path:
-            try:
-                with open(path, "r", encoding="utf-8-sig") as fh:
-                    self._vocab = {line.rstrip("\n") for line in fh if line.rstrip("\n")}
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from exc
+            with _naming(path, CorpusError), open(path, "r", encoding="utf-8-sig") as fh:
+                self._vocab = {line.rstrip("\n") for line in fh if line.rstrip("\n")}
 
     def tokenize(self, text: str) -> list[str]:
         if self.mode == "whitespace":
@@ -135,39 +132,33 @@ def load_jsonl(path: str, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> Corpus:
     """
     name = os.path.basename(path)
     docs = []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-                except (ValueError, RecursionError) as exc:  # an integer int() refuses, or too deep
-                    raise CorpusError(f"{path}: line {lineno}: cannot parse JSON ({exc})") from exc
-                if not isinstance(obj, dict) or "text" not in obj:
-                    raise CorpusError(f"{path}: line {lineno}: missing field text")
-                text = obj["text"]
-                if not isinstance(text, str):
-                    raise CorpusError(f"{path}: line {lineno}: field text is not a string")
-                doc_id = str(obj.get("id", f"{name}:{lineno}"))
-                # JSON can escape a lone surrogate, which no UTF-8 encode takes;
-                # an ASCII string (an O(1) check) cannot hold one.
-                if not (text.isascii() and doc_id.isascii()):
-                    for key, value in (("text", text), ("id", doc_id)):
-                        try:
-                            value.encode("utf-8")
-                        except UnicodeEncodeError as exc:
-                            raise CorpusError(f"{path}: line {lineno}: field {key} cannot be "
-                                              f"encoded as UTF-8 ({exc.reason})") from None
-                docs.append(Document.create(doc_id, text, tokenizer))
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not UTF-8 ({exc.reason})") from exc
-    try:
-        return Corpus(docs)
-    except CorpusError as exc:  # a repeated id
-        raise CorpusError(f"{path}: {exc}") from exc
+    with _naming(path, CorpusError), open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # an integer int() refuses, or too deep
+                raise CorpusError(f"line {lineno}: cannot parse JSON ({exc})") from exc
+            if not isinstance(obj, dict) or "text" not in obj:
+                raise CorpusError(f"line {lineno}: missing field text")
+            text = obj["text"]
+            if not isinstance(text, str):
+                raise CorpusError(f"line {lineno}: field text is not a string")
+            doc_id = str(obj.get("id", f"{name}:{lineno}"))
+            # JSON can escape a lone surrogate, which no UTF-8 encode takes;
+            # an ASCII string (an O(1) check) cannot hold one.
+            if not (text.isascii() and doc_id.isascii()):
+                for key, value in (("text", text), ("id", doc_id)):
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise CorpusError(f"line {lineno}: field {key} cannot be "
+                                          f"encoded as UTF-8 ({exc.reason})") from None
+            docs.append(Document.create(doc_id, text, tokenizer))
+        return Corpus(docs)  # in the block, so a repeated id names the file
 
 
 def write_jsonl(corpus: Corpus, path: str) -> None:

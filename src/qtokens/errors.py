@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit, and how its messages name a value."""
+"""Exception hierarchy shared across the toolkit, and how its messages name
+a value and the input file they come from."""
+
+import contextlib
 
 
 def _shown(value) -> str:
@@ -41,3 +44,16 @@ class FittingError(QTokensError):
 
 class RefineError(QTokensError):
     """Raised for invalid refinement parameters."""
+
+
+@contextlib.contextmanager
+def _naming(path: str, error: type[QTokensError] = QTokensError):
+    """Put ``path`` in front of the message of a ``QTokensError`` raised in
+    the block, keeping its type; a file in the block that is not UTF-8 is
+    an ``error`` naming ``path``."""
+    try:
+        yield
+    except QTokensError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason})") from exc

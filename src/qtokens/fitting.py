@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FittingError, ScalingDomainError, _shown
+from .errors import FittingError, ScalingDomainError, _naming, _shown
 from .scaling_law import PARAM_NAMES, ScalingConstants, _check_positive, _dq, _score
 
 N_PARAMS = len(PARAM_NAMES)
@@ -318,25 +318,23 @@ def read_csv(path: str, required: Sequence[str]) -> list[dict]:
     stop before a column that is not required; one with more cells than
     the header, or none for a required column, is an error naming its
     row, counting the header as row 1."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
+    with _naming(path, FittingError), open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
             header = next(reader, [])
             missing = [name for name in required if name not in header]
             if missing:
-                raise FittingError(f"{path}: missing columns {missing}")
+                raise FittingError(f"missing columns {missing}")
             least = max((header.index(name) + 1 for name in required), default=0)
             rows = []
             for row_no, cells in enumerate(filter(None, reader), start=2):  # blank lines skipped
                 if not least <= len(cells) <= len(header):
-                    raise FittingError(f"{path}: row {row_no} has {len(cells)} cells; "
+                    raise FittingError(f"row {row_no} has {len(cells)} cells; "
                                        f"the header has {len(header)}")
                 rows.append(dict(zip(header, cells)))
-            return rows
-    except UnicodeDecodeError as exc:
-        raise FittingError(f"{path}: not UTF-8 ({exc.reason})") from exc
-    except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise FittingError(f"{path}: {exc}") from exc
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise FittingError(str(exc)) from exc
+        return rows
 
 
 def experiment_points(

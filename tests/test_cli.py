@@ -646,7 +646,8 @@ def test_constants_that_are_not_an_object_are_an_error(command, tmp_path, capsys
         "fit": ["fit", "--fixture", "--init", str(path)],
         "report": ["report", "--fit-report", str(path), "--out-dir", str(tmp_path / "o")],
     }[command]
-    assert run_cli(argv, capsys) == (1, "", "error: constants JSON is a list, not an object\n")
+    assert run_cli(argv, capsys) == (1, "", f"error: {path}: constants JSON is a list, "
+                                            "not an object\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -656,7 +657,7 @@ def test_an_integer_beyond_the_float_range_is_an_error(where, tmp_path, capsys):
     big = 10**400
     path = tmp_path / "big.json"
     path.write_text(json.dumps({**PRESETS["paper-ours"].to_dict(), "E": big}))
-    message = "error: constant E is not finite\n"
+    message = f"error: {path}: constant E is not finite\n"
     if where.startswith("report"):
         assert main(["fit", "--fixture", "--out", str(path)]) == 0
         fit = json.loads(path.read_text())
@@ -664,7 +665,7 @@ def test_an_integer_beyond_the_float_range_is_an_error(where, tmp_path, capsys):
             fit["constants"]["E"] = big
         else:
             fit["points"][0]["observed"] = big
-            message = "error: point 0: 'observed' is not finite\n"
+            message = f"error: {path}: point 0: 'observed' is not finite\n"
         path.write_text(json.dumps(fit))
     argv = {
         "predict": ["predict", "--constants", str(path), "--n-millions", "25",
@@ -692,7 +693,7 @@ def test_a_constant_that_is_not_a_json_number_is_an_error(where, name, value, tm
         "fit": ["fit", "--fixture", "--init", str(path)],
         "report": ["report", "--fit-report", str(path), "--out-dir", str(tmp_path / "o")],
     }[where]
-    message = f"error: constant {name} is not a number: {value!r}\n"
+    message = f"error: {path}: constant {name} is not a number: {value!r}\n"
     assert run_cli(argv, capsys) == (1, "", message)
     assert not (tmp_path / "o").exists()
 
@@ -1286,7 +1287,7 @@ def test_report_non_object_rejected(tmp_path, capsys):
     code, out, err = run_cli(["report", "--fit-report", str(fit), "--out-dir", str(out_dir)], capsys)
     assert code == 1
     assert out == ""
-    assert err == "error: fit report is not a JSON object\n"
+    assert err == f"error: {fit}: fit report is not a JSON object\n"
     assert not out_dir.exists()
 
 
@@ -1345,7 +1346,7 @@ def test_report_malformed_point_rejected(tmp_path, capsys, break_points, message
     code, out, err = run_cli(["report", "--fit-report", str(fit), "--out-dir", str(out_dir)], capsys)
     assert code == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {fit}: {message}\n"
     assert not out_dir.exists()
 
 
@@ -1389,7 +1390,7 @@ def test_report_extreme_constants_write_nothing(tmp_path, capsys, c1, message):
     code, out, err = run_cli(["report", "--fit-report", str(fit), "--out-dir", str(out_dir)], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: {message}")
+    assert err.startswith(f"error: {fit}: {message}")
     assert not out_dir.exists()
 
 

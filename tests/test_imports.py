@@ -117,6 +117,33 @@ def test_no_unused_imports(path):
         assert unused_imports(fh.read()) == []
 
 
+def utf8_handlers(source: str) -> list[int]:
+    """Lines of code (not comments) that name ``UnicodeDecodeError`` or
+    hold the text ``not UTF-8``."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == "UnicodeDecodeError"
+        or isinstance(node, ast.Constant) and "not UTF-8" in str(node.value)
+    })
+
+
+def test_scan_finds_a_utf8_handler():
+    source = ("try:\n    f()\nexcept UnicodeDecodeError as exc:  # not UTF-8\n"
+              "    raise E(f'{p}: not UTF-8 ({exc.reason})')\n# not UTF-8\n")
+    assert utf8_handlers(source) == [3, 4]
+
+
+def test_only_errors_reports_a_file_that_is_not_utf8():
+    """``errors._naming`` alone turns a file's decode error into a message
+    naming the file; no other package module writes that rule out."""
+    found = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py") and name != "errors.py":
+            with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+                found += [f"{name}:{line}" for line in utf8_handlers(fh.read())]
+    assert found == []
+
+
 def plain_unique_calls(source: str) -> list[int]:
     """Lines of ``np.unique`` calls that ask for no index, inverse or counts.
 

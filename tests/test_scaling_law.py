@@ -380,6 +380,23 @@ def test_an_int_beyond_the_float_range_is_a_domain_error(call, message):
         call()
 
 
+# A value that is not a real number fails the one-comparison check and
+# then math.isfinite, whose TypeError is raised as it is.
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: QualityInputs(d="1", dr=0.3, s=0.05, n_millions=125.0),
+      "^must be real number, not str$"),
+     (lambda: QualityInputs(d=1e9, dr=0.3, s=0.05, n_millions=None),
+      "^must be real number, not NoneType$"),
+     (lambda: invert_effective_tokens(PRESETS["paper-ours"], "1", 0.4),
+      "^must be real number, not str$")],
+    ids=["quality-inputs-str", "quality-inputs-none", "invert-str"],
+)
+def test_a_value_that_is_not_a_number_is_maths_type_error(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
 def test_a_giant_accuracy_is_named_by_its_size():
     with pytest.raises(FittingError, match=f"^accuracy must be in \\[0, 1\\], got {GIANT_SHOWN}$"):
         ExperimentPoint(125.0, 1e9, 0.3, 0.05, GIANT)
