@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import diversity, refine
 from .corpus import Corpus, Tokenizer, load_jsonl, write_jsonl
-from .errors import DiversityError, QTokensError, _naming
+from .errors import DiversityError, QTokensError, _check_seed, _naming
 from .scaling_law import (
     FORMS,
     PRESETS,
@@ -250,14 +250,12 @@ def cmd_report(args) -> int:
 
 
 def _seed(text: str) -> int:
-    """``--seed``: an integer in [0, 2**64), the range numpy's generators
-    and the 8-byte MinHash key both take."""
+    """``--seed``: an integer in the range ``_check_seed`` allows."""
     try:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
+    _check_seed(seed, argparse.ArgumentTypeError)
     return seed
 
 

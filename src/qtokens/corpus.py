@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorpusError, _naming, _shown
+from .errors import CorpusError, _check_seed, _naming, _shown
 
 UNKNOWN_TOKEN = "<unk>"
 
@@ -189,6 +189,7 @@ def sample_fraction(corpus: Corpus, fraction: float, seed: int = 0) -> Corpus:
     """
     if not (0.0 < fraction <= 1.0):
         raise CorpusError(f"fraction must be in (0, 1], got {_shown(fraction)}")
+    _check_seed(seed, CorpusError)
     n = len(corpus)
     mantissa, _, exponent = str(fraction).partition("e")
     whole, _, decimals = mantissa.partition(".")

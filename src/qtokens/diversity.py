@@ -79,8 +79,8 @@ def _index_type(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
-def _ngram_ranks(ids: np.ndarray, n_max: int) -> tuple[np.ndarray, list[int]]:
-    """Rank the n_max-grams of ``ids``; also count the distinct n-grams for n = 1..n_max.
+def _ngram_ranks(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Rank the ``SELF_REPETITION_N``-grams of ``ids``; also count the distinct n-grams up to them.
 
     Equal n-grams get equal ranks, numbered from 1 in the order of their keys
     (a unigram's rank is its id). An n-gram is keyed in int64 by its (n-1)-gram
@@ -94,7 +94,7 @@ def _ngram_ranks(ids: np.ndarray, n_max: int) -> tuple[np.ndarray, list[int]]:
     index = _index_type(len(ids))
     radix = np.int64(ids.max(initial=-1)) + 1
     rank, distinct = ids, [np.count_nonzero(np.bincount(ids))]
-    for n in range(2, n_max + 1):
+    for n in range(2, SELF_REPETITION_N + 1):
         m = len(ids) - n + 1
         if m < 1:
             break
@@ -115,8 +115,8 @@ def _ngram_ranks(ids: np.ndarray, n_max: int) -> tuple[np.ndarray, list[int]]:
     return rank, distinct
 
 
-def _mattr(ids: np.ndarray, window: int) -> float:
-    """MATTR of a sequence at least ``window`` long.
+def _mattr(ids: np.ndarray) -> float:
+    """MATTR of a sequence at least ``MATTR_WINDOW`` long.
 
     A window's distinct count changes, as it slides one step, by -1 when the
     token leaving has no other occurrence before the new right edge and by
@@ -124,7 +124,7 @@ def _mattr(ids: np.ndarray, window: int) -> float:
     from each position's previous and next occurrence. Positions and counts
     are in ``_index_type``, and each step's change in int8.
     """
-    n = len(ids)
+    n, window = len(ids), MATTR_WINDOW
     index = _index_type(n)
     order = np.argsort(ids, kind="stable").astype(index)
     same = ids[order[1:]] == ids[order[:-1]]
@@ -146,7 +146,7 @@ def _mattr(ids: np.ndarray, window: int) -> float:
     return float(np.cumsum(ratios, out=ratios)[-1]) / (n - window + 1)
 
 
-def _self_repetition(rank: np.ndarray, lengths: np.ndarray, n: int) -> float:
+def _self_repetition(rank: np.ndarray, lengths: np.ndarray) -> float:
     """Self-repetition of documents laid end to end, from their n-gram ranks.
 
     ``rank[i]`` names the n-gram at stream position i, as ``_ngram_ranks``
@@ -155,14 +155,14 @@ def _self_repetition(rank: np.ndarray, lengths: np.ndarray, n: int) -> float:
     (n-gram, document) pairs come from one sorted int64 key array and a
     neighbour mask.
     """
-    eligible = lengths >= n
+    eligible = lengths >= SELF_REPETITION_N
     if np.count_nonzero(eligible) < 2:
         raise DiversityError("self_repetition needs at least 2 documents with >= n tokens")
     n_docs = len(lengths)
     m = len(rank)
     doc = np.repeat(np.arange(n_docs, dtype=_index_type(n_docs)), lengths)
     # An n-gram lies inside one document when its first and last tokens do.
-    inside = doc[:m] == doc[n - 1 :]
+    inside = doc[:m] == doc[SELF_REPETITION_N - 1 :]
     gram, doc = rank[inside], doc[:m][inside]
     del inside
     pairs = gram.astype(np.int64)
@@ -205,12 +205,12 @@ def _token_metrics(corpus: Corpus) -> tuple[float, float, dict[int, float | None
     if total == 0:
         raise DiversityError("corpus has no tokens")
     # Self-repetition's order is the longest the report counts, so it reads the last level.
-    rank, distinct = _ngram_ranks(ids, SELF_REPETITION_N)
+    rank, distinct = _ngram_ranks(ids)
     ngd = {n: distinct[n - 1] / (total - n + 1) if total >= n else None for n in NGRAM_NS}
     try:
-        sr = _self_repetition(rank, lengths, SELF_REPETITION_N)
+        sr = _self_repetition(rank, lengths)
     except DiversityError:
         sr = None
     del rank
     ttr = distinct[0] / total
-    return ttr, _mattr(ids, MATTR_WINDOW) if total >= MATTR_WINDOW else ttr, ngd, sr
+    return ttr, _mattr(ids) if total >= MATTR_WINDOW else ttr, ngd, sr

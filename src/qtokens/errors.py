@@ -13,6 +13,12 @@ def _shown(value) -> str:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
+def _check_seed(seed: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``seed`` is in [0, 2**64), as numpy and 8-byte hash keys need."""
+    if not 0 <= seed < 1 << 64:
+        raise error(f"seed must be in [0, 2**64), got {_shown(seed)}")
+
+
 class QTokensError(Exception):
     """Base class for all toolkit errors."""
 

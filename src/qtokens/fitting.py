@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FittingError, ScalingDomainError, _naming, _shown
+from .errors import FittingError, ScalingDomainError, _check_seed, _naming, _shown
 from .scaling_law import PARAM_NAMES, ScalingConstants, _check_positive, _dq, _score
 
 N_PARAMS = len(PARAM_NAMES)
@@ -218,6 +218,7 @@ def fit_constants(
             f"need at least {N_PARAMS + 1} points to fit {N_PARAMS} parameters, "
             f"got {len(points)}"
         )
+    _check_seed(restart_seed, FittingError)
     data = _point_arrays(points)
     p0 = _theta_of(init)[_SEARCHED]
     starts = [p0]
@@ -293,6 +294,7 @@ def bootstrap_se(
     """
     if n_resamples < 2:
         raise FittingError(f"n_resamples must be >= 2, got {_shown(n_resamples)}")
+    _check_seed(seed, FittingError)
     data = _point_arrays(points)
     n = len(points)
     start, form = _theta_of(base.constants)[_SEARCHED], base.constants.form

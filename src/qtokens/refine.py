@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus, decode
-from .errors import RefineError, _shown
+from .errors import RefineError, _check_seed, _shown
 
 # Fixed, published hash seed: selections must be reproducible across machines.
 FEATURE_HASH_SEED = 0x9E3779B1
@@ -156,9 +156,9 @@ def corpus_features(corpus: Corpus) -> list[tuple[int, np.ndarray, np.ndarray]]:
 
 
 def _smoothed_log_probs(
-    blocks: list[tuple[int, np.ndarray, np.ndarray]], n_docs: int, name: str
+    blocks: list[tuple[int, np.ndarray, np.ndarray]], name: str
 ) -> np.ndarray:
-    if n_docs == 0:
+    if not blocks:  # a corpus with documents has at least one block
         raise RefineError(f"{name} corpus has no documents")
     counts = np.zeros(N_BUCKETS, dtype=np.int64)
     for _, buckets, _ in blocks:
@@ -184,8 +184,8 @@ def importance_weights(raw: Corpus, target: Corpus) -> list[float]:
     are summed on their own.
     """
     raw_blocks = corpus_features(raw)
-    raw_logp = _smoothed_log_probs(raw_blocks, len(raw), "raw")
-    delta = _smoothed_log_probs(corpus_features(target), len(target), "target")
+    raw_logp = _smoothed_log_probs(raw_blocks, "raw")
+    delta = _smoothed_log_probs(corpus_features(target), "target")
     delta -= raw_logp
     weights = np.zeros(len(raw))
     for first, buckets, docs in raw_blocks:
@@ -221,6 +221,7 @@ def select_by_weight(
             raise RefineError(f"document {doc.id!r} has a NaN weight")
     if mode not in SELECT_MODES:
         raise RefineError(f"unknown selection mode {mode!r}")
+    _check_seed(seed, RefineError)
     keys = list(log_weights)
     if mode == "gumbel-sample":
         rng = np.random.default_rng(seed)
@@ -282,8 +283,7 @@ def minhash_signature(corpus: Corpus, seed: int) -> np.ndarray:
     shingle Jaccard similarity. A document with fewer than ``SHINGLE_N``
     tokens has no shingles; every entry of its row is the largest uint64.
     """
-    if not 0 <= seed < 1 << 64:
-        raise RefineError(f"seed must be in [0, 2**64), got {_shown(seed)}")
+    _check_seed(seed, RefineError)
     sig = np.full((len(corpus), N_HASHES), _EMPTY, dtype=np.uint64)
     for first, hashes, docs in _blocks(corpus, seed):
         shingles, owners = _ngram_hashes(hashes, docs, SHINGLE_N)

@@ -73,7 +73,7 @@ class SyntheticityResult:
 
 @dataclass(eq=False)
 class KgramScorer:
-    """Count-based k-gram model with add-alpha smoothing, on integer ids.
+    """Count-based ``KGRAM_K``-gram model with add-``KGRAM_SMOOTHING`` smoothing, on integer ids.
 
     Probabilities are normalized over the training vocabulary plus one
     unknown symbol, ``n_events`` events in all, so they sum to 1 for every
@@ -92,10 +92,8 @@ class KgramScorer:
 
     # Lets perfbench tell k-gram scoring time apart in its traces.
     kind = "builtin-kgram"
+    context_len = DEFAULT_CONTEXT_LEN
 
-    k: int
-    smoothing: float
-    context_len: int
     lookup: np.ndarray
     n_events: int
     ctx_keys: np.ndarray
@@ -113,7 +111,7 @@ class KgramScorer:
         offset = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         radix = self.n_events
         ctx = np.zeros(len(ids), dtype=np.int64)  # every position has the empty context
-        for m in range(1, self.k):
+        for m in range(1, KGRAM_K):
             at = np.flatnonzero(offset >= m)
             # Extend the (m-1)-token context of position i - 1 by ids[i - 1],
             # keyed as in training.
@@ -124,7 +122,7 @@ class KgramScorer:
         totals = np.where(seen, self.ctx_totals[ctx], 0)
         pos, found = _find(self.pair_keys, ctx * radix + ids)
         counts = np.where(seen & found, self.pair_counts[pos], 0)
-        return (counts + self.smoothing) / (totals + self.smoothing * self.n_events)
+        return (counts + KGRAM_SMOOTHING) / (totals + KGRAM_SMOOTHING * self.n_events)
 
     def score_windows(self, windows: Iterable[np.ndarray]) -> Iterator[list[float]]:
         """Log-probabilities of each id window's tokens, in input order.
@@ -197,8 +195,7 @@ def train_kgram_scorer(reference: Corpus) -> KgramScorer:
     unk, unk_found = _find(types, encode([UNKNOWN_TOKEN]))
     lookup = np.full(types[-1] + 2, unk[0] if unk_found[0] else len(types), dtype=np.int64)
     lookup[types] = np.arange(len(types))
-    return KgramScorer(k, KGRAM_SMOOTHING, DEFAULT_CONTEXT_LEN, lookup, radix,
-                       np.concatenate(tables), np.bincount(ctx, minlength=size),
+    return KgramScorer(lookup, radix, np.concatenate(tables), np.bincount(ctx, minlength=size),
                        pair_keys, pair_counts)
 
 

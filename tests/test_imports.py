@@ -2,6 +2,8 @@
 definition and method in the package is referenced outside the tests, every attribute
 the package sets on ``self`` is read somewhere, and every command-line
 option and defaulted library parameter is set somewhere outside the tests.
+No parameter is filled with the same module constant by every call, and
+only ``errors.py`` names an input file in an error message.
 
 ``__init__.py`` is left out of the import and definition scans: its
 table of public names, each mapped to the module it is imported from on
@@ -15,7 +17,6 @@ import argparse
 import ast
 import functools
 import importlib
-import math
 import os
 import re
 import shlex
@@ -133,15 +134,44 @@ def test_scan_finds_a_utf8_handler():
     assert utf8_handlers(source) == [3, 4]
 
 
-def test_only_errors_reports_a_file_that_is_not_utf8():
-    """``errors._naming`` alone turns a file's decode error into a message
-    naming the file; no other package module writes that rule out."""
+def path_prefixes(source: str) -> list[int]:
+    """Lines of ``raise`` statements whose message is an f-string that starts
+    with a value and then ``": "``, as in ``f"{path}: ..."``."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)
+        for text in ast.walk(node)
+        if isinstance(text, ast.JoinedStr) and len(text.values) > 1
+        and isinstance(text.values[0], ast.FormattedValue)
+        and isinstance(text.values[1], ast.Constant) and text.values[1].value.startswith(": ")
+    })
+
+
+def test_scan_finds_a_path_prefix():
+    source = ('raise E(f"{path}: bad")\nraise E(f"{name} is bad")\n'
+              'raise E(f"x {path}: y")\nraise E(\n    f"{path}: {exc}") from exc\n')
+    assert path_prefixes(source) == [1, 4]
+
+
+def _outside_errors(scan) -> list[str]:
+    """``module:line`` for each line ``scan`` finds in a package module other than ``errors.py``."""
     found = []
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if name.endswith(".py") and name != "errors.py":
             with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
-                found += [f"{name}:{line}" for line in utf8_handlers(fh.read())]
-    assert found == []
+                found += [f"{name}:{line}" for line in scan(fh.read())]
+    return found
+
+
+def test_only_errors_reports_a_file_that_is_not_utf8():
+    """``errors._naming`` alone turns a file's decode error into a message
+    naming the file; no other package module writes that rule out."""
+    assert _outside_errors(utf8_handlers) == []
+
+
+def test_only_errors_puts_a_path_in_front_of_a_message():
+    """``errors._naming`` alone puts the file an error came from in front
+    of its message."""
+    assert _outside_errors(path_prefixes) == []
 
 
 def plain_unique_calls(source: str) -> list[int]:
@@ -467,10 +497,10 @@ def test_every_cli_option_is_set_somewhere():
     assert [name for name, _ in TEST_ONLY_OPTIONS if not _sets(name.split()[-1], tests)] == []
 
 
-def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
-    """(callee, parameter, positional index or None) of every parameter with
-    a default. A method's callee is its name, ``__init__``'s its class's;
-    ``self`` and ``cls`` take no index."""
+def _parameters(tree: ast.Module) -> list[tuple[str, str, int | None, bool]]:
+    """(callee, parameter, positional index or None, whether it has a
+    default) of every parameter. A method's callee is its name, ``__init__``'s
+    its class's; ``self`` and ``cls`` take no index."""
     found = []
 
     def visit(node, owner):
@@ -486,12 +516,26 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]
                     positional = positional[1:]
                 callee = owner if child.name == "__init__" else child.name
                 first = len(positional) - len(args.defaults)
-                found.extend((callee, a.arg, i) for i, a in enumerate(positional) if i >= first)
-                found.extend((callee, a.arg, None)
-                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                found.extend((callee, a.arg, i, i >= first) for i, a in enumerate(positional))
+                found.extend((callee, a.arg, None, d is not None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults))
             visit(child, None)
 
     visit(tree, None)
+    return found
+
+
+def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, field, positional index) of every field that a ``@dataclass``
+    without its own ``__init__`` takes in the one it is given."""
+    found = []
+    for cls in ast.walk(tree):
+        if (isinstance(cls, ast.ClassDef)
+                and any(_name(getattr(d, "func", d)) == "dataclass" for d in cls.decorator_list)
+                and not any(getattr(n, "name", None) == "__init__" for n in cls.body)):
+            names = [n.target.id for n in cls.body
+                     if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+            found.extend((cls.name, name, i) for i, name in enumerate(names))
     return found
 
 
@@ -499,12 +543,11 @@ def _name(node: ast.expr) -> str | None:
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
-def _calls(tree: ast.Module) -> list[tuple[str, float, set]]:
-    """(callee, positional argument count, keyword names) of every call.
-    ``cls(...)`` inside a class calls that class; a ``*`` argument counts
-    as every positional argument, and ``**`` gives the keyword name None.
-    ``add_argument(..., type=f)`` also calls ``f`` with one argument, the
-    command-line string."""
+def _calls(tree: ast.Module) -> list[tuple[str, list, dict]]:
+    """(callee, positional arguments, keyword arguments by name) of every
+    call. ``cls(...)`` inside a class calls that class, and ``**`` gives the
+    keyword name None. ``add_argument(..., type=f)`` also calls ``f`` with
+    one argument, the command-line string, which stands as ``""``."""
     found = []
 
     def visit(node, owner):
@@ -513,15 +556,22 @@ def _calls(tree: ast.Module) -> list[tuple[str, float, set]]:
                 callee = _name(child.func)
                 if callee == "cls" and owner is not None:
                     callee = owner
-                starred = any(isinstance(a, ast.Starred) for a in child.args)
-                found.append((callee, math.inf if starred else len(child.args),
-                              {k.arg for k in child.keywords}))
-                found.extend((_name(k.value), 1, set()) for k in child.keywords
+                found.append((callee, child.args, {k.arg: k.value for k in child.keywords}))
+                found.extend((_name(k.value), [ast.Constant("")], {}) for k in child.keywords
                              if callee == "add_argument" and k.arg == "type")
             visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
 
     visit(tree, None)
     return found
+
+
+def _argument(args: list, keywords: dict, param: str, index: int | None) -> ast.expr | None:
+    """What a call with these arguments passes as ``param``: its argument,
+    the ``*`` or ``**`` argument that may hold it, or None."""
+    for i, arg in enumerate(args[: index + 1] if index is not None else []):
+        if isinstance(arg, ast.Starred) or i == index:
+            return arg
+    return keywords.get(param, keywords.get(None))
 
 
 def unpassed_parameters(definitions: str, callers: list[str]) -> list[str]:
@@ -530,11 +580,10 @@ def unpassed_parameters(definitions: str, callers: list[str]) -> list[str]:
     calls = [c for source in callers for c in _calls(ast.parse(source))]
     return [
         f"{callee}({param})"
-        for callee, param, index in _defaulted_parameters(ast.parse(definitions))
-        if not any(
-            name == callee and (param in keywords or None in keywords
-                                or index is not None and index < count)
-            for name, count, keywords in calls
+        for callee, param, index, defaulted in _parameters(ast.parse(definitions))
+        if defaulted and not any(
+            name == callee and _argument(args, keywords, param, index) is not None
+            for name, args, keywords in calls
         )
     ]
 
@@ -566,17 +615,95 @@ TEST_ONLY_PARAMETERS = (
 )
 
 
+def _program_callers() -> list[str]:
+    """The sources whose calls count: the package, the benchmark and the
+    README's library example."""
+    with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
+        callers = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    return callers + [text for path, text in _reference_sources().items()
+                      if not path.startswith(TESTS_DIR)]
+
+
+def _package_texts() -> list[str]:
+    return [text for path, text in _reference_sources().items()
+            if os.path.dirname(path) == PACKAGE_DIR]
+
+
 def test_every_library_parameter_is_passed_somewhere():
     """A defaulted parameter that no call in the package, the benchmark or
     the README's library example passes is a setting with one value in
     use; it belongs in the code as a constant."""
-    with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
-        callers = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
-    sources = _reference_sources()
-    callers += [text for path, text in sources.items() if not path.startswith(TESTS_DIR)]
-    unpassed = [
-        name
-        for path, text in sources.items() if os.path.dirname(path) == PACKAGE_DIR
-        for name in unpassed_parameters(text, callers)
-    ]
+    callers = _program_callers()
+    unpassed = [name for text in _package_texts() for name in unpassed_parameters(text, callers)]
     assert sorted(unpassed) == sorted(name for name, _ in TEST_ONLY_PARAMETERS)
+
+
+_CONSTANT = re.compile(r"[A-Z][A-Z\d_]*\Z")
+
+
+def _constant(node: ast.expr) -> str | None:
+    """The name of the module constant ``node`` is, plain or as ``module.NAME``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.attr if _CONSTANT.match(node.attr) else None
+    if isinstance(node, ast.Name):
+        return node.id if _CONSTANT.match(node.id) else None
+    return None
+
+
+def constant_parameters(definitions: str, callers: list[str]) -> list[str]:
+    """``callee(parameter)`` for each parameter or ``@dataclass`` field in
+    ``definitions`` that calls in ``callers`` pass, where every one of them
+    passes the same module constant: an ALL_CAPS name, plain or as
+    ``module.NAME``."""
+    tree = ast.parse(definitions)
+    calls = [c for source in callers for c in _calls(ast.parse(source))]
+    found = []
+    for callee, param, index in ([p[:3] for p in _parameters(tree)] + _dataclass_fields(tree)):
+        passed = {_constant(arg) for name, args, keywords in calls if name == callee
+                  for arg in [_argument(args, keywords, param, index)] if arg is not None}
+        if len(passed) == 1 and None not in passed:
+            found.append(f"{callee}({param})")
+    return found
+
+
+def test_scan_finds_a_parameter_always_given_one_constant():
+    module = (
+        "from dataclasses import dataclass\n"
+        "WINDOW = 8\n"
+        "def f(ids, window, n=2, *, order):\n"
+        "    pass\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    kind = 'box'\n"
+        "    size: int\n"
+        "    label: str = ''\n"
+        "@dataclass(frozen=True)\n"
+        "class Own:\n"
+        "    size: int\n"
+        "    def __init__(self, size):\n"
+        "        pass\n"
+    )
+    caller = (
+        "import mod\n"
+        "f(ids, WINDOW, order=ORDER)\n"
+        "f(other, mod.WINDOW, 3, order=ORDER)\n"
+        "Box(SIZE, label=LABEL)\n"
+        "Box(SIZE, 'x')\n"
+        "Own(size=SIZE)\n"
+    )
+    # The window and order are always one constant, named plainly or through
+    # its module; the field and the own __init__'s parameter are too.
+    assert constant_parameters(module, [module, caller]) == [
+        "f(window)", "f(order)", "Own(size)", "Box(size)",
+    ]
+    # A call that passes another value, or may through * or **, clears it.
+    more = "f(ids, w, order=ORDER)\nf(*a)\nBox(**kw)\nOwn(SIZE2)\n"
+    assert constant_parameters(module, [module, caller, more]) == ["f(order)"]
+
+
+def test_no_parameter_is_always_one_constant():
+    """A parameter or field that every call fills with the same module
+    constant is a setting with one value in use: the code reads the
+    constant where it is used, and tests patch it."""
+    callers = _program_callers()
+    assert [name for text in _package_texts() for name in constant_parameters(text, callers)] == []

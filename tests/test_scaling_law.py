@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -9,11 +10,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qtokens
 from qtokens.corpus import sample_fraction
 from qtokens.errors import CorpusError, FittingError, RefineError, ScalingDomainError, ScorerError
 from qtokens.fitting import ExperimentPoint, bootstrap_se, fit_constants
 from qtokens.fixtures import fixture_points
-from qtokens.refine import minhash_signature, select_by_weight
+from qtokens.refine import dedup_near, minhash_signature, select_by_weight
 from qtokens.scaling_law import (
     FORMS,
     PRESETS,
@@ -431,6 +433,43 @@ def _fixture_fit():
 def test_a_giant_int_is_named_by_its_size_in_each_modules_error(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Each public function that takes a seed, called on small valid inputs, and
+# the error a seed outside [0, 2**64) raises: its module's, or for
+# score_corpus the one of sample_fraction, which draws its sample.
+FLAT_SCORER = SimpleNamespace(context_len=4,
+                              score_windows=lambda ws: ([-1.0] * len(w) for w in ws))
+SEEDED_CALLS = {
+    "sample_fraction": (lambda seed: sample_fraction(TWO_DOCS, 0.5, seed), CorpusError),
+    "score_corpus": (lambda seed: score_corpus(FLAT_SCORER, TWO_DOCS, 0.5, seed), CorpusError),
+    "select_by_weight": (lambda seed: select_by_weight(TWO_DOCS, [0.0, 0.0], 2,
+                                                       mode="gumbel-sample", seed=seed), RefineError),
+    "dedup_near": (lambda seed: dedup_near(TWO_DOCS, seed), RefineError),
+    "fit_constants": (lambda seed: fit_constants(fixture_points(), default_initial_guess("F1"),
+                                                 n_restarts=1, restart_seed=seed), FittingError),
+    "bootstrap_se": (lambda seed: bootstrap_se(*_fixture_fit(), n_resamples=2, seed=seed),
+                     FittingError),
+}
+
+
+def test_every_seeded_function_is_checked():
+    seeded = {
+        name for name in qtokens.__all__
+        for value in [getattr(qtokens, name)] if inspect.isfunction(value)
+        and any(p == "seed" or p.endswith("_seed") for p in inspect.signature(value).parameters)
+    }
+    assert seeded == set(SEEDED_CALLS)
+
+
+@pytest.mark.parametrize("name", list(SEEDED_CALLS))
+def test_every_seeded_function_takes_a_seed_in_one_range(name):
+    call, error = SEEDED_CALLS[name]
+    for seed in (-1, 2**64):
+        with pytest.raises(error, match=f"^{re.escape(f'seed must be in [0, 2**64), got {seed}')}$"):
+            call(seed)
+    for seed in (0, 2**64 - 1):
+        call(seed)
 
 
 def test_quality_inputs_keeps_its_dataclass_contract():

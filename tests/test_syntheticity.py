@@ -15,7 +15,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -239,12 +239,15 @@ def kgram_teacher(monkeypatch, reference, k, smoothing=syntheticity.KGRAM_SMOOTH
     its fixed ones, to check it against count oracles."""
     monkeypatch.setattr(syntheticity, "KGRAM_K", k)
     monkeypatch.setattr(syntheticity, "KGRAM_SMOOTHING", smoothing)
-    return replace(train_kgram_scorer(reference), context_len=context_len)
+    monkeypatch.setattr(syntheticity.KgramScorer, "context_len", context_len)
+    return train_kgram_scorer(reference)
 
 
 def test_kgram_teacher_is_fixed():
     scorer = train_kgram_scorer(make_corpus(["a b c d"]))
-    assert (scorer.k, scorer.smoothing, scorer.context_len) == (3, 1.0, 1024)
+    assert [f.name for f in fields(scorer)] == [
+        "lookup", "n_events", "ctx_keys", "ctx_totals", "pair_keys", "pair_counts"]
+    assert (syntheticity.KGRAM_K, syntheticity.KGRAM_SMOOTHING, scorer.context_len) == (3, 1.0, 1024)
     assert list(inspect.signature(train_kgram_scorer).parameters) == ["reference"]
 
 
@@ -428,7 +431,6 @@ def test_kgram_scorer_memory_is_compact():
         tracemalloc.stop()
     # string-tuple Counter tables held about 21 MB here
     assert held <= 4 * 2**20
-    assert scorer.k == 3
 
 
 def test_kgram_k_longer_than_documents():
